@@ -130,7 +130,11 @@ def _kernel_params(args: argparse.Namespace) -> dict:
     params: dict = {}
     if getattr(args, "spec_json", None):
         raw = args.spec_json
-        text = Path(raw).read_text(encoding="utf-8") if Path(raw).is_file() else raw
+        try:
+            is_file = Path(raw).is_file()
+        except OSError:  # an inline object longer than a file name can be
+            is_file = False
+        text = Path(raw).read_text(encoding="utf-8") if is_file else raw
         try:
             loaded = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -155,17 +159,16 @@ def _build_kernel_or_usage(name: str, params: dict):
         raise UsageError(str(exc)) from exc
 
 
-def _check_threads(threads: int | None) -> int | None:
+def _check_threads(threads: int | None) -> None:
     if threads is not None and threads < 1:
         raise UsageError("--threads must be >= 1")
-    return threads
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     params = _kernel_params(args)
     kernel = _build_kernel_or_usage(args.kernel, params)
-    threads = _check_threads(args.threads)
+    _check_threads(args.threads)
     if args.check_against_naive and args.kernel not in (
         "rootpath-node",
         "rootpath-node-linear-fast",
@@ -176,9 +179,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             f"--normalize is degenerate for the scalar linear kernel '{args.kernel}'"
         )
     trees = load_dataset(args.trees)
-    matrix = assemble(trees, kernel, threads=threads)
+    matrix = assemble(trees, kernel)
     if args.check_against_naive:
-        naive = assemble(trees, _build_kernel_or_usage("rootpath-node-naive", params), threads=threads)
+        naive = assemble(trees, _build_kernel_or_usage("rootpath-node-naive", params))
         scale = np.maximum(1.0, np.maximum(np.abs(matrix.values), np.abs(naive.values)))
         deviation = np.abs(matrix.values - naive.values) / scale
         worst = float(deviation.max())
@@ -222,12 +225,11 @@ def cmd_test(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.permutations < 1:
         raise UsageError("--permutations must be >= 1")
-    threads = _check_threads(args.threads)
+    _check_threads(args.threads)
     matrix = load_gram(args.gram)
     idx_a, idx_b = _class_indices(matrix.ids, args.labels)
     result = twosample.permutation_test(
-        matrix, idx_a, idx_b, n_permutations=args.permutations, seed=args.seed,
-        threads=threads,
+        matrix, idx_a, idx_b, n_permutations=args.permutations, seed=args.seed
     )
     payload = result.to_json(kernel_spec_ref=matrix.kernel_spec or None)
     out = Path(args.out)
@@ -293,15 +295,15 @@ def benchmark_kernel(
 ) -> list[dict]:
     """Median per-pair evaluation time of a kernel on balanced binary trees.
 
-    Trees are warmed (caches built) before timing, so the numbers reflect
-    repeated kernel evaluation, matching the per-pair cost model.
+    A warm-up evaluation builds the per-tree caches before timing, so the
+    numbers reflect repeated kernel evaluation, matching the per-pair cost
+    model.
     """
     kernel = build_kernel(kernel_name, **(params or {}))
     rows = []
     for size in sizes:
         t1 = generate.balanced_binary_tree(size, seed=seed)
         t2 = generate.balanced_binary_tree(size, seed=seed + 1)
-        kernel.prepare([t1, t2])
         kernel.value(t1, t2)  # warm-up
         once = time.perf_counter()
         kernel.value(t1, t2)
@@ -412,25 +414,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true",
                    help="cosine-normalize so diagonal entries become 1")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker pool size (default: all cores)")
+                   help="accepted for compatibility; no effect (runs serially)")
     p.add_argument("--check-against-naive", dest="check_against_naive", action="store_true",
                    help="recompute via the literal path-pair sum and compare")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("test", help="permutation two-sample test on a Gram matrix")
     p.add_argument("gram", help="Gram CSV written by the kernel command")
-    p.add_argument("labels", help="label CSV (id,label)")
+    p.add_argument("labels", help="label CSV (tree_id,label)")
     p.add_argument("--permutations", type=int, default=10000,
                    help="number of random relabelings")
     p.add_argument("--seed", type=int, default=0, help="permutation seed")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker pool size (default: all cores)")
+                   help="accepted for compatibility; no effect (runs serially)")
     p.add_argument("--out", required=True, help="result JSON path")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("classify", help="nearest-mean holdout classification")
     p.add_argument("gram", help="Gram CSV written by the kernel command")
-    p.add_argument("labels", help="label CSV (id,label)")
+    p.add_argument("labels", help="label CSV (tree_id,label)")
     p.add_argument("--holdout", type=float, default=0.2,
                    help="held-out fraction per class")
     p.add_argument("--seed", type=int, default=0, help="split seed")

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -46,6 +44,13 @@ class GramMatrix:
             raise ValueError("id count does not match matrix size")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate tree ids in Gram matrix")
+        bad = np.argwhere(~np.isfinite(self.values))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(
+                f"Gram matrix has a non-finite entry {self.values[i, j]} at "
+                f"({self.ids[i]}, {self.ids[j]})"
+            )
         if self.values.size and float(np.abs(self.values - self.values.T).max()) > _SYMMETRY_TOL:
             raise ValueError("Gram matrix is not symmetric")
 
@@ -68,11 +73,14 @@ def assemble(
 ) -> GramMatrix:
     """Evaluate a kernel over every tree pair.
 
-    Only the upper triangle is computed and the result is mirrored. Each
-    entry is an independent pure evaluation over immutable trees (caches are
-    warmed serially beforehand), so the matrix does not depend on the worker
-    count or scheduling.
+    Only the upper triangle is computed, serially in row order, and the
+    result is mirrored. ``kernel.prepare`` runs once before the first pair.
+    ``threads`` is accepted for compatibility and validated (it must be at
+    least 1) but has no effect: per-pair work holds the interpreter lock, so
+    a thread pool never paid for itself.
     """
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
     if not trees:
         raise ValueError("no trees given")
     ids = [t.id for t in trees]
@@ -84,20 +92,9 @@ def assemble(
     kernel.prepare(trees)
     size = len(trees)
     values = np.zeros((size, size))
-
-    def fill_row(i: int) -> None:
+    for i in range(size):
         for j in range(i, size):
             values[i, j] = kernel.value(trees[i], trees[j])
-
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("threads must be >= 1")
-    if workers == 1 or size == 1:
-        for i in range(size):
-            fill_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(size)))
     values = np.triu(values) + np.triu(values, 1).T
     return GramMatrix(ids=list(ids), values=values, kernel_spec=kernel.spec)
 

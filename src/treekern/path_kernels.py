@@ -272,8 +272,15 @@ def node_path_kernel(p1: NodePath, p2: NodePath, spec: NodeKernelSpec) -> float:
 # -- all-pairs tree kernel ---------------------------------------------------------
 
 
-def _paths_by_length(tree: GeometricTree) -> dict[int, np.ndarray]:
-    """Node index arrays of every ordered-pair path, bucketed by length."""
+def _path_counts(tree: GeometricTree) -> np.ndarray:
+    """Node visit counts of all ordered-pair paths, shape (L, L, |V|).
+
+    Entry [length - 1, position, node] counts the paths of that node length
+    whose node at that position is ``node``; L is the longest path's node
+    count, and positions at or beyond a length are zero. Paths are
+    enumerated once, bucketed by length and reduced with one ``bincount``
+    per length; only the counts are cached.
+    """
 
     def build():
         buckets: dict[int, list[tuple[int, ...]]] = {}
@@ -281,20 +288,29 @@ def _paths_by_length(tree: GeometricTree) -> dict[int, np.ndarray]:
             for j in range(tree.size):
                 seq = tree.node_path(i, j).nodes
                 buckets.setdefault(len(seq), []).append(seq)
-        return {
-            length: np.asarray(seqs, dtype=np.intp) for length, seqs in sorted(buckets.items())
-        }
+        top = max(buckets)
+        out = np.zeros((top, top, tree.size))
+        for length, seqs in buckets.items():
+            # Offset each position's node indices into its own |V|-wide slot.
+            flat = np.asarray(seqs, dtype=np.intp) + tree.size * np.arange(length)
+            out[length - 1, :length] = np.bincount(
+                flat.ravel(), minlength=length * tree.size
+            ).reshape(length, tree.size)
+        out.setflags(write=False)
+        return out
 
-    return tree._memo("paths_by_length", build)
+    return tree._memo("path_counts", build)
 
 
 def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec) -> float:
     """Sum of the path kernel over every ordered node pair of each tree
     (diagonal pairs included).
 
-    Direct evaluation: cost grows with |V1|^2 * |V2|^2 path pairs for the
-    embedded representation, so this is intended for small trees. Node paths
-    are bucketed by length and only equal-length buckets are compared.
+    Embedded paths are compared directly: cost grows with |V1|^2 * |V2|^2
+    path pairs, so that representation is intended for small trees. Node
+    paths only pair up at equal lengths, position by position, so the sum
+    is the node kernel matrix weighted by the two trees' per-tree path
+    counts: sum over (length, position) of C1[l, p] @ K @ C2[l, p].
     """
     t1, t2 = canonical_pair(t1, t2)
     if spec.representation == "embedded_landmarks":
@@ -307,16 +323,12 @@ def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec)
     all1 = np.arange(t1.size, dtype=np.intp)
     all2 = np.arange(t2.size, dtype=np.intp)
     kn = _node_kernel_matrix(t1, all1, t2, all2, spec.node)
-    buckets1 = _paths_by_length(t1)
-    buckets2 = _paths_by_length(t2)
-    total = 0.0
-    for length in sorted(set(buckets1) & set(buckets2)):
-        r1 = buckets1[length]
-        r2 = buckets2[length]
-        c1 = np.stack([np.bincount(r1[:, i], minlength=t1.size) for i in range(length)]).astype(float)
-        c2 = np.stack([np.bincount(r2[:, i], minlength=t2.size) for i in range(length)]).astype(float)
-        total += float(np.einsum("li,ij,lj->", c1, kn, c2))
-    return total
+    c1 = _path_counts(t1)
+    c2 = _path_counts(t2)
+    # Trees of different height have different longest paths; both the
+    # length and the position axis are cut to the shorter one.
+    top = min(len(c1), len(c2))
+    return float(((c1[:top, :top] @ kn) * c2[:top, :top]).sum())
 
 
 # -- rootpath tree kernels -----------------------------------------------------------
@@ -341,18 +353,38 @@ def rootpath_kernel_naive(t1: GeometricTree, t2: GeometricTree, spec: PathKernel
     return total
 
 
+# Up to this many node pairs, one masked product over all nodes is cheaper
+# than a Python loop over levels; on 2 vCPUs the two cost the same near
+# 3,000 pairs (complete binary trees of about 55 nodes each).
+_DENSE_NODE_PAIRS = 2048
+
+
 def rootpath_kernel_decomposed(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> float:
     """Node-path rootpath kernel via the descendant-vector decomposition.
 
     A node pair (v1, v2) on the same level appears in the direct double sum
     once for every descendant pair at equal depths below them, so its node
     kernel can be weighted by the inner product of the two descendant count
-    vectors (taken over the common prefix) and summed level by level.
+    vectors (taken over the common prefix) and summed. Small tree pairs are
+    summed in one product over all node pairs with cross-level pairs masked
+    out; larger ones level by level, which evaluates only same-level pairs.
     """
     t1, t2 = canonical_pair(t1, t2)
     _check_node_spec(t1, t2, spec)
+    height = min(t1.height, t2.height)
+    # Levels are contiguous index ranges, so the nodes down to the common
+    # height are a prefix of each tree.
+    n1 = int(t1.levels[height - 1][-1]) + 1
+    n2 = int(t2.levels[height - 1][-1]) + 1
+    if n1 * n2 <= _DENSE_NODE_PAIRS:
+        # The shorter tree's descendant rows are zero from column ``height``
+        # on, so cutting both tables there keeps every inner product.
+        weights = t1.descendant_table[:n1, :height] @ t2.descendant_table[:n2, :height].T
+        weights *= t1.node_levels[:n1, None] == t2.node_levels[None, :n2]
+        kn = _node_kernel_matrix(t1, np.arange(n1), t2, np.arange(n2), spec)
+        return float((weights * kn).sum())
     total = 0.0
-    for level in range(1, min(t1.height, t2.height) + 1):
+    for level in range(1, height + 1):
         idx1 = t1.levels[level - 1]
         idx2 = t2.levels[level - 1]
         d1 = t1.descendant_matrix(level)

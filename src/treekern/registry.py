@@ -2,8 +2,10 @@
 
 Each entry builds a :class:`PairwiseKernel` from JSON-able parameters. The
 wrapper carries the resolved parameters (for Gram sidecars and manifests), a
-``prepare`` hook that warms per-tree caches before parallel assembly, and a
-``scalar_linear`` flag marking kernels whose normalization is degenerate.
+``scalar_linear`` flag marking kernels whose normalization is degenerate, and
+a ``prepare`` hook that assembly calls once over the whole dataset. No
+catalogued kernel needs the hook: every per-tree cache is built lazily on the
+first ``value`` call that reads it.
 """
 
 from __future__ import annotations
@@ -72,38 +74,6 @@ def _reject_extras(name: str, params: dict) -> None:
         raise ValueError(f"kernel '{name}' does not accept parameters: {sorted(params)}")
 
 
-def _warm_embedded_all_pairs(m: int):
-    def prepare(trees):
-        for t in trees:
-            path_kernels._all_pairs_landmark_stack(t, m)
-
-    return prepare
-
-
-def _warm_embedded_rootpath(m: int):
-    def prepare(trees):
-        for t in trees:
-            path_kernels._rootpath_landmark_stack(t, m)
-
-    return prepare
-
-
-def _warm_node_paths(trees):
-    for t in trees:
-        path_kernels._paths_by_length(t)
-
-
-def _warm_rootpaths(trees):
-    for t in trees:
-        t.rootpath(0)
-        t.descendant_vectors
-
-
-def _warm_sp(trees):
-    for t in trees:
-        baselines._path_length_counts(t)
-
-
 def build_kernel(name: str, **params) -> PairwiseKernel:
     """Build a named kernel; raises ValueError for unknown names, unknown
     parameters, or incompatible parameter combinations."""
@@ -115,7 +85,6 @@ def build_kernel(name: str, **params) -> PairwiseKernel:
             name,
             _embedded_params(spec),
             lambda a, b: path_kernels.all_pairs_kernel(a, b, spec),
-            prepare=_warm_embedded_all_pairs(spec.landmarks),
         )
     if name == "rootpath-embedded":
         spec = _embedded_spec(params)
@@ -124,7 +93,6 @@ def build_kernel(name: str, **params) -> PairwiseKernel:
             name,
             _embedded_params(spec),
             lambda a, b: path_kernels.rootpath_kernel_naive(a, b, spec),
-            prepare=_warm_embedded_rootpath(spec.landmarks),
         )
     if name == "all-pairs-node":
         node = _node_spec(params)
@@ -134,7 +102,6 @@ def build_kernel(name: str, **params) -> PairwiseKernel:
             name,
             _node_spec_params(node),
             lambda a, b: path_kernels.all_pairs_kernel(a, b, spec),
-            prepare=_warm_node_paths,
         )
     if name == "rootpath-node-naive":
         node = _node_spec(params)
@@ -144,7 +111,6 @@ def build_kernel(name: str, **params) -> PairwiseKernel:
             name,
             _node_spec_params(node),
             lambda a, b: path_kernels.rootpath_kernel_naive(a, b, spec),
-            prepare=_warm_rootpaths,
         )
     if name == "rootpath-node":
         node = _node_spec(params)
@@ -153,7 +119,6 @@ def build_kernel(name: str, **params) -> PairwiseKernel:
             name,
             _node_spec_params(node),
             lambda a, b: path_kernels.rootpath_kernel_decomposed(a, b, node),
-            prepare=_warm_rootpaths,
         )
     if name == "rootpath-node-linear-fast":
         params.setdefault("form", "linear")
@@ -165,7 +130,6 @@ def build_kernel(name: str, **params) -> PairwiseKernel:
             name,
             _node_spec_params(node),
             lambda a, b: path_kernels.rootpath_kernel_linear_fast(a, b, node),
-            prepare=_warm_rootpaths,
         )
     if name == "pointcloud":
         lambda1 = _pop(params, "lambda1", None)
@@ -218,7 +182,6 @@ def build_kernel(name: str, **params) -> PairwiseKernel:
             name,
             {"length_kernel": length_kernel},
             lambda a, b: baselines.shortest_path_kernel(a, b, length_kernel),
-            prepare=_warm_sp,
         )
     if name == "wl":
         cfg = WLConfig(iterations=int(_pop(params, "iterations", 10)))

@@ -90,7 +90,7 @@ class GeometricTree:
     parent index, then input order) at construction time, which makes
     serialization deterministic and keeps each level a contiguous index
     range. Instances are immutable; every structural query is pure and
-    cached on first use, so trees are safe to share across worker threads.
+    cached on first use. Positions and attributes must be finite.
 
     Levels are 1-based: the root is the only node at level 1.
     """
@@ -169,6 +169,11 @@ class GeometricTree:
                 )
             )
 
+        for name, values in (("position", xs), ("attribute vector", attrs)):
+            if values is not None and not np.isfinite(values).all():
+                raw = order[int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])]
+                raise ValueError(f"tree '{self.id}': node {raw} has a non-finite {name}")
+
         self.nodes: tuple[Node, ...] = tuple(canon_nodes)
         self.positions = xs
         self.positions.setflags(write=False)
@@ -184,26 +189,26 @@ class GeometricTree:
     # -- construction helpers -------------------------------------------------
 
     def _compute_levels(self, parents: list[int | None]) -> list[int]:
-        """Level of each node (root = 1), with cycle detection."""
+        """Level of each node (root = 1), with cycle detection.
+
+        Each walk climbs from a node until it meets the root or a node whose
+        level is known, marking the nodes it passes; meeting a marked node
+        again closes a cycle. Every node is walked over once, so the cost is
+        linear in the node count.
+        """
+        on_walk = -1
         levels = [0] * len(parents)  # 0 = unknown
         for start in range(len(parents)):
-            if levels[start]:
-                continue
-            chain = []
+            walk = []
             i = start
-            while levels[i] == 0:
-                if i in chain or parents[i] == i:
-                    raise ValueError(f"tree '{self.id}': cycle detected involving node {i}")
-                chain.append(i)
-                if parents[i] is None:
-                    levels[i] = 1
-                    break
-                chain_set = set(chain)
+            while i is not None and levels[i] == 0:
+                levels[i] = on_walk
+                walk.append(i)
                 i = parents[i]
-                if i in chain_set:
-                    raise ValueError(f"tree '{self.id}': cycle detected involving node {i}")
-            base = levels[i]
-            for off, j in enumerate(reversed([c for c in chain if levels[c] == 0])):
+            if i is not None and levels[i] == on_walk:
+                raise ValueError(f"tree '{self.id}': cycle detected involving node {i}")
+            base = 0 if i is None else levels[i]
+            for off, j in enumerate(reversed(walk)):
                 levels[j] = base + off + 1
         return levels
 
@@ -352,21 +357,30 @@ class GeometricTree:
 
         return self._memo("descendant_vectors", build)
 
+    @property
+    def descendant_table(self) -> np.ndarray:
+        """Descendant vectors of all nodes as float rows, zero-padded to the
+        height; shape (size, height)."""
+
+        def build():
+            table = np.zeros((self.size, self.height))
+            for v, vec in enumerate(self.descendant_vectors):
+                table[v, : len(vec)] = vec
+            table.setflags(write=False)
+            return table
+
+        return self._memo("descendant_table", build)
+
     def descendant_matrix(self, level: int) -> np.ndarray:
         """Descendant vectors of the nodes at a level, stacked as float rows
         and zero-padded to the longest vector on that level."""
 
         def build():
-            mats = []
             vectors = self.descendant_vectors
-            for idx in self.levels:
-                width = max(len(vectors[i]) for i in idx)
-                mat = np.zeros((len(idx), width), dtype=float)
-                for row, i in enumerate(idx):
-                    mat[row, : len(vectors[i])] = vectors[i]
-                mat.setflags(write=False)
-                mats.append(mat)
-            return tuple(mats)
+            return tuple(
+                self.descendant_table[idx[0] : idx[-1] + 1, : max(len(vectors[i]) for i in idx)]
+                for idx in self.levels
+            )
 
         if not (1 <= level <= self.height):
             raise ValueError(f"tree '{self.id}': no level {level}")

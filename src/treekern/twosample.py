@@ -3,8 +3,6 @@ and a nearest-mean classifier, all driven by a precomputed Gram matrix."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +37,10 @@ class TwoSampleResult:
 
 
 def _values(gram) -> np.ndarray:
-    return np.asarray(getattr(gram, "values", gram), dtype=float)
+    values = np.asarray(getattr(gram, "values", gram), dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("Gram matrix has non-finite entries")
+    return values
 
 
 def _check_groups(size: int, idx_a: np.ndarray, idx_b: np.ndarray) -> None:
@@ -71,9 +72,8 @@ def mean_distance_statistic(gram, idx_a, idx_b) -> float:
     return float(np.sqrt(max(0.0, term_aa - 2.0 * term_ab + term_bb)))
 
 
-# Statistics are evaluated in fixed-size row blocks; the block layout is
-# independent of the worker count, so each block follows the same
-# floating-point path no matter how many threads process them.
+# Statistics are scored in fixed-size row blocks, which bounds the memory of
+# the (block, m) intermediate products for large permutation counts.
 _STAT_BLOCK = 256
 
 
@@ -89,9 +89,9 @@ def permutation_test(
 
     Group-size-preserving relabelings are sampled with replacement from a
     counter-based generator (Philox), so a seed fixes the whole permutation
-    sequence across platforms. Permutation statistics are independent and
-    are scored in fixed-size blocks that a pool of ``threads`` workers may
-    process concurrently; the result is identical for every worker count.
+    sequence across platforms. Permutation statistics are scored serially
+    in fixed-size row blocks. ``threads`` is accepted for compatibility and
+    validated (it must be at least 1) but has no effect.
     The returned p-value is (#{T_i >= T_0} + 1) / (n_permutations + 1);
     with fully separated samples it attains its floor
     1 / (n_permutations + 1).
@@ -102,8 +102,7 @@ def permutation_test(
     _check_groups(values.shape[0], idx_a, idx_b)
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers < 1:
+    if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
     pool = np.concatenate([idx_a, idx_b])
     a = len(idx_a)
@@ -123,20 +122,11 @@ def permutation_test(
         weights[k, perm[a:]] = -1.0 / (m - a)
 
     stats = np.empty(n_permutations + 1)
-
-    def score_block(start: int) -> None:
+    for start in range(0, n_permutations + 1, _STAT_BLOCK):
         block = weights[start : start + _STAT_BLOCK]
         stats[start : start + _STAT_BLOCK] = np.sqrt(
             np.maximum(0.0, ((block @ sub) * block).sum(axis=1))
         )
-
-    starts = range(0, n_permutations + 1, _STAT_BLOCK)
-    if workers == 1 or len(starts) == 1:
-        for start in starts:
-            score_block(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            list(executor.map(score_block, starts))
     t0 = float(stats[0])
     perm = stats[1:]
     count = int((perm >= t0).sum())

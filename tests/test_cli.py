@@ -135,6 +135,10 @@ def test_kernel_usage_errors(tmp_path):
     # malformed and non-object spec JSON
     assert run(["kernel", trees, "--kernel", "sp", "--spec-json", "{nope", "--out", out]) == 2
     assert run(["kernel", trees, "--kernel", "sp", "--spec-json", "[1]", "--out", out]) == 2
+    # inline JSON longer than a file name may be is still read as inline JSON
+    padded = '{"length_kernel": "linear",' + " " * 300 + '"bogus": 1}'
+    assert run(["kernel", trees, "--kernel", "sp", "--spec-json", padded, "--out", out]) == 2
+    assert run(["kernel", trees, "--kernel", "sp", "--spec-json", "{" + "x" * 300, "--out", out]) == 2
     # parameters the kernel does not accept
     assert run(["kernel", trees, "--kernel", "gbc", "--landmarks", 5, "--out", out]) == 2
     assert run(["kernel", trees, "--kernel", "sp", "--threads", 0, "--out", out]) == 2
@@ -197,6 +201,21 @@ def test_spec_json_file_and_flag_precedence(tmp_path):
     )
     meta2 = json.loads((tmp_path / "g2.csv.meta.json").read_text())
     assert meta2["kernel_spec"]["params"]["landmarks"] == 6
+
+    # inline JSON is accepted even when it is too long to be a file name
+    g3 = tmp_path / "g3.csv"
+    inline = '{"landmarks": 5,' + " " * 300 + '"form": "linear"}'
+    assert (
+        run(
+            [
+                "kernel", data / "trees.json", "--kernel", "all-pairs-embedded",
+                "--spec-json", inline, "--out", g3,
+            ]
+        )
+        == 0
+    )
+    meta3 = json.loads((tmp_path / "g3.csv.meta.json").read_text())
+    assert meta3["kernel_spec"]["params"]["landmarks"] == 5
 
 
 def test_two_sample_flow(tmp_path, capsys):

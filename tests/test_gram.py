@@ -42,6 +42,12 @@ def test_gram_matrix_validation():
         GramMatrix(ids=["a", "a"], values=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="symmetric"):
         GramMatrix(ids=["a", "b"], values=np.array([[1.0, 2.0], [3.0, 1.0]]))
+    # NaN compares false against the symmetry tolerance, so it needs its own check
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"non-finite entry .* at \(b, a\)"):
+            GramMatrix(ids=["a", "b"], values=np.array([[1.0, 0.0], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            GramMatrix(ids=["a", "b"], values=np.full((2, 2), bad))
 
 
 def test_assemble_basic(rng):
@@ -177,6 +183,9 @@ def test_load_gram_errors(tmp_path):
         load_gram(bad)
     bad.write_text("id,a,b\nb,1.0,0.0\na,0.0,1.0\n")
     with pytest.raises(ValueError, match="row ids"):
+        load_gram(bad)
+    bad.write_text("id,a,b\na,1.0,nan\nb,nan,1.0\n")
+    with pytest.raises(ValueError, match="non-finite"):
         load_gram(bad)
 
 

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from treekern import path_kernels
 from treekern import (
     GeometricTree,
     Node,
@@ -174,8 +177,18 @@ def test_constant_tree_sums():
     assert rootpath_kernel_linear_fast(t1, t2, NodeKernelSpec(form="linear")) == pytest.approx(3.0)
 
 
+def all_pairs_by_enumeration(t1, t2, spec: NodeKernelSpec) -> float:
+    """Quadruple loop over ordered node pairs of both trees."""
+    expected = 0.0
+    for i1 in range(t1.size):
+        for j1 in range(t1.size):
+            for i2 in range(t2.size):
+                for j2 in range(t2.size):
+                    expected += node_path_kernel(t1.node_path(i1, j1), t2.node_path(i2, j2), spec)
+    return expected
+
+
 def test_all_pairs_matches_explicit_enumeration(rng):
-    # quadruple loop over ordered node pairs of both trees
     for trial in range(15):
         d = int(rng.integers(0, 3))
         t1 = random_tree(rng, 8, n=2, d=d, tree_id=f"e{trial}a")
@@ -185,16 +198,46 @@ def test_all_pairs_matches_explicit_enumeration(rng):
             use_attributes=bool(d and trial % 3 == 0),
         )
         path_spec = PathKernelSpec(representation="node_path", node=spec)
-        expected = 0.0
-        for i1 in range(t1.size):
-            for j1 in range(t1.size):
-                for i2 in range(t2.size):
-                    for j2 in range(t2.size):
-                        expected += node_path_kernel(
-                            t1.node_path(i1, j1), t2.node_path(i2, j2), spec
-                        )
+        expected = all_pairs_by_enumeration(t1, t2, spec)
         got = all_pairs_kernel(t1, t2, path_spec)
         assert rel_close(got, expected, 1e-12), (got, expected)
+
+
+@st.composite
+def shaped_trees(draw, tree_id: str, d: int):
+    """Single nodes, chains, stars and random recursive trees of up to 7
+    nodes, so two draws usually differ in height."""
+    shape = draw(st.sampled_from(["single", "chain", "star", "random"]))
+    size = 1 if shape == "single" else draw(st.integers(2, 7))
+    if shape == "chain":
+        parents = [None] + list(range(size - 1))
+    elif shape == "star":
+        parents = [None] + [0] * (size - 1)
+    else:
+        parents = [None] + [draw(st.integers(0, k - 1)) for k in range(1, size)]
+    coords = st.floats(-2.0, 2.0)
+    xs = draw(arrays(float, (size, 2), elements=coords))
+    attrs = draw(arrays(float, (size, d), elements=coords)) if d else [None] * size
+    nodes = [Node(parent=p, x=x, a=a) for p, x, a in zip(parents, xs, attrs)]
+    return GeometricTree(tree_id, nodes, n=2, d=d)
+
+
+@st.composite
+def all_pairs_cases(draw):
+    use_attributes = draw(st.booleans())
+    d = 1 if use_attributes else draw(st.integers(0, 1))
+    form = draw(st.sampled_from(["linear", "gaussian"]))
+    spec = NodeKernelSpec(form=form, use_attributes=use_attributes)
+    return draw(shaped_trees("a", d)), draw(shaped_trees("b", d)), spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(all_pairs_cases())
+def test_all_pairs_node_matches_enumeration_on_any_shape(case):
+    t1, t2, spec = case
+    expected = all_pairs_by_enumeration(t1, t2, spec)
+    got = all_pairs_kernel(t1, t2, PathKernelSpec(representation="node_path", node=spec))
+    assert rel_close(got, expected, 1e-12), (t1.height, t2.height, got, expected)
 
 
 def test_all_pairs_embedded_matches_pairwise_loop(rng):
@@ -229,6 +272,20 @@ def test_rootpath_routes_agree(rng):
             if spec.form == "linear":
                 fast = rootpath_kernel_linear_fast(t1, t2, spec)
                 assert rel_close(naive, fast, 1e-10), (spec, naive, fast)
+
+
+@pytest.mark.parametrize("dense_pairs", [0, 10**9])
+def test_decomposed_dense_and_level_loops_agree(rng, monkeypatch, dense_pairs):
+    # forces every pair through the masked all-node product or the level loop
+    monkeypatch.setattr(path_kernels, "_DENSE_NODE_PAIRS", dense_pairs)
+    for trial in range(10):
+        t1 = random_tree(rng, 60, n=3, d=1, tree_id=f"m{trial}a")
+        t2 = random_tree(rng, 60, n=3, d=1, tree_id=f"m{trial}b")
+        for spec in NODE_SPECS:
+            path_spec = PathKernelSpec(representation="node_path", node=spec)
+            naive = rootpath_kernel_naive(t1, t2, path_spec)
+            decomposed = rootpath_kernel_decomposed(t1, t2, spec)
+            assert rel_close(naive, decomposed, 1e-10), (spec, naive, decomposed)
 
 
 def test_fast_route_requires_linear():

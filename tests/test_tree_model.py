@@ -113,6 +113,38 @@ def test_construction_errors():
         GeometricTree("t", [Node(parent=None, x=x, a=np.array([1.0]))], d=0)
 
 
+def test_construction_rejects_non_finite_values():
+    ok = np.array([0.0, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"tree 'lungs': node 2 has a non-finite position"):
+            GeometricTree(
+                "lungs",
+                [Node(parent=None, x=ok), Node(parent=0, x=ok), Node(parent=0, x=np.array([1.0, bad]))],
+            )
+        with pytest.raises(ValueError, match=r"tree 'lungs': node 1 has a non-finite attribute"):
+            GeometricTree(
+                "lungs",
+                [Node(parent=None, x=ok, a=np.ones(1)), Node(parent=0, x=ok, a=np.array([bad]))],
+            )
+    # the JSON reader admits NaN and Infinity literals; the tree rejects them
+    text = '{"id": "j", "n": 1, "d": 1, "nodes": [{"id": 0, "parent": null, "x": [0.0], "a": [NaN]}]}'
+    with pytest.raises(ValueError, match=r"tree 'j': node 0 has a non-finite attribute"):
+        parse_tree(text)
+
+
+def test_levels_of_long_reversed_chain():
+    # input order lists the leaf first and the root last, so every level
+    # walk starts at the deep end of the chain
+    size = 50_000
+    nodes = [Node(parent=k + 1, x=np.array([float(k)])) for k in range(size - 1)]
+    nodes.append(Node(parent=None, x=np.array([float(size - 1)])))
+    t = GeometricTree("deep", nodes, n=1, d=0)
+    assert t.height == size
+    assert np.array_equal(t.node_levels, np.arange(1, size + 1))
+    assert np.array_equal(t.parents[1:], np.arange(size - 1))
+    assert t.positions[0, 0] == size - 1 and t.positions[-1, 0] == 0.0
+
+
 def test_node_path_through_common_ancestor():
     t = two_level_tree()
     # leaf 3 sits under child 1; leaf 2 is the other child of the root

@@ -110,6 +110,16 @@ def test_permutation_test_rejects_bad_counts(rng):
         permutation_test(values, [0, 1], [2, 3], n_permutations=0)
 
 
+def test_permutation_test_rejects_non_finite_gram():
+    # an all-NaN Gram used to score every permutation as NaN and report p = 0.01
+    with pytest.raises(ValueError, match="non-finite"):
+        permutation_test(np.full((4, 4), np.nan), [0, 1], [2, 3], n_permutations=99)
+    values = np.eye(4)
+    values[0, 3] = values[3, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        permutation_test(values, [0, 1], [2, 3], n_permutations=99)
+
+
 def test_to_json_payload(rng):
     values = random_psd(rng, 8)
     res = permutation_test(values, range(4), range(4, 8), n_permutations=99, seed=5)
