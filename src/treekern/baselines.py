@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import FeatureMap, tree_rows
 from .trees import GeometricTree, canonical_pair
 
 __all__ = [
@@ -79,6 +80,15 @@ def _attribute_column(tree: GeometricTree, component: int) -> np.ndarray:
     return tree.attributes[:, component]
 
 
+def attribute_mean_map(component: int = 0, form: str = "gaussian") -> FeatureMap:
+    """Feature map of :func:`average_attribute_kernel`."""
+
+    def row(tree: GeometricTree) -> np.ndarray:
+        return np.array([float(_attribute_column(tree, component).mean())])
+
+    return FeatureMap(lambda trees: tree_rows(trees, ("attribute_mean", component), row), form, 1)
+
+
 def average_attribute_kernel(
     t1: GeometricTree,
     t2: GeometricTree,
@@ -87,29 +97,30 @@ def average_attribute_kernel(
 ) -> float:
     """Compare the tree-wide means of one attribute component: gaussian of
     the squared mean difference, or the plain product of means (linear)."""
-    t1, t2 = canonical_pair(t1, t2)
-    m1 = float(_attribute_column(t1, component).mean())
-    m2 = float(_attribute_column(t2, component).mean())
-    if form == "linear":
-        return m1 * m2
-    if form != "gaussian":
-        raise ValueError(f"unknown form '{form}'")
-    return float(np.exp(-((m1 - m2) ** 2)))
+    return attribute_mean_map(component, form).value(t1, t2)
 
 
-def _generation_means(tree: GeometricTree, gen_lo: int, gen_hi: int, component: int) -> np.ndarray:
-    col = _attribute_column(tree, component)
-    out = np.zeros(gen_hi - gen_lo + 1)
-    for k, gen in enumerate(range(gen_lo, gen_hi + 1)):
-        idx = tree.nodes_at_level(gen + 1)  # generation = depth; root has depth 0
-        if len(idx) == 0:
-            warnings.warn(
-                f"tree '{tree.id}' has no nodes in generation {gen}; mean set to 0",
-                stacklevel=3,
-            )
-        else:
-            out[k] = col[idx].mean()
-    return out
+def generation_mean_map(
+    gen_lo: int = 3, gen_hi: int = 6, component: int = 0, form: str = "gaussian"
+) -> FeatureMap:
+    """Feature map of :func:`generation_average_kernel`, one column per
+    generation; a tree warns once for each generation it lacks."""
+    if gen_lo < 0 or gen_hi < gen_lo:
+        raise ValueError("need 0 <= gen_lo <= gen_hi")
+
+    def row(tree: GeometricTree) -> np.ndarray:
+        col = _attribute_column(tree, component)
+        out = np.zeros(gen_hi - gen_lo + 1)
+        for k, gen in enumerate(range(gen_lo, gen_hi + 1)):
+            idx = tree.nodes_at_level(gen + 1)  # generation = depth; root has depth 0
+            if len(idx) == 0:
+                warnings.warn(f"tree '{tree.id}' has no nodes in generation {gen}; mean set to 0")
+            else:
+                out[k] = col[idx].mean()
+        return out
+
+    key = ("generation_means", gen_lo, gen_hi, component)
+    return FeatureMap(lambda trees: tree_rows(trees, key, row), form, gen_hi - gen_lo + 1)
 
 
 def generation_average_kernel(
@@ -125,54 +136,58 @@ def generation_average_kernel(
     Generation g holds the nodes at depth g (root depth 0). Generations
     outside the tree contribute a mean of 0, with a warning.
     """
-    if gen_lo < 0 or gen_hi < gen_lo:
-        raise ValueError("need 0 <= gen_lo <= gen_hi")
-    t1, t2 = canonical_pair(t1, t2)
-    u1 = _generation_means(t1, gen_lo, gen_hi, component)
-    u2 = _generation_means(t2, gen_lo, gen_hi, component)
-    if form == "linear":
-        return float(np.dot(u1, u2))
-    if form != "gaussian":
-        raise ValueError(f"unknown form '{form}'")
-    diff = u1 - u2
-    return float(np.exp(-(diff * diff).sum()))
+    return generation_mean_map(gen_lo, gen_hi, component, form).value(t1, t2)
+
+
+def node_count_map(form: str) -> FeatureMap:
+    """Feature map of :func:`branchcount_kernels`: the node count |V|."""
+    return FeatureMap(lambda trees: np.array([[float(t.size)] for t in trees]), form, 1)
 
 
 def branchcount_kernels(t1: GeometricTree, t2: GeometricTree) -> tuple[float, float]:
     """Node-count kernels: (|V1| * |V2|, exp(-(|V1| - |V2|)^2))."""
-    lbc = float(t1.size) * float(t2.size)
-    gbc = float(np.exp(-float(t1.size - t2.size) ** 2))
-    return lbc, gbc
+    return node_count_map("linear").value(t1, t2), node_count_map("gaussian").value(t1, t2)
 
 
 def _path_length_counts(tree: GeometricTree) -> np.ndarray:
     """counts[k] = number of ordered node pairs at tree distance k (edge
     count), diagonal included, via breadth-first search from every node."""
+    adj = [list(kids) for kids in tree.children]
+    for i, p in enumerate(tree.parents):
+        if p >= 0:
+            adj[i].append(int(p))
+    counts = np.zeros(2 * tree.height, dtype=np.int64)
+    dist = np.empty(tree.size, dtype=np.int64)
+    for src in range(tree.size):
+        dist.fill(-1)
+        dist[src] = 0
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if dist[w] < 0:
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        counts += np.bincount(dist, minlength=len(counts))
+    return counts.astype(float)
 
-    def build():
-        adj = [list(kids) for kids in tree.children]
-        for i, p in enumerate(tree.parents):
-            if p >= 0:
-                adj[i].append(int(p))
-        counts = np.zeros(2 * tree.height, dtype=np.int64)
-        dist = np.empty(tree.size, dtype=np.int64)
-        for src in range(tree.size):
-            dist.fill(-1)
-            dist[src] = 0
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in adj[u]:
-                        if dist[w] < 0:
-                            dist[w] = dist[u] + 1
-                            nxt.append(w)
-                frontier = nxt
-            counts += np.bincount(dist, minlength=len(counts))
-        counts.setflags(write=False)
-        return counts
 
-    return tree._memo("path_length_counts", build)
+def shortest_path_map(length_kernel: str = "delta") -> FeatureMap:
+    """Feature map of :func:`shortest_path_kernel`: the counts per length,
+    or (linear length kernel) their single length-weighted sum."""
+    if length_kernel not in ("delta", "linear"):
+        raise ValueError(f"unknown length kernel '{length_kernel}'")
+
+    def features(trees):
+        counts = tree_rows(trees, "path_length_counts", _path_length_counts)
+        if length_kernel == "delta":
+            return counts
+        # Integer counts times integer lengths: the sum is exact in any order.
+        return counts @ np.arange(counts.shape[1], dtype=float)[:, None]
+
+    return FeatureMap(features, "linear", 1 if length_kernel == "linear" else None)
 
 
 def shortest_path_kernel(t1: GeometricTree, t2: GeometricTree, length_kernel: str = "delta") -> float:
@@ -183,17 +198,7 @@ def shortest_path_kernel(t1: GeometricTree, t2: GeometricTree, length_kernel: st
     compared by their product, which factorizes into a product of weighted
     count sums.
     """
-    t1, t2 = canonical_pair(t1, t2)
-    c1 = _path_length_counts(t1)
-    c2 = _path_length_counts(t2)
-    if length_kernel == "delta":
-        width = min(len(c1), len(c2))
-        return float(np.dot(c1[:width].astype(float), c2[:width].astype(float)))
-    if length_kernel != "linear":
-        raise ValueError(f"unknown length kernel '{length_kernel}'")
-    w1 = float(np.dot(c1.astype(float), np.arange(len(c1), dtype=float)))
-    w2 = float(np.dot(c2.astype(float), np.arange(len(c2), dtype=float)))
-    return w1 * w2
+    return shortest_path_map(length_kernel).value(t1, t2)
 
 
 def _counter_dot(c1: Counter, c2: Counter) -> float:

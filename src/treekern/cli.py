@@ -181,7 +181,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     trees = load_dataset(args.trees)
     matrix = assemble(trees, kernel)
     if args.check_against_naive:
-        naive = assemble(trees, _build_kernel_or_usage("rootpath-node-naive", params))
+        naive = assemble(trees, _build_kernel_or_usage("rootpath-node-naive", kernel.params))
         scale = np.maximum(1.0, np.maximum(np.abs(matrix.values), np.abs(naive.values)))
         deviation = np.abs(matrix.values - naive.values) / scale
         worst = float(deviation.max())

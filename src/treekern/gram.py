@@ -73,8 +73,9 @@ def assemble(
 ) -> GramMatrix:
     """Evaluate a kernel over every tree pair.
 
-    Only the upper triangle is computed, serially in row order, and the
-    result is mirrored. ``kernel.prepare`` runs once before the first pair.
+    A kernel with a feature map is one ``feature_gram`` of its feature
+    matrix. Any other is evaluated over the upper triangle, serially in row
+    order, and mirrored. ``kernel.prepare`` runs once before either.
     ``threads`` is accepted for compatibility and validated (it must be at
     least 1) but has no effect: per-pair work holds the interpreter lock, so
     a thread pool never paid for itself.
@@ -90,12 +91,15 @@ def assemble(
     if len(dims) > 1:
         raise ValueError(f"incompatible tree dimensions in dataset: {sorted(dims)}")
     kernel.prepare(trees)
-    size = len(trees)
-    values = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i, size):
-            values[i, j] = kernel.value(trees[i], trees[j])
-    values = np.triu(values) + np.triu(values, 1).T
+    if kernel.feature_map is not None:
+        values = kernel.feature_map.gram(trees)
+    else:
+        size = len(trees)
+        values = np.zeros((size, size))
+        for i in range(size):
+            for j in range(i, size):
+                values[i, j] = kernel.value(trees[i], trees[j])
+        values = np.triu(values) + np.triu(values, 1).T
     return GramMatrix(ids=list(ids), values=values, kernel_spec=kernel.spec)
 
 

@@ -12,8 +12,8 @@ node-to-root paths only. For node-path rootpath kernels there are three
 routes that must agree: the direct double sum, a per-level decomposition that
 weights each node pair by the inner product of their descendant count
 vectors, and (for linear node kernels) a Kronecker feature construction whose
-per-level feature vectors make the double sum a handful of dense inner
-products. The direct route is the reference oracle for the other two.
+per-tree feature tensors make the double sum one inner product. The direct
+route is the reference oracle for the other two.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .features import FORMS, FeatureMap, tree_rows
 from .trees import GeometricTree, NodePath, canonical_pair
 
 __all__ = [
@@ -38,9 +39,6 @@ __all__ = [
     "rootpath_kernel_decomposed",
     "rootpath_kernel_linear_fast",
 ]
-
-_FORMS = ("linear", "gaussian")
-
 
 @dataclass(frozen=True)
 class NodeKernelSpec:
@@ -59,7 +57,7 @@ class NodeKernelSpec:
     lambda2: float | None = None
 
     def __post_init__(self):
-        if self.form not in _FORMS:
+        if self.form not in FORMS:
             raise ValueError(f"unknown node kernel form '{self.form}'")
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
@@ -87,7 +85,7 @@ class PathKernelSpec:
     def __post_init__(self):
         if self.representation not in ("node_path", "embedded_landmarks"):
             raise ValueError(f"unknown path representation '{self.representation}'")
-        if self.form not in _FORMS:
+        if self.form not in FORMS:
             raise ValueError(f"unknown path kernel form '{self.form}'")
         if self.landmarks < 2:
             raise ValueError("landmark count must be at least 2")
@@ -396,33 +394,34 @@ def rootpath_kernel_decomposed(t1: GeometricTree, t2: GeometricTree, spec: NodeK
     return total
 
 
-def rootpath_kernel_linear_fast(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> float:
-    """Node-path rootpath kernel for linear node kernels via per-level
-    Kronecker features.
+def rootpath_linear_map(spec: NodeKernelSpec) -> FeatureMap:
+    """Feature map of the node-path rootpath kernel for a linear node kernel.
 
-    For a linear node kernel the decomposed sum factorizes: summing the outer
-    product of position (and attribute) vectors with the zero-padded
-    descendant vector over each level gives one feature tensor per level, and
-    the kernel is the sum of their inner products. Cost is linear in |V|.
+    For a linear node kernel the decomposed sum factorizes: entry [l, j, :]
+    of a tree's feature tensor sums, over the nodes of level l, the node's
+    position (Kronecker its attributes, when used) times its descendant
+    count j levels below. Cost is linear in |V| times the height.
     """
     if spec.form != "linear":
         raise ValueError("fast rootpath route requires a linear node kernel spec")
-    t1, t2 = canonical_pair(t1, t2)
-    _check_node_spec(t1, t2, spec)
-    total = 0.0
-    for level in range(1, min(t1.height, t2.height) + 1):
-        idx1 = t1.levels[level - 1]
-        idx2 = t2.levels[level - 1]
-        d1 = t1.descendant_matrix(level)
-        d2 = t2.descendant_matrix(level)
-        width = min(d1.shape[1], d2.shape[1])
-        x1 = t1.positions[idx1]
-        x2 = t2.positions[idx2]
+
+    def row(tree: GeometricTree) -> np.ndarray:
+        nodes = tree.positions
         if spec.use_attributes:
-            g1 = np.einsum("ka,ki,kj->aij", t1.attributes[idx1], x1, d1[:, :width])
-            g2 = np.einsum("ka,ki,kj->aij", t2.attributes[idx2], x2, d2[:, :width])
-        else:
-            g1 = x1.T @ d1[:, :width]
-            g2 = x2.T @ d2[:, :width]
-        total += float((g1 * g2).sum())
-    return total
+            nodes = (tree.attributes[:, :, None] * nodes[:, None, :]).reshape(tree.size, -1)
+        # Levels are contiguous index ranges, so one reduceat sums each level.
+        starts = [int(idx[0]) for idx in tree.levels]
+        return np.add.reduceat(tree.descendant_table[:, :, None] * nodes[:, None, :], starts, axis=0)
+
+    def features(trees):
+        for tree in trees:
+            _check_node_spec(trees[0], tree, spec)
+        return tree_rows(trees, ("rootpath_linear", spec.use_attributes), row)
+
+    return FeatureMap(features, "linear")
+
+
+def rootpath_kernel_linear_fast(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> float:
+    """Node-path rootpath kernel for linear node kernels via per-level
+    Kronecker features (see :func:`rootpath_linear_map`)."""
+    return rootpath_linear_map(spec).value(t1, t2)

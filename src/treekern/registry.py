@@ -1,20 +1,24 @@
-"""Catalog of named pairwise kernels.
+"""Catalog of named kernels.
 
-Each entry builds a :class:`PairwiseKernel` from JSON-able parameters. The
-wrapper carries the resolved parameters (for Gram sidecars and manifests), a
-``scalar_linear`` flag marking kernels whose normalization is degenerate, and
-a ``prepare`` hook that assembly calls once over the whole dataset. No
-catalogued kernel needs the hook: every per-tree cache is built lazily on the
-first ``value`` call that reads it.
+Each entry gives a kernel's parameter defaults and a route built from the
+resolved parameters: either a pairwise function of two trees or, for the
+vector kernels, a :class:`~treekern.features.FeatureMap`. The
+:class:`PairwiseKernel` wrapper carries the resolved parameters (for Gram
+sidecars and manifests), the feature map when there is one, and a
+``prepare`` hook that assembly calls once over the whole dataset. No
+catalogued kernel needs the hook: every per-tree cache is built lazily on
+first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from . import baselines, path_kernels
 from .baselines import WLConfig
+from .features import FeatureMap
 from .path_kernels import NodeKernelSpec, PathKernelSpec
 from .trees import GeometricTree
 
@@ -27,185 +31,87 @@ class PairwiseKernel:
     params: dict
     value: Callable[[GeometricTree, GeometricTree], float]
     prepare: Callable[[Sequence[GeometricTree]], None] = field(default=lambda trees: None)
-    scalar_linear: bool = False
+    feature_map: FeatureMap | None = None
+
+    @property
+    def scalar_linear(self) -> bool:
+        """A linear form over one feature column: K_ij = f_i f_j, so cosine
+        normalization would leave only sign(f_i f_j)."""
+        fm = self.feature_map
+        return fm is not None and fm.form == "linear" and fm.width == 1
 
     @property
     def spec(self) -> dict:
         return {"name": self.name, "params": dict(self.params), "scalar_linear": self.scalar_linear}
 
 
-def _pop(params: dict, key: str, default):
-    return params.pop(key) if key in params else default
+def _node_path(fn, **params):
+    return partial(fn, spec=PathKernelSpec(node=NodeKernelSpec(**params)))
 
 
-def _node_spec(params: dict) -> NodeKernelSpec:
-    return NodeKernelSpec(
-        form=_pop(params, "form", "gaussian"),
-        use_attributes=bool(_pop(params, "use_attributes", False)),
-        lambda1=_pop(params, "lambda1", None),
-        lambda2=_pop(params, "lambda2", None),
-    )
+def _embedded(fn, **params):
+    return partial(fn, spec=PathKernelSpec(representation="embedded_landmarks", **params))
 
 
-def _embedded_spec(params: dict) -> PathKernelSpec:
-    return PathKernelSpec(
-        representation="embedded_landmarks",
-        form=_pop(params, "form", "gaussian"),
-        landmarks=int(_pop(params, "landmarks", 20)),
-        lam=_pop(params, "lam", None),
-    )
+def _linear_fast(**params):
+    spec = NodeKernelSpec(**params)
+    if spec.form != "linear":
+        raise ValueError("rootpath-node-linear-fast requires form=linear")
+    return path_kernels.rootpath_linear_map(spec)
 
 
-def _node_spec_params(spec: NodeKernelSpec) -> dict:
-    return {
-        "form": spec.form,
-        "use_attributes": spec.use_attributes,
-        "lambda1": spec.lambda1,
-        "lambda2": spec.lambda2,
-    }
+_NODE = {"form": "gaussian", "use_attributes": False, "lambda1": None, "lambda2": None}
+_EMBEDDED = {"form": "gaussian", "landmarks": 20, "lam": None}
+
+# name -> (parameter defaults, route factory called with the resolved parameters)
+_CATALOG: dict[str, tuple[dict, Callable]] = {
+    "all-pairs-embedded": (_EMBEDDED, partial(_embedded, path_kernels.all_pairs_kernel)),
+    "rootpath-embedded": (_EMBEDDED, partial(_embedded, path_kernels.rootpath_kernel_naive)),
+    "all-pairs-node": (_NODE, partial(_node_path, path_kernels.all_pairs_kernel)),
+    "rootpath-node-naive": (_NODE, partial(_node_path, path_kernels.rootpath_kernel_naive)),
+    "rootpath-node": (
+        _NODE,
+        lambda **p: partial(path_kernels.rootpath_kernel_decomposed, spec=NodeKernelSpec(**p)),
+    ),
+    "rootpath-node-linear-fast": ({**_NODE, "form": "linear"}, _linear_fast),
+    "pointcloud": (
+        {"lambda1": None, "lambda2": None},
+        lambda **p: partial(baselines.pointcloud_kernel, **p),
+    ),
+    "aaw": ({"component": 0, "form": "gaussian"}, baselines.attribute_mean_map),
+    "agaw": (
+        {"component": 0, "form": "gaussian", "gen_lo": 3, "gen_hi": 6},
+        baselines.generation_mean_map,
+    ),
+    "lbc": ({}, lambda: baselines.node_count_map("linear")),
+    "gbc": ({}, lambda: baselines.node_count_map("gaussian")),
+    "sp": ({"length_kernel": "delta"}, baselines.shortest_path_map),
+    "wl": (
+        {"iterations": 10},
+        lambda **p: partial(baselines.weisfeiler_lehman_kernel, cfg=WLConfig(**p)),
+    ),
+}
 
 
-def _embedded_params(spec: PathKernelSpec) -> dict:
-    return {"form": spec.form, "landmarks": spec.landmarks, "lam": spec.lam}
-
-
-def _reject_extras(name: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"kernel '{name}' does not accept parameters: {sorted(params)}")
+def _coerce(default, value):
+    # Counts and switches arrive from JSON and flags; cast them like their defaults.
+    return type(default)(value) if isinstance(default, int) else value
 
 
 def build_kernel(name: str, **params) -> PairwiseKernel:
     """Build a named kernel; raises ValueError for unknown names, unknown
     parameters, or incompatible parameter combinations."""
-    params = dict(params)
-    if name == "all-pairs-embedded":
-        spec = _embedded_spec(params)
-        _reject_extras(name, params)
-        return PairwiseKernel(
-            name,
-            _embedded_params(spec),
-            lambda a, b: path_kernels.all_pairs_kernel(a, b, spec),
-        )
-    if name == "rootpath-embedded":
-        spec = _embedded_spec(params)
-        _reject_extras(name, params)
-        return PairwiseKernel(
-            name,
-            _embedded_params(spec),
-            lambda a, b: path_kernels.rootpath_kernel_naive(a, b, spec),
-        )
-    if name == "all-pairs-node":
-        node = _node_spec(params)
-        _reject_extras(name, params)
-        spec = PathKernelSpec(representation="node_path", node=node)
-        return PairwiseKernel(
-            name,
-            _node_spec_params(node),
-            lambda a, b: path_kernels.all_pairs_kernel(a, b, spec),
-        )
-    if name == "rootpath-node-naive":
-        node = _node_spec(params)
-        _reject_extras(name, params)
-        spec = PathKernelSpec(representation="node_path", node=node)
-        return PairwiseKernel(
-            name,
-            _node_spec_params(node),
-            lambda a, b: path_kernels.rootpath_kernel_naive(a, b, spec),
-        )
-    if name == "rootpath-node":
-        node = _node_spec(params)
-        _reject_extras(name, params)
-        return PairwiseKernel(
-            name,
-            _node_spec_params(node),
-            lambda a, b: path_kernels.rootpath_kernel_decomposed(a, b, node),
-        )
-    if name == "rootpath-node-linear-fast":
-        params.setdefault("form", "linear")
-        node = _node_spec(params)
-        _reject_extras(name, params)
-        if node.form != "linear":
-            raise ValueError("rootpath-node-linear-fast requires form=linear")
-        return PairwiseKernel(
-            name,
-            _node_spec_params(node),
-            lambda a, b: path_kernels.rootpath_kernel_linear_fast(a, b, node),
-        )
-    if name == "pointcloud":
-        lambda1 = _pop(params, "lambda1", None)
-        lambda2 = _pop(params, "lambda2", None)
-        _reject_extras(name, params)
-        return PairwiseKernel(
-            name,
-            {"lambda1": lambda1, "lambda2": lambda2},
-            lambda a, b: baselines.pointcloud_kernel(a, b, lambda1, lambda2),
-        )
-    if name == "aaw":
-        component = int(_pop(params, "component", 0))
-        form = _pop(params, "form", "gaussian")
-        _reject_extras(name, params)
-        if form not in ("gaussian", "linear"):
-            raise ValueError(f"unknown form '{form}'")
-        return PairwiseKernel(
-            name,
-            {"component": component, "form": form},
-            lambda a, b: baselines.average_attribute_kernel(a, b, component, form),
-            scalar_linear=(form == "linear"),
-        )
-    if name == "agaw":
-        component = int(_pop(params, "component", 0))
-        form = _pop(params, "form", "gaussian")
-        gen_lo = int(_pop(params, "gen_lo", 3))
-        gen_hi = int(_pop(params, "gen_hi", 6))
-        _reject_extras(name, params)
-        if form not in ("gaussian", "linear"):
-            raise ValueError(f"unknown form '{form}'")
-        return PairwiseKernel(
-            name,
-            {"component": component, "form": form, "gen_lo": gen_lo, "gen_hi": gen_hi},
-            lambda a, b: baselines.generation_average_kernel(a, b, gen_lo, gen_hi, component, form),
-        )
-    if name == "lbc":
-        _reject_extras(name, params)
-        return PairwiseKernel(
-            name, {}, lambda a, b: baselines.branchcount_kernels(a, b)[0], scalar_linear=True
-        )
-    if name == "gbc":
-        _reject_extras(name, params)
-        return PairwiseKernel(name, {}, lambda a, b: baselines.branchcount_kernels(a, b)[1])
-    if name == "sp":
-        length_kernel = _pop(params, "length_kernel", "delta")
-        _reject_extras(name, params)
-        if length_kernel not in ("delta", "linear"):
-            raise ValueError(f"unknown length kernel '{length_kernel}'")
-        return PairwiseKernel(
-            name,
-            {"length_kernel": length_kernel},
-            lambda a, b: baselines.shortest_path_kernel(a, b, length_kernel),
-        )
-    if name == "wl":
-        cfg = WLConfig(iterations=int(_pop(params, "iterations", 10)))
-        _reject_extras(name, params)
-        return PairwiseKernel(
-            name,
-            {"iterations": cfg.iterations},
-            lambda a, b: baselines.weisfeiler_lehman_kernel(a, b, cfg),
-        )
-    raise ValueError(f"unknown kernel name '{name}'")
+    if name not in _CATALOG:
+        raise ValueError(f"unknown kernel name '{name}'")
+    defaults, make = _CATALOG[name]
+    extras = sorted(set(params) - set(defaults))
+    if extras:
+        raise ValueError(f"kernel '{name}' does not accept parameters: {extras}")
+    resolved = {key: _coerce(default, params.get(key, default)) for key, default in defaults.items()}
+    route = make(**resolved)
+    if isinstance(route, FeatureMap):
+        return PairwiseKernel(name, resolved, route.value, feature_map=route)
+    return PairwiseKernel(name, resolved, route)
 
 
-KERNEL_NAMES = (
-    "all-pairs-embedded",
-    "rootpath-embedded",
-    "all-pairs-node",
-    "rootpath-node-naive",
-    "rootpath-node",
-    "rootpath-node-linear-fast",
-    "pointcloud",
-    "aaw",
-    "agaw",
-    "lbc",
-    "gbc",
-    "sp",
-    "wl",
-)
+KERNEL_NAMES = tuple(_CATALOG)

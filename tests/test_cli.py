@@ -109,6 +109,15 @@ def test_kernel_check_against_naive(tmp_path, capsys):
     )
     assert code == 0
     assert "naive check passed" in capsys.readouterr().out
+    # the oracle takes the fast route's own default form (linear)
+    code = run(
+        [
+            "kernel", data / "trees.json", "--kernel", "rootpath-node-linear-fast",
+            "--check-against-naive", "--out", out,
+        ]
+    )
+    assert code == 0
+    assert "naive check passed" in capsys.readouterr().out
     # the flag is meaningless for unrelated kernels
     code = run(
         ["kernel", data / "trees.json", "--kernel", "sp", "--check-against-naive", "--out", out]
@@ -122,6 +131,15 @@ def test_kernel_usage_errors(tmp_path):
     out = tmp_path / "g.csv"
     # scalar linear kernels refuse normalization up front
     assert run(["kernel", trees, "--kernel", "lbc", "--normalize", "--out", out]) == 2
+    assert (
+        run(
+            [
+                "kernel", trees, "--kernel", "sp", "--length-kernel", "linear",
+                "--normalize", "--out", out,
+            ]
+        )
+        == 2
+    )
     # the fast route is linear-only
     assert (
         run(

@@ -2,6 +2,7 @@
 CSV round trip."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from treekern import (
     sidecar_path,
 )
 
-from conftest import random_tree
+from conftest import chain_tree, random_tree
 
 
 def make_trees(rng, count=8, max_nodes=15, d=1):
@@ -214,5 +215,48 @@ def test_registry_names_and_errors(rng):
 def test_scalar_linear_flags():
     assert build_kernel("lbc").scalar_linear
     assert build_kernel("aaw", form="linear").scalar_linear
+    assert build_kernel("sp", length_kernel="linear").scalar_linear
+    assert build_kernel("agaw", form="linear", gen_lo=4, gen_hi=4).scalar_linear
     assert not build_kernel("aaw").scalar_linear
     assert not build_kernel("gbc").scalar_linear
+    assert not build_kernel("sp").scalar_linear
+    assert not build_kernel("agaw", form="linear").scalar_linear
+    assert not build_kernel("rootpath-node-linear-fast").scalar_linear
+    assert build_kernel("sp", length_kernel="linear").spec["scalar_linear"]
+
+
+FEATURE_KERNELS = [
+    ("lbc", {}),
+    ("gbc", {}),
+    ("aaw", {}),
+    ("aaw", {"form": "linear"}),
+    ("agaw", {"gen_lo": 0, "gen_hi": 4}),
+    ("agaw", {"gen_lo": 0, "gen_hi": 4, "form": "linear"}),
+    ("agaw", {"gen_lo": 2, "gen_hi": 2, "form": "linear"}),
+    ("sp", {}),
+    ("sp", {"length_kernel": "linear"}),
+    ("rootpath-node-linear-fast", {}),
+    ("rootpath-node-linear-fast", {"use_attributes": True}),
+]
+
+
+@pytest.mark.parametrize("name,params", FEATURE_KERNELS)
+def test_feature_route_matches_pairwise_route(rng, name, params):
+    # mixed heights, a chain, and a single-node tree
+    trees = make_trees(rng, count=7, max_nodes=25) + [
+        chain_tree(9, n=3, d=1, tree_id="chain"),
+        chain_tree(1, n=3, d=1, tree_id="single"),
+    ]
+    kernel = build_kernel(name, **params)
+    assert kernel.feature_map is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # agaw: generations missing from small trees
+        gram = assemble(trees, kernel).values
+        pairwise = np.array([[kernel.value(a, b) for b in trees] for a in trees])
+    assert np.array_equal(gram, gram.T)
+    scale = np.maximum(1.0, np.maximum(np.abs(gram), np.abs(pairwise)))
+    assert (np.abs(gram - pairwise) <= 1e-12 * scale).all()
+    if name == "rootpath-node-linear-fast":
+        naive = assemble(trees, build_kernel("rootpath-node-naive", **kernel.params)).values
+        scale = np.maximum(1.0, np.maximum(np.abs(gram), np.abs(naive)))
+        assert (np.abs(gram - naive) <= 1e-9 * scale).all()
