@@ -151,27 +151,9 @@ def branchcount_kernels(t1: GeometricTree, t2: GeometricTree) -> tuple[float, fl
 
 def _path_length_counts(tree: GeometricTree) -> np.ndarray:
     """counts[k] = number of ordered node pairs at tree distance k (edge
-    count), diagonal included, via breadth-first search from every node."""
-    adj = [list(kids) for kids in tree.children]
-    for i, p in enumerate(tree.parents):
-        if p >= 0:
-            adj[i].append(int(p))
-    counts = np.zeros(2 * tree.height, dtype=np.int64)
-    dist = np.empty(tree.size, dtype=np.int64)
-    for src in range(tree.size):
-        dist.fill(-1)
-        dist[src] = 0
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        counts += np.bincount(dist, minlength=len(counts))
-    return counts.astype(float)
+    count), diagonal included: the column sums of the sphere table, of
+    length 2 * height."""
+    return tree.sphere_table.sum(axis=0)
 
 
 def shortest_path_map(length_kernel: str = "delta") -> FeatureMap:

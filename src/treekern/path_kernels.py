@@ -275,25 +275,35 @@ def _path_counts(tree: GeometricTree) -> np.ndarray:
 
     Entry [length - 1, position, node] counts the paths of that node length
     whose node at that position is ``node``; L is the longest path's node
-    count, and positions at or beyond a length are zero. Paths are
-    enumerated once, bucketed by length and reduced with one ``bincount``
-    per length; only the counts are cached.
+    count, and positions at or beyond a length are zero.
+
+    Closed form, with no path enumerated: a path through v at position p
+    starts p edges from v and ends q = length - 1 - p edges from v, on
+    different sides of v. Of the S[v, p] * S[v, q] such endpoint pairs (S
+    the sphere table), U[v, p] * U[v, q] lie on its parent's side (U = S
+    minus the descendant table D) and D[c, p - 1] * D[c, q - 1] on child
+    c's side. All terms are integers, so the counts are exact. The array
+    holds L^2 * |V| floats (cubic in |V| on a chain); the build adds only
+    O(|V| * L) temporaries, one length at a time.
     """
 
     def build():
-        buckets: dict[int, list[tuple[int, ...]]] = {}
-        for i in range(tree.size):
-            for j in range(tree.size):
-                seq = tree.node_path(i, j).nodes
-                buckets.setdefault(len(seq), []).append(seq)
-        top = max(buckets)
+        sphere = tree.sphere_table
+        up = sphere.copy()
+        up[:, : tree.height] -= tree.descendant_table
+        # below[c, p] = D[c, p - 1]: child c's side, p edges from its parent.
+        below = np.zeros_like(sphere[1:])
+        below[:, 1 : tree.height + 1] = tree.descendant_table[1:]
+        # Non-root nodes are ordered by parent: each node's children are one run.
+        parents, starts = np.unique(tree.parents[1:], return_index=True)
+        top = int(np.flatnonzero(sphere.any(axis=0))[-1]) + 1
         out = np.zeros((top, top, tree.size))
-        for length, seqs in buckets.items():
-            # Offset each position's node indices into its own |V|-wide slot.
-            flat = np.asarray(seqs, dtype=np.intp) + tree.size * np.arange(length)
-            out[length - 1, :length] = np.bincount(
-                flat.ravel(), minlength=length * tree.size
-            ).reshape(length, tree.size)
+        for length in range(1, top + 1):
+            # Column k of the p side pairs with column k of the q side.
+            p, q = slice(0, length), slice(length - 1, None, -1)
+            counts = sphere[:, p] * sphere[:, q] - up[:, p] * up[:, q]
+            counts[parents] -= np.add.reduceat(below[:, p] * below[:, q], starts, axis=0)
+            out[length - 1, :length] = counts.T
         out.setflags(write=False)
         return out
 
@@ -305,10 +315,12 @@ def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec)
     (diagonal pairs included).
 
     Embedded paths are compared directly: cost grows with |V1|^2 * |V2|^2
-    path pairs, so that representation is intended for small trees. Node
+    path pairs, so that representation is for small trees only. Node
     paths only pair up at equal lengths, position by position, so the sum
     is the node kernel matrix weighted by the two trees' per-tree path
-    counts: sum over (length, position) of C1[l, p] @ K @ C2[l, p].
+    counts: sum over (length, position) of C1[l, p] @ K @ C2[l, p]. The
+    counts are closed-form (:func:`_path_counts`) and cached per tree as
+    L^2 * |V| floats, L the longest path's node count: cubic on a chain.
     """
     t1, t2 = canonical_pair(t1, t2)
     if spec.representation == "embedded_landmarks":

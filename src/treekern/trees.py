@@ -371,6 +371,32 @@ class GeometricTree:
 
         return self._memo("descendant_table", build)
 
+    @property
+    def sphere_table(self) -> np.ndarray:
+        """Sphere sizes of all nodes as float rows: entry [v, k] counts the
+        nodes at tree distance k (in edges) from v, v itself at k = 0.
+        Shape (size, 2 * height), wide enough for the longest path.
+
+        Built top-down over levels. The nodes k edges from v are its
+        descendants k levels down plus those reached through its parent:
+        the parent's sphere of radius k - 1, less the ones back through v,
+        so S[v, k] = D[v, k] + S[parent, k - 1] - D[v, k - 2] for k >= 1,
+        with D the descendant table and D[v, -1] = 0.
+        """
+
+        def build():
+            width = 2 * self.height
+            # shifted[:, k + 1] = D[:, k], so column 0 reads D[:, -1] = 0.
+            shifted = np.zeros((self.size, width + 1))
+            shifted[:, 1 : self.height + 1] = self.descendant_table
+            table = shifted[:, 1:].copy()
+            for idx in self.levels[1:]:
+                table[idx, 1:] += table[self.parents[idx], :-1] - shifted[idx, : width - 1]
+            table.setflags(write=False)
+            return table
+
+        return self._memo("sphere_table", build)
+
     def descendant_matrix(self, level: int) -> np.ndarray:
         """Descendant vectors of the nodes at a level, stacked as float rows
         and zero-padded to the longest vector on that level."""

@@ -18,7 +18,7 @@ from treekern import (
     weisfeiler_lehman_kernel,
 )
 
-from conftest import chain_tree, random_tree, star_tree
+from conftest import chain_tree, distance_histogram, random_tree, star_tree
 
 
 def attributed(tree_id, rows):
@@ -135,25 +135,11 @@ def test_shortest_path_hand_values():
 
 
 def test_shortest_path_matches_networkx(rng):
-    nx = pytest.importorskip("networkx")
     for trial in range(10):
         t1 = random_tree(rng, 20, tree_id=f"nx{trial}a")
         t2 = random_tree(rng, 20, tree_id=f"nx{trial}b")
-
-        def counts(t):
-            g = nx.Graph()
-            g.add_nodes_from(range(t.size))
-            for i, p in enumerate(t.parents):
-                if p >= 0:
-                    g.add_edge(i, int(p))
-            out = {}
-            for _, lengths in nx.all_pairs_shortest_path_length(g):
-                for dist in lengths.values():
-                    out[dist] = out.get(dist, 0) + 1
-            return out
-
-        c1 = counts(t1)
-        c2 = counts(t2)
+        c1 = distance_histogram(t1)
+        c2 = distance_histogram(t2)
         expected = float(sum(v * c2.get(k, 0) for k, v in c1.items()))
         assert shortest_path_kernel(t1, t2) == pytest.approx(expected)
 

@@ -6,10 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treekern import (
+    GeometricTree,
     GramMatrix,
     KERNEL_NAMES,
+    Node,
     assemble,
     build_kernel,
     combine,
@@ -20,7 +23,7 @@ from treekern import (
     sidecar_path,
 )
 
-from conftest import chain_tree, random_tree
+from conftest import chain_tree, random_tree, rel_close, shaped_trees
 
 
 def make_trees(rng, count=8, max_nodes=15, d=1):
@@ -260,3 +263,63 @@ def test_feature_route_matches_pairwise_route(rng, name, params):
         naive = assemble(trees, build_kernel("rootpath-node-naive", **kernel.params)).values
         scale = np.maximum(1.0, np.maximum(np.abs(gram), np.abs(naive)))
         assert (np.abs(gram - naive) <= 1e-9 * scale).all()
+
+
+# Every catalogued kernel at its defaults, plus the node-path kernels on
+# attributes; all of them on trees with one attribute.
+ALL_KERNELS = [(name, {}) for name in KERNEL_NAMES] + [
+    (name, {"use_attributes": True})
+    for name in ("all-pairs-node", "rootpath-node-naive", "rootpath-node")
+]
+
+
+def reorder_input(tree: GeometricTree, order) -> GeometricTree:
+    """The same tree built from its nodes in another input order, which
+    reorders siblings in the canonical numbering."""
+    new_index = {old: new for new, old in enumerate(order)}
+    nodes = [
+        Node(
+            parent=None if tree.nodes[old].parent is None else new_index[tree.nodes[old].parent],
+            x=tree.nodes[old].x,
+            a=tree.nodes[old].a,
+        )
+        for old in order
+    ]
+    return GeometricTree(tree.id, nodes, n=tree.n, d=tree.d)
+
+
+@st.composite
+def reordered_tree_pairs(draw):
+    pair = [draw(shaped_trees(tree_id, d=1)) for tree_id in ("a", "b")]
+    return pair, [reorder_input(t, draw(st.permutations(range(t.size)))) for t in pair]
+
+
+@pytest.mark.parametrize("name,params", ALL_KERNELS)
+@settings(max_examples=15, deadline=None)
+@given(case=reordered_tree_pairs())
+def test_kernels_invariant_to_sibling_order(name, params, case):
+    (a, b), (a2, b2) = case
+    kernel = build_kernel(name, **params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # agaw: generations missing from small trees
+        before, after = kernel.value(a, b), kernel.value(a2, b2)
+    assert rel_close(before, after, 1e-12), (before, after)
+
+
+@st.composite
+def shuffled_cohorts(draw):
+    trees = [draw(shaped_trees(f"t{k}", d=1)) for k in range(draw(st.integers(2, 5)))]
+    return trees, draw(st.permutations(range(len(trees))))
+
+
+@pytest.mark.parametrize("name,params", ALL_KERNELS)
+@settings(max_examples=10, deadline=None)
+@given(case=shuffled_cohorts())
+def test_gram_permutes_with_dataset_order(name, params, case):
+    trees, order = case
+    kernel = build_kernel(name, **params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        gram = assemble(trees, kernel).values
+        shuffled = assemble([trees[k] for k in order], kernel).values
+    assert np.array_equal(shuffled, gram[np.ix_(order, order)])

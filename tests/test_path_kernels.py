@@ -5,8 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis import example, given, settings, strategies as st
 
 from treekern import path_kernels
 from treekern import (
@@ -24,7 +23,7 @@ from treekern import (
     sample_embedded_path,
 )
 
-from conftest import chain_tree, random_tree, rel_close
+from conftest import chain_tree, random_tree, rel_close, shaped_trees
 
 
 NODE_SPECS = [
@@ -204,25 +203,6 @@ def test_all_pairs_matches_explicit_enumeration(rng):
 
 
 @st.composite
-def shaped_trees(draw, tree_id: str, d: int):
-    """Single nodes, chains, stars and random recursive trees of up to 7
-    nodes, so two draws usually differ in height."""
-    shape = draw(st.sampled_from(["single", "chain", "star", "random"]))
-    size = 1 if shape == "single" else draw(st.integers(2, 7))
-    if shape == "chain":
-        parents = [None] + list(range(size - 1))
-    elif shape == "star":
-        parents = [None] + [0] * (size - 1)
-    else:
-        parents = [None] + [draw(st.integers(0, k - 1)) for k in range(1, size)]
-    coords = st.floats(-2.0, 2.0)
-    xs = draw(arrays(float, (size, 2), elements=coords))
-    attrs = draw(arrays(float, (size, d), elements=coords)) if d else [None] * size
-    nodes = [Node(parent=p, x=x, a=a) for p, x, a in zip(parents, xs, attrs)]
-    return GeometricTree(tree_id, nodes, n=2, d=d)
-
-
-@st.composite
 def all_pairs_cases(draw):
     use_attributes = draw(st.booleans())
     d = 1 if use_attributes else draw(st.integers(0, 1))
@@ -238,6 +218,30 @@ def test_all_pairs_node_matches_enumeration_on_any_shape(case):
     expected = all_pairs_by_enumeration(t1, t2, spec)
     got = all_pairs_kernel(t1, t2, PathKernelSpec(representation="node_path", node=spec))
     assert rel_close(got, expected, 1e-12), (t1.height, t2.height, got, expected)
+
+
+def path_counts_by_enumeration(tree: GeometricTree) -> np.ndarray:
+    """Oracle for the closed-form path counts: walk every ordered node
+    pair's path and count its nodes per (length, position)."""
+    paths = [tree.node_path(i, j).nodes for i in range(tree.size) for j in range(tree.size)]
+    top = max(map(len, paths))
+    out = np.zeros((top, top, tree.size))
+    for seq in paths:
+        out[len(seq) - 1, np.arange(len(seq)), seq] += 1
+    return out
+
+
+# 127 nodes in 7 levels, the shape of the allpairs-big benchmark cohort.
+COMPLETE_BINARY = GeometricTree(
+    "binary", [Node(parent=None if k == 0 else (k - 1) // 2, x=np.zeros(2)) for k in range(127)]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_trees("t", 0))
+@example(COMPLETE_BINARY)
+def test_path_counts_match_enumeration_on_any_shape(tree):
+    assert np.array_equal(path_kernels._path_counts(tree), path_counts_by_enumeration(tree))
 
 
 def test_all_pairs_embedded_matches_pairwise_loop(rng):

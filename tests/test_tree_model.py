@@ -15,7 +15,7 @@ from treekern import (
     serialize_tree,
 )
 
-from conftest import chain_tree, random_tree, star_tree
+from conftest import chain_tree, distance_histogram, random_tree, star_tree
 
 
 def two_level_tree():
@@ -216,6 +216,19 @@ def test_descendant_vectors_sum_to_subtree_sizes(rng):
         for i in range(t.size):
             assert vecs[i].sum() == sizes[i]
             assert vecs[i][0] == 1
+
+
+def test_sphere_table_matches_networkx_distances(rng):
+    trees = [random_tree(rng, 30, tree_id=f"sph{k}") for k in range(10)]
+    trees += [chain_tree(1), chain_tree(12), star_tree(6)]
+    for tree in trees:
+        table = tree.sphere_table
+        assert table.shape == (tree.size, 2 * tree.height)
+        assert (table.sum(axis=1) == tree.size).all()
+        expected = np.zeros(2 * tree.height)
+        for dist, count in distance_histogram(tree).items():
+            expected[dist] = count
+        assert np.array_equal(table.sum(axis=0), expected)
 
 
 def test_canonical_pair_is_order_free():
