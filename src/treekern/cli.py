@@ -35,7 +35,11 @@ class UsageError(Exception):
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as src:
+        while chunk := src.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _input_hashes(paths) -> dict[str, str]:

@@ -175,18 +175,23 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def save_gram(gram: GramMatrix, path: str | Path, version: str | None = None) -> None:
-    """Write the matrix as CSV (17 significant digits, row/column ids) plus a
-    sidecar JSON recording the kernel spec, normalization flag, and version."""
+    """Write the matrix as CSV plus a sidecar JSON recording the kernel spec,
+    normalization flag, and version.
+
+    The CSV has an ``id,<ids>`` header and one ``<id>,<cells>`` line per row,
+    written row by row; each cell is ``%.17g``, which reads back exactly.
+    """
     from . import __version__
 
     path = Path(path)
     for tree_id in gram.ids:
         if any(ch in tree_id for ch in ',"\r\n'):
             raise ValueError(f"tree id {tree_id!r} cannot be written to CSV")
-    lines = ["id," + ",".join(gram.ids)]
-    for i, tree_id in enumerate(gram.ids):
-        lines.append(tree_id + "," + ",".join(f"{v:.17g}" for v in gram.values[i]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row_format = "%s" + ",%.17g" * gram.size + "\n"
+    with path.open("w", encoding="utf-8") as out:
+        out.write("id," + ",".join(gram.ids) + "\n")
+        for tree_id, row in zip(gram.ids, gram.values):
+            out.write(row_format % (tree_id, *row.tolist()))
     meta = {
         "kernel_spec": gram.kernel_spec,
         "normalized": gram.normalized,
@@ -196,21 +201,34 @@ def save_gram(gram: GramMatrix, path: str | Path, version: str | None = None) ->
 
 
 def load_gram(path: str | Path) -> GramMatrix:
-    """Read a Gram CSV (and its sidecar, when present) back exactly."""
+    """Read a Gram CSV (and its sidecar, when present) back exactly.
+
+    The file is read one line at a time, and each row's cells are parsed
+    in one conversion into a preallocated (n, n) array.
+    """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("id,"):
-        raise ValueError(f"{path}: not a Gram CSV (missing 'id,' header)")
-    ids = lines[0].split(",")[1:]
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(ids) + 1:
-            raise ValueError(f"{path}: row '{cells[0]}' has {len(cells) - 1} values, expected {len(ids)}")
-        rows.append((cells[0], [float(c) for c in cells[1:]]))
-    if [r[0] for r in rows] != ids:
+    with path.open(encoding="utf-8") as src:
+        header = src.readline().rstrip("\n")
+        if not header.startswith("id,"):
+            raise ValueError(f"{path}: not a Gram CSV (missing 'id,' header)")
+        ids = header.split(",")[1:]
+        values = np.empty((len(ids), len(ids)))
+        row = 0
+        for line in src:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != len(ids) + 1:
+                raise ValueError(f"{path}: row '{cells[0]}' has {len(cells) - 1} values, expected {len(ids)}")
+            if row == len(ids) or cells[0] != ids[row]:
+                raise ValueError(f"{path}: row ids do not match column ids")
+            try:
+                values[row] = cells[1:]
+            except ValueError as err:
+                raise ValueError(f"{path}: row '{cells[0]}': {err}") from err
+            row += 1
+    if row != len(ids):
         raise ValueError(f"{path}: row ids do not match column ids")
     kernel_spec: dict = {}
     normalized = False
@@ -221,7 +239,7 @@ def load_gram(path: str | Path) -> GramMatrix:
         normalized = bool(meta.get("normalized", False))
     return GramMatrix(
         ids=ids,
-        values=np.array([r[1] for r in rows]),
+        values=values,
         kernel_spec=kernel_spec,
         normalized=normalized,
     )

@@ -72,8 +72,9 @@ def mean_distance_statistic(gram, idx_a, idx_b) -> float:
     return float(np.sqrt(max(0.0, term_aa - 2.0 * term_ab + term_bb)))
 
 
-# Statistics are scored in fixed-size row blocks, which bounds the memory of
-# the (block, m) intermediate products for large permutation counts.
+# Permutation weights are drawn and scored in fixed-size row blocks, so the
+# test holds one (block, m) buffer and its products whatever the permutation
+# count.
 _STAT_BLOCK = 256
 
 
@@ -89,8 +90,10 @@ def permutation_test(
 
     Group-size-preserving relabelings are sampled with replacement from a
     counter-based generator (Philox), so a seed fixes the whole permutation
-    sequence across platforms. Permutation statistics are scored serially
-    in fixed-size row blocks. ``threads`` is accepted for compatibility and
+    sequence across platforms. Relabelings are drawn and scored serially,
+    one block of 256 weight rows at a time, so the weights take one
+    256 x m block, next to the m x m sub-Gram of the two samples, whatever
+    ``n_permutations`` is. ``threads`` is accepted for compatibility and
     validated (it must be at least 1) but has no effect.
     The returned p-value is (#{T_i >= T_0} + 1) / (n_permutations + 1);
     with fully separated samples it attains its floor
@@ -110,22 +113,23 @@ def permutation_test(
     sub = values[np.ix_(pool, pool)]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
-    # Row 0 is the observed labeling; each statistic is the quadratic form
-    # z K z with z = 1/a on the A slots and -1/b on the B slots, so observed
-    # and permuted values share the exact same floating-point path.
-    weights = np.empty((n_permutations + 1, m))
-    weights[0, :a] = 1.0 / a
-    weights[0, a:] = -1.0 / (m - a)
-    for k in range(1, n_permutations + 1):
-        perm = rng.permutation(m)
-        weights[k, perm[:a]] = 1.0 / a
-        weights[k, perm[a:]] = -1.0 / (m - a)
-
-    stats = np.empty(n_permutations + 1)
-    for start in range(0, n_permutations + 1, _STAT_BLOCK):
-        block = weights[start : start + _STAT_BLOCK]
-        stats[start : start + _STAT_BLOCK] = np.sqrt(
-            np.maximum(0.0, ((block @ sub) * block).sum(axis=1))
+    # Row 0 is the observed labeling (the identity order of the pool); each
+    # statistic is the quadratic form z K z with z = 1/a on the A slots and
+    # -1/b on the B slots, so observed and permuted values share the exact
+    # same floating-point path. Every row write covers all m slots, so one
+    # block buffer serves all blocks.
+    total = n_permutations + 1
+    observed = np.arange(m)
+    block = np.empty((min(_STAT_BLOCK, total), m))
+    stats = np.empty(total)
+    for start in range(0, total, _STAT_BLOCK):
+        rows = block[: min(_STAT_BLOCK, total - start)]
+        for k, row in enumerate(rows, start):
+            perm = rng.permutation(m) if k else observed
+            row[perm[:a]] = 1.0 / a
+            row[perm[a:]] = -1.0 / (m - a)
+        stats[start : start + len(rows)] = np.sqrt(
+            np.maximum(0.0, ((rows @ sub) * rows).sum(axis=1))
         )
     t0 = float(stats[0])
     perm = stats[1:]

@@ -170,11 +170,26 @@ def test_save_load_without_sidecar(tmp_path):
     gram = plain_gram([[1.0, 1 / 3], [1 / 3, 2.0]])
     path = tmp_path / "g.csv"
     save_gram(gram, path)
+    # the cell format is %.17g, pinned here so it cannot drift unnoticed
+    assert path.read_text() == "id,g0,g1\ng0,1,0.33333333333333331\ng1,0.33333333333333331,2\n"
     sidecar_path(path).unlink()
     back = load_gram(path)
     assert np.array_equal(back.values, gram.values)
     assert back.kernel_spec == {}
     assert back.normalized is False
+
+
+def test_save_load_is_exact_at_the_edges_of_float64(tmp_path):
+    edges = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.1 + 0.2, 1 / 3]
+    values = np.ones((4, 4))
+    upper = np.triu_indices(4, 1)
+    values[upper] = edges
+    values.T[upper] = edges
+    path = tmp_path / "g.csv"
+    save_gram(plain_gram(values), path)
+    back = load_gram(path).values
+    assert np.array_equal(back, values)
+    assert np.array_equal(np.signbit(back), np.signbit(values))
 
 
 def test_load_gram_errors(tmp_path):
@@ -185,12 +200,21 @@ def test_load_gram_errors(tmp_path):
     bad.write_text("id,a,b\na,1.0\nb,0.0,1.0\n")
     with pytest.raises(ValueError, match="expected 2"):
         load_gram(bad)
-    bad.write_text("id,a,b\nb,1.0,0.0\na,0.0,1.0\n")
-    with pytest.raises(ValueError, match="row ids"):
-        load_gram(bad)
+    for text in (
+        "id,a,b\nb,1.0,0.0\na,0.0,1.0\n",
+        "id,a,b\na,1.0,0.0\n",
+        "id,a\na,1.0\na,1.0\n",
+    ):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="row ids"):
+            load_gram(bad)
     bad.write_text("id,a,b\na,1.0,nan\nb,nan,1.0\n")
     with pytest.raises(ValueError, match="non-finite"):
         load_gram(bad)
+    for cell in ("abc", ""):
+        bad.write_text(f"id,a,b\na,1.0,0.0\nb,{cell},1.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: row 'b': could not convert"):
+            load_gram(bad)
 
 
 def test_save_gram_rejects_unwritable_ids(tmp_path):

@@ -1,5 +1,7 @@
 """Two-sample statistic, permutation test, and the nearest-mean classifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,39 @@ def feature_space_oracle(values, idx_a, idx_b):
     feats = v * np.sqrt(w)[None, :]
     diff = feats[idx_a].mean(axis=0) - feats[idx_b].mean(axis=0)
     return float(np.sqrt(diff @ diff))
+
+
+def permutation_test_all_rows_first(values, idx_a, idx_b, n_permutations, seed):
+    """Reference: draw every weight row into one (P + 1, m) matrix, then
+    score it in 256-row blocks. Returns (statistic, p_value, summary)."""
+    pool = np.concatenate([idx_a, idx_b])
+    a = len(idx_a)
+    m = len(pool)
+    sub = values[np.ix_(pool, pool)]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    weights = np.empty((n_permutations + 1, m))
+    weights[0, :a] = 1.0 / a
+    weights[0, a:] = -1.0 / (m - a)
+    for k in range(1, n_permutations + 1):
+        perm = rng.permutation(m)
+        weights[k, perm[:a]] = 1.0 / a
+        weights[k, perm[a:]] = -1.0 / (m - a)
+    stats = np.empty(n_permutations + 1)
+    for start in range(0, n_permutations + 1, 256):
+        block = weights[start : start + 256]
+        stats[start : start + 256] = np.sqrt(
+            np.maximum(0.0, ((block @ sub) * block).sum(axis=1))
+        )
+    perm = stats[1:]
+    q = np.quantile(perm, [0.05, 0.25, 0.5, 0.75, 0.95])
+    summary = {
+        "min": float(perm.min()),
+        "max": float(perm.max()),
+        "mean": float(perm.mean()),
+        **{key: float(v) for key, v in zip(("q05", "q25", "q50", "q75", "q95"), q)},
+    }
+    p_value = (int((perm >= stats[0]).sum()) + 1) / (n_permutations + 1)
+    return float(stats[0]), p_value, summary
 
 
 def test_mean_distance_hand_value():
@@ -65,8 +100,8 @@ def test_permutation_test_is_deterministic(rng):
 
 
 def test_permutation_test_is_worker_count_invariant(rng):
-    # enough permutations to span several scoring blocks, so the thread
-    # pool actually gets more than one unit of work to hand out
+    # enough permutations to span several scoring blocks, so the serial
+    # block loop runs more than once under every accepted thread count
     values = random_psd(rng, 14)
     results = [
         permutation_test(
@@ -77,6 +112,37 @@ def test_permutation_test_is_worker_count_invariant(rng):
     assert results[0] == results[1] == results[2]
     with pytest.raises(ValueError, match="threads"):
         permutation_test(values, range(7), range(7, 14), n_permutations=10, threads=0)
+
+
+@pytest.mark.parametrize("n_permutations", [1, 255, 256, 257, 1000])
+def test_streamed_blocks_match_all_rows_first(rng, n_permutations):
+    # block edges: one row, a block minus the observed row, one full block,
+    # one row into the second block, and a partial fourth block
+    values = random_psd(rng, 23)
+    idx_a = np.array([3, 0, 7, 12, 19, 5, 21, 9])
+    idx_b = np.array([1, 2, 4, 6, 8, 10, 11, 13, 14, 15, 16, 17, 18])
+    res = permutation_test(values, idx_a, idx_b, n_permutations=n_permutations, seed=11)
+    statistic, p_value, summary = permutation_test_all_rows_first(
+        values, idx_a, idx_b, n_permutations, seed=11
+    )
+    assert res.statistic == statistic
+    assert res.p_value == p_value
+    assert res.permutation_summary == summary
+
+
+def test_permutation_test_memory_is_independent_of_count(rng):
+    values = random_psd(rng, 300)
+    peaks = {}
+    for n_permutations in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            permutation_test(values, range(150), range(150, 300), n_permutations=n_permutations)
+            peaks[n_permutations] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # all weight rows at once would need (P + 1) * m * 8 bytes: 48 MB at 20,000
+    assert peaks[20_000] < 1.5 * peaks[2_000]
+    assert peaks[20_000] < 8e6
 
 
 def test_permutation_test_observed_statistic(rng):
