@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMap, tree_rows
+from .features import FeatureMap, NodeSet, tree_rows
+from .path_kernels import NodeKernelSpec, node_point_set
 from .trees import GeometricTree, canonical_pair
 
 __all__ = [
@@ -34,6 +35,20 @@ class WLConfig:
             raise ValueError("iterations must be >= 0")
 
 
+def pointcloud_node_set(lambda1: float | None = None, lambda2: float | None = None) -> NodeSet:
+    """Node set of :func:`pointcloud_kernel`: the non-root nodes' points
+    under the attributed gaussian node kernel, in one group with unit
+    weights. A single-node tree warns once that it has no edges."""
+
+    def build(tree: GeometricTree, z: np.ndarray):
+        if tree.size == 1:
+            warnings.warn(f"tree '{tree.id}' has no edges; pointcloud kernel is 0")
+        return z[1:], np.zeros(tree.size - 1, dtype=np.intp), np.ones((tree.size - 1, 1))
+
+    spec = NodeKernelSpec(form="gaussian", use_attributes=True, lambda1=lambda1, lambda2=lambda2)
+    return node_point_set(spec, "pointcloud_nodes", build)
+
+
 def pointcloud_kernel(
     t1: GeometricTree,
     t2: GeometricTree,
@@ -47,29 +62,7 @@ def pointcloud_kernel(
     no edge. Requires attributed trees (d > 0); a single-node tree has no
     edges and yields 0 with a warning. lambda1 defaults to 1/n, lambda2 to 1/d.
     """
-    t1, t2 = canonical_pair(t1, t2)
-    if t1.n != t2.n:
-        raise ValueError(f"geometric dimensions differ: {t1.n} vs {t2.n}")
-    if t1.d == 0 or t2.d == 0:
-        raise ValueError("pointcloud kernel requires attributed trees (d > 0)")
-    if t1.d != t2.d:
-        raise ValueError(f"attribute dimensions differ: {t1.d} vs {t2.d}")
-    if t1.size == 1 or t2.size == 1:
-        single = t1.id if t1.size == 1 else t2.id
-        warnings.warn(f"tree '{single}' has no edges; pointcloud kernel is 0", stacklevel=2)
-        return 0.0
-    l1 = lambda1 if lambda1 is not None else 1.0 / t1.n
-    l2 = lambda2 if lambda2 is not None else 1.0 / t1.d
-    if not (l1 > 0 and l2 > 0):
-        raise ValueError("lambda1 and lambda2 must be positive")
-    x1 = t1.positions[1:]
-    x2 = t2.positions[1:]
-    a1 = t1.attributes[1:]
-    a2 = t2.attributes[1:]
-    dx = x1[:, None, :] - x2[None, :, :]
-    da = a1[:, None, :] - a2[None, :, :]
-    vals = np.exp(-l1 * (dx * dx).sum(axis=2)) * np.exp(-l2 * (da * da).sum(axis=2))
-    return float(vals.sum())
+    return pointcloud_node_set(lambda1, lambda2).value(t1, t2)
 
 
 def _attribute_column(tree: GeometricTree, component: int) -> np.ndarray:

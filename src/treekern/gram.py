@@ -27,6 +27,14 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 
 
+def _max_asymmetry(values: np.ndarray) -> float:
+    """max |v_ij - v_ji|, comparing row strips of about 2^16 floats with
+    column strips instead of the whole matrix with its transpose."""
+    step = max(1, (1 << 16) // max(len(values), 1))
+    strips = range(0, len(values), step)
+    return max((float(np.abs(values[i : i + step] - values[:, i : i + step].T).max()) for i in strips), default=0.0)
+
+
 @dataclass
 class GramMatrix:
     """Square kernel matrix with the tree ids it was assembled over."""
@@ -44,14 +52,14 @@ class GramMatrix:
             raise ValueError("id count does not match matrix size")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate tree ids in Gram matrix")
-        bad = np.argwhere(~np.isfinite(self.values))
-        if len(bad):
-            i, j = bad[0]
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
             raise ValueError(
                 f"Gram matrix has a non-finite entry {self.values[i, j]} at "
                 f"({self.ids[i]}, {self.ids[j]})"
             )
-        if self.values.size and float(np.abs(self.values - self.values.T).max()) > _SYMMETRY_TOL:
+        if _max_asymmetry(self.values) > _SYMMETRY_TOL:
             raise ValueError("Gram matrix is not symmetric")
 
     @property
@@ -73,9 +81,10 @@ def assemble(
 ) -> GramMatrix:
     """Evaluate a kernel over every tree pair.
 
-    A kernel with a feature map is one ``feature_gram`` of its feature
-    matrix. Any other is evaluated over the upper triangle, serially in row
-    order, and mirrored. ``kernel.prepare`` runs once before either.
+    A kernel with a cohort route (a feature map or a node set) builds the
+    whole matrix in one call of the route. Any other is evaluated pair by
+    pair over the upper triangle, serially in row order, each value written
+    to both of its entries. ``kernel.prepare`` runs once before either.
     ``threads`` is accepted for compatibility and validated (it must be at
     least 1) but has no effect: per-pair work holds the interpreter lock, so
     a thread pool never paid for itself.
@@ -91,15 +100,14 @@ def assemble(
     if len(dims) > 1:
         raise ValueError(f"incompatible tree dimensions in dataset: {sorted(dims)}")
     kernel.prepare(trees)
-    if kernel.feature_map is not None:
-        values = kernel.feature_map.gram(trees)
+    if kernel.cohort is not None:
+        values = kernel.cohort.gram(trees)
     else:
         size = len(trees)
-        values = np.zeros((size, size))
+        values = np.empty((size, size))
         for i in range(size):
             for j in range(i, size):
-                values[i, j] = kernel.value(trees[i], trees[j])
-        values = np.triu(values) + np.triu(values, 1).T
+                values[i, j] = values[j, i] = kernel.value(trees[i], trees[j])
     return GramMatrix(ids=list(ids), values=values, kernel_spec=kernel.spec)
 
 
@@ -126,7 +134,9 @@ def normalize(gram: GramMatrix) -> GramMatrix:
             f"non-positive diagonal entry for tree id '{gram.ids[bad[0]]}'; cannot normalize"
         )
     scale = np.sqrt(diag)
-    values = gram.values / np.outer(scale, scale)
+    values = np.empty_like(gram.values)
+    for i, row in enumerate(gram.values):
+        np.divide(row, scale[i] * scale, out=values[i])
     return GramMatrix(
         ids=list(gram.ids),
         values=values,
@@ -141,10 +151,9 @@ def psd_check(gram: GramMatrix, tol: float = 1e-8) -> PsdReport:
     is_psd holds iff min_eig >= -tol * max(|max_eig|, 1). Raises if the
     matrix is asymmetric beyond 1e-9 (the construction contract).
     """
-    values = gram.values
-    if values.size and float(np.abs(values - values.T).max()) > 1e-9:
+    if _max_asymmetry(gram.values) > 1e-9:
         raise ValueError("matrix asymmetry exceeds 1e-9")
-    eigs = np.linalg.eigvalsh(values)
+    eigs = np.linalg.eigvalsh(gram.values)
     min_eig = float(eigs[0])
     max_eig = float(eigs[-1])
     return PsdReport(min_eig, max_eig, bool(min_eig >= -tol * max(abs(max_eig), 1.0)))

@@ -8,22 +8,24 @@ with a node kernel; paths of different lengths contribute zero.
 
 On top of these sit the tree kernels: the all-pairs kernel sums a path kernel
 over every ordered node pair of each tree, and the rootpath kernel sums over
-node-to-root paths only. For node-path rootpath kernels there are three
-routes that must agree: the direct double sum, a per-level decomposition that
-weights each node pair by the inner product of their descendant count
-vectors, and (for linear node kernels) a Kronecker feature construction whose
-per-tree feature tensors make the double sum one inner product. The direct
-route is the reference oracle for the other two.
+node-to-root paths only. The direct double sums are the reference oracles.
+The node-path rootpath kernel is also a weighted node set (see
+:mod:`treekern.features`): a same-level node pair appears once for every
+descendant pair at equal depths below them, so its node kernel is weighted by
+the inner product of their descendant count vectors; for linear node kernels
+it is also a Kronecker feature map. Embedded kernels are node sets or feature
+maps of landmark rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .features import FORMS, FeatureMap, tree_rows
+from .features import FORMS, FeatureMap, NodeSet, tree_rows
 from .trees import GeometricTree, NodePath, canonical_pair
 
 __all__ = [
@@ -117,7 +119,7 @@ def _check_node_spec(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec)
         raise ValueError(f"geometric dimensions differ: {t1.n} vs {t2.n}")
     if spec.use_attributes:
         if t1.d == 0 or t2.d == 0:
-            raise ValueError("node kernel uses attributes but a tree has d = 0")
+            raise ValueError("node kernel uses attributes, which needs d > 0, but a tree has d = 0")
         if t1.d != t2.d:
             raise ValueError(f"attribute dimensions differ: {t1.d} vs {t2.d}")
 
@@ -167,48 +169,40 @@ def landmark_path_kernel(p, q, spec: PathKernelSpec, n: int | None = None) -> fl
     return float(math.exp(-lam * float((diff * diff).sum())))
 
 
-def _rootpath_landmark_stack(tree: GeometricTree, m: int) -> np.ndarray:
-    """Landmark vectors of every node-to-root path, shape (|V|, m*n)."""
+def _landmark_stack(tree: GeometricTree, m: int, paths: str) -> np.ndarray:
+    """Landmark vectors of every node-to-root path (``paths`` "rootpath",
+    |V| rows) or of every ordered node pair's path ("all_pairs", |V|^2
+    rows); shape (rows, m*n)."""
 
     def build():
-        out = np.empty((tree.size, m * tree.n))
-        for v in range(tree.size):
-            out[v] = sample_embedded_path(tree, v, tree.root_index, m).landmarks.ravel()
+        nodes = range(tree.size)
+        ends = [(v, tree.root_index) for v in nodes] if paths == "rootpath" else [(i, j) for i in nodes for j in nodes]
+        out = np.array([sample_embedded_path(tree, i, j, m).landmarks.ravel() for i, j in ends])
         out.setflags(write=False)
         return out
 
-    return tree._memo(("rootpath_landmarks", m), build)
+    return tree._memo((paths, "landmarks", m), build)
 
 
-def _all_pairs_landmark_stack(tree: GeometricTree, m: int) -> np.ndarray:
-    """Landmark vectors of all ordered node pair paths, shape (|V|^2, m*n)."""
+def landmark_route(spec: PathKernelSpec, paths: str) -> FeatureMap | NodeSet:
+    """Cohort route of the embedded-path kernel over ``paths`` (see
+    :func:`_landmark_stack`): the inner product of the landmark row sums
+    (linear form), or a node set of the landmark rows times sqrt(lam) in one
+    group with unit weights (gaussian form)."""
 
-    def build():
-        out = np.empty((tree.size * tree.size, m * tree.n))
-        row = 0
-        for i in range(tree.size):
-            for j in range(tree.size):
-                out[row] = sample_embedded_path(tree, i, j, m).landmarks.ravel()
-                row += 1
-        out.setflags(write=False)
-        return out
+    def stacks(trees):
+        for tree in trees:
+            _check_node_spec(trees[0], tree, NodeKernelSpec())  # positions only
+        return [_landmark_stack(tree, spec.landmarks, paths) for tree in trees]
 
-    return tree._memo(("all_pairs_landmarks", m), build)
+    if spec.form == "linear":
+        return FeatureMap(lambda trees: np.array([s.sum(axis=0) for s in stacks(trees)]), "linear")
 
+    def nodes(trees):
+        scales = [math.sqrt(_embedded_lam(spec, tree.n)) for tree in trees]
+        return [(c * s, np.zeros(len(s), dtype=np.intp), np.ones((len(s), 1))) for c, s in zip(scales, stacks(trees))]
 
-def _landmark_cross_sum(s1: np.ndarray, s2: np.ndarray, form: str, lam: float) -> float:
-    """Sum of the landmark path kernel over all row pairs of two stacks."""
-    if form == "linear":
-        return float(np.dot(s1.sum(axis=0), s2.sum(axis=0)))
-    norms2 = (s2 * s2).sum(axis=1)
-    total = 0.0
-    chunk = max(1, 8_000_000 // max(len(s2), 1))
-    for start in range(0, len(s1), chunk):
-        block = s1[start : start + chunk]
-        sq = (block * block).sum(axis=1)[:, None] + norms2[None, :] - 2.0 * (block @ s2.T)
-        np.maximum(sq, 0.0, out=sq)
-        total += float(np.exp(-lam * sq).sum())
-    return total
+    return NodeSet(nodes, "gaussian")
 
 
 # -- node kernels ----------------------------------------------------------------
@@ -267,6 +261,33 @@ def node_path_kernel(p1: NodePath, p2: NodePath, spec: NodeKernelSpec) -> float:
     return float(vals.sum())
 
 
+def _node_points(tree: GeometricTree, spec: NodeKernelSpec) -> np.ndarray:
+    """One point per node whose dot product (linear form) or exp(-squared
+    distance) (gaussian form) is the node kernel ``spec``: the position,
+    with the attributes Kronecker it when used, or both scaled by the
+    square roots of their gaussian scales and concatenated."""
+    if spec.form == "linear":
+        if not spec.use_attributes:
+            return tree.positions
+        return (tree.attributes[:, :, None] * tree.positions[:, None, :]).reshape(tree.size, -1)
+    z = math.sqrt(_lambda1(spec, tree.n)) * tree.positions
+    if spec.use_attributes:
+        z = np.hstack([z, math.sqrt(_lambda2(spec, tree.d)) * tree.attributes])
+    return z
+
+
+def node_point_set(spec: NodeKernelSpec, key, build: Callable) -> NodeSet:
+    """Node set whose ``build(tree, points)`` gives a tree's (z, g, w) from
+    its node points under ``spec``, memoized on the tree under ``key``."""
+
+    def nodes(trees):
+        for tree in trees:
+            _check_node_spec(trees[0], tree, spec)
+        return [tree._memo((key, spec), lambda tree=tree: build(tree, _node_points(tree, spec))) for tree in trees]
+
+    return NodeSet(nodes, spec.form)
+
+
 # -- all-pairs tree kernel ---------------------------------------------------------
 
 
@@ -314,21 +335,19 @@ def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec)
     """Sum of the path kernel over every ordered node pair of each tree
     (diagonal pairs included).
 
-    Embedded paths are compared directly: cost grows with |V1|^2 * |V2|^2
-    path pairs, so that representation is for small trees only. Node
+    Embedded paths are compared through |V|^2 landmark rows per tree
+    (:func:`landmark_route`); the gaussian form's cost grows with
+    |V1|^2 * |V2|^2 path pairs, so that representation is for small trees
+    only. Node
     paths only pair up at equal lengths, position by position, so the sum
     is the node kernel matrix weighted by the two trees' per-tree path
     counts: sum over (length, position) of C1[l, p] @ K @ C2[l, p]. The
     counts are closed-form (:func:`_path_counts`) and cached per tree as
     L^2 * |V| floats, L the longest path's node count: cubic on a chain.
     """
-    t1, t2 = canonical_pair(t1, t2)
     if spec.representation == "embedded_landmarks":
-        if t1.n != t2.n:
-            raise ValueError(f"geometric dimensions differ: {t1.n} vs {t2.n}")
-        s1 = _all_pairs_landmark_stack(t1, spec.landmarks)
-        s2 = _all_pairs_landmark_stack(t2, spec.landmarks)
-        return _landmark_cross_sum(s1, s2, spec.form, _embedded_lam(spec, t1.n))
+        return landmark_route(spec, "all_pairs").value(t1, t2)
+    t1, t2 = canonical_pair(t1, t2)
     _check_node_spec(t1, t2, spec.node)
     all1 = np.arange(t1.size, dtype=np.intp)
     all2 = np.arange(t2.size, dtype=np.intp)
@@ -346,14 +365,14 @@ def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec)
 
 def rootpath_kernel_naive(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec) -> float:
     """Sum of the path kernel over all node-to-root path pairs, evaluated
-    directly. Reference oracle for the decomposed rootpath variants."""
+    directly. Reference oracle for the rootpath node sets and feature map."""
     t1, t2 = canonical_pair(t1, t2)
     if spec.representation == "embedded_landmarks":
         if t1.n != t2.n:
             raise ValueError(f"geometric dimensions differ: {t1.n} vs {t2.n}")
-        s1 = _rootpath_landmark_stack(t1, spec.landmarks)
-        s2 = _rootpath_landmark_stack(t2, spec.landmarks)
-        return _landmark_cross_sum(s1, s2, spec.form, _embedded_lam(spec, t1.n))
+        s1 = _landmark_stack(t1, spec.landmarks, "rootpath")
+        s2 = _landmark_stack(t2, spec.landmarks, "rootpath")
+        return sum(landmark_path_kernel(p, q, spec, t1.n) for p in s1 for q in s2)
     _check_node_spec(t1, t2, spec.node)
     total = 0.0
     for i in range(t1.size):
@@ -363,47 +382,19 @@ def rootpath_kernel_naive(t1: GeometricTree, t2: GeometricTree, spec: PathKernel
     return total
 
 
-# Up to this many node pairs, one masked product over all nodes is cheaper
-# than a Python loop over levels; on 2 vCPUs the two cost the same near
-# 3,000 pairs (complete binary trees of about 55 nodes each).
-_DENSE_NODE_PAIRS = 2048
+def rootpath_node_set(spec: NodeKernelSpec) -> NodeSet:
+    """Node set of the node-path rootpath kernel: each node's point, grouped
+    by level and weighted by its descendant count vector. A same-level node
+    pair appears in the direct double sum once for every descendant pair at
+    equal depths below them, which the inner product of the two vectors
+    counts."""
+    return node_point_set(spec, "rootpath_nodes", lambda tree, z: (z, tree.node_levels, tree.descendant_table))
 
 
 def rootpath_kernel_decomposed(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> float:
-    """Node-path rootpath kernel via the descendant-vector decomposition.
-
-    A node pair (v1, v2) on the same level appears in the direct double sum
-    once for every descendant pair at equal depths below them, so its node
-    kernel can be weighted by the inner product of the two descendant count
-    vectors (taken over the common prefix) and summed. Small tree pairs are
-    summed in one product over all node pairs with cross-level pairs masked
-    out; larger ones level by level, which evaluates only same-level pairs.
-    """
-    t1, t2 = canonical_pair(t1, t2)
-    _check_node_spec(t1, t2, spec)
-    height = min(t1.height, t2.height)
-    # Levels are contiguous index ranges, so the nodes down to the common
-    # height are a prefix of each tree.
-    n1 = int(t1.levels[height - 1][-1]) + 1
-    n2 = int(t2.levels[height - 1][-1]) + 1
-    if n1 * n2 <= _DENSE_NODE_PAIRS:
-        # The shorter tree's descendant rows are zero from column ``height``
-        # on, so cutting both tables there keeps every inner product.
-        weights = t1.descendant_table[:n1, :height] @ t2.descendant_table[:n2, :height].T
-        weights *= t1.node_levels[:n1, None] == t2.node_levels[None, :n2]
-        kn = _node_kernel_matrix(t1, np.arange(n1), t2, np.arange(n2), spec)
-        return float((weights * kn).sum())
-    total = 0.0
-    for level in range(1, height + 1):
-        idx1 = t1.levels[level - 1]
-        idx2 = t2.levels[level - 1]
-        d1 = t1.descendant_matrix(level)
-        d2 = t2.descendant_matrix(level)
-        width = min(d1.shape[1], d2.shape[1])
-        weights = d1[:, :width] @ d2[:, :width].T
-        kn = _node_kernel_matrix(t1, idx1, t2, idx2, spec)
-        total += float((weights * kn).sum())
-    return total
+    """Node-path rootpath kernel via the descendant-vector decomposition
+    (see :func:`rootpath_node_set`)."""
+    return rootpath_node_set(spec).value(t1, t2)
 
 
 def rootpath_linear_map(spec: NodeKernelSpec) -> FeatureMap:
@@ -418,9 +409,7 @@ def rootpath_linear_map(spec: NodeKernelSpec) -> FeatureMap:
         raise ValueError("fast rootpath route requires a linear node kernel spec")
 
     def row(tree: GeometricTree) -> np.ndarray:
-        nodes = tree.positions
-        if spec.use_attributes:
-            nodes = (tree.attributes[:, :, None] * nodes[:, None, :]).reshape(tree.size, -1)
+        nodes = _node_points(tree, spec)
         # Levels are contiguous index ranges, so one reduceat sums each level.
         starts = [int(idx[0]) for idx in tree.levels]
         return np.add.reduceat(tree.descendant_table[:, :, None] * nodes[:, None, :], starts, axis=0)

@@ -1,13 +1,13 @@
 """Catalog of named kernels.
 
 Each entry gives a kernel's parameter defaults and a route built from the
-resolved parameters: either a pairwise function of two trees or, for the
-vector kernels, a :class:`~treekern.features.FeatureMap`. The
-:class:`PairwiseKernel` wrapper carries the resolved parameters (for Gram
-sidecars and manifests), the feature map when there is one, and a
-``prepare`` hook that assembly calls once over the whole dataset. No
-catalogued kernel needs the hook: every per-tree cache is built lazily on
-first use.
+resolved parameters: a pairwise function of two trees or a cohort route,
+either a :class:`~treekern.features.FeatureMap` or a
+:class:`~treekern.features.NodeSet`. The :class:`PairwiseKernel` wrapper
+carries the resolved parameters (for Gram sidecars and manifests), the
+cohort route when there is one, and a ``prepare`` hook that assembly calls
+once over the whole dataset. No catalogued kernel needs the hook: every
+per-tree cache is built lazily on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from . import baselines, path_kernels
 from .baselines import WLConfig
-from .features import FeatureMap
+from .features import FeatureMap, NodeSet
 from .path_kernels import NodeKernelSpec, PathKernelSpec
 from .trees import GeometricTree
 
@@ -31,14 +31,14 @@ class PairwiseKernel:
     params: dict
     value: Callable[[GeometricTree, GeometricTree], float]
     prepare: Callable[[Sequence[GeometricTree]], None] = field(default=lambda trees: None)
-    feature_map: FeatureMap | None = None
+    cohort: FeatureMap | NodeSet | None = None
 
     @property
     def scalar_linear(self) -> bool:
         """A linear form over one feature column: K_ij = f_i f_j, so cosine
         normalization would leave only sign(f_i f_j)."""
-        fm = self.feature_map
-        return fm is not None and fm.form == "linear" and fm.width == 1
+        fm = self.cohort
+        return isinstance(fm, FeatureMap) and fm.form == "linear" and fm.width == 1
 
     @property
     def spec(self) -> dict:
@@ -49,8 +49,9 @@ def _node_path(fn, **params):
     return partial(fn, spec=PathKernelSpec(node=NodeKernelSpec(**params)))
 
 
-def _embedded(fn, **params):
-    return partial(fn, spec=PathKernelSpec(representation="embedded_landmarks", **params))
+def _embedded(paths, **params):
+    spec = PathKernelSpec(representation="embedded_landmarks", **params)
+    return path_kernels.landmark_route(spec, paths)
 
 
 def _linear_fast(**params):
@@ -65,19 +66,13 @@ _EMBEDDED = {"form": "gaussian", "landmarks": 20, "lam": None}
 
 # name -> (parameter defaults, route factory called with the resolved parameters)
 _CATALOG: dict[str, tuple[dict, Callable]] = {
-    "all-pairs-embedded": (_EMBEDDED, partial(_embedded, path_kernels.all_pairs_kernel)),
-    "rootpath-embedded": (_EMBEDDED, partial(_embedded, path_kernels.rootpath_kernel_naive)),
+    "all-pairs-embedded": (_EMBEDDED, partial(_embedded, "all_pairs")),
+    "rootpath-embedded": (_EMBEDDED, partial(_embedded, "rootpath")),
     "all-pairs-node": (_NODE, partial(_node_path, path_kernels.all_pairs_kernel)),
     "rootpath-node-naive": (_NODE, partial(_node_path, path_kernels.rootpath_kernel_naive)),
-    "rootpath-node": (
-        _NODE,
-        lambda **p: partial(path_kernels.rootpath_kernel_decomposed, spec=NodeKernelSpec(**p)),
-    ),
+    "rootpath-node": (_NODE, lambda **p: path_kernels.rootpath_node_set(NodeKernelSpec(**p))),
     "rootpath-node-linear-fast": ({**_NODE, "form": "linear"}, _linear_fast),
-    "pointcloud": (
-        {"lambda1": None, "lambda2": None},
-        lambda **p: partial(baselines.pointcloud_kernel, **p),
-    ),
+    "pointcloud": ({"lambda1": None, "lambda2": None}, baselines.pointcloud_node_set),
     "aaw": ({"component": 0, "form": "gaussian"}, baselines.attribute_mean_map),
     "agaw": (
         {"component": 0, "form": "gaussian", "gen_lo": 3, "gen_hi": 6},
@@ -109,8 +104,8 @@ def build_kernel(name: str, **params) -> PairwiseKernel:
         raise ValueError(f"kernel '{name}' does not accept parameters: {extras}")
     resolved = {key: _coerce(default, params.get(key, default)) for key, default in defaults.items()}
     route = make(**resolved)
-    if isinstance(route, FeatureMap):
-        return PairwiseKernel(name, resolved, route.value, feature_map=route)
+    if isinstance(route, (FeatureMap, NodeSet)):
+        return PairwiseKernel(name, resolved, route.value, cohort=route)
     return PairwiseKernel(name, resolved, route)
 
 

@@ -397,21 +397,6 @@ class GeometricTree:
 
         return self._memo("sphere_table", build)
 
-    def descendant_matrix(self, level: int) -> np.ndarray:
-        """Descendant vectors of the nodes at a level, stacked as float rows
-        and zero-padded to the longest vector on that level."""
-
-        def build():
-            vectors = self.descendant_vectors
-            return tuple(
-                self.descendant_table[idx[0] : idx[-1] + 1, : max(len(vectors[i]) for i in idx)]
-                for idx in self.levels
-            )
-
-        if not (1 <= level <= self.height):
-            raise ValueError(f"tree '{self.id}': no level {level}")
-        return self._memo("descendant_matrices", build)[level - 1]
-
     # -- identity ----------------------------------------------------------------
 
     @property

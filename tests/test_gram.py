@@ -2,7 +2,10 @@
 CSV round trip."""
 
 import json
+import math
+import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,15 +16,20 @@ from treekern import (
     GramMatrix,
     KERNEL_NAMES,
     Node,
+    PathKernelSpec,
     assemble,
     build_kernel,
     combine,
     load_gram,
     normalize,
+    landmark_path_kernel,
     psd_check,
+    rootpath_kernel_naive,
+    sample_embedded_path,
     save_gram,
     sidecar_path,
 )
+from treekern.features import FeatureMap, NodeSet, nodeset_gram
 
 from conftest import chain_tree, random_tree, rel_close, shaped_trees
 
@@ -100,6 +108,26 @@ def test_normalize_hand_value():
     assert normalize(out) is out
     # the input object is untouched
     assert gram.values[0, 0] == 4.0 and not gram.normalized
+
+
+def test_checks_and_normalize_make_no_gram_sized_temporaries():
+    size = 1500
+    half = np.random.default_rng(9).random((size, size))
+    values = half + half.T  # exactly symmetric, positive diagonal
+    ids = [f"t{k}" for k in range(size)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gram = GramMatrix(ids=ids, values=values)
+        built = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        normalize(gram)
+        normalized = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert built <= 0.25 * values.nbytes, built / values.nbytes
+    assert normalized <= 1.25 * values.nbytes, normalized / values.nbytes
 
 
 def test_normalize_refusals():
@@ -275,7 +303,7 @@ def test_feature_route_matches_pairwise_route(rng, name, params):
         chain_tree(1, n=3, d=1, tree_id="single"),
     ]
     kernel = build_kernel(name, **params)
-    assert kernel.feature_map is not None
+    assert isinstance(kernel.cohort, FeatureMap)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # agaw: generations missing from small trees
         gram = assemble(trees, kernel).values
@@ -347,3 +375,97 @@ def test_gram_permutes_with_dataset_order(name, params, case):
         gram = assemble(trees, kernel).values
         shuffled = assemble([trees[k] for k in order], kernel).values
     assert np.array_equal(shuffled, gram[np.ix_(order, order)])
+
+
+# The kernels that left the pair loop for a cohort route (a node set, or
+# for the linear embedded kernels a feature map), at small landmark counts.
+MOVED_KERNELS = [
+    ("rootpath-node", {"form": form, "use_attributes": attributes})
+    for form in ("linear", "gaussian")
+    for attributes in (False, True)
+] + [
+    ("pointcloud", {}),
+    ("rootpath-embedded", {"landmarks": 3}),
+    ("rootpath-embedded", {"landmarks": 3, "form": "linear"}),
+    ("all-pairs-embedded", {"landmarks": 3}),
+    ("all-pairs-embedded", {"landmarks": 3, "form": "linear"}),
+]
+
+
+def pointcloud_by_edge_pairs(t1, t2) -> float:
+    total = 0.0
+    for i in range(1, t1.size):
+        for j in range(1, t2.size):
+            dx = t1.positions[i] - t2.positions[j]
+            da = t1.attributes[i] - t2.attributes[j]
+            total += math.exp(-(dx @ dx) / t1.n) * math.exp(-(da @ da) / t1.d)
+    return total
+
+
+def all_pairs_embedded_by_enumeration(t1, t2, spec) -> float:
+    def paths(tree):
+        return [sample_embedded_path(tree, i, j, spec.landmarks) for i in range(tree.size) for j in range(tree.size)]
+
+    return sum(landmark_path_kernel(p, q, spec, t1.n) for p in paths(t1) for q in paths(t2))
+
+
+def literal_oracle(name, params):
+    """The kernel as a literal sum over path or edge pairs."""
+    if name == "rootpath-node":
+        return build_kernel("rootpath-node-naive", **params).value
+    if name == "pointcloud":
+        return pointcloud_by_edge_pairs
+    spec = PathKernelSpec(representation="embedded_landmarks", **params)
+    if name == "rootpath-embedded":
+        return partial(rootpath_kernel_naive, spec=spec)
+    return partial(all_pairs_embedded_by_enumeration, spec=spec)
+
+
+def assert_matches_oracle(name, params, trees, gram, floor=1.0):
+    """Every entry within 1e-9 of the oracle, relative to the larger
+    magnitude or ``floor``, whichever is larger."""
+    oracle = literal_oracle(name, params)
+    expected = np.array([[oracle(a, b) for b in trees] for a in trees])
+    scale = np.maximum(floor, np.maximum(np.abs(gram), np.abs(expected)))
+    assert (np.abs(gram - expected) <= 1e-9 * scale).all(), np.abs(gram - expected).max()
+
+
+@st.composite
+def mixed_cohorts(draw):
+    return [draw(shaped_trees(f"t{k}", d=1)) for k in range(draw(st.integers(1, 4)))]
+
+
+@pytest.mark.parametrize("name,params", MOVED_KERNELS)
+@settings(max_examples=10, deadline=None)
+@given(trees=mixed_cohorts())
+def test_cohort_route_matches_oracle_pairs_and_any_block(name, params, trees):
+    kernel = build_kernel(name, **params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # pointcloud: a single node has no edges
+        gram = assemble(trees, kernel).values
+        pairs = np.array([[kernel.value(a, b) for b in trees] for a in trees])
+        if isinstance(kernel.cohort, NodeSet):
+            sets = kernel.cohort.nodes(trees)
+            order = sorted(range(len(trees)), key=lambda k: trees[k].sort_key)
+            for block in (1, 1 << 40):
+                assert np.array_equal(nodeset_gram(sets, kernel.cohort.form, block, order), gram)
+    assert np.array_equal(gram, gram.T)
+    assert np.array_equal(gram, pairs)
+    assert_matches_oracle(name, params, trees, gram)
+
+
+def offset_tree(tree: GeometricTree, offset: float) -> GeometricTree:
+    nodes = [Node(parent=node.parent, x=node.x + offset, a=node.a) for node in tree.nodes]
+    return GeometricTree(tree.id, nodes, n=tree.n, d=tree.d)
+
+
+@pytest.mark.parametrize(
+    "name,params", [(name, params) for name, params in MOVED_KERNELS if params.get("form") != "linear"]
+)
+def test_gaussian_node_sets_hold_far_from_the_origin(rng, name, params):
+    # squared distances through |a|^2 + |b|^2 - 2ab would lose about 1e-8 here
+    trees = [offset_tree(random_tree(rng, 6, n=3, d=1, tree_id=f"f{k}"), 1e4) for k in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        gram = assemble(trees, build_kernel(name, **params)).values
+    assert_matches_oracle(name, params, trees, gram, floor=0.0)

@@ -1,5 +1,5 @@
 """Path kernels: landmark resampling, node kernels, and agreement of the
-naive, per-level decomposed, and linear fast rootpath routes."""
+naive, node-set decomposed, and linear fast rootpath routes."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treekern import path_kernels
+from treekern import features, path_kernels
 from treekern import (
     GeometricTree,
     Node,
@@ -278,10 +278,10 @@ def test_rootpath_routes_agree(rng):
                 assert rel_close(naive, fast, 1e-10), (spec, naive, fast)
 
 
-@pytest.mark.parametrize("dense_pairs", [0, 10**9])
-def test_decomposed_dense_and_level_loops_agree(rng, monkeypatch, dense_pairs):
-    # forces every pair through the masked all-node product or the level loop
-    monkeypatch.setattr(path_kernels, "_DENSE_NODE_PAIRS", dense_pairs)
+@pytest.mark.parametrize("block", [1, 1 << 40])
+def test_decomposed_agrees_with_naive_at_any_node_block(rng, monkeypatch, block):
+    # one node row per tile, or the whole pair in one block
+    monkeypatch.setattr(features, "_NODE_BLOCK_FLOATS", block)
     for trial in range(10):
         t1 = random_tree(rng, 60, n=3, d=1, tree_id=f"m{trial}a")
         t2 = random_tree(rng, 60, n=3, d=1, tree_id=f"m{trial}b")

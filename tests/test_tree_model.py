@@ -199,11 +199,8 @@ def test_descendant_vectors():
     assert vecs[1].tolist() == [1, 1]
     assert vecs[2].tolist() == [1]
     assert vecs[3].tolist() == [1]
-    # level 2 matrix zero-pads the childless node
-    mat = t.descendant_matrix(2)
-    assert mat.tolist() == [[1.0, 1.0], [1.0, 0.0]]
-    with pytest.raises(ValueError, match="no level"):
-        t.descendant_matrix(4)
+    # the table zero-pads every vector to the height
+    assert t.descendant_table.tolist() == [[1, 2, 1], [1, 1, 0], [1, 0, 0], [1, 0, 0]]
 
 
 def test_descendant_vectors_sum_to_subtree_sizes(rng):
