@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMap, NodeSet, tree_rows
+from .features import FeatureMap, NodeSet
 from .path_kernels import NodeKernelSpec, node_point_set
 from .trees import GeometricTree, canonical_pair
 
@@ -79,7 +79,7 @@ def attribute_mean_map(component: int = 0, form: str = "gaussian") -> FeatureMap
     def row(tree: GeometricTree) -> np.ndarray:
         return np.array([float(_attribute_column(tree, component).mean())])
 
-    return FeatureMap(lambda trees: tree_rows(trees, ("attribute_mean", component), row), form, 1)
+    return FeatureMap(row, ("attribute_mean", component), form, 1)
 
 
 def average_attribute_kernel(
@@ -113,7 +113,7 @@ def generation_mean_map(
         return out
 
     key = ("generation_means", gen_lo, gen_hi, component)
-    return FeatureMap(lambda trees: tree_rows(trees, key, row), form, gen_hi - gen_lo + 1)
+    return FeatureMap(row, key, form, gen_hi - gen_lo + 1)
 
 
 def generation_average_kernel(
@@ -134,19 +134,12 @@ def generation_average_kernel(
 
 def node_count_map(form: str) -> FeatureMap:
     """Feature map of :func:`branchcount_kernels`: the node count |V|."""
-    return FeatureMap(lambda trees: np.array([[float(t.size)] for t in trees]), form, 1)
+    return FeatureMap(lambda tree: np.array([float(tree.size)]), "node_count", form, 1)
 
 
 def branchcount_kernels(t1: GeometricTree, t2: GeometricTree) -> tuple[float, float]:
     """Node-count kernels: (|V1| * |V2|, exp(-(|V1| - |V2|)^2))."""
     return node_count_map("linear").value(t1, t2), node_count_map("gaussian").value(t1, t2)
-
-
-def _path_length_counts(tree: GeometricTree) -> np.ndarray:
-    """counts[k] = number of ordered node pairs at tree distance k (edge
-    count), diagonal included: the column sums of the sphere table, of
-    length 2 * height."""
-    return tree.sphere_table.sum(axis=0)
 
 
 def shortest_path_map(length_kernel: str = "delta") -> FeatureMap:
@@ -155,14 +148,15 @@ def shortest_path_map(length_kernel: str = "delta") -> FeatureMap:
     if length_kernel not in ("delta", "linear"):
         raise ValueError(f"unknown length kernel '{length_kernel}'")
 
-    def features(trees):
-        counts = tree_rows(trees, "path_length_counts", _path_length_counts)
+    def row(tree: GeometricTree) -> np.ndarray:
+        # Ordered node pairs (diagonal included) per distance k < 2 * height.
+        counts = tree.sphere_table.sum(axis=0)
         if length_kernel == "delta":
             return counts
         # Integer counts times integer lengths: the sum is exact in any order.
-        return counts @ np.arange(counts.shape[1], dtype=float)[:, None]
+        return np.array([counts @ np.arange(len(counts), dtype=float)])
 
-    return FeatureMap(features, "linear", 1 if length_kernel == "linear" else None)
+    return FeatureMap(row, ("path_lengths", length_kernel), "linear", 1 if length_kernel == "linear" else None)
 
 
 def shortest_path_kernel(t1: GeometricTree, t2: GeometricTree, length_kernel: str = "delta") -> float:

@@ -1,6 +1,7 @@
-"""Cohort routes: a :class:`FeatureMap` (one vector per tree, Gram matrix by
-:func:`feature_gram`) or a :class:`NodeSet` (weighted points per tree, Gram
-matrix by :func:`nodeset_gram`) plus a linear or gaussian form. A single
+"""Cohort routes. A :class:`FeatureMap` gives each tree one feature row and
+compares rows by dot products over their common prefix (linear form) or by
+the gaussian of their squared distance. A :class:`NodeSet` gives each tree
+weighted points and sums a gaussian over same-group node pairs. A single
 pair is the same computation on two trees.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .trees import GeometricTree
 
-__all__ = ["FORMS", "FeatureMap", "NodeSet", "feature_gram", "nodeset_gram", "tree_rows"]
+__all__ = ["FORMS", "FeatureMap", "NodeSet", "feature_gram", "nodeset_gram"]
 
 FORMS = ("linear", "gaussian")
 
@@ -25,21 +26,27 @@ _BLOCK_FLOATS = 1 << 20
 _NODE_BLOCK_FLOATS = 1 << 15
 
 
-def feature_gram(phi: np.ndarray, form: str) -> np.ndarray:
-    """Kernel matrix of the rows of ``phi`` under ``form``.
-
-    Every entry is one dot product or one squared distance of two rows,
-    both symmetric in their operands, so the result is exactly symmetric,
-    and entry (i, j) is bit-identical to the same form applied to rows i
-    and j alone.
+def feature_gram(rows: Sequence[np.ndarray], form: str) -> np.ndarray:
+    """Kernel matrix of the 1-D feature ``rows`` under ``form``: dot products
+    over each pair's common prefix (linear; rows of length c against every
+    row at least that long, cut to c, in one broadcast vector-vector matmul)
+    or exp(-||r_i - r_j||^2) of equal-length rows (gaussian). Each entry is
+    one BLAS dot or one distance of its two rows, symmetric in them, so the
+    result is exactly symmetric and entry (i, j) equals rows i and j alone
+    bit for bit; a GEMM would round differently from the two-row case.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form '{form}'")
+    out = np.empty((len(rows), len(rows)))
     if form == "linear":
-        # A broadcast vector-vector matmul makes one BLAS dot per entry; a
-        # GEMM would round differently from the two-row case.
-        return np.matmul(phi[:, None, None, :], phi[None, :, :, None])[:, :, 0, 0]
-    out = np.empty((len(phi), len(phi)))
+        lengths = np.array([len(r) for r in rows])
+        for c in sorted(set(lengths.tolist())):
+            short, long = np.flatnonzero(lengths == c), np.flatnonzero(lengths >= c)
+            a, b = np.array([rows[k] for k in short]), np.array([rows[k][:c] for k in long])
+            out[np.ix_(short, long)] = np.matmul(a[:, None, None, :], b[None, :, :, None])[:, :, 0, 0]
+            out[np.ix_(long, short)] = out[np.ix_(short, long)].T
+        return out
+    phi = np.stack(rows)
     step = max(1, _BLOCK_FLOATS // max(phi.size, 1))
     for start in range(0, len(phi), step):
         diff = phi[start : start + step, None, :] - phi[None, :, :]
@@ -47,40 +54,21 @@ def feature_gram(phi: np.ndarray, form: str) -> np.ndarray:
     return out
 
 
-def tree_rows(trees: Sequence[GeometricTree], key, row: Callable) -> np.ndarray:
-    """Stack per-tree feature arrays into one matrix, one flattened row per tree.
-
-    ``row(tree)`` is memoized on the tree under ``key`` and kept at the
-    tree's own size; stacking zero-pads every axis to the largest tree's, so
-    an entry keeps its meaning (say, a level or a path length) across trees
-    of different heights.
-    """
-    rows = [tree._memo(key, lambda tree=tree: row(tree)) for tree in trees]
-    out = np.zeros((len(rows), *map(max, zip(*(r.shape for r in rows)))))
-    for k, r in enumerate(rows):
-        out[(k, *(slice(0, s) for s in r.shape))] = r
-    return out.reshape(len(rows), -1)
-
-
-def _pair_terms(zr: np.ndarray, zc: np.ndarray, wr: np.ndarray, wc: np.ndarray, form: str) -> np.ndarray:
-    """k(z_u, z_v) <w_u, w_v> for coordinate-major (p, m) points, one
+def _pair_terms(zr: np.ndarray, zc: np.ndarray, wr: np.ndarray, wc: np.ndarray) -> np.ndarray:
+    """exp(-||z_u - z_v||^2) <w_u, w_v> for coordinate-major (p, m) points, one
     coordinate at a time, so an entry's rounding depends on its two nodes
     only; direct differences stay exact where |a|^2 + |b|^2 - 2ab cancels."""
     out = np.zeros((zr.shape[1], zc.shape[1]))
     term = np.empty_like(out)
     for a, b in zip(zr, zc):
-        if form == "linear":
-            out += np.multiply.outer(a, b, out=term)
-        else:
-            np.subtract.outer(a, b, out=term)
-            out += np.multiply(term, term, out=term)
-    if form == "gaussian":
-        np.exp(np.negative(out, out=out), out=out)
+        np.subtract.outer(a, b, out=term)
+        out += np.multiply(term, term, out=term)
+    np.exp(np.negative(out, out=out), out=out)
     # Integer weights: the inner products are exact in any order.
     return np.multiply(out, np.matmul(wr, wc.T, out=term), out=out)
 
 
-def _add_group(out, slots, z, w, bounds, form: str, block: int) -> None:
+def _add_group(out, slots, z, w, bounds, block: int) -> None:
     """Add one group's sums into ``out``: the trees at ``slots`` hold nodes
     ``bounds[k]:bounds[k + 1]`` of ``z`` (coordinate-major) and ``w``."""
     trees, total = len(slots), int(bounds[-1])
@@ -94,7 +82,7 @@ def _add_group(out, slots, z, w, bounds, form: str, block: int) -> None:
         step = max(1, block // (total - bounds[i0]))
         for lo in range(0, len(sums), step):
             rows = slice(bounds[i0] + lo, bounds[i0] + min(lo + step, len(sums)))
-            pairs = _pair_terms(z[:, rows], z[:, cols], w[rows], w[cols], form)
+            pairs = _pair_terms(z[:, rows], z[:, cols], w[rows], w[cols])
             sums[lo : lo + step] = np.add.reduceat(pairs, bounds[i0:-1] - bounds[i0], axis=1)
         part = np.add.reduceat(sums, bounds[i0:i1] - bounds[i0], axis=0)
         first, second = np.arange(i0, i1)[:, None], np.arange(i0, trees)
@@ -103,13 +91,13 @@ def _add_group(out, slots, z, w, bounds, form: str, block: int) -> None:
         i0 = i1
 
 
-def nodeset_gram(sets: Sequence[tuple], form: str, block: int, order: Sequence[int] | None = None) -> np.ndarray:
-    """Gram matrix of a weighted node-set kernel.
+def nodeset_gram(sets: Sequence[tuple], block: int, order: Sequence[int] | None = None) -> np.ndarray:
+    """Gram matrix of a weighted gaussian node-set kernel.
 
     ``sets`` holds one (z, g, w) per tree: points z (m, p), integer group
     ids g sorted ascending and integer weight rows w (m, h). Entry (s, t)
-    sums k(z_u, z_v) <w_u, w_v> (w zero-padded) over same-group node pairs;
-    k is the dot product (linear) or exp(-||z_u - z_v||^2) (gaussian).
+    sums exp(-||z_u - z_v||^2) <w_u, w_v> (w zero-padded) over same-group
+    node pairs.
 
     A pair is summed once, the tree earlier in ``order`` as rows, over each
     row's nodes, then the rows, then the groups, in blocks of about
@@ -131,22 +119,30 @@ def nodeset_gram(sets: Sequence[tuple], form: str, block: int, order: Sequence[i
         w = np.zeros((len(z[0]), max(w.shape[1] for _, _, w in parts)))
         for (_, _, rows), lo in zip(parts, bounds):
             w[lo : lo + len(rows), : rows.shape[1]] = rows
-        _add_group(out, np.array([slot for slot, _, _ in parts]), z, w, bounds, form, block)
+        _add_group(out, np.array([slot for slot, _, _ in parts]), z, w, bounds, block)
     return out
 
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """A kernel given by a feature extractor and a form. ``width`` is the
-    feature count when the parameters fix it, None when it varies with the trees."""
+    """A kernel given by a 1-D feature ``row(tree)``, memoized on the tree
+    under ``key``, and a form. ``width`` is the row length when the
+    parameters fix it, None when it varies with the trees; ``check(trees)``
+    rejects trees that cannot be compared."""
 
-    features: Callable[[Sequence[GeometricTree]], np.ndarray]
+    row: Callable[[GeometricTree], np.ndarray]
+    key: object
     form: str
     width: int | None = None
+    check: Callable[[Sequence[GeometricTree]], None] = lambda trees: None
 
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"unknown form '{self.form}'")
+
+    def features(self, trees: Sequence[GeometricTree]) -> list[np.ndarray]:
+        self.check(trees)
+        return [tree._memo(self.key, lambda tree=tree: self.row(tree)) for tree in trees]
 
     def gram(self, trees: Sequence[GeometricTree]) -> np.ndarray:
         return feature_gram(self.features(trees), self.form)
@@ -157,16 +153,17 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """A kernel given by ``nodes(trees)``, each tree's (z, g, w) for
-    :func:`nodeset_gram`, and a form. Trees go in ``sort_key`` order, as
-    :func:`~treekern.trees.canonical_pair` orders a pair."""
+    """A gaussian kernel given by ``nodes(trees)``, each tree's (z, g, w)
+    for :func:`nodeset_gram`. Trees go in id order, as
+    :func:`~treekern.trees.canonical_pair` orders a pair; repeated ids
+    fall back to ``sort_key``."""
 
     nodes: Callable[[Sequence[GeometricTree]], list]
-    form: str
 
     def gram(self, trees: Sequence[GeometricTree]) -> np.ndarray:
-        order = sorted(range(len(trees)), key=lambda k: trees[k].sort_key)
-        return nodeset_gram(self.nodes(trees), self.form, _NODE_BLOCK_FLOATS, order)
+        ids = [tree.id for tree in trees]
+        key = ids.__getitem__ if len(set(ids)) == len(ids) else (lambda k: trees[k].sort_key)
+        return nodeset_gram(self.nodes(trees), _NODE_BLOCK_FLOATS, sorted(range(len(trees)), key=key))
 
     def value(self, t1: GeometricTree, t2: GeometricTree) -> float:
         return float(self.gram([t1, t2])[0, 1])

@@ -9,23 +9,23 @@ with a node kernel; paths of different lengths contribute zero.
 On top of these sit the tree kernels: the all-pairs kernel sums a path kernel
 over every ordered node pair of each tree, and the rootpath kernel sums over
 node-to-root paths only. The direct double sums are the reference oracles.
-The node-path rootpath kernel is also a weighted node set (see
-:mod:`treekern.features`): a same-level node pair appears once for every
-descendant pair at equal depths below them, so its node kernel is weighted by
-the inner product of their descendant count vectors; for linear node kernels
-it is also a Kronecker feature map. Embedded kernels are node sets or feature
-maps of landmark rows.
+The node-path rootpath kernel decomposes into same-level node pairs, each
+node kernel weighted by the inner product of the two descendant count
+vectors: a gaussian node set, or for a linear node kernel a feature map of
+per-level sums (see :mod:`treekern.features`). Embedded kernels are node
+sets (gaussian) or feature maps of landmark row sums (linear).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .features import FORMS, FeatureMap, NodeSet, tree_rows
+from .features import FORMS, FeatureMap, NodeSet
 from .trees import GeometricTree, NodePath, canonical_pair
 
 __all__ = [
@@ -114,14 +114,17 @@ def _embedded_lam(spec: PathKernelSpec, n: int) -> float:
     return spec.lam if spec.lam is not None else 1.0 / (spec.landmarks * n)
 
 
-def _check_node_spec(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> None:
-    if t1.n != t2.n:
-        raise ValueError(f"geometric dimensions differ: {t1.n} vs {t2.n}")
-    if spec.use_attributes:
-        if t1.d == 0 or t2.d == 0:
-            raise ValueError("node kernel uses attributes, which needs d > 0, but a tree has d = 0")
-        if t1.d != t2.d:
-            raise ValueError(f"attribute dimensions differ: {t1.d} vs {t2.d}")
+def _check_node_spec(trees, spec: NodeKernelSpec) -> None:
+    """Every tree must match the first's dimensions under ``spec``."""
+    t1 = trees[0]
+    for t2 in trees:
+        if t1.n != t2.n:
+            raise ValueError(f"geometric dimensions differ: {t1.n} vs {t2.n}")
+        if spec.use_attributes:
+            if t1.d == 0 or t2.d == 0:
+                raise ValueError("node kernel uses attributes, which needs d > 0, but a tree has d = 0")
+            if t1.d != t2.d:
+                raise ValueError(f"attribute dimensions differ: {t1.d} vs {t2.d}")
 
 
 # -- embedded landmark paths ---------------------------------------------------
@@ -189,20 +192,18 @@ def landmark_route(spec: PathKernelSpec, paths: str) -> FeatureMap | NodeSet:
     :func:`_landmark_stack`): the inner product of the landmark row sums
     (linear form), or a node set of the landmark rows times sqrt(lam) in one
     group with unit weights (gaussian form)."""
-
-    def stacks(trees):
-        for tree in trees:
-            _check_node_spec(trees[0], tree, NodeKernelSpec())  # positions only
-        return [_landmark_stack(tree, spec.landmarks, paths) for tree in trees]
-
+    check = partial(_check_node_spec, spec=NodeKernelSpec())  # positions only
     if spec.form == "linear":
-        return FeatureMap(lambda trees: np.array([s.sum(axis=0) for s in stacks(trees)]), "linear")
+        key = (paths, "landmark_sum", spec.landmarks)
+        return FeatureMap(lambda tree: _landmark_stack(tree, spec.landmarks, paths).sum(axis=0), key, "linear", check=check)
 
     def nodes(trees):
+        check(trees)
+        stacks = [_landmark_stack(tree, spec.landmarks, paths) for tree in trees]
         scales = [math.sqrt(_embedded_lam(spec, tree.n)) for tree in trees]
-        return [(c * s, np.zeros(len(s), dtype=np.intp), np.ones((len(s), 1))) for c, s in zip(scales, stacks(trees))]
+        return [(c * s, np.zeros(len(s), dtype=np.intp), np.ones((len(s), 1))) for c, s in zip(scales, stacks)]
 
-    return NodeSet(nodes, "gaussian")
+    return NodeSet(nodes)
 
 
 # -- node kernels ----------------------------------------------------------------
@@ -233,7 +234,7 @@ def _node_kernel_matrix(
 
 def node_kernel(t1: GeometricTree, v1: int, t2: GeometricTree, v2: int, spec: NodeKernelSpec) -> float:
     """Kernel between node ``v1`` of ``t1`` and node ``v2`` of ``t2``."""
-    _check_node_spec(t1, t2, spec)
+    _check_node_spec((t1, t2), spec)
     idx1 = np.array([v1], dtype=np.intp)
     idx2 = np.array([v2], dtype=np.intp)
     return float(_node_kernel_matrix(t1, idx1, t2, idx2, spec)[0, 0])
@@ -245,7 +246,7 @@ def node_path_kernel(p1: NodePath, p2: NodePath, spec: NodeKernelSpec) -> float:
     if len(p1) != len(p2):
         return 0.0
     t1, t2 = p1.tree, p2.tree
-    _check_node_spec(t1, t2, spec)
+    _check_node_spec((t1, t2), spec)
     x1 = p1.positions()
     x2 = p2.positions()
     if spec.form == "linear":
@@ -278,14 +279,13 @@ def _node_points(tree: GeometricTree, spec: NodeKernelSpec) -> np.ndarray:
 
 def node_point_set(spec: NodeKernelSpec, key, build: Callable) -> NodeSet:
     """Node set whose ``build(tree, points)`` gives a tree's (z, g, w) from
-    its node points under ``spec``, memoized on the tree under ``key``."""
+    its node points under the gaussian ``spec``, memoized under ``key``."""
 
     def nodes(trees):
-        for tree in trees:
-            _check_node_spec(trees[0], tree, spec)
+        _check_node_spec(trees, spec)
         return [tree._memo((key, spec), lambda tree=tree: build(tree, _node_points(tree, spec))) for tree in trees]
 
-    return NodeSet(nodes, spec.form)
+    return NodeSet(nodes)
 
 
 # -- all-pairs tree kernel ---------------------------------------------------------
@@ -348,7 +348,7 @@ def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec)
     if spec.representation == "embedded_landmarks":
         return landmark_route(spec, "all_pairs").value(t1, t2)
     t1, t2 = canonical_pair(t1, t2)
-    _check_node_spec(t1, t2, spec.node)
+    _check_node_spec((t1, t2), spec.node)
     all1 = np.arange(t1.size, dtype=np.intp)
     all2 = np.arange(t2.size, dtype=np.intp)
     kn = _node_kernel_matrix(t1, all1, t2, all2, spec.node)
@@ -365,15 +365,14 @@ def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec)
 
 def rootpath_kernel_naive(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec) -> float:
     """Sum of the path kernel over all node-to-root path pairs, evaluated
-    directly. Reference oracle for the rootpath node sets and feature map."""
+    directly. Reference oracle for the rootpath node sets and feature maps."""
     t1, t2 = canonical_pair(t1, t2)
     if spec.representation == "embedded_landmarks":
-        if t1.n != t2.n:
-            raise ValueError(f"geometric dimensions differ: {t1.n} vs {t2.n}")
+        _check_node_spec((t1, t2), NodeKernelSpec())  # positions only
         s1 = _landmark_stack(t1, spec.landmarks, "rootpath")
         s2 = _landmark_stack(t2, spec.landmarks, "rootpath")
         return sum(landmark_path_kernel(p, q, spec, t1.n) for p in s1 for q in s2)
-    _check_node_spec(t1, t2, spec.node)
+    _check_node_spec((t1, t2), spec.node)
     total = 0.0
     for i in range(t1.size):
         p1 = t1.rootpath(i)
@@ -382,44 +381,47 @@ def rootpath_kernel_naive(t1: GeometricTree, t2: GeometricTree, spec: PathKernel
     return total
 
 
-def rootpath_node_set(spec: NodeKernelSpec) -> NodeSet:
-    """Node set of the node-path rootpath kernel: each node's point, grouped
-    by level and weighted by its descendant count vector. A same-level node
-    pair appears in the direct double sum once for every descendant pair at
-    equal depths below them, which the inner product of the two vectors
-    counts."""
+def rootpath_route(spec: NodeKernelSpec) -> FeatureMap | NodeSet:
+    """Cohort route of the node-path rootpath kernel: node points grouped by
+    level, weighted by descendant count vectors (a same-level node pair
+    appears in the direct double sum once per descendant pair at equal
+    depths below them). A node set for a gaussian node kernel; a linear one
+    factorizes into :func:`rootpath_linear_map`."""
+    if spec.form == "linear":
+        return rootpath_linear_map(spec)
     return node_point_set(spec, "rootpath_nodes", lambda tree, z: (z, tree.node_levels, tree.descendant_table))
 
 
 def rootpath_kernel_decomposed(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> float:
     """Node-path rootpath kernel via the descendant-vector decomposition
-    (see :func:`rootpath_node_set`)."""
-    return rootpath_node_set(spec).value(t1, t2)
+    (see :func:`rootpath_route`)."""
+    return rootpath_route(spec).value(t1, t2)
 
 
 def rootpath_linear_map(spec: NodeKernelSpec) -> FeatureMap:
     """Feature map of the node-path rootpath kernel for a linear node kernel.
 
-    For a linear node kernel the decomposed sum factorizes: entry [l, j, :]
-    of a tree's feature tensor sums, over the nodes of level l, the node's
-    position (Kronecker its attributes, when used) times its descendant
-    count j levels below. Cost is linear in |V| times the height.
+    The decomposed sum factorizes over levels: a level-g node's point (the
+    position, Kronecker the attributes when used) times its descendant
+    count j levels down adds into slot l(l - 1)/2 + g - 1, l = g + j. A tree
+    of height H fills the first H(H + 1)/2 slots of this common layout, so
+    rows are compared over their common prefix, unpadded. Cost and
+    temporary memory are linear in |V| times the height.
     """
     if spec.form != "linear":
-        raise ValueError("fast rootpath route requires a linear node kernel spec")
+        raise ValueError("rootpath-node-linear-fast requires form=linear")
 
     def row(tree: GeometricTree) -> np.ndarray:
         nodes = _node_points(tree, spec)
-        # Levels are contiguous index ranges, so one reduceat sums each level.
+        # Levels are contiguous index ranges, so one reduceat sums each level:
+        # by_level[g - 1, j]. Slot s is (l1[s] + 1, g1[s] + 1), as np.tril_indices, cheaper.
         starts = [int(idx[0]) for idx in tree.levels]
-        return np.add.reduceat(tree.descendant_table[:, :, None] * nodes[:, None, :], starts, axis=0)
+        by_level = np.add.reduceat(tree.descendant_table[:, :, None] * nodes[:, None, :], starts, axis=0)
+        l1 = np.repeat(np.arange(tree.height), np.arange(1, tree.height + 1))
+        g1 = np.arange(len(l1)) - l1 * (l1 + 1) // 2
+        return by_level[g1, l1 - g1].ravel()
 
-    def features(trees):
-        for tree in trees:
-            _check_node_spec(trees[0], tree, spec)
-        return tree_rows(trees, ("rootpath_linear", spec.use_attributes), row)
-
-    return FeatureMap(features, "linear")
+    return FeatureMap(row, ("rootpath_linear", spec.use_attributes), "linear", check=partial(_check_node_spec, spec=spec))
 
 
 def rootpath_kernel_linear_fast(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> float:

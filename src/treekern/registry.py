@@ -2,7 +2,8 @@
 
 Each entry gives a kernel's parameter defaults and a route built from the
 resolved parameters: a pairwise function of two trees or a cohort route,
-either a :class:`~treekern.features.FeatureMap` or a
+either a :class:`~treekern.features.FeatureMap` (``rootpath-node`` with
+linear ``form`` and ``rootpath-node-linear-fast`` share one) or a gaussian
 :class:`~treekern.features.NodeSet`. The :class:`PairwiseKernel` wrapper
 carries the resolved parameters (for Gram sidecars and manifests), the
 cohort route when there is one, and a ``prepare`` hook that assembly calls
@@ -15,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import baselines, path_kernels
 from .baselines import WLConfig
@@ -54,13 +57,6 @@ def _embedded(paths, **params):
     return path_kernels.landmark_route(spec, paths)
 
 
-def _linear_fast(**params):
-    spec = NodeKernelSpec(**params)
-    if spec.form != "linear":
-        raise ValueError("rootpath-node-linear-fast requires form=linear")
-    return path_kernels.rootpath_linear_map(spec)
-
-
 _NODE = {"form": "gaussian", "use_attributes": False, "lambda1": None, "lambda2": None}
 _EMBEDDED = {"form": "gaussian", "landmarks": 20, "lam": None}
 
@@ -70,8 +66,11 @@ _CATALOG: dict[str, tuple[dict, Callable]] = {
     "rootpath-embedded": (_EMBEDDED, partial(_embedded, "rootpath")),
     "all-pairs-node": (_NODE, partial(_node_path, path_kernels.all_pairs_kernel)),
     "rootpath-node-naive": (_NODE, partial(_node_path, path_kernels.rootpath_kernel_naive)),
-    "rootpath-node": (_NODE, lambda **p: path_kernels.rootpath_node_set(NodeKernelSpec(**p))),
-    "rootpath-node-linear-fast": ({**_NODE, "form": "linear"}, _linear_fast),
+    "rootpath-node": (_NODE, lambda **p: path_kernels.rootpath_route(NodeKernelSpec(**p))),
+    "rootpath-node-linear-fast": (
+        {**_NODE, "form": "linear"},
+        lambda **p: path_kernels.rootpath_linear_map(NodeKernelSpec(**p)),
+    ),
     "pointcloud": ({"lambda1": None, "lambda2": None}, baselines.pointcloud_node_set),
     "aaw": ({"component": 0, "form": "gaussian"}, baselines.attribute_mean_map),
     "agaw": (
@@ -88,9 +87,15 @@ _CATALOG: dict[str, tuple[dict, Callable]] = {
 }
 
 
-def _coerce(default, value):
-    # Counts and switches arrive from JSON and flags; cast them like their defaults.
-    return type(default)(value) if isinstance(default, int) else value
+def _coerce(name: str, key: str, default, value):
+    # Switches must arrive as booleans and counts as integers (not booleans);
+    # a string or float from JSON is rejected, never cast.
+    if not isinstance(default, int):
+        return value
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, (int, np.integer)):
+        kind = "a boolean" if isinstance(default, bool) else "an integer"
+        raise ValueError(f"kernel '{name}' parameter '{key}' must be {kind}, got {value!r}")
+    return type(default)(value)
 
 
 def build_kernel(name: str, **params) -> PairwiseKernel:
@@ -102,7 +107,7 @@ def build_kernel(name: str, **params) -> PairwiseKernel:
     extras = sorted(set(params) - set(defaults))
     if extras:
         raise ValueError(f"kernel '{name}' does not accept parameters: {extras}")
-    resolved = {key: _coerce(default, params.get(key, default)) for key, default in defaults.items()}
+    resolved = {key: _coerce(name, key, default, params.get(key, default)) for key, default in defaults.items()}
     route = make(**resolved)
     if isinstance(route, (FeatureMap, NodeSet)):
         return PairwiseKernel(name, resolved, route.value, cohort=route)

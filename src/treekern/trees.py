@@ -417,15 +417,14 @@ class GeometricTree:
 
 
 def canonical_pair(t1: GeometricTree, t2: GeometricTree) -> tuple[GeometricTree, GeometricTree]:
-    """Order a tree pair deterministically by (id, content fingerprint).
-
-    Every pairwise kernel routes its operands through this, so swapping the
-    arguments cannot change the floating-point evaluation order and
-    K(T1, T2) == K(T2, T1) holds exactly.
+    """Order a tree pair deterministically by id, then (for equal ids only)
+    by content fingerprint. Every pairwise kernel routes its operands through
+    this, so swapping the arguments cannot change the floating-point
+    evaluation order and K(T1, T2) == K(T2, T1) holds exactly.
     """
-    if t2 is t1:
-        return t1, t2
-    if t2.sort_key < t1.sort_key:
+    if t1.id != t2.id:
+        return (t2, t1) if t2.id < t1.id else (t1, t2)
+    if t2 is not t1 and t2.fingerprint < t1.fingerprint:
         return t2, t1
     return t1, t2
 

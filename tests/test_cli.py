@@ -235,6 +235,17 @@ def test_spec_json_file_and_flag_precedence(tmp_path):
     meta3 = json.loads((tmp_path / "g3.csv.meta.json").read_text())
     assert meta3["kernel_spec"]["params"]["landmarks"] == 5
 
+    # a switch or count of the wrong JSON type is a usage error, never cast
+    for kernel, inline in [
+        ("rootpath-node", '{"use_attributes": "false"}'),
+        ("rootpath-embedded", '{"landmarks": 2.7}'),
+        ("wl", '{"iterations": "3"}'),
+        ("aaw", '{"component": true}'),
+    ]:
+        g4 = tmp_path / "g4.csv"
+        assert run(["kernel", data / "trees.json", "--kernel", kernel, "--spec-json", inline, "--out", g4]) == 2
+        assert not g4.exists()
+
 
 def test_two_sample_flow(tmp_path, capsys):
     data = gen_dataset(tmp_path, preset="branch-shift", size=16, seed=3)

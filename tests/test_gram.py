@@ -3,9 +3,11 @@ CSV round trip."""
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from treekern import (
 )
 from treekern.features import FeatureMap, NodeSet, nodeset_gram
 
-from conftest import chain_tree, random_tree, rel_close, shaped_trees
+from conftest import chain_tree, random_tree, rel_close, shaped_trees, star_tree
 
 
 def make_trees(rng, count=8, max_nodes=15, d=1):
@@ -265,6 +267,25 @@ def test_registry_names_and_errors(rng):
         build_kernel("sp", landmarks=5)
     with pytest.raises(ValueError, match="linear"):
         build_kernel("rootpath-node-linear-fast", form="gaussian")
+    # counts and switches are never cast from strings, floats or booleans
+    for name, params, match in [
+        ("rootpath-node", {"use_attributes": "false"}, r"'use_attributes' must be a boolean, got 'false'"),
+        ("rootpath-node", {"use_attributes": 1}, r"'use_attributes' must be a boolean, got 1"),
+        ("rootpath-embedded", {"landmarks": 2.7}, r"'landmarks' must be an integer, got 2.7"),
+        ("wl", {"iterations": "3"}, r"'iterations' must be an integer, got '3'"),
+        ("aaw", {"component": True}, r"'component' must be an integer, got True"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            build_kernel(name, **params)
+    assert build_kernel("rootpath-embedded", landmarks=np.int64(3)).params["landmarks"] == 3
+
+
+def test_readme_lists_every_kernel_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Kernel names", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(KERNEL_NAMES)
+    assert len(listed) == len(set(listed))
 
 
 def test_scalar_linear_flags():
@@ -309,8 +330,7 @@ def test_feature_route_matches_pairwise_route(rng, name, params):
         gram = assemble(trees, kernel).values
         pairwise = np.array([[kernel.value(a, b) for b in trees] for a in trees])
     assert np.array_equal(gram, gram.T)
-    scale = np.maximum(1.0, np.maximum(np.abs(gram), np.abs(pairwise)))
-    assert (np.abs(gram - pairwise) <= 1e-12 * scale).all()
+    assert np.array_equal(gram, pairwise)
     if name == "rootpath-node-linear-fast":
         naive = assemble(trees, build_kernel("rootpath-node-naive", **kernel.params)).values
         scale = np.maximum(1.0, np.maximum(np.abs(gram), np.abs(naive)))
@@ -378,7 +398,7 @@ def test_gram_permutes_with_dataset_order(name, params, case):
 
 
 # The kernels that left the pair loop for a cohort route (a node set, or
-# for the linear embedded kernels a feature map), at small landmark counts.
+# for the linear kernels a feature map), at small landmark counts.
 MOVED_KERNELS = [
     ("rootpath-node", {"form": form, "use_attributes": attributes})
     for form in ("linear", "gaussian")
@@ -389,6 +409,8 @@ MOVED_KERNELS = [
     ("rootpath-embedded", {"landmarks": 3, "form": "linear"}),
     ("all-pairs-embedded", {"landmarks": 3}),
     ("all-pairs-embedded", {"landmarks": 3, "form": "linear"}),
+    ("rootpath-node-linear-fast", {"form": "linear", "use_attributes": False}),
+    ("rootpath-node-linear-fast", {"form": "linear", "use_attributes": True}),
 ]
 
 
@@ -411,7 +433,7 @@ def all_pairs_embedded_by_enumeration(t1, t2, spec) -> float:
 
 def literal_oracle(name, params):
     """The kernel as a literal sum over path or edge pairs."""
-    if name == "rootpath-node":
+    if name.startswith("rootpath-node"):
         return build_kernel("rootpath-node-naive", **params).value
     if name == "pointcloud":
         return pointcloud_by_edge_pairs
@@ -448,7 +470,7 @@ def test_cohort_route_matches_oracle_pairs_and_any_block(name, params, trees):
             sets = kernel.cohort.nodes(trees)
             order = sorted(range(len(trees)), key=lambda k: trees[k].sort_key)
             for block in (1, 1 << 40):
-                assert np.array_equal(nodeset_gram(sets, kernel.cohort.form, block, order), gram)
+                assert np.array_equal(nodeset_gram(sets, block, order), gram)
     assert np.array_equal(gram, gram.T)
     assert np.array_equal(gram, pairs)
     assert_matches_oracle(name, params, trees, gram)
@@ -469,3 +491,41 @@ def test_gaussian_node_sets_hold_far_from_the_origin(rng, name, params):
         warnings.simplefilter("ignore")
         gram = assemble(trees, build_kernel(name, **params)).values
     assert_matches_oracle(name, params, trees, gram, floor=0.0)
+
+
+def test_linear_rootpath_kernel_has_one_route(rng):
+    # mixed heights: single nodes, chains, a star and random trees
+    trees = make_trees(rng, count=6, max_nodes=30) + [
+        chain_tree(1, n=3, d=1, tree_id="single"),
+        chain_tree(12, n=3, d=1, tree_id="chain"),
+        star_tree(7, n=3, d=1, tree_id="star"),
+    ]
+    for attributes in (False, True):
+        named = assemble(trees, build_kernel("rootpath-node", form="linear", use_attributes=attributes))
+        fast = assemble(trees, build_kernel("rootpath-node-linear-fast", use_attributes=attributes))
+        assert np.array_equal(named.values, fast.values)
+
+
+def test_linear_rootpath_rows_are_not_padded_to_the_tallest_tree(rng):
+    # padding each row to the chain's 200^2 * 3 floats would take 96 MB
+    trees = make_trees(rng, count=100, max_nodes=15) + [chain_tree(200, n=3, d=1, tree_id="chain")]
+    kernel = build_kernel("rootpath-node-linear-fast")
+    tracemalloc.start()
+    try:
+        assemble(trees, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, peak
+
+
+def test_assembly_computes_no_fingerprint(rng, monkeypatch):
+    def fingerprint(tree):
+        raise AssertionError(f"fingerprint of tree '{tree.id}' computed")
+
+    monkeypatch.setattr(GeometricTree, "fingerprint", property(fingerprint))
+    trees = make_trees(rng, count=4, max_nodes=8)
+    for name, params in ALL_KERNELS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # agaw: generations missing from small trees
+            assemble(trees, build_kernel(name, **params))
