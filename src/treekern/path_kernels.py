@@ -9,6 +9,9 @@ with a node kernel; paths of different lengths contribute zero.
 On top of these sit the tree kernels: the all-pairs kernel sums a path kernel
 over every ordered node pair of each tree, and the rootpath kernel sums over
 node-to-root paths only. The direct double sums are the reference oracles.
+The node-path all-pairs kernel weights each node pair by closed-form path
+counts: a pair loop for a gaussian node kernel, a feature map for a linear
+one.
 The node-path rootpath kernel decomposes into same-level node pairs, each
 node kernel weighted by the inner product of the two descendant count
 vectors: a gaussian node set, or for a linear node kernel a feature map of
@@ -25,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .features import FORMS, FeatureMap, NodeSet
+from .features import FORMS, FeatureMap, NodeSet, _pair_terms
 from .trees import GeometricTree, NodePath, canonical_pair
 
 __all__ = [
@@ -209,35 +212,10 @@ def landmark_route(spec: PathKernelSpec, paths: str) -> FeatureMap | NodeSet:
 # -- node kernels ----------------------------------------------------------------
 
 
-def _node_kernel_matrix(
-    t1: GeometricTree,
-    idx1: np.ndarray,
-    t2: GeometricTree,
-    idx2: np.ndarray,
-    spec: NodeKernelSpec,
-) -> np.ndarray:
-    """Node kernel between every node of ``idx1`` and every node of ``idx2``."""
-    x1 = t1.positions[idx1]
-    x2 = t2.positions[idx2]
-    if spec.form == "linear":
-        out = x1 @ x2.T
-        if spec.use_attributes:
-            out = out * (t1.attributes[idx1] @ t2.attributes[idx2].T)
-        return out
-    diff = x1[:, None, :] - x2[None, :, :]
-    out = np.exp(-_lambda1(spec, t1.n) * (diff * diff).sum(axis=2))
-    if spec.use_attributes:
-        da = t1.attributes[idx1][:, None, :] - t2.attributes[idx2][None, :, :]
-        out = out * np.exp(-_lambda2(spec, t1.d) * (da * da).sum(axis=2))
-    return out
-
-
 def node_kernel(t1: GeometricTree, v1: int, t2: GeometricTree, v2: int, spec: NodeKernelSpec) -> float:
-    """Kernel between node ``v1`` of ``t1`` and node ``v2`` of ``t2``."""
-    _check_node_spec((t1, t2), spec)
-    idx1 = np.array([v1], dtype=np.intp)
-    idx2 = np.array([v2], dtype=np.intp)
-    return float(_node_kernel_matrix(t1, idx1, t2, idx2, spec)[0, 0])
+    """Kernel between node ``v1`` of ``t1`` and node ``v2`` of ``t2``: the
+    node path kernel of the two single-node paths."""
+    return node_path_kernel(t1.node_path(v1, v1), t2.node_path(v2, v2), spec)
 
 
 def node_path_kernel(p1: NodePath, p2: NodePath, spec: NodeKernelSpec) -> float:
@@ -292,20 +270,20 @@ def node_point_set(spec: NodeKernelSpec, key, build: Callable) -> NodeSet:
 
 
 def _path_counts(tree: GeometricTree) -> np.ndarray:
-    """Node visit counts of all ordered-pair paths, shape (L, L, |V|).
+    """Per-node visit counts of all ordered-pair paths, shape
+    (|V|, L(L + 1)/2), L the longest path's node count.
 
-    Entry [length - 1, position, node] counts the paths of that node length
-    whose node at that position is ``node``; L is the longest path's node
-    count, and positions at or beyond a length are zero.
+    Slot l(l - 1)/2 + p of row v counts the l-node paths whose node at
+    position p is v. The layout is the same for every tree, so a shorter
+    tree's slots are a prefix of a taller tree's.
 
     Closed form, with no path enumerated: a path through v at position p
-    starts p edges from v and ends q = length - 1 - p edges from v, on
+    starts p edges from v and ends q = l - 1 - p edges from v, on
     different sides of v. Of the S[v, p] * S[v, q] such endpoint pairs (S
     the sphere table), U[v, p] * U[v, q] lie on its parent's side (U = S
     minus the descendant table D) and D[c, p - 1] * D[c, q - 1] on child
-    c's side. All terms are integers, so the counts are exact. The array
-    holds L^2 * |V| floats (cubic in |V| on a chain); the build adds only
-    O(|V| * L) temporaries, one length at a time.
+    c's side. All terms are integers, so the counts are exact. The build
+    adds only O(|V| * L) temporaries, one length at a time.
     """
 
     def build():
@@ -318,17 +296,30 @@ def _path_counts(tree: GeometricTree) -> np.ndarray:
         # Non-root nodes are ordered by parent: each node's children are one run.
         parents, starts = np.unique(tree.parents[1:], return_index=True)
         top = int(np.flatnonzero(sphere.any(axis=0))[-1]) + 1
-        out = np.zeros((top, top, tree.size))
+        out = np.empty((tree.size, top * (top + 1) // 2))
         for length in range(1, top + 1):
             # Column k of the p side pairs with column k of the q side.
             p, q = slice(0, length), slice(length - 1, None, -1)
-            counts = sphere[:, p] * sphere[:, q] - up[:, p] * up[:, q]
+            counts = out[:, length * (length - 1) // 2 : length * (length + 1) // 2]
+            np.subtract(sphere[:, p] * sphere[:, q], up[:, p] * up[:, q], out=counts)
             counts[parents] -= np.add.reduceat(below[:, p] * below[:, q], starts, axis=0)
-            out[length - 1, :length] = counts.T
         out.setflags(write=False)
         return out
 
     return tree._memo("path_counts", build)
+
+
+def all_pairs_linear_map(spec: NodeKernelSpec) -> FeatureMap:
+    """Feature map of the node-path all-pairs kernel for a linear node
+    kernel: slot s of the row is the node points (the position, Kronecker
+    the attributes when used) summed with the path counts of slot s as
+    weights (:func:`_path_counts`), laid out slot-major, so rows compare
+    over their common prefix, unpadded."""
+
+    def row(tree: GeometricTree) -> np.ndarray:
+        return (_path_counts(tree).T @ _node_points(tree, spec)).ravel()
+
+    return FeatureMap(row, ("all_pairs_linear", spec.use_attributes), "linear", check=partial(_check_node_spec, spec=spec))
 
 
 def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec) -> float:
@@ -338,26 +329,24 @@ def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec)
     Embedded paths are compared through |V|^2 landmark rows per tree
     (:func:`landmark_route`); the gaussian form's cost grows with
     |V1|^2 * |V2|^2 path pairs, so that representation is for small trees
-    only. Node
-    paths only pair up at equal lengths, position by position, so the sum
-    is the node kernel matrix weighted by the two trees' per-tree path
-    counts: sum over (length, position) of C1[l, p] @ K @ C2[l, p]. The
-    counts are closed-form (:func:`_path_counts`) and cached per tree as
-    L^2 * |V| floats, L the longest path's node count: cubic on a chain.
+    only. Node paths only pair up at equal lengths, position by position,
+    so the sum is the node kernel of every node pair weighted by the inner
+    product of the two nodes' path count rows (:func:`_path_counts`, cut
+    to the common width): one integer GEMM per pair, exact in any order,
+    against exp(-squared distance) of the node points for a gaussian node
+    kernel. A linear node kernel factorizes into
+    :func:`all_pairs_linear_map`.
     """
     if spec.representation == "embedded_landmarks":
         return landmark_route(spec, "all_pairs").value(t1, t2)
+    if spec.node.form == "linear":
+        return all_pairs_linear_map(spec.node).value(t1, t2)
     t1, t2 = canonical_pair(t1, t2)
     _check_node_spec((t1, t2), spec.node)
-    all1 = np.arange(t1.size, dtype=np.intp)
-    all2 = np.arange(t2.size, dtype=np.intp)
-    kn = _node_kernel_matrix(t1, all1, t2, all2, spec.node)
-    c1 = _path_counts(t1)
-    c2 = _path_counts(t2)
-    # Trees of different height have different longest paths; both the
-    # length and the position axis are cut to the shorter one.
-    top = min(len(c1), len(c2))
-    return float(((c1[:top, :top] @ kn) * c2[:top, :top]).sum())
+    w1, w2 = _path_counts(t1), _path_counts(t2)
+    c = min(w1.shape[1], w2.shape[1])
+    z1, z2 = (t._memo(("node_points", spec.node), partial(_node_points, t, spec.node)) for t in (t1, t2))
+    return float(_pair_terms(z1.T, z2.T, w1[:, :c], w2[:, :c]).sum())
 
 
 # -- rootpath tree kernels -----------------------------------------------------------

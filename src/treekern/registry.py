@@ -3,7 +3,8 @@
 Each entry gives a kernel's parameter defaults and a route built from the
 resolved parameters: a pairwise function of two trees or a cohort route,
 either a :class:`~treekern.features.FeatureMap` (``rootpath-node`` with
-linear ``form`` and ``rootpath-node-linear-fast`` share one) or a gaussian
+linear ``form`` and ``rootpath-node-linear-fast`` share one, and linear
+``all-pairs-node`` has one) or a gaussian
 :class:`~treekern.features.NodeSet`. The :class:`PairwiseKernel` wrapper
 carries the resolved parameters (for Gram sidecars and manifests), the
 cohort route when there is one, and a ``prepare`` hook that assembly calls
@@ -52,6 +53,13 @@ def _node_path(fn, **params):
     return partial(fn, spec=PathKernelSpec(node=NodeKernelSpec(**params)))
 
 
+def _all_pairs_node(**params):
+    spec = NodeKernelSpec(**params)
+    if spec.form == "linear":
+        return path_kernels.all_pairs_linear_map(spec)
+    return partial(path_kernels.all_pairs_kernel, spec=PathKernelSpec(node=spec))
+
+
 def _embedded(paths, **params):
     spec = PathKernelSpec(representation="embedded_landmarks", **params)
     return path_kernels.landmark_route(spec, paths)
@@ -64,7 +72,7 @@ _EMBEDDED = {"form": "gaussian", "landmarks": 20, "lam": None}
 _CATALOG: dict[str, tuple[dict, Callable]] = {
     "all-pairs-embedded": (_EMBEDDED, partial(_embedded, "all_pairs")),
     "rootpath-embedded": (_EMBEDDED, partial(_embedded, "rootpath")),
-    "all-pairs-node": (_NODE, partial(_node_path, path_kernels.all_pairs_kernel)),
+    "all-pairs-node": (_NODE, _all_pairs_node),
     "rootpath-node-naive": (_NODE, partial(_node_path, path_kernels.rootpath_kernel_naive)),
     "rootpath-node": (_NODE, lambda **p: path_kernels.rootpath_route(NodeKernelSpec(**p))),
     "rootpath-node-linear-fast": (

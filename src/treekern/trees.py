@@ -335,37 +335,35 @@ class GeometricTree:
 
         Entry k of the vector for node v counts the descendants of v (v
         included) that sit k levels below v, so entry 0 is always 1 and the
-        vector's length is the height of the subtree rooted at v. Vectors are
-        built bottom-up by left-aligned addition of the children's vectors.
+        vector's length is the height of the subtree rooted at v. They are
+        the rows of :attr:`descendant_table`, cut at their first zero.
         """
 
         def build():
-            out: list[np.ndarray | None] = [None] * self.size
-            for i in range(self.size - 1, -1, -1):
-                kids = self.children[i]
-                if not kids:
-                    vec = np.ones(1, dtype=np.int64)
-                else:
-                    acc = np.zeros(1 + max(len(out[k]) for k in kids), dtype=np.int64)
-                    acc[0] = 1
-                    for k in kids:
-                        acc[1 : 1 + len(out[k])] += out[k]
-                    vec = acc
-                vec.setflags(write=False)
-                out[i] = vec
-            return tuple(out)
+            table = self.descendant_table.astype(np.int64)
+            table.setflags(write=False)
+            return tuple(row[: np.count_nonzero(row)] for row in table)
 
         return self._memo("descendant_vectors", build)
 
     @property
     def descendant_table(self) -> np.ndarray:
         """Descendant vectors of all nodes as float rows, zero-padded to the
-        height; shape (size, height)."""
+        height; shape (size, height).
+
+        In canonical order the parent array does not decrease, so the
+        descendants of v k levels down are one index range [lo, hi): the
+        children of a range are the nodes whose parent lies in it, found by
+        two binary searches, one level at a time for all nodes at once.
+        """
 
         def build():
             table = np.zeros((self.size, self.height))
-            for v, vec in enumerate(self.descendant_vectors):
-                table[v, : len(vec)] = vec
+            lo = np.arange(self.size)
+            hi = lo + 1
+            for k in range(self.height):
+                table[:, k] = hi - lo
+                lo, hi = np.searchsorted(self.parents, lo), np.searchsorted(self.parents, hi)
             table.setflags(write=False)
             return table
 

@@ -18,11 +18,13 @@ from treekern import (
     GramMatrix,
     KERNEL_NAMES,
     Node,
+    NodeKernelSpec,
     PathKernelSpec,
     assemble,
     build_kernel,
     combine,
     load_gram,
+    node_path_kernel,
     normalize,
     landmark_path_kernel,
     psd_check,
@@ -411,6 +413,8 @@ MOVED_KERNELS = [
     ("all-pairs-embedded", {"landmarks": 3, "form": "linear"}),
     ("rootpath-node-linear-fast", {"form": "linear", "use_attributes": False}),
     ("rootpath-node-linear-fast", {"form": "linear", "use_attributes": True}),
+    ("all-pairs-node", {"form": "linear", "use_attributes": False}),
+    ("all-pairs-node", {"form": "linear", "use_attributes": True}),
 ]
 
 
@@ -431,10 +435,19 @@ def all_pairs_embedded_by_enumeration(t1, t2, spec) -> float:
     return sum(landmark_path_kernel(p, q, spec, t1.n) for p in paths(t1) for q in paths(t2))
 
 
+def all_pairs_node_by_enumeration(t1, t2, spec) -> float:
+    def paths(tree):
+        return [tree.node_path(i, j) for i in range(tree.size) for j in range(tree.size)]
+
+    return sum(node_path_kernel(p, q, spec) for p in paths(t1) for q in paths(t2))
+
+
 def literal_oracle(name, params):
     """The kernel as a literal sum over path or edge pairs."""
     if name.startswith("rootpath-node"):
         return build_kernel("rootpath-node-naive", **params).value
+    if name == "all-pairs-node":
+        return partial(all_pairs_node_by_enumeration, spec=NodeKernelSpec(**params))
     if name == "pointcloud":
         return pointcloud_by_edge_pairs
     spec = PathKernelSpec(representation="embedded_landmarks", **params)

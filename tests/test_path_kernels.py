@@ -2,6 +2,7 @@
 naive, node-set decomposed, and linear fast rootpath routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,7 +242,23 @@ COMPLETE_BINARY = GeometricTree(
 @given(shaped_trees("t", 0))
 @example(COMPLETE_BINARY)
 def test_path_counts_match_enumeration_on_any_shape(tree):
-    assert np.array_equal(path_kernels._path_counts(tree), path_counts_by_enumeration(tree))
+    # length l's positions fill slots l(l - 1)/2 to l(l + 1)/2 - 1
+    cube = path_counts_by_enumeration(tree)
+    triangular = np.hstack([cube[length - 1, :length].T for length in range(1, len(cube) + 1)])
+    assert np.array_equal(path_kernels._path_counts(tree), triangular)
+
+
+def test_all_pairs_node_memory_on_a_chain():
+    # the dense (L, L, |V|) count layout took 26 MB here and its pair step 52 MB
+    tree = chain_tree(150, n=3, d=1)
+    spec = PathKernelSpec(node=NodeKernelSpec(form="gaussian", use_attributes=True))
+    tracemalloc.start()
+    try:
+        all_pairs_kernel(tree, tree, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, peak
 
 
 def test_all_pairs_embedded_matches_pairwise_loop(rng):

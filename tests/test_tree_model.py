@@ -3,6 +3,7 @@ JSON round trip."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from treekern import (
     GeometricTree,
@@ -15,7 +16,7 @@ from treekern import (
     serialize_tree,
 )
 
-from conftest import chain_tree, distance_histogram, random_tree, star_tree
+from conftest import chain_tree, distance_histogram, random_tree, shaped_trees, star_tree
 
 
 def two_level_tree():
@@ -213,6 +214,21 @@ def test_descendant_vectors_sum_to_subtree_sizes(rng):
         for i in range(t.size):
             assert vecs[i].sum() == sizes[i]
             assert vecs[i][0] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_trees("t", 0))
+def test_descendant_table_counts_descendants_by_depth(tree):
+    expected = np.zeros((tree.size, tree.height))
+    for u in range(tree.size):
+        v = u
+        while v >= 0:  # u and each of its ancestors
+            expected[v, tree.node_levels[u] - tree.node_levels[v]] += 1
+            v = tree.parents[v]
+    assert np.array_equal(tree.descendant_table, expected)
+    for vec, row in zip(tree.descendant_vectors, expected):
+        assert vec.dtype == np.int64
+        assert np.array_equal(vec, row[row > 0])
 
 
 def test_sphere_table_matches_networkx_distances(rng):

@@ -88,6 +88,10 @@ def test_group_validation():
         mean_distance_statistic(values, [0], [9])
     with pytest.raises(ValueError, match="overlap"):
         mean_distance_statistic(values, [0, 1], [1, 2])
+    with pytest.raises(ValueError, match="sample A repeats index 0"):
+        mean_distance_statistic(values, [0, 0], [1, 2])
+    with pytest.raises(ValueError, match="sample B repeats index 3"):
+        permutation_test(values, [0], [3, 1, 3], n_permutations=10)
 
 
 def test_permutation_test_is_deterministic(rng):
@@ -128,6 +132,18 @@ def test_streamed_blocks_match_all_rows_first(rng, n_permutations):
     assert res.statistic == statistic
     assert res.p_value == p_value
     assert res.permutation_summary == summary
+
+
+def test_permutation_test_is_exact_under_power_of_two_scaling(rng):
+    # integer entries times 2^-1040 are exact but subnormal, and so are
+    # their products with the weights unless the test rescales its sub-Gram
+    a = rng.integers(-3, 4, (20, 22)).astype(float)
+    values = np.ldexp(a @ a.T, -40)
+    res = permutation_test(values, range(8), range(8, 20), n_permutations=300, seed=4)
+    tiny = permutation_test(np.ldexp(values, -1000), range(8), range(8, 20), n_permutations=300, seed=4)
+    assert tiny.statistic == np.ldexp(res.statistic, -500)
+    assert tiny.p_value == res.p_value
+    assert tiny.permutation_summary == {key: np.ldexp(v, -500) for key, v in res.permutation_summary.items()}
 
 
 def test_permutation_test_memory_is_independent_of_count(rng):
@@ -233,3 +249,7 @@ def test_nearest_mean_validation():
         nearest_mean_classify(values, [0], [1], [1, 2])
     with pytest.raises(ValueError, match="out of range"):
         nearest_mean_classify(values, [0], [1], [7])
+    with pytest.raises(ValueError, match="query repeats index 2"):
+        nearest_mean_classify(values, [0], [1], [2, 2])
+    with pytest.raises(ValueError, match="sample A repeats index 0"):
+        nearest_mean_classify(values, [0, 0], [1], [2])
