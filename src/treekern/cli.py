@@ -13,6 +13,7 @@ kernel specs), 1 on data errors (unreadable or inconsistent inputs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__, generate, twosample
 from .gram import assemble, load_gram, normalize, save_gram
 from .registry import KERNEL_NAMES, build_kernel
-from .trees import load_dataset, save_dataset
+from .trees import dataset_files, load_dataset, save_dataset
 
 __all__ = ["main", "entrypoint", "benchmark_kernel", "fit_slope"]
 
@@ -42,17 +43,12 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _input_hashes(paths) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            for f in sorted(p.iterdir()):
-                if f.suffix == ".json":
-                    out[str(f)] = _sha256(f)
-        else:
-            out[str(p)] = _sha256(p)
-    return out
+@contextlib.contextmanager
+def stage(stages: dict[str, float], name: str):
+    """Record the wall-clock seconds of the block as ``stages[name]``."""
+    tic = time.perf_counter()
+    yield
+    stages[name] = time.perf_counter() - tic
 
 
 def _write_manifest(
@@ -62,6 +58,7 @@ def _write_manifest(
     started: float,
     kernel_spec: dict | None = None,
     input_paths=(),
+    **extra,
 ) -> None:
     arguments = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -72,10 +69,11 @@ def _write_manifest(
         "command": command,
         "arguments": arguments,
         "kernel_spec": kernel_spec,
-        "input_hashes": _input_hashes(input_paths),
+        "input_hashes": {str(f): _sha256(f) for p in input_paths for f in dataset_files(p)},
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "duration_seconds": time.perf_counter() - started,
+        **extra,
     }
     manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -182,8 +180,11 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--normalize is degenerate for the scalar linear kernel '{args.kernel}'"
         )
-    trees = load_dataset(args.trees)
-    matrix = assemble(trees, kernel)
+    stages: dict[str, float] = {}
+    with stage(stages, "load"):
+        trees = load_dataset(args.trees)
+    with stage(stages, "assemble"):
+        matrix = assemble(trees, kernel)
     if args.check_against_naive:
         naive = assemble(trees, _build_kernel_or_usage("rootpath-node-naive", kernel.params))
         scale = np.maximum(1.0, np.maximum(np.abs(matrix.values), np.abs(naive.values)))
@@ -197,14 +198,18 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             )
         print(f"naive check passed (max relative deviation {worst:.3e})")
     if args.normalize:
-        matrix = normalize(matrix)
+        with stage(stages, "normalize"):
+            matrix = normalize(matrix)
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
-    save_gram(matrix, out)
+    with stage(stages, "save"):
+        save_gram(matrix, out)
+    n_pairs = matrix.size * (matrix.size + 1) // 2
     _write_manifest(
         Path(f"{out}.manifest.json"), "kernel", args, started,
-        kernel_spec=kernel.spec, input_paths=[args.trees],
+        kernel_spec=kernel.spec, input_paths=[args.trees], stages=stages,
+        n_pairs=n_pairs, pairs_per_second=n_pairs / max(stages["assemble"], 1e-9),
     )
     print(f"wrote {matrix.size}x{matrix.size} Gram matrix ({args.kernel}) to {out}")
     return 0
@@ -230,17 +235,21 @@ def cmd_test(args: argparse.Namespace) -> int:
     if args.permutations < 1:
         raise UsageError("--permutations must be >= 1")
     _check_threads(args.threads)
-    matrix = load_gram(args.gram)
+    stages: dict[str, float] = {}
+    with stage(stages, "load"):
+        matrix = load_gram(args.gram)
     idx_a, idx_b = _class_indices(matrix.ids, args.labels)
-    result = twosample.permutation_test(
-        matrix, idx_a, idx_b, n_permutations=args.permutations, seed=args.seed
-    )
+    with stage(stages, "permutation_test"):
+        result = twosample.permutation_test(
+            matrix, idx_a, idx_b, n_permutations=args.permutations, seed=args.seed
+        )
     payload = result.to_json(kernel_spec_ref=matrix.kernel_spec or None)
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_manifest(
         Path(f"{out}.manifest.json"), "test", args, started,
         kernel_spec=matrix.kernel_spec or None, input_paths=[args.gram, args.labels],
+        stages=stages, n_permutations=result.n_permutations,
     )
     print(f"statistic={result.statistic:.6g} p_value={result.p_value:.6g} (N={result.n_permutations})")
     return 0

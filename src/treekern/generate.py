@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .trees import GeometricTree, Node
+from .trees import GeometricTree
 
 __all__ = [
     "GeneratorConfig",
@@ -95,16 +95,18 @@ def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0, tree_id: str | Non
     rng = _rng(cfg.seed, seed_offset)
     root_dir = np.zeros(cfg.n)
     root_dir[0] = 1.0
-    nodes: list[Node] = []
-    queue: deque = deque([(None, 1, np.zeros(cfg.n), root_dir)])
+    parents: list[int] = []
+    positions: list[np.ndarray] = []
+    attrs: list[np.ndarray] = []
+    queue: deque = deque([(-1, 1, np.zeros(cfg.n), root_dir)])
     while queue:
         parent, level, pos, direction = queue.popleft()
-        attr = None
         if cfg.d > 0:
             noise = rng.normal(0.0, cfg.attr_noise_sd, size=cfg.d) if cfg.attr_noise_sd > 0 else np.zeros(cfg.d)
-            attr = cfg.attr_base + cfg.attr_depth_slope * (level - 1) + noise
-        nodes.append(Node(parent=parent, x=pos, a=attr))
-        index = len(nodes) - 1
+            attrs.append(cfg.attr_base + cfg.attr_depth_slope * (level - 1) + noise)
+        index = len(parents)
+        parents.append(parent)
+        positions.append(pos)
         if level >= cfg.max_depth:
             continue
         if rng.random() < cfg.p_stop:
@@ -114,7 +116,8 @@ def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0, tree_id: str | Non
         for _ in range(n_children):
             child_dir = _tilted(rng, direction, cfg.direction_jitter)
             queue.append((index, level + 1, pos + length * child_dir, child_dir))
-    return GeometricTree(tree_id if tree_id is not None else f"t{seed_offset:05d}", nodes, n=cfg.n, d=cfg.d)
+    tree_id = tree_id if tree_id is not None else f"t{seed_offset:05d}"
+    return GeometricTree.from_arrays(tree_id, parents, positions, attrs if cfg.d > 0 else None, n=cfg.n, d=cfg.d)
 
 
 def generate_two_class_population(
@@ -150,15 +153,8 @@ def balanced_binary_tree(n_nodes: int, n: int = 3, d: int = 1, seed: int = 0) ->
     rng = _rng(seed, n_nodes)
     positions = rng.standard_normal((n_nodes, n))
     attrs = rng.standard_normal((n_nodes, d)) if d > 0 else None
-    nodes = [
-        Node(
-            parent=None if i == 0 else (i - 1) // 2,
-            x=positions[i],
-            a=None if attrs is None else attrs[i],
-        )
-        for i in range(n_nodes)
-    ]
-    return GeometricTree(f"balanced{n_nodes:05d}-{seed}", nodes, n=n, d=d)
+    parents = (np.arange(n_nodes) - 1) // 2  # heap layout; the root's is -1
+    return GeometricTree.from_arrays(f"balanced{n_nodes:05d}-{seed}", parents, positions, attrs, n=n, d=d)
 
 
 # -- presets -----------------------------------------------------------------------

@@ -27,12 +27,16 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 
 
+def _row_strips(size: int) -> list[slice]:
+    """Slices of consecutive rows of a square matrix, about 2^16 floats each."""
+    step = max(1, (1 << 16) // max(size, 1))
+    return [slice(i, i + step) for i in range(0, size, step)]
+
+
 def _max_asymmetry(values: np.ndarray) -> float:
-    """max |v_ij - v_ji|, comparing row strips of about 2^16 floats with
-    column strips instead of the whole matrix with its transpose."""
-    step = max(1, (1 << 16) // max(len(values), 1))
-    strips = range(0, len(values), step)
-    return max((float(np.abs(values[i : i + step] - values[:, i : i + step].T).max()) for i in strips), default=0.0)
+    """max |v_ij - v_ji|, comparing row strips with column strips instead of
+    the whole matrix with its transpose."""
+    return max((float(np.abs(values[s] - values[:, s].T).max()) for s in _row_strips(len(values))), default=0.0)
 
 
 @dataclass
@@ -187,8 +191,10 @@ def save_gram(gram: GramMatrix, path: str | Path, version: str | None = None) ->
     """Write the matrix as CSV plus a sidecar JSON recording the kernel spec,
     normalization flag, and version.
 
-    The CSV has an ``id,<ids>`` header and one ``<id>,<cells>`` line per row,
-    written row by row; each cell is ``%.17g``, which reads back exactly.
+    The CSV has an ``id,<ids>`` header and one ``<id>,<cells>`` line per row;
+    each cell is ``%.17g``, which reads back exactly. Rows go out in the
+    strips of :func:`_row_strips`, and each distinct value of a strip, told
+    apart by its bits so that -0.0 and 0.0 stay apart, is formatted once.
     """
     from . import __version__
 
@@ -196,11 +202,15 @@ def save_gram(gram: GramMatrix, path: str | Path, version: str | None = None) ->
     for tree_id in gram.ids:
         if any(ch in tree_id for ch in ',"\r\n'):
             raise ValueError(f"tree id {tree_id!r} cannot be written to CSV")
-    row_format = "%s" + ",%.17g" * gram.size + "\n"
     with path.open("w", encoding="utf-8") as out:
         out.write("id," + ",".join(gram.ids) + "\n")
-        for tree_id, row in zip(gram.ids, gram.values):
-            out.write(row_format % (tree_id, *row.tolist()))
+        for rows in _row_strips(gram.size):
+            strip = gram.values[rows]
+            bits, inverse = np.unique(strip.view(np.int64).ravel(), return_inverse=True)
+            formatted = "%.17g," * len(bits) % tuple(bits.view(float).tolist())
+            cells = np.array(formatted.split(",")[:-1], dtype=object)[inverse].reshape(strip.shape)
+            for tree_id, row in zip(gram.ids[rows], cells.tolist()):
+                out.write(tree_id + "," + ",".join(row) + "\n")
     meta = {
         "kernel_spec": gram.kernel_spec,
         "normalized": gram.normalized,

@@ -1,16 +1,18 @@
 """Geometric tree data model, structural queries, and the tree JSON format.
 
 A geometric tree is a rooted tree whose nodes carry a position in R^n and,
-optionally, a measurement vector in R^d. Trees are immutable after
-construction and keep their nodes in a canonical breadth-first order, so the
-same tree always serializes to the same bytes no matter how it was built.
+optionally, a measurement vector in R^d. A tree is held as read-only arrays
+in a canonical breadth-first order, so the same tree always serializes to
+the same bytes no matter how it was built; :class:`Node` objects are an
+input form and a lazily built view, not the representation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -26,14 +28,15 @@ __all__ = [
     "parse_tree",
     "serialize_tree",
     "load_dataset",
+    "dataset_files",
     "save_dataset",
 ]
 
 
 @dataclass(eq=False)
 class Node:
-    """One tree node: parent index (None for the root), position ``x`` in
-    R^n and optional measurement vector ``a`` in R^d."""
+    """One tree node: parent index (None or -1 for the root), position
+    ``x`` in R^n and optional measurement vector ``a`` in R^d."""
 
     parent: int | None
     x: np.ndarray
@@ -86,150 +89,135 @@ def left_aligned_add(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class GeometricTree:
     """Rooted tree embedded in R^n with optional per-node measurements in R^d.
 
-    Nodes are renumbered into a canonical breadth-first order (level, then
-    parent index, then input order) at construction time, which makes
+    The representation is four read-only arrays in a canonical
+    breadth-first order (level, then parent index, then input order):
+    ``parents`` (-1 at the root), ``node_levels``, ``positions`` (|V|, n)
+    and ``attributes`` (|V|, d), or None when d = 0. The order makes
     serialization deterministic and keeps each level a contiguous index
-    range. Instances are immutable; every structural query is pure and
-    cached on first use. Positions and attributes must be finite.
+    range. A :class:`Node` list and :meth:`from_arrays` take the same path;
+    :attr:`nodes` is a view built on first use. Every structural query is
+    pure and cached on first use. Positions and attributes must be finite.
 
     Levels are 1-based: the root is the only node at level 1.
     """
 
-    def __init__(
-        self,
-        tree_id: str,
-        nodes: Sequence[Node],
-        n: int | None = None,
-        d: int | None = None,
-    ):
+    def __init__(self, tree_id: str, nodes: Sequence[Node], n: int | None = None, d: int | None = None):
         if not nodes:
             raise ValueError(f"tree '{tree_id}': has no nodes")
+        with_a = [node.a is not None for node in nodes]
+        if d is None:
+            if any(with_a) and not all(with_a):
+                raise ValueError(f"tree '{tree_id}': attributes present on some nodes only")
+            d = int(np.asarray(nodes[0].a).size) if with_a[0] else 0
+        elif d > 0 and not all(with_a):
+            raise ValueError(f"tree '{tree_id}': node {with_a.index(False)} is missing its attribute vector")
+        elif d == 0 and any(with_a):
+            raise ValueError(f"tree '{tree_id}': node {with_a.index(True)} carries attributes but d = 0")
+        parents = [-1 if node.parent is None else node.parent for node in nodes]
+        attributes = [node.a for node in nodes] if d > 0 else None
+        self._build(tree_id, parents, [node.x for node in nodes], attributes, n, d)
+
+    @classmethod
+    def from_arrays(cls, tree_id: str, parents, positions, attributes=None, n=None, d=None) -> "GeometricTree":
+        """Build a tree from input-order parent indices (-1 marks the root),
+        positions (|V|, n) and attributes (|V|, d) or None, as arrays or lists
+        of rows; ``n`` and ``d`` default to the width of the first row."""
+        tree = cls.__new__(cls)
+        tree._build(tree_id, parents, positions, attributes, n, d)
+        return tree
+
+    def _build(self, tree_id, parents, positions, attributes, n, d) -> None:
+        """Validate input-order arrays and store them in canonical order.
+
+        A breadth-first pass from the root over children listed in input
+        order visits the nodes in canonical order, one level at a time, so
+        it yields the level bounds too. Nodes it misses sit on or below a cycle.
+        """
         self.id = str(tree_id)
-
-        raw_parents = [node.parent for node in nodes]
-        roots = [i for i, p in enumerate(raw_parents) if p is None]
-        if len(roots) == 0:
-            raise ValueError(f"tree '{self.id}': no root node (every node has a parent)")
-        if len(roots) > 1:
+        raw = np.asarray(parents, dtype=np.intp)
+        raw_list = raw.tolist()
+        size = len(raw_list)
+        if raw_list.count(-1) != 1:
+            roots = [i for i, p in enumerate(raw_list) if p == -1]
+            if not roots:
+                raise ValueError(f"tree '{self.id}': no root node (every node has a parent)")
             raise ValueError(f"tree '{self.id}': multiple roots at positions {roots}")
-        for i, p in enumerate(raw_parents):
-            if p is not None and not (0 <= p < len(nodes)):
-                raise ValueError(f"tree '{self.id}': node {i} has invalid parent index {p}")
+        if min(raw_list) < -1 or max(raw_list) >= size:
+            i = next(i for i, p in enumerate(raw_list) if not -1 <= p < size)
+            raise ValueError(f"tree '{self.id}': node {i} has invalid parent index {raw_list[i]}")
 
-        raw_levels = self._compute_levels(raw_parents)
+        kids: list[list[int]] = [[] for _ in range(size + 1)]
+        for i, p in enumerate(raw_list):
+            kids[p].append(i)  # the root's parent, -1, picks the spare last list
+        order = kids.pop()
+        bounds = [0, 1]  # level l spans order[bounds[l - 1] : bounds[l]]; the last one is empty
+        while bounds[-2] < bounds[-1]:
+            for v in order[bounds[-2] : bounds[-1]]:
+                order.extend(kids[v])
+            bounds.append(len(order))
+        if len(order) < size:
+            v = min(set(range(size)).difference(order))
+            for _ in range(size):  # |V| steps up from any node end on its cycle
+                v = raw_list[v]
+            raise ValueError(f"tree '{self.id}': cycle detected involving node {v}")
 
-        # Geometric and attribute dimensions.
-        first_x = np.asarray(nodes[0].x, dtype=float)
-        self.n = int(n) if n is not None else int(first_x.size)
+        self.n = int(n) if n is not None else int(np.asarray(positions[0]).size)
         if self.n < 1:
             raise ValueError(f"tree '{self.id}': geometric dimension must be positive")
         if d is None:
-            with_a = [node.a is not None for node in nodes]
-            if any(with_a) and not all(with_a):
-                raise ValueError(f"tree '{self.id}': attributes present on some nodes only")
-            self.d = int(np.asarray(nodes[0].a).size) if with_a[0] else 0
-        else:
-            self.d = int(d)
+            d = 0 if attributes is None else int(np.asarray(attributes[0]).size)
+        self.d = int(d)
         if self.d < 0:
             raise ValueError(f"tree '{self.id}': attribute dimension must be >= 0")
-
-        order = self._canonical_order(raw_parents, raw_levels)
-        canon_of_raw = {raw: canon for canon, raw in enumerate(order)}
-
-        xs = np.empty((len(nodes), self.n), dtype=float)
-        attrs = np.empty((len(nodes), self.d), dtype=float) if self.d > 0 else None
-        parents = np.full(len(nodes), -1, dtype=np.intp)
-        canon_nodes: list[Node] = []
-        for canon, raw in enumerate(order):
-            node = nodes[raw]
-            x = np.asarray(node.x, dtype=float).ravel()
-            if x.size != self.n:
-                raise ValueError(
-                    f"tree '{self.id}': node {raw} position has dimension {x.size}, expected {self.n}"
-                )
-            xs[canon] = x
-            if self.d > 0:
-                if node.a is None:
-                    raise ValueError(f"tree '{self.id}': node {raw} is missing its attribute vector")
-                a = np.asarray(node.a, dtype=float).ravel()
-                if a.size != self.d:
-                    raise ValueError(
-                        f"tree '{self.id}': node {raw} attributes have dimension {a.size}, expected {self.d}"
-                    )
-                attrs[canon] = a
-            elif node.a is not None:
-                raise ValueError(f"tree '{self.id}': node {raw} carries attributes but d = 0")
-            parent = node.parent
-            parents[canon] = -1 if parent is None else canon_of_raw[parent]
-            canon_nodes.append(
-                Node(
-                    parent=None if parent is None else canon_of_raw[parent],
-                    x=xs[canon],
-                    a=None if attrs is None else attrs[canon],
-                )
-            )
-
+        xs = self._stack_rows(positions, self.n, "position has")
+        attrs = self._stack_rows(attributes, self.d, "attributes have") if self.d > 0 else None
         for name, values in (("position", xs), ("attribute vector", attrs)):
             if values is not None and not np.isfinite(values).all():
-                raw = order[int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])]
-                raise ValueError(f"tree '{self.id}': node {raw} has a non-finite {name}")
+                raw_node = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+                raise ValueError(f"tree '{self.id}': node {raw_node} has a non-finite {name}")
 
-        self.nodes: tuple[Node, ...] = tuple(canon_nodes)
-        self.positions = xs
-        self.positions.setflags(write=False)
-        self.attributes = attrs
-        if attrs is not None:
-            self.attributes.setflags(write=False)
-        self.parents = parents
-        self.parents.setflags(write=False)
-        self.node_levels = np.array([raw_levels[raw] for raw in order], dtype=np.intp)
-        self.node_levels.setflags(write=False)
+        order_arr = np.array(order, dtype=np.intp)
+        canon_of_raw = np.empty(size, dtype=np.intp)
+        canon_of_raw[order_arr] = np.arange(size)
+        self.parents = np.concatenate(([-1], canon_of_raw[raw[order_arr[1:]]]))
+        self.positions = xs[order_arr]
+        self.attributes = None if attrs is None else attrs[order_arr]
+        self.node_levels = np.searchsorted(bounds[1:-1], np.arange(size), side="right") + 1
+        for array in (self.parents, self.positions, self.attributes, self.node_levels):
+            if array is not None:
+                array.setflags(write=False)
         self._cache: dict = {}
 
-    # -- construction helpers -------------------------------------------------
-
-    def _compute_levels(self, parents: list[int | None]) -> list[int]:
-        """Level of each node (root = 1), with cycle detection.
-
-        Each walk climbs from a node until it meets the root or a node whose
-        level is known, marking the nodes it passes; meeting a marked node
-        again closes a cycle. Every node is walked over once, so the cost is
-        linear in the node count.
-        """
-        on_walk = -1
-        levels = [0] * len(parents)  # 0 = unknown
-        for start in range(len(parents)):
-            walk = []
-            i = start
-            while i is not None and levels[i] == 0:
-                levels[i] = on_walk
-                walk.append(i)
-                i = parents[i]
-            if i is not None and levels[i] == on_walk:
-                raise ValueError(f"tree '{self.id}': cycle detected involving node {i}")
-            base = 0 if i is None else levels[i]
-            for off, j in enumerate(reversed(walk)):
-                levels[j] = base + off + 1
-        return levels
-
-    def _canonical_order(self, parents: list[int | None], levels: list[int]) -> list[int]:
-        by_level: dict[int, list[int]] = defaultdict(list)
-        for i, level in enumerate(levels):
-            by_level[level].append(i)
-        order: list[int] = list(by_level[1])
-        canon_of_raw = {order[0]: 0}
-        for level in range(2, max(levels) + 1):
-            members = sorted(by_level[level], key=lambda r: (canon_of_raw[parents[r]], r))
-            for raw in members:
-                canon_of_raw[raw] = len(order)
-                order.append(raw)
-        return order
+    def _stack_rows(self, rows, width: int, what: str) -> np.ndarray:
+        """Rows as one (|V|, width) float array; the first row of another
+        size raises, naming its input position."""
+        with contextlib.suppress(ValueError):  # ragged rows, or a value that is not a number
+            stacked = np.array(rows, dtype=float)
+            if stacked.shape == (len(rows), width):
+                return stacked
+        flat = [np.asarray(row, dtype=float).ravel() for row in rows]
+        for i, row in enumerate(flat):
+            if row.size != width:
+                raise ValueError(f"tree '{self.id}': node {i} {what} dimension {row.size}, expected {width}")
+        return np.array(flat)
 
     # -- basic structure -------------------------------------------------------
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.parents)
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """The nodes in canonical order, built on first use; ``x`` and ``a``
+        are read-only rows of :attr:`positions` and :attr:`attributes`."""
+
+        def build():
+            attrs = [None] * self.size if self.attributes is None else self.attributes
+            rows = zip(self.parents.tolist(), self.positions, attrs)
+            return tuple(Node(None if p < 0 else p, x, a) for p, x, a in rows)
+
+        return self._memo("nodes", build)
 
     @property
     def root_index(self) -> int:
@@ -249,12 +237,9 @@ class GeometricTree:
 
     @property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        def build():
-            kids: list[list[int]] = [[] for _ in range(self.size)]
-            for i, p in enumerate(self.parents):
-                if p >= 0:
-                    kids[p].append(i)
-            return tuple(tuple(k) for k in kids)
+        def build():  # in canonical order the children of a node are one index range
+            bounds = np.searchsorted(self.parents, np.arange(self.size + 1)).tolist()
+            return tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
 
         return self._memo("children", build)
 
@@ -263,7 +248,7 @@ class GeometricTree:
         """Undirected node degrees (children count plus one if not the root)."""
 
         def build():
-            deg = np.array([len(k) for k in self.children], dtype=np.intp)
+            deg = np.bincount(self.parents[1:], minlength=self.size)
             deg[1:] += 1
             deg.setflags(write=False)
             return deg
@@ -431,16 +416,11 @@ def canonical_pair(t1: GeometricTree, t2: GeometricTree) -> tuple[GeometricTree,
 
 
 def _tree_to_obj(tree: GeometricTree) -> dict:
-    nodes = []
-    for i, node in enumerate(tree.nodes):
-        entry: dict = {
-            "id": i,
-            "parent": node.parent,
-            "x": [float(v) for v in node.x],
-        }
-        if tree.d > 0:
-            entry["a"] = [float(v) for v in node.a]
-        nodes.append(entry)
+    parents = [None if p < 0 else p for p in tree.parents.tolist()]
+    nodes = [{"id": i, "parent": p, "x": x} for i, (p, x) in enumerate(zip(parents, tree.positions.tolist()))]
+    if tree.d > 0:
+        for node, a in zip(nodes, tree.attributes.tolist()):
+            node["a"] = a
     return {"id": tree.id, "n": tree.n, "d": tree.d, "nodes": nodes}
 
 
@@ -464,36 +444,31 @@ def _tree_from_obj(obj: dict, source: str = "tree") -> GeometricTree:
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ValueError(f"{source}: 'nodes' must be a non-empty array")
     d = int(obj["d"])
-    pos_of_id: dict[int, int] = {}
-    for pos, entry in enumerate(raw_nodes):
-        for key in ("id", "parent", "x"):
-            if key not in entry:
-                raise ValueError(f"{source}: node at position {pos} missing field '{key}'")
-        node_id = int(entry["id"])
-        if node_id in pos_of_id:
-            raise ValueError(f"{source}: duplicate node id {node_id}")
-        pos_of_id[node_id] = pos
-    nodes = []
-    for pos, entry in enumerate(raw_nodes):
-        parent_id = entry["parent"]
-        if parent_id is None:
-            parent = None
-        else:
-            if int(parent_id) not in pos_of_id:
-                raise ValueError(f"{source}: node {entry['id']} references unknown parent {parent_id}")
-            parent = pos_of_id[int(parent_id)]
-        if d > 0 and "a" not in entry:
-            raise ValueError(f"{source}: node {entry['id']} missing field 'a' (d = {d})")
-        if d == 0 and "a" in entry:
-            raise ValueError(f"{source}: node {entry['id']} carries 'a' but d = 0")
-        nodes.append(
-            Node(
-                parent=parent,
-                x=np.asarray(entry["x"], dtype=float),
-                a=np.asarray(entry["a"], dtype=float) if d > 0 else None,
-            )
-        )
-    return GeometricTree(str(obj["id"]), nodes, n=int(obj["n"]), d=d)
+    try:
+        ids = [int(entry["id"]) for entry in raw_nodes]
+        parent_ids = [entry["parent"] for entry in raw_nodes]
+        xs = [entry["x"] for entry in raw_nodes]
+    except (KeyError, TypeError):
+        for pos, entry in enumerate(raw_nodes):
+            for key in ("id", "parent", "x"):
+                if key not in entry:
+                    raise ValueError(f"{source}: node at position {pos} missing field '{key}'") from None
+        raise
+    pos_of_id = {node_id: pos for pos, node_id in enumerate(ids)}
+    if len(pos_of_id) < len(ids):
+        duplicate = next(node_id for node_id, count in Counter(ids).items() if count > 1)
+        raise ValueError(f"{source}: duplicate node id {duplicate}")
+    parents = [-1 if p is None else pos_of_id.get(int(p), -2) for p in parent_ids]  # -2: no such node
+    if -2 in parents:
+        pos = parents.index(-2)
+        raise ValueError(f"{source}: node {raw_nodes[pos]['id']} references unknown parent {parent_ids[pos]}")
+    has_a = ["a" in entry for entry in raw_nodes]
+    if d > 0 and not all(has_a):
+        raise ValueError(f"{source}: node {raw_nodes[has_a.index(False)]['id']} missing field 'a' (d = {d})")
+    if d == 0 and any(has_a):
+        raise ValueError(f"{source}: node {raw_nodes[has_a.index(True)]['id']} carries 'a' but d = 0")
+    attrs = [entry["a"] for entry in raw_nodes] if d > 0 else None
+    return GeometricTree.from_arrays(str(obj["id"]), parents, xs, attrs, n=int(obj["n"]), d=d)
 
 
 def parse_tree(data: bytes | str | dict) -> GeometricTree:
@@ -508,27 +483,37 @@ def parse_tree(data: bytes | str | dict) -> GeometricTree:
     return _tree_from_obj(obj)
 
 
+def dataset_files(path: str | Path) -> list[Path]:
+    """The files :func:`load_dataset` reads for ``path``: the path itself,
+    or for a directory its ``trees.json`` when present (the layout
+    ``treekern gen`` writes), else every ``.json`` file in it."""
+    path = Path(path)
+    if not path.is_dir():
+        return [path]
+    if (path / "trees.json").is_file():
+        return [path / "trees.json"]
+    files = sorted(p for p in path.iterdir() if p.suffix == ".json")
+    if not files:
+        raise ValueError(f"{path}: directory contains no .json files")
+    return files
+
+
 def load_dataset(path: str | Path) -> list[GeometricTree]:
-    """Load trees from a JSON array file or a directory of one-tree files."""
+    """Load trees from the files :func:`dataset_files` names for ``path``;
+    each holds one tree object or a non-empty JSON array of them."""
     path = Path(path)
     trees: list[GeometricTree] = []
-    if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix == ".json")
-        if not files:
-            raise ValueError(f"{path}: directory contains no .json files")
-        for p in files:
-            trees.append(parse_tree(p.read_bytes()))
-    else:
+    for p in dataset_files(path):
         try:
-            data = json.loads(path.read_text("utf-8"))
+            data = json.loads(p.read_bytes())
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+            raise ValueError(f"{p}: invalid JSON: {exc}") from exc
         if isinstance(data, dict):
-            data = [data]
+            trees.append(_tree_from_obj(data, source=str(p)))
+            continue
         if not isinstance(data, list) or not data:
-            raise ValueError(f"{path}: expected a non-empty JSON array of trees")
-        for k, obj in enumerate(data):
-            trees.append(_tree_from_obj(obj, source=f"{path}[{k}]"))
+            raise ValueError(f"{p}: expected a non-empty JSON array of trees")
+        trees.extend(_tree_from_obj(obj, source=f"{p}[{k}]") for k, obj in enumerate(data))
     seen: set[str] = set()
     for tree in trees:
         if tree.id in seen:

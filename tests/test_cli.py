@@ -81,6 +81,35 @@ def test_kernel_command_and_reproducibility(tmp_path):
     assert not gram.normalized
 
 
+def test_kernel_reads_a_gen_directory_like_its_trees_file(tmp_path):
+    data = gen_dataset(tmp_path, preset="branch-shift", size=8, seed=6)
+    from_dir = tmp_path / "dir.csv"
+    from_file = tmp_path / "file.csv"
+    assert run(["kernel", data, "--kernel", "gbc", "--out", from_dir]) == 0
+    assert run(["kernel", data / "trees.json", "--kernel", "gbc", "--out", from_file]) == 0
+    assert from_dir.read_bytes() == from_file.read_bytes()
+    assert (tmp_path / "dir.csv.meta.json").read_bytes() == (tmp_path / "file.csv.meta.json").read_bytes()
+    # only the file that was read is hashed, not the manifest beside it
+    manifest = json.loads((tmp_path / "dir.csv.manifest.json").read_text())
+    assert list(manifest["input_hashes"]) == [str(data / "trees.json")]
+
+
+def test_manifests_record_stage_timings(tmp_path):
+    data = gen_dataset(tmp_path, size=6, seed=8)
+    gram = tmp_path / "g.csv"
+    assert run(["kernel", data, "--kernel", "sp", "--normalize", "--out", gram]) == 0
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert list(manifest["stages"]) == ["assemble", "load", "normalize", "save"]
+    assert all(seconds >= 0 for seconds in manifest["stages"].values())
+    assert manifest["n_pairs"] == 6 * 7 // 2
+    assert manifest["pairs_per_second"] > 0
+    result = tmp_path / "t.json"
+    assert run(["test", gram, data / "labels.csv", "--permutations", 50, "--out", result]) == 0
+    manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+    assert list(manifest["stages"]) == ["load", "permutation_test"]
+    assert manifest["n_permutations"] == 50
+
+
 def test_kernel_normalize_flag(tmp_path):
     data = gen_dataset(tmp_path, size=8, seed=2)
     out = tmp_path / "norm.csv"

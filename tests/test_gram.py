@@ -224,6 +224,44 @@ def test_save_load_is_exact_at_the_edges_of_float64(tmp_path):
     assert np.array_equal(np.signbit(back), np.signbit(values))
 
 
+def oracle_csv(ids, values) -> str:
+    """The Gram CSV as a plain row formatter writes it: every cell formatted
+    with %.17g on its own, one row at a time."""
+    row_format = "%s" + ",%.17g" * len(ids) + "\n"
+    rows = "".join(row_format % (tree_id, *row) for tree_id, row in zip(ids, values.tolist()))
+    return "id," + ",".join(ids) + "\n" + rows
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 1.0, -2.5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # 256 rows fill one strip of 2^16 cells exactly; 257 need a second strip
+    size=st.sampled_from([1, 2, 5, 64, 256, 257]),
+    palette=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(-1e6, 1e6), min_size=1, max_size=8),
+    distinct=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_save_gram_matches_the_plain_row_formatter(tmp_path_factory, size, palette, distinct, seed):
+    rng = np.random.default_rng(seed)
+    if distinct:
+        values = rng.standard_normal((size, size)) * 10.0 ** rng.integers(-300, 300, (size, size))
+    else:
+        palette = palette + [0.0, -0.0]  # equal as floats, different cells
+        values = np.asarray(palette)[rng.integers(0, len(palette), (size, size))]
+    lower = np.tril_indices(size, -1)
+    values[lower] = values.T[lower]  # assignment keeps -0.0, unlike adding
+    gram = plain_gram(values)
+    path = tmp_path_factory.mktemp("csv") / "g.csv"
+    save_gram(gram, path)
+    text, expected = path.read_text(), oracle_csv(gram.ids, values)
+    # report the first differing offset instead of diffing two long strings
+    same = text == expected
+    assert same, next((k for k, (a, b) in enumerate(zip(text, expected)) if a != b), len(expected))
+
+
 def test_load_gram_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n")

@@ -3,7 +3,7 @@ JSON round trip."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from treekern import (
     GeometricTree,
@@ -106,6 +106,12 @@ def test_construction_errors():
             "t",
             [Node(parent=None, x=x), Node(parent=2, x=x), Node(parent=1, x=x)],
         )
+    # the error names a node on the cycle (2 or 3), not node 1 hanging off it
+    with pytest.raises(ValueError, match=r"cycle detected involving node [23]$"):
+        GeometricTree(
+            "t",
+            [Node(parent=None, x=x), Node(parent=2, x=x), Node(parent=3, x=x), Node(parent=2, x=x)],
+        )
     with pytest.raises(ValueError, match="dimension"):
         GeometricTree("t", [Node(parent=None, x=x), Node(parent=0, x=np.zeros(2))], n=1)
     with pytest.raises(ValueError, match="attributes"):
@@ -144,6 +150,80 @@ def test_levels_of_long_reversed_chain():
     assert np.array_equal(t.node_levels, np.arange(1, size + 1))
     assert np.array_equal(t.parents[1:], np.arange(size - 1))
     assert t.positions[0, 0] == size - 1 and t.positions[-1, 0] == 0.0
+
+
+def canonical_oracle(parents, xs, attrs):
+    """Canonical arrays by brute force: each node's level from a walk to the
+    root, then the nodes of each level sorted by (canonical parent, input
+    position)."""
+    size = len(parents)
+    levels = []
+    for i in range(size):
+        level, v = 1, i
+        while parents[v] is not None:
+            level, v = level + 1, parents[v]
+        levels.append(level)
+    order, canon = [], {}
+    for level in range(1, max(levels) + 1):
+        members = [i for i in range(size) if levels[i] == level]
+        for i in sorted(members, key=lambda i: (-1 if parents[i] is None else canon[parents[i]], i)):
+            canon[i] = len(order)
+            order.append(i)
+    canon_parents = [-1 if parents[i] is None else canon[parents[i]] for i in order]
+    return canon_parents, [levels[i] for i in order], xs[order], None if attrs is None else attrs[order]
+
+
+def shuffled_nodes(tree, perm):
+    """The tree's nodes listed in the input order ``perm`` (input position k
+    holds canonical node perm[k]), with parents renumbered to match."""
+    position = {canon: k for k, canon in enumerate(perm)}
+    return [
+        Node(
+            parent=None if tree.parents[c] < 0 else position[int(tree.parents[c])],
+            x=tree.positions[c],
+            a=None if tree.attributes is None else tree.attributes[c],
+        )
+        for c in perm
+    ]
+
+
+def assert_same_arrays(t1, t2):
+    for name in ("parents", "node_levels", "positions", "attributes"):
+        a, b = getattr(t1, name), getattr(t2, name)
+        assert (a is None and b is None) or (np.array_equal(a, b) and a.dtype == b.dtype), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0, 2]).flatmap(lambda d: shaped_trees("t", d)), st.randoms(use_true_random=False))
+def test_construction_matches_brute_force_canonical_order(tree, random):
+    perm = list(range(tree.size))
+    random.shuffle(perm)
+    nodes = shuffled_nodes(tree, perm)
+    built = GeometricTree("s", nodes, n=tree.n, d=tree.d)
+    parents = [node.parent for node in nodes]
+    xs = np.array([node.x for node in nodes])
+    attrs = np.array([node.a for node in nodes]) if tree.d else None
+    canon_parents, levels, canon_xs, canon_attrs = canonical_oracle(parents, xs, attrs)
+    assert built.parents.tolist() == canon_parents
+    assert built.node_levels.tolist() == levels
+    assert np.array_equal(built.positions, canon_xs)
+    assert (built.attributes is None and canon_attrs is None) or np.array_equal(built.attributes, canon_attrs)
+    assert_same_arrays(parse_tree(serialize_tree(built)), built)
+    # the JSON object of the same input, with node ids that are not positions
+    obj = {
+        "id": "s",
+        "n": tree.n,
+        "d": tree.d,
+        "nodes": [
+            {"id": 7 * k + 3, "parent": None if node.parent is None else 7 * node.parent + 3, "x": node.x.tolist()}
+            | ({"a": node.a.tolist()} if tree.d else {})
+            for k, node in enumerate(nodes)
+        ],
+    }
+    assert_same_arrays(parse_tree(obj), built)
+    assert [(node.parent, node.x.tolist()) for node in built.nodes] == [
+        (None if p < 0 else p, x) for p, x in zip(canon_parents, canon_xs.tolist())
+    ]
 
 
 def test_node_path_through_common_ancestor():
@@ -327,6 +407,17 @@ def test_dataset_directory_and_duplicates(tmp_path, rng):
     save_dataset([t1, random_tree(rng, 10, tree_id="x1")], dup)
     with pytest.raises(ValueError, match="duplicate tree id"):
         load_dataset(dup)
+
+    broken = tmp_path / "parts"
+    broken.mkdir()
+    (broken / "a.json").write_bytes(serialize_tree(t1))
+    (broken / "b.json").write_text('{"id": "x3", "n": 1, "d": 0}')
+    with pytest.raises(ValueError, match=r"b\.json: missing field 'nodes'"):
+        load_dataset(broken)
+    # a directory holding trees.json (as `treekern gen` writes it) is read
+    # from that file alone, whatever other .json files sit next to it
+    save_dataset([t1, t2], broken / "trees.json")
+    assert [t.id for t in load_dataset(broken)] == ["x1", "x2"]
 
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
