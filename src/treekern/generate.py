@@ -13,6 +13,7 @@ All randomness comes from a counter-based generator keyed by
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -72,20 +73,26 @@ def _rng(seed: int, offset: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, offset])))
 
 
-def _tilted(rng: np.random.Generator, direction: np.ndarray, max_angle: float) -> np.ndarray:
-    """Unit vector at a random angle up to ``max_angle`` from ``direction``."""
-    n = len(direction)
-    if n == 1 or max_angle == 0.0:
-        return direction.copy()
+def _tilted(rng: np.random.Generator, direction: tuple, max_angle: float) -> tuple:
+    """Unit vector at a random angle up to ``max_angle`` from ``direction``.
+
+    Vectors are tuples of floats. The projection (``np.dot``), the sum of
+    squares (numpy's pairwise sum) and the cosine and sine are left to numpy,
+    whose rounding plain Python does not reproduce; every other step rounds
+    once per entry in either.
+    """
+    if len(direction) == 1 or max_angle == 0.0:
+        return direction
     while True:
-        g = rng.standard_normal(n)
-        g -= np.dot(g, direction) * direction
-        norm = float(np.sqrt((g * g).sum()))
+        g = rng.standard_normal(len(direction))
+        proj = float(np.dot(g, direction))
+        g = [x - proj * d for x, d in zip(g.tolist(), direction)]
+        norm = math.sqrt(np.add.reduce([x * x for x in g]))
         if norm > 1e-12:
             break
-    u = g / norm
     theta = max_angle * rng.random()
-    return np.cos(theta) * direction + np.sin(theta) * u
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    return tuple(c * d + s * (x / norm) for d, x in zip(direction, g))
 
 
 def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0, tree_id: str | None = None) -> GeometricTree:
@@ -93,12 +100,10 @@ def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0, tree_id: str | Non
     if seed_offset < 0:
         raise ValueError("seed_offset must be non-negative")
     rng = _rng(cfg.seed, seed_offset)
-    root_dir = np.zeros(cfg.n)
-    root_dir[0] = 1.0
     parents: list[int] = []
-    positions: list[np.ndarray] = []
+    positions: list[tuple] = []
     attrs: list[np.ndarray] = []
-    queue: deque = deque([(-1, 1, np.zeros(cfg.n), root_dir)])
+    queue: deque = deque([(-1, 1, (0.0,) * cfg.n, (1.0,) + (0.0,) * (cfg.n - 1))])
     while queue:
         parent, level, pos, direction = queue.popleft()
         if cfg.d > 0:
@@ -115,7 +120,7 @@ def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0, tree_id: str | Non
         length = cfg.edge_length_decay ** (level - 1)
         for _ in range(n_children):
             child_dir = _tilted(rng, direction, cfg.direction_jitter)
-            queue.append((index, level + 1, pos + length * child_dir, child_dir))
+            queue.append((index, level + 1, tuple(p + length * c for p, c in zip(pos, child_dir)), child_dir))
     tree_id = tree_id if tree_id is not None else f"t{seed_offset:05d}"
     return GeometricTree.from_arrays(tree_id, parents, positions, attrs if cfg.d > 0 else None, n=cfg.n, d=cfg.d)
 

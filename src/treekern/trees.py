@@ -23,7 +23,6 @@ __all__ = [
     "Node",
     "NodePath",
     "GeometricTree",
-    "left_aligned_add",
     "canonical_pair",
     "parse_tree",
     "serialize_tree",
@@ -69,21 +68,6 @@ class NodePath:
         if self.tree.attributes is None:
             raise ValueError("tree has no attributes (d = 0)")
         return self.tree.attributes[list(self.nodes)]
-
-
-def left_aligned_add(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Add two integer count vectors aligned at index 0.
-
-    The shorter vector is treated as zero-extended, so the result has the
-    length of the longer input: [1,2,3] + [4,5] -> [5,7,3].
-    """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if len(u) < len(v):
-        u, v = v, u
-    out = u.copy()
-    out[: len(v)] += v
-    return out
 
 
 class GeometricTree:
@@ -315,26 +299,10 @@ class GeometricTree:
     # -- descendant vectors ------------------------------------------------------
 
     @property
-    def descendant_vectors(self) -> tuple[np.ndarray, ...]:
-        """Per-node descendant count vectors.
-
-        Entry k of the vector for node v counts the descendants of v (v
-        included) that sit k levels below v, so entry 0 is always 1 and the
-        vector's length is the height of the subtree rooted at v. They are
-        the rows of :attr:`descendant_table`, cut at their first zero.
-        """
-
-        def build():
-            table = self.descendant_table.astype(np.int64)
-            table.setflags(write=False)
-            return tuple(row[: np.count_nonzero(row)] for row in table)
-
-        return self._memo("descendant_vectors", build)
-
-    @property
     def descendant_table(self) -> np.ndarray:
         """Descendant vectors of all nodes as float rows, zero-padded to the
-        height; shape (size, height).
+        height; shape (size, height). Entry [v, k] counts the descendants of
+        v (v included) that sit k levels below v, so entry [v, 0] is 1.
 
         In canonical order the parent array does not decrease, so the
         descendants of v k levels down are one index range [lo, hi): the

@@ -62,28 +62,50 @@ def _check_groups(size: int, groups: dict[str, np.ndarray]) -> None:
         raise ValueError("query points overlap the training samples" if "query" in where else "samples A and B overlap")
 
 
-def mean_distance_statistic(gram, idx_a, idx_b) -> float:
-    """Distance between the two sample means in the kernel feature space.
+class _Scorer:
+    """Mean-distance statistics of relabelings of the pool A + B.
 
-    T^2 expands into the three block averages of the Gram matrix
-    (within-A, cross, within-B); tiny negative values from floating point
-    are clamped to zero before the square root.
+    An order ``p`` of the pool puts slots ``p[:a]`` in A and ``p[a:]`` in B,
+    so the identity is the observed labeling. Its statistic is sqrt(z K z),
+    with K the pool's sub-Gram and z = 1/a on the A slots, -1/b on the B ones.
     """
-    values = _values(gram)
-    idx_a = np.asarray(idx_a, dtype=np.intp)
-    idx_b = np.asarray(idx_b, dtype=np.intp)
-    _check_groups(values.shape[0], {"sample A": idx_a, "sample B": idx_b})
-    a = len(idx_a)
-    b = len(idx_b)
-    term_aa = values[np.ix_(idx_a, idx_a)].sum() / (a * a)
-    term_ab = values[np.ix_(idx_a, idx_b)].sum() / (a * b)
-    term_bb = values[np.ix_(idx_b, idx_b)].sum() / (b * b)
-    return float(np.sqrt(max(0.0, term_aa - 2.0 * term_ab + term_bb)))
+
+    def __init__(self, gram, idx_a, idx_b):
+        values = _values(gram)
+        idx_a = np.asarray(idx_a, dtype=np.intp)
+        idx_b = np.asarray(idx_b, dtype=np.intp)
+        _check_groups(values.shape[0], {"sample A": idx_a, "sample B": idx_b})
+        self.sizes = (len(idx_a), len(idx_b))
+        self.weights = np.repeat([1.0 / len(idx_a), -1.0 / len(idx_b)], self.sizes)
+        pool = np.concatenate([idx_a, idx_b])
+        self.sub = sub = values[np.ix_(pool, pool)]
+        # Scale the copy by 2^s, s even, so that no nonzero entry is subnormal
+        # (a slow BLAS path) and no partial sum, at most m * max|K|, overflows.
+        # Power-of-two scaling commutes exactly with every operation that stays
+        # in the normal range, and 2^(-s/2) undoes it after the square root.
+        self.shift = (1020 - len(pool).bit_length() - math.frexp(max(sub.max(), -sub.min()))[1]) & ~1
+        np.ldexp(sub, self.shift, out=sub)
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        """Statistics of an (r, m) float block of orders. One scatter, through
+        an int32 copy of half the block's size, overwrites the block with the
+        vectors z they select, and one product scores them; a single row may
+        take another BLAS path than a block."""
+        np.put_along_axis(block, block.astype(np.int32), self.weights, axis=1)
+        forms = np.maximum(0.0, ((block @ self.sub) * block).sum(axis=1))
+        return np.ldexp(np.sqrt(forms), -self.shift // 2)
 
 
-# Permutation weights are drawn and scored in fixed-size row blocks, so the
-# test holds one (block, m) buffer and its products whatever the permutation
-# count.
+def mean_distance_statistic(gram, idx_a, idx_b) -> float:
+    """Distance between the two sample means in the kernel feature space:
+    the permutation test's scorer on the identity order, with tiny negative
+    values of z K z from floating point clamped to zero."""
+    score = _Scorer(gram, idx_a, idx_b)
+    return float(score(np.arange(len(score.weights), dtype=float)[None])[0])
+
+
+# Relabelings are drawn and scored in fixed-size row blocks, so the test
+# holds one block buffer and its product whatever the permutation count.
 _STAT_BLOCK = 256
 
 
@@ -99,52 +121,36 @@ def permutation_test(
 
     Group-size-preserving relabelings are sampled with replacement from a
     counter-based generator (Philox), so a seed fixes the whole permutation
-    sequence across platforms. Relabelings are drawn and scored serially,
-    one block of 256 weight rows at a time, so the weights take one
-    256 x m block, next to the m x m sub-Gram of the two samples, whatever
-    ``n_permutations`` is. ``threads`` is accepted for compatibility and
-    validated (it must be at least 1) but has no effect.
+    sequence across platforms. They are drawn and scored serially, 256 at a
+    time in one buffer: one ``Generator.permuted`` call draws the orders of
+    as many ``permutation(m)`` calls, and the scorer of
+    :func:`mean_distance_statistic` scores them. Row 0 of the first block
+    stays the identity, the observed labeling. Memory is the m x m sub-Gram
+    plus two 256 x m float blocks, whatever ``n_permutations`` is.
+    ``threads`` is accepted for compatibility and validated (it must be at
+    least 1) but has no effect.
     The returned p-value is (#{T_i >= T_0} + 1) / (n_permutations + 1);
     with fully separated samples it attains its floor
     1 / (n_permutations + 1).
     """
-    values = _values(gram)
-    idx_a = np.asarray(idx_a, dtype=np.intp)
-    idx_b = np.asarray(idx_b, dtype=np.intp)
-    _check_groups(values.shape[0], {"sample A": idx_a, "sample B": idx_b})
+    score = _Scorer(gram, idx_a, idx_b)
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
-    pool = np.concatenate([idx_a, idx_b])
-    a = len(idx_a)
-    m = len(pool)
-    sub = values[np.ix_(pool, pool)]
-    # Scale the copy by 2^s, s even, so that no nonzero entry is subnormal
-    # (a slow BLAS path) and no partial sum, at most m * max|K|, overflows.
-    # Power-of-two scaling commutes exactly with every operation that stays
-    # in the normal range, and 2^(-s/2) undoes it after the square root.
-    shift = (1020 - int(m).bit_length() - math.frexp(max(sub.max(), -sub.min()))[1]) & ~1
-    np.ldexp(sub, shift, out=sub)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-    # Row 0 is the observed labeling (the identity order of the pool); each
-    # statistic is the quadratic form z K z with z = 1/a on the A slots and
-    # -1/b on the B slots, so observed and permuted values share the exact
-    # same floating-point path. Every row write covers all m slots, so one
-    # block buffer serves all blocks.
+    m = len(score.weights)
     total = n_permutations + 1
-    observed = np.arange(m)
+    # Orders are held as floats: an 8-byte shuffle takes numpy's fast path,
+    # and the scorer overwrites them in place with the weights they select.
     block = np.empty((min(_STAT_BLOCK, total), m))
     stats = np.empty(total)
     for start in range(0, total, _STAT_BLOCK):
         rows = block[: min(_STAT_BLOCK, total - start)]
-        for k, row in enumerate(rows, start):
-            perm = rng.permutation(m) if k else observed
-            row[perm[:a]] = 1.0 / a
-            row[perm[a:]] = -1.0 / (m - a)
-        forms = np.maximum(0.0, ((rows @ sub) * rows).sum(axis=1))
-        stats[start : start + len(rows)] = np.ldexp(np.sqrt(forms), -shift // 2)
+        rows[:] = np.arange(m)
+        drawn = rows[1:] if start == 0 else rows
+        rng.permuted(drawn, axis=1, out=drawn)
+        stats[start : start + len(rows)] = score(rows)
     t0 = float(stats[0])
     perm = stats[1:]
     count = int((perm >= t0).sum())
@@ -165,7 +171,7 @@ def permutation_test(
         p_value=float(p_value),
         n_permutations=int(n_permutations),
         seed=int(seed),
-        sample_sizes=(a, m - a),
+        sample_sizes=score.sizes,
         permutation_summary=summary,
     )
 

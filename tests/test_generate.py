@@ -1,10 +1,14 @@
 """Synthetic generator: determinism, shape statistics, presets, and labels."""
 
+from collections import deque
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from treekern import (
     GeneratorConfig,
+    GeometricTree,
     balanced_binary_tree,
     generate_tree,
     generate_two_class_population,
@@ -13,7 +17,7 @@ from treekern import (
     save_labels,
     serialize_tree,
 )
-from treekern.generate import PRESET_NAMES
+from treekern.generate import PRESET_NAMES, _rng
 
 
 def test_generate_tree_is_deterministic():
@@ -37,6 +41,65 @@ def test_generate_tree_respects_dimensions():
     bare = generate_tree(GeneratorConfig(seed=0, n=2, d=0, max_depth=4))
     assert bare.attributes is None
     assert bare.id == "t00000"
+
+
+def tilted_reference(rng, direction, max_angle):
+    """The generator's tilt step on numpy vectors."""
+    n = len(direction)
+    if n == 1 or max_angle == 0.0:
+        return direction.copy()
+    while True:
+        g = rng.standard_normal(n)
+        g -= np.dot(g, direction) * direction
+        norm = float(np.sqrt((g * g).sum()))
+        if norm > 1e-12:
+            break
+    u = g / norm
+    theta = max_angle * rng.random()
+    return np.cos(theta) * direction + np.sin(theta) * u
+
+
+def generate_tree_reference(cfg, seed_offset):
+    """``generate_tree`` on numpy vectors: the same draws in the same order."""
+    rng = _rng(cfg.seed, seed_offset)
+    root_dir = np.zeros(cfg.n)
+    root_dir[0] = 1.0
+    parents, positions, attrs = [], [], []
+    queue = deque([(-1, 1, np.zeros(cfg.n), root_dir)])
+    while queue:
+        parent, level, pos, direction = queue.popleft()
+        if cfg.d > 0:
+            noise = rng.normal(0.0, cfg.attr_noise_sd, size=cfg.d) if cfg.attr_noise_sd > 0 else np.zeros(cfg.d)
+            attrs.append(cfg.attr_base + cfg.attr_depth_slope * (level - 1) + noise)
+        index = len(parents)
+        parents.append(parent)
+        positions.append(pos)
+        if level >= cfg.max_depth or rng.random() < cfg.p_stop:
+            continue
+        n_children = 2 if rng.random() < cfg.p_branch else 1
+        length = cfg.edge_length_decay ** (level - 1)
+        for _ in range(n_children):
+            child_dir = tilted_reference(rng, direction, cfg.direction_jitter)
+            queue.append((index, level + 1, pos + length * child_dir, child_dir))
+    return GeometricTree.from_arrays(
+        f"t{seed_offset:05d}", parents, positions, attrs if cfg.d > 0 else None, n=cfg.n, d=cfg.d
+    )
+
+
+ORACLE_SHAPES = [
+    *(pytest.param(name, seed, {}, id=f"{name}-{seed}") for name in PRESET_NAMES for seed in (0, 1)),
+    *(pytest.param("null", 0, {"n": n, "d": d}, id=f"n{n}-d{d}") for n in (1, 2, 8, 9) for d in (0, 2)),
+]
+
+
+@pytest.mark.parametrize("preset, seed, overrides", ORACLE_SHAPES)
+def test_generate_tree_matches_the_numpy_vector_loop(preset, seed, overrides):
+    # numpy sums 8 or more squares pairwise and np.dot runs in BLAS, so
+    # n = 8 and 9 catch a sum or a dot product taken in plain Python
+    configs = [replace(cfg, **overrides) for cfg in preset_configs(preset, seed)]
+    for offset in range(40):
+        cfg = configs[offset % 2]
+        assert serialize_tree(generate_tree(cfg, offset)) == serialize_tree(generate_tree_reference(cfg, offset))
 
 
 def test_attribute_depth_model():

@@ -9,7 +9,6 @@ from treekern import (
     GeometricTree,
     Node,
     canonical_pair,
-    left_aligned_add,
     load_dataset,
     parse_tree,
     save_dataset,
@@ -28,15 +27,6 @@ def two_level_tree():
         Node(parent=1, x=np.array([3.0])),
     ]
     return GeometricTree("demo", nodes, n=1, d=0)
-
-
-def test_left_aligned_add():
-    out = left_aligned_add(np.array([1, 2, 3]), np.array([4, 5]))
-    assert out.tolist() == [5, 7, 3]
-    out = left_aligned_add(np.array([4, 5]), np.array([1, 2, 3]))
-    assert out.tolist() == [5, 7, 3]
-    out = left_aligned_add(np.array([], dtype=int), np.array([7]))
-    assert out.tolist() == [7]
 
 
 def test_basic_structure():
@@ -275,25 +265,20 @@ def test_node_path_matches_bfs_distance(rng):
 
 def test_descendant_vectors():
     t = two_level_tree()
-    vecs = t.descendant_vectors
-    assert vecs[0].tolist() == [1, 2, 1]
-    assert vecs[1].tolist() == [1, 1]
-    assert vecs[2].tolist() == [1]
-    assert vecs[3].tolist() == [1]
-    # the table zero-pads every vector to the height
+    # row v counts v's descendants by depth below v, zero-padded to the height
     assert t.descendant_table.tolist() == [[1, 2, 1], [1, 1, 0], [1, 0, 0], [1, 0, 0]]
 
 
 def test_descendant_vectors_sum_to_subtree_sizes(rng):
     for _ in range(20):
         t = random_tree(rng, 40)
-        vecs = t.descendant_vectors
+        table = t.descendant_table
         sizes = np.zeros(t.size, dtype=int)
         for i in range(t.size - 1, -1, -1):
             sizes[i] = 1 + sum(sizes[k] for k in t.children[i])
-        for i in range(t.size):
-            assert vecs[i].sum() == sizes[i]
-            assert vecs[i][0] == 1
+        assert np.array_equal(table.sum(axis=1), sizes)
+        assert (table[:, 0] == 1).all()
+        assert np.array_equal(table, np.round(table))
 
 
 @settings(max_examples=100, deadline=None)
@@ -306,9 +291,6 @@ def test_descendant_table_counts_descendants_by_depth(tree):
             expected[v, tree.node_levels[u] - tree.node_levels[v]] += 1
             v = tree.parents[v]
     assert np.array_equal(tree.descendant_table, expected)
-    for vec, row in zip(tree.descendant_vectors, expected):
-        assert vec.dtype == np.int64
-        assert np.array_equal(vec, row[row > 0])
 
 
 def test_sphere_table_matches_networkx_distances(rng):

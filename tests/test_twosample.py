@@ -159,19 +159,34 @@ def test_permutation_test_memory_is_independent_of_count(rng):
     # all weight rows at once would need (P + 1) * m * 8 bytes: 48 MB at 20,000
     assert peaks[20_000] < 1.5 * peaks[2_000]
     assert peaks[20_000] < 8e6
+    # at a cohort's size the m x m sub-Gram copy and the blocks of 256
+    # relabelings (orders overwritten by weights, an index copy, the product)
+    # dominate
+    m = 700
+    values = random_psd(rng, m)
+    tracemalloc.start()
+    try:
+        permutation_test(values, range(0, m, 2), range(1, m, 2), n_permutations=1_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (m * m + 3 * 256 * m)
 
 
 def test_permutation_test_observed_statistic(rng):
     values = random_psd(rng, 10)
-    idx_a, idx_b = [0, 2, 4], [1, 3, 5, 6]
-    res = permutation_test(values, idx_a, idx_b, n_permutations=50, seed=1)
-    direct = mean_distance_statistic(values, idx_a, idx_b)
-    assert abs(res.statistic - direct) <= 1e-12
-    assert res.sample_sizes == (3, 4)
-    floor = 1.0 / 51
-    assert floor <= res.p_value <= 1.0
-    summary = res.permutation_summary
-    assert summary["min"] <= summary["q50"] <= summary["max"]
+    # sorted, unsorted and interleaved groups, and the smallest pool (a = b = 1)
+    for idx_a, idx_b in [([0, 2, 4], [1, 3, 5, 6]), ([7, 2, 9, 0], [5, 1, 8, 3, 6]), ([4], [2])]:
+        res = permutation_test(values, idx_a, idx_b, n_permutations=50, seed=1)
+        direct = mean_distance_statistic(values, idx_a, idx_b)
+        # one scorer: a one-row product may take another BLAS path, no more
+        assert abs(res.statistic - direct) <= 4 * np.spacing(direct)
+        assert abs(direct - feature_space_oracle(values, idx_a, idx_b)) <= 1e-9 * max(1.0, direct)
+        assert res.sample_sizes == (len(idx_a), len(idx_b))
+        floor = 1.0 / 51
+        assert floor <= res.p_value <= 1.0
+        summary = res.permutation_summary
+        assert summary["min"] <= summary["q50"] <= summary["max"]
 
 
 def test_permutation_floor_on_separated_groups():
