@@ -1,5 +1,11 @@
 """Baseline tree kernels: point clouds, attribute summaries, branch counts,
-shortest paths, and iterative label refinement."""
+shortest paths, and iterative label refinement.
+
+Each kernel but the last is a cohort route (a feature map or a node set),
+reached through :func:`treekern.build_kernel`, which holds the defaults;
+``build_kernel(name, **params).value(t1, t2)`` evaluates one pair. The
+label-refinement kernel is a pair function.
+"""
 
 from __future__ import annotations
 
@@ -13,15 +19,7 @@ from .features import FeatureMap, NodeSet
 from .path_kernels import NodeKernelSpec, node_point_set
 from .trees import GeometricTree, canonical_pair
 
-__all__ = [
-    "WLConfig",
-    "pointcloud_kernel",
-    "average_attribute_kernel",
-    "generation_average_kernel",
-    "branchcount_kernels",
-    "shortest_path_kernel",
-    "weisfeiler_lehman_kernel",
-]
+__all__ = ["WLConfig", "weisfeiler_lehman_kernel"]
 
 
 @dataclass(frozen=True)
@@ -35,10 +33,16 @@ class WLConfig:
             raise ValueError("iterations must be >= 0")
 
 
-def pointcloud_node_set(lambda1: float | None = None, lambda2: float | None = None) -> NodeSet:
-    """Node set of :func:`pointcloud_kernel`: the non-root nodes' points
-    under the attributed gaussian node kernel, in one group with unit
-    weights. A single-node tree warns once that it has no edges."""
+def pointcloud_node_set(*, lambda1: float | None, lambda2: float | None) -> NodeSet:
+    """Point-cloud kernel: the sum over all edge pairs of a gaussian in the
+    child-node positions times a gaussian in the child-node attributes
+    (scales ``lambda1``, default 1/n, and ``lambda2``, default 1/d).
+
+    Each edge is represented by the node it leads to, so the route is the
+    non-root nodes' points in one group with unit weights. Requires
+    attributed trees (d > 0); a single-node tree has no edges, scores 0 and
+    warns once.
+    """
 
     def build(tree: GeometricTree, z: np.ndarray):
         if tree.size == 1:
@@ -49,22 +53,6 @@ def pointcloud_node_set(lambda1: float | None = None, lambda2: float | None = No
     return node_point_set(spec, "pointcloud_nodes", build)
 
 
-def pointcloud_kernel(
-    t1: GeometricTree,
-    t2: GeometricTree,
-    lambda1: float | None = None,
-    lambda2: float | None = None,
-) -> float:
-    """Sum over all edge pairs of a gaussian in the child-node positions
-    times a gaussian in the child-node attributes.
-
-    Each edge is represented by the node it leads to, so the root contributes
-    no edge. Requires attributed trees (d > 0); a single-node tree has no
-    edges and yields 0 with a warning. lambda1 defaults to 1/n, lambda2 to 1/d.
-    """
-    return pointcloud_node_set(lambda1, lambda2).value(t1, t2)
-
-
 def _attribute_column(tree: GeometricTree, component: int) -> np.ndarray:
     if tree.d == 0:
         raise ValueError(f"tree '{tree.id}' has no attributes (d = 0)")
@@ -73,8 +61,10 @@ def _attribute_column(tree: GeometricTree, component: int) -> np.ndarray:
     return tree.attributes[:, component]
 
 
-def attribute_mean_map(component: int = 0, form: str = "gaussian") -> FeatureMap:
-    """Feature map of :func:`average_attribute_kernel`."""
+def attribute_mean_map(*, component: int, form: str) -> FeatureMap:
+    """Average-attribute kernel on the tree-wide means m of one attribute
+    component (d > 0 required): exp(-(m1 - m2)^2), or m1 * m2 for the
+    linear ``form``."""
 
     def row(tree: GeometricTree) -> np.ndarray:
         return np.array([float(_attribute_column(tree, component).mean())])
@@ -82,22 +72,12 @@ def attribute_mean_map(component: int = 0, form: str = "gaussian") -> FeatureMap
     return FeatureMap(row, ("attribute_mean", component), form, 1)
 
 
-def average_attribute_kernel(
-    t1: GeometricTree,
-    t2: GeometricTree,
-    component: int = 0,
-    form: str = "gaussian",
-) -> float:
-    """Compare the tree-wide means of one attribute component: gaussian of
-    the squared mean difference, or the plain product of means (linear)."""
-    return attribute_mean_map(component, form).value(t1, t2)
-
-
-def generation_mean_map(
-    gen_lo: int = 3, gen_hi: int = 6, component: int = 0, form: str = "gaussian"
-) -> FeatureMap:
-    """Feature map of :func:`generation_average_kernel`, one column per
-    generation; a tree warns once for each generation it lacks."""
+def generation_mean_map(*, gen_lo: int, gen_hi: int, component: int, form: str) -> FeatureMap:
+    """Generation-average kernel on the vectors m of per-generation means of
+    one attribute component (d > 0 required), generations ``gen_lo`` to
+    ``gen_hi``: exp(-||m1 - m2||^2), or <m1, m2> for the linear ``form``.
+    Generation g holds the nodes at depth g (root depth 0); a generation the
+    tree lacks has mean 0 and warns once."""
     if gen_lo < 0 or gen_hi < gen_lo:
         raise ValueError("need 0 <= gen_lo <= gen_hi")
 
@@ -116,35 +96,20 @@ def generation_mean_map(
     return FeatureMap(row, key, form, gen_hi - gen_lo + 1)
 
 
-def generation_average_kernel(
-    t1: GeometricTree,
-    t2: GeometricTree,
-    gen_lo: int = 3,
-    gen_hi: int = 6,
-    component: int = 0,
-    form: str = "gaussian",
-) -> float:
-    """Compare vectors of per-generation attribute means.
-
-    Generation g holds the nodes at depth g (root depth 0). Generations
-    outside the tree contribute a mean of 0, with a warning.
-    """
-    return generation_mean_map(gen_lo, gen_hi, component, form).value(t1, t2)
-
-
 def node_count_map(form: str) -> FeatureMap:
-    """Feature map of :func:`branchcount_kernels`: the node count |V|."""
+    """Branch-count kernels on the node count |V|: |V1| * |V2| (linear
+    ``form``) or exp(-(|V1| - |V2|)^2) (gaussian)."""
     return FeatureMap(lambda tree: np.array([float(tree.size)]), "node_count", form, 1)
 
 
-def branchcount_kernels(t1: GeometricTree, t2: GeometricTree) -> tuple[float, float]:
-    """Node-count kernels: (|V1| * |V2|, exp(-(|V1| - |V2|)^2))."""
-    return node_count_map("linear").value(t1, t2), node_count_map("gaussian").value(t1, t2)
+def shortest_path_map(*, length_kernel: str) -> FeatureMap:
+    """Shortest-path kernel: compares the multisets of pairwise path lengths.
 
-
-def shortest_path_map(length_kernel: str = "delta") -> FeatureMap:
-    """Feature map of :func:`shortest_path_kernel`: the counts per length,
-    or (linear length kernel) their single length-weighted sum."""
+    With the delta length kernel the value is the sum over lengths of the
+    product of occurrence counts, so the row is the counts per length. With
+    the linear one lengths are compared by their product, which factorizes
+    into the product of the length-weighted count sums, a one-column row.
+    """
     if length_kernel not in ("delta", "linear"):
         raise ValueError(f"unknown length kernel '{length_kernel}'")
 
@@ -157,17 +122,6 @@ def shortest_path_map(length_kernel: str = "delta") -> FeatureMap:
         return np.array([counts @ np.arange(len(counts), dtype=float)])
 
     return FeatureMap(row, ("path_lengths", length_kernel), "linear", 1 if length_kernel == "linear" else None)
-
-
-def shortest_path_kernel(t1: GeometricTree, t2: GeometricTree, length_kernel: str = "delta") -> float:
-    """Compare the multisets of pairwise path lengths of two trees.
-
-    With the delta length kernel, the value is the sum over lengths of the
-    product of occurrence counts; with the linear length kernel, lengths are
-    compared by their product, which factorizes into a product of weighted
-    count sums.
-    """
-    return shortest_path_map(length_kernel).value(t1, t2)
 
 
 def _counter_dot(c1: Counter, c2: Counter) -> float:

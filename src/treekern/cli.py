@@ -91,7 +91,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         try:
             cfg_a = replace(cfg_a, **overrides)
             cfg_b = replace(cfg_b, **overrides)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # an unknown field, or a bad value
             raise ValueError(f"{args.config}: {exc}") from exc
     if args.size < 2:
         raise ValueError("--size must be at least 2 (one tree per class)")
@@ -113,19 +113,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 # -- kernel -----------------------------------------------------------------------
 
-_SPEC_FLAG_KEYS = (
-    ("form", "form"),
-    ("use_attributes", "use_attributes"),
-    ("lambda1", "lambda1"),
-    ("lambda2", "lambda2"),
-    ("lam", "lam"),
-    ("landmarks", "landmarks"),
-    ("component", "component"),
-    ("gen_lo", "gen_lo"),
-    ("gen_hi", "gen_hi"),
-    ("wl_iterations", "iterations"),
-    ("length_kernel", "length_kernel"),
-)
+# Kernel-spec flags by destination; each sets the parameter of its name,
+# except that --wl-iterations sets wl's "iterations".
+_SPEC_FLAGS = ("form", "use_attributes", "lambda1", "lambda2", "lam", "landmarks",
+               "component", "gen_lo", "gen_hi", "wl_iterations", "length_kernel")
 
 
 def _kernel_params(args: argparse.Namespace) -> dict:
@@ -144,8 +135,9 @@ def _kernel_params(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise UsageError("--spec-json must be a JSON object")
         params.update(loaded)
-    for attr, key in _SPEC_FLAG_KEYS:
+    for attr in _SPEC_FLAGS:
         value = getattr(args, attr, None)
+        key = "iterations" if attr == "wl_iterations" else attr
         if attr == "use_attributes":
             if value:
                 params[key] = True
@@ -385,6 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treekern", description="Geometric tree kernels")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    default = {k: v for name in ("rootpath-embedded", "agaw", "wl") for k, v in build_kernel(name).params.items()}
     spec_flags = argparse.ArgumentParser(add_help=False)
     group = spec_flags.add_argument_group("kernel spec")
     group.add_argument("--form", choices=["linear", "gaussian"], default=None,
@@ -397,14 +390,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="gaussian attribute scale (default 1/d)")
     group.add_argument("--lam", type=float, default=None, help="embedded gaussian scale")
     group.add_argument("--landmarks", type=int, default=None,
-                       help="equidistant points per resampled path (default 20)")
+                       help=f"equidistant points per resampled path (default {default['landmarks']})")
     group.add_argument("--component", type=int, default=None, help="attribute component index")
     group.add_argument("--gen-lo", dest="gen_lo", type=int, default=None,
-                       help="first generation for agaw (default 3)")
+                       help=f"first generation for agaw (default {default['gen_lo']})")
     group.add_argument("--gen-hi", dest="gen_hi", type=int, default=None,
-                       help="last generation for agaw (default 6)")
+                       help=f"last generation for agaw (default {default['gen_hi']})")
     group.add_argument("--wl-iterations", dest="wl_iterations", type=int, default=None,
-                       help="label refinement rounds (default 10)")
+                       help=f"label refinement rounds (default {default['iterations']})")
     group.add_argument("--length-kernel", dest="length_kernel", choices=["delta", "linear"],
                        default=None, help="path length comparison for sp")
     group.add_argument("--spec-json", dest="spec_json", default=None,

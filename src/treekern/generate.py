@@ -14,8 +14,9 @@ All randomness comes from a counter-based generator keyed by
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,11 @@ class GeneratorConfig:
     attr_noise_sd: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):  # annotations are strings: "int" or "float"
+            value, integral = getattr(self, f.name), f.type == "int"
+            kind = (int, np.integer) if integral else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not (integral or math.isfinite(value)):
+                raise ValueError(f"{f.name} must be {'an integer' if integral else 'a finite number'}, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n < 1:

@@ -100,9 +100,11 @@ def assemble(
     ids = [t.id for t in trees]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate tree ids in dataset")
-    dims = {(t.n, t.d) for t in trees}
-    if len(dims) > 1:
-        raise ValueError(f"incompatible tree dimensions in dataset: {sorted(dims)}")
+    first = trees[0]
+    odd = next((t for t in trees if (t.n, t.d) != (first.n, first.d)), None)
+    if odd is not None:
+        dims = f"tree '{odd.id}' has (n, d) = ({odd.n}, {odd.d}), tree '{first.id}' ({first.n}, {first.d})"
+        raise ValueError(f"incompatible tree dimensions in dataset: {dims}")
     kernel.prepare(trees)
     if kernel.cohort is not None:
         values = kernel.cohort.gram(trees)

@@ -22,6 +22,7 @@ sets (gaussian) or feature maps of landmark row sums (linear).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -34,7 +35,6 @@ from .trees import GeometricTree, NodePath, canonical_pair
 __all__ = [
     "NodeKernelSpec",
     "PathKernelSpec",
-    "EmbeddedPath",
     "sample_embedded_path",
     "landmark_path_kernel",
     "node_kernel",
@@ -44,6 +44,15 @@ __all__ = [
     "rootpath_kernel_decomposed",
     "rootpath_kernel_linear_fast",
 ]
+
+
+def _check_scale(name: str, value) -> None:
+    """A gaussian scale is None (its default) or a finite positive real."""
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf
+    ):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
 
 @dataclass(frozen=True)
 class NodeKernelSpec:
@@ -64,10 +73,8 @@ class NodeKernelSpec:
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"unknown node kernel form '{self.form}'")
-        for name in ("lambda1", "lambda2"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive")
+        _check_scale("lambda1", self.lambda1)
+        _check_scale("lambda2", self.lambda2)
 
 
 @dataclass(frozen=True)
@@ -94,15 +101,7 @@ class PathKernelSpec:
             raise ValueError(f"unknown path kernel form '{self.form}'")
         if self.landmarks < 2:
             raise ValueError("landmark count must be at least 2")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lam must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddedPath:
-    """A path resampled at m arc-length equidistant points, shape (m, n)."""
-
-    landmarks: np.ndarray
+        _check_scale("lam", self.lam)
 
 
 def _lambda1(spec: NodeKernelSpec, n: int) -> float:
@@ -122,50 +121,46 @@ def _check_node_spec(trees, spec: NodeKernelSpec) -> None:
     t1 = trees[0]
     for t2 in trees:
         if t1.n != t2.n:
-            raise ValueError(f"geometric dimensions differ: {t1.n} vs {t2.n}")
+            raise ValueError(f"geometric dimensions differ: tree '{t2.id}' has n = {t2.n}, tree '{t1.id}' {t1.n}")
         if spec.use_attributes:
             if t1.d == 0 or t2.d == 0:
-                raise ValueError("node kernel uses attributes, which needs d > 0, but a tree has d = 0")
+                bare = t1 if t1.d == 0 else t2
+                raise ValueError(f"node kernel uses attributes, which needs d > 0, but tree '{bare.id}' has d = 0")
             if t1.d != t2.d:
-                raise ValueError(f"attribute dimensions differ: {t1.d} vs {t2.d}")
+                raise ValueError(f"attribute dimensions differ: tree '{t2.id}' has d = {t2.d}, tree '{t1.id}' {t1.d}")
 
 
 # -- embedded landmark paths ---------------------------------------------------
 
 
-def sample_embedded_path(tree: GeometricTree, vi: int, vj: int, m: int) -> EmbeddedPath:
+def sample_embedded_path(tree: GeometricTree, vi: int, vj: int, m: int) -> np.ndarray:
     """Resample the path polyline from ``vi`` to ``vj`` at ``m`` arc-length
-    equidistant points, endpoints included. A degenerate path of total length
-    zero yields ``m`` copies of the start position."""
+    equidistant points, endpoints included: the landmarks, shape (m, n). A
+    degenerate path of total length zero yields ``m`` copies of the start
+    position."""
     if m < 2:
         raise ValueError("landmark count must be at least 2")
     pts = tree.node_path(vi, vj).positions()
     if len(pts) == 1:
-        out = np.tile(pts[0], (m, 1))
-        return EmbeddedPath(out)
+        return np.tile(pts[0], (m, 1))
     seg = np.diff(pts, axis=0)
     seg_len = np.sqrt((seg * seg).sum(axis=1))
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     total = cum[-1]
     if total == 0.0:
-        return EmbeddedPath(np.tile(pts[0], (m, 1)))
+        return np.tile(pts[0], (m, 1))
     t = np.linspace(0.0, total, m)
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(seg) - 1)
     denom = np.where(seg_len[idx] > 0, seg_len[idx], 1.0)
     frac = np.clip((t - cum[idx]) / denom, 0.0, 1.0)
-    out = pts[idx] + frac[:, None] * seg[idx]
-    return EmbeddedPath(out)
-
-
-def _as_landmarks(p) -> np.ndarray:
-    return p.landmarks if isinstance(p, EmbeddedPath) else np.asarray(p, dtype=float)
+    return pts[idx] + frac[:, None] * seg[idx]
 
 
 def landmark_path_kernel(p, q, spec: PathKernelSpec, n: int | None = None) -> float:
-    """Kernel between two embedded paths: dot product of the stacked landmark
-    vectors, or a gaussian of their squared distance."""
-    a = _as_landmarks(p)
-    b = _as_landmarks(q)
+    """Kernel between two embedded paths, given as landmark arrays: dot
+    product of the stacked landmark vectors, or a gaussian of their squared
+    distance."""
+    a, b = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"landmark shapes differ: {a.shape} vs {b.shape}")
     if spec.form == "linear":
@@ -183,7 +178,7 @@ def _landmark_stack(tree: GeometricTree, m: int, paths: str) -> np.ndarray:
     def build():
         nodes = range(tree.size)
         ends = [(v, tree.root_index) for v in nodes] if paths == "rootpath" else [(i, j) for i in nodes for j in nodes]
-        out = np.array([sample_embedded_path(tree, i, j, m).landmarks.ravel() for i, j in ends])
+        out = np.array([sample_embedded_path(tree, i, j, m).ravel() for i, j in ends])
         out.setflags(write=False)
         return out
 

@@ -1,11 +1,16 @@
-"""Catalog of named kernels.
+"""Catalog of named kernels: the one place every kernel is reached from.
 
-Each entry gives a kernel's parameter defaults and a route built from the
-resolved parameters: a pairwise function of two trees or a cohort route,
-either a :class:`~treekern.features.FeatureMap` (``rootpath-node`` with
-linear ``form`` and ``rootpath-node-linear-fast`` share one, and linear
+Each entry gives a kernel's parameter defaults, written here or read from
+the class defaults of :class:`~treekern.path_kernels.NodeKernelSpec`,
+:class:`~treekern.path_kernels.PathKernelSpec` and
+:class:`~treekern.baselines.WLConfig`, and a route built from the resolved
+parameters: a pairwise function of two trees or a cohort route, either a
+:class:`~treekern.features.FeatureMap` (``rootpath-node`` with linear
+``form`` and ``rootpath-node-linear-fast`` share one, and linear
 ``all-pairs-node`` has one) or a gaussian
-:class:`~treekern.features.NodeSet`. The :class:`PairwiseKernel` wrapper
+:class:`~treekern.features.NodeSet`. ``build_kernel(name, **params)``
+returns a :class:`PairwiseKernel`: its ``value(t1, t2)`` is the single-pair
+entry point and :func:`treekern.assemble` takes it over a cohort. It also
 carries the resolved parameters (for Gram sidecars and manifests), the
 cohort route when there is one, and a ``prepare`` hook that assembly calls
 once over the whole dataset. No catalogued kernel needs the hook: every
@@ -14,7 +19,7 @@ per-tree cache is built lazily on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -65,8 +70,9 @@ def _embedded(paths, **params):
     return path_kernels.landmark_route(spec, paths)
 
 
-_NODE = {"form": "gaussian", "use_attributes": False, "lambda1": None, "lambda2": None}
-_EMBEDDED = {"form": "gaussian", "landmarks": 20, "lam": None}
+_NODE = asdict(NodeKernelSpec())
+_EMBEDDED = {key: getattr(PathKernelSpec, key) for key in ("form", "landmarks", "lam")}
+_ATTRIBUTE = {"component": 0, "form": "gaussian"}
 
 # name -> (parameter defaults, route factory called with the resolved parameters)
 _CATALOG: dict[str, tuple[dict, Callable]] = {
@@ -79,17 +85,14 @@ _CATALOG: dict[str, tuple[dict, Callable]] = {
         {**_NODE, "form": "linear"},
         lambda **p: path_kernels.rootpath_linear_map(NodeKernelSpec(**p)),
     ),
-    "pointcloud": ({"lambda1": None, "lambda2": None}, baselines.pointcloud_node_set),
-    "aaw": ({"component": 0, "form": "gaussian"}, baselines.attribute_mean_map),
-    "agaw": (
-        {"component": 0, "form": "gaussian", "gen_lo": 3, "gen_hi": 6},
-        baselines.generation_mean_map,
-    ),
+    "pointcloud": ({key: _NODE[key] for key in ("lambda1", "lambda2")}, baselines.pointcloud_node_set),
+    "aaw": (_ATTRIBUTE, baselines.attribute_mean_map),
+    "agaw": ({**_ATTRIBUTE, "gen_lo": 3, "gen_hi": 6}, baselines.generation_mean_map),
     "lbc": ({}, lambda: baselines.node_count_map("linear")),
     "gbc": ({}, lambda: baselines.node_count_map("gaussian")),
     "sp": ({"length_kernel": "delta"}, baselines.shortest_path_map),
     "wl": (
-        {"iterations": 10},
+        {"iterations": WLConfig.iterations},
         lambda **p: partial(baselines.weisfeiler_lehman_kernel, cfg=WLConfig(**p)),
     ),
 }

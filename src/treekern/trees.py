@@ -173,17 +173,24 @@ class GeometricTree:
         self._cache: dict = {}
 
     def _stack_rows(self, rows, width: int, what: str) -> np.ndarray:
-        """Rows as one (|V|, width) float array; the first row of another
-        size raises, naming its input position."""
-        with contextlib.suppress(ValueError):  # ragged rows, or a value that is not a number
-            stacked = np.array(rows, dtype=float)
-            if stacked.shape == (len(rows), width):
-                return stacked
-        flat = [np.asarray(row, dtype=float).ravel() for row in rows]
-        for i, row in enumerate(flat):
-            if row.size != width:
-                raise ValueError(f"tree '{self.id}': node {i} {what} dimension {row.size}, expected {width}")
-        return np.array(flat)
+        """Rows of numbers as one (|V|, width) float array; the first row of
+        another size, or holding anything but numbers, raises, naming its
+        input position."""
+        with contextlib.suppress(ValueError):  # ragged rows
+            stacked = np.array(rows)
+            if stacked.shape == (len(rows), width) and stacked.dtype.kind in "iuf":
+                return stacked.astype(float, copy=False)
+        flat = []
+        for i, row in enumerate(rows):
+            try:
+                flat.append(np.array(row).ravel())
+            except ValueError:  # a ragged row
+                flat.append(np.array([row], dtype=object))
+            if flat[-1].dtype.kind not in "iuf":
+                raise ValueError(f"tree '{self.id}': node {i} {what} an entry that is not a number: {row!r}")
+            if flat[-1].size != width:
+                raise ValueError(f"tree '{self.id}': node {i} {what} dimension {flat[-1].size}, expected {width}")
+        return np.array(flat, dtype=float)
 
     # -- basic structure -------------------------------------------------------
 
@@ -403,40 +410,54 @@ def serialize_tree(tree: GeometricTree) -> bytes:
 
 
 def _tree_from_obj(obj: dict, source: str = "tree") -> GeometricTree:
+    """Build a tree from a decoded JSON object; every error names ``source``,
+    then the tree id and the node once they are known."""
     if not isinstance(obj, dict):
         raise ValueError(f"{source}: expected a JSON object")
     for key in ("id", "n", "d", "nodes"):
         if key not in obj:
             raise ValueError(f"{source}: missing field '{key}'")
-    raw_nodes = obj["nodes"]
+    where = f"{source}: tree '{obj['id']}'"
+    for key in ("n", "d"):
+        if type(obj[key]) is not int:  # exact type: a JSON boolean is no integer
+            raise ValueError(f"{where}: '{key}' must be an integer, got {obj[key]!r}")
+    raw_nodes, d = obj["nodes"], obj["d"]
     if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise ValueError(f"{source}: 'nodes' must be a non-empty array")
-    d = int(obj["d"])
+        raise ValueError(f"{where}: 'nodes' must be a non-empty array")
     try:
-        ids = [int(entry["id"]) for entry in raw_nodes]
+        ids = [entry["id"] for entry in raw_nodes]
         parent_ids = [entry["parent"] for entry in raw_nodes]
         xs = [entry["x"] for entry in raw_nodes]
     except (KeyError, TypeError):
         for pos, entry in enumerate(raw_nodes):
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where}: node at position {pos} is not an object") from None
             for key in ("id", "parent", "x"):
                 if key not in entry:
-                    raise ValueError(f"{source}: node at position {pos} missing field '{key}'") from None
+                    raise ValueError(f"{where}: node at position {pos} missing field '{key}'") from None
         raise
+    for key, values, kinds in (("id", ids, (int,)), ("parent", parent_ids, (int, type(None)))):
+        bad = next((pos for pos, value in enumerate(values) if type(value) not in kinds), None)
+        if bad is not None:
+            raise ValueError(f"{where}: node at position {bad} has '{key}' {values[bad]!r}, not an integer")
     pos_of_id = {node_id: pos for pos, node_id in enumerate(ids)}
     if len(pos_of_id) < len(ids):
         duplicate = next(node_id for node_id, count in Counter(ids).items() if count > 1)
-        raise ValueError(f"{source}: duplicate node id {duplicate}")
-    parents = [-1 if p is None else pos_of_id.get(int(p), -2) for p in parent_ids]  # -2: no such node
+        raise ValueError(f"{where}: duplicate node id {duplicate}")
+    parents = [-1 if p is None else pos_of_id.get(p, -2) for p in parent_ids]  # -2: no such node
     if -2 in parents:
         pos = parents.index(-2)
-        raise ValueError(f"{source}: node {raw_nodes[pos]['id']} references unknown parent {parent_ids[pos]}")
+        raise ValueError(f"{where}: node {ids[pos]} references unknown parent {parent_ids[pos]}")
     has_a = ["a" in entry for entry in raw_nodes]
     if d > 0 and not all(has_a):
-        raise ValueError(f"{source}: node {raw_nodes[has_a.index(False)]['id']} missing field 'a' (d = {d})")
+        raise ValueError(f"{where}: node {ids[has_a.index(False)]} missing field 'a' (d = {d})")
     if d == 0 and any(has_a):
-        raise ValueError(f"{source}: node {raw_nodes[has_a.index(True)]['id']} carries 'a' but d = 0")
+        raise ValueError(f"{where}: node {ids[has_a.index(True)]} carries 'a' but d = 0")
     attrs = [entry["a"] for entry in raw_nodes] if d > 0 else None
-    return GeometricTree.from_arrays(str(obj["id"]), parents, xs, attrs, n=int(obj["n"]), d=d)
+    try:
+        return GeometricTree.from_arrays(str(obj["id"]), parents, xs, attrs, n=obj["n"], d=d)
+    except ValueError as exc:  # already names the tree and the node
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def parse_tree(data: bytes | str | dict) -> GeometricTree:

@@ -6,17 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from treekern import (
-    GeometricTree,
-    Node,
-    WLConfig,
-    average_attribute_kernel,
-    branchcount_kernels,
-    generation_average_kernel,
-    pointcloud_kernel,
-    shortest_path_kernel,
-    weisfeiler_lehman_kernel,
-)
+from treekern import GeometricTree, Node, WLConfig, build_kernel, weisfeiler_lehman_kernel
 
 from conftest import chain_tree, distance_histogram, random_tree, star_tree
 
@@ -34,21 +24,22 @@ def test_pointcloud_hand_value():
     t1 = attributed("p1", [(None, 0, 0), (0, 1, 3)])
     t2 = attributed("p2", [(None, 0, 0), (0, 2, 3)])
     # one edge each; child positions differ by 1, attributes agree
-    got = pointcloud_kernel(t1, t2, lambda1=1.0, lambda2=1.0)
+    got = build_kernel("pointcloud", lambda1=1.0, lambda2=1.0).value(t1, t2)
     assert got == pytest.approx(math.exp(-1.0))
     # default scales are 1/n = 1 and 1/d = 1 here
-    assert pointcloud_kernel(t1, t2) == pytest.approx(math.exp(-1.0))
+    assert build_kernel("pointcloud").value(t1, t2) == pytest.approx(math.exp(-1.0))
 
 
 def test_pointcloud_requirements():
     t1 = attributed("q1", [(None, 0, 0), (0, 1, 1)])
     single = attributed("q2", [(None, 0, 0)])
+    pointcloud = build_kernel("pointcloud").value
     with pytest.raises(ValueError, match="d > 0"):
-        pointcloud_kernel(t1, chain_tree(2, tree_id="bare"))
+        pointcloud(t1, chain_tree(2, tree_id="bare"))
     with pytest.warns(UserWarning, match="no edges"):
-        assert pointcloud_kernel(t1, single) == 0.0
+        assert pointcloud(t1, single) == 0.0
     with pytest.raises(ValueError, match="positive"):
-        pointcloud_kernel(t1, t1, lambda1=-1.0)
+        build_kernel("pointcloud", lambda1=-1.0).value(t1, t1)
 
 
 def test_pointcloud_matches_edge_pair_loop(rng):
@@ -63,7 +54,7 @@ def test_pointcloud_matches_edge_pair_loop(rng):
                 dx = t1.positions[i] - t2.positions[j]
                 da = t1.attributes[i] - t2.attributes[j]
                 expected += math.exp(-(dx @ dx) / 2.0) * math.exp(-(da @ da) / 2.0)
-        assert pointcloud_kernel(t1, t2) == pytest.approx(expected, rel=1e-12)
+        assert build_kernel("pointcloud").value(t1, t2) == pytest.approx(expected, rel=1e-12)
 
 
 # -- attribute means ----------------------------------------------------------------
@@ -72,24 +63,25 @@ def test_pointcloud_matches_edge_pair_loop(rng):
 def test_average_attribute_kernel():
     t1 = attributed("a1", [(None, 0, 1), (0, 1, 3)])  # mean 2
     t2 = attributed("a2", [(None, 0, 4)])  # mean 4
-    assert average_attribute_kernel(t1, t2) == pytest.approx(math.exp(-4.0))
-    assert average_attribute_kernel(t1, t2, form="linear") == pytest.approx(8.0)
-    assert average_attribute_kernel(t1, t1) == pytest.approx(1.0)
+    aaw = build_kernel("aaw").value
+    assert aaw(t1, t2) == pytest.approx(math.exp(-4.0))
+    assert build_kernel("aaw", form="linear").value(t1, t2) == pytest.approx(8.0)
+    assert aaw(t1, t1) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="component"):
-        average_attribute_kernel(t1, t2, component=5)
+        build_kernel("aaw", component=5).value(t1, t2)
     with pytest.raises(ValueError, match="form"):
-        average_attribute_kernel(t1, t2, form="cubic")
+        build_kernel("aaw", form="cubic").value(t1, t2)
     with pytest.raises(ValueError, match="d = 0"):
-        average_attribute_kernel(chain_tree(2), chain_tree(2, tree_id="c2"))
+        aaw(chain_tree(2), chain_tree(2, tree_id="c2"))
 
 
 def test_generation_average_kernel():
     # depth 0 holds the root, depth 1 its children
     t1 = attributed("g1", [(None, 0, 2), (0, 1, 4), (0, 2, 6)])  # gen means 2, 5
     t2 = attributed("g2", [(None, 0, 1), (0, 1, 3)])  # gen means 1, 3
-    got = generation_average_kernel(t1, t2, gen_lo=0, gen_hi=1)
+    got = build_kernel("agaw", gen_lo=0, gen_hi=1).value(t1, t2)
     assert got == pytest.approx(math.exp(-(1.0 + 4.0)))
-    lin = generation_average_kernel(t1, t2, gen_lo=0, gen_hi=1, form="linear")
+    lin = build_kernel("agaw", gen_lo=0, gen_hi=1, form="linear").value(t1, t2)
     assert lin == pytest.approx(2.0 * 1.0 + 5.0 * 3.0)
 
 
@@ -98,10 +90,10 @@ def test_generation_average_warns_on_missing_generations():
     t2 = attributed("w2", [(None, 0, 2), (0, 1, 4)])
     # the default window is generations 3..6, all beyond these trees
     with pytest.warns(UserWarning, match="generation"):
-        got = generation_average_kernel(t1, t2)
+        got = build_kernel("agaw").value(t1, t2)
     assert got == pytest.approx(1.0)  # both vectors are zero
     with pytest.raises(ValueError, match="gen_lo"):
-        generation_average_kernel(t1, t2, gen_lo=2, gen_hi=1)
+        build_kernel("agaw", gen_lo=2, gen_hi=1).value(t1, t2)
 
 
 # -- branch counts ------------------------------------------------------------------
@@ -110,28 +102,28 @@ def test_generation_average_warns_on_missing_generations():
 def test_branchcount_kernels():
     t1 = chain_tree(2, tree_id="b1")
     t2 = chain_tree(3, tree_id="b2")
-    lbc, gbc = branchcount_kernels(t1, t2)
-    assert lbc == pytest.approx(6.0)
-    assert gbc == pytest.approx(math.exp(-1.0))
-    lbc_same, gbc_same = branchcount_kernels(t2, t2)
-    assert lbc_same == pytest.approx(9.0)
-    assert gbc_same == pytest.approx(1.0)
+    lbc, gbc = build_kernel("lbc").value, build_kernel("gbc").value
+    assert lbc(t1, t2) == pytest.approx(6.0)
+    assert gbc(t1, t2) == pytest.approx(math.exp(-1.0))
+    assert lbc(t2, t2) == pytest.approx(9.0)
+    assert gbc(t2, t2) == pytest.approx(1.0)
 
 
 # -- shortest paths -----------------------------------------------------------------
 
 
 def test_shortest_path_hand_values():
+    sp = build_kernel("sp").value
     c3 = chain_tree(3, tree_id="c3")
     # ordered pairs of a 3-chain by distance: 3 at 0, 4 at 1, 2 at 2
-    assert shortest_path_kernel(c3, c3) == pytest.approx(29.0)
+    assert sp(c3, c3) == pytest.approx(29.0)
     c2 = chain_tree(2, tree_id="c2")
     # c2 counts: 2 at 0, 2 at 1
-    assert shortest_path_kernel(c2, c3) == pytest.approx(2 * 3 + 2 * 4)
+    assert sp(c2, c3) == pytest.approx(2 * 3 + 2 * 4)
     # linear length kernel factorizes into weighted count sums: 2 * 8
-    assert shortest_path_kernel(c2, c3, length_kernel="linear") == pytest.approx(16.0)
+    assert build_kernel("sp", length_kernel="linear").value(c2, c3) == pytest.approx(16.0)
     with pytest.raises(ValueError, match="length kernel"):
-        shortest_path_kernel(c2, c3, length_kernel="step")
+        build_kernel("sp", length_kernel="step").value(c2, c3)
 
 
 def test_shortest_path_matches_networkx(rng):
@@ -141,7 +133,7 @@ def test_shortest_path_matches_networkx(rng):
         c1 = distance_histogram(t1)
         c2 = distance_histogram(t2)
         expected = float(sum(v * c2.get(k, 0) for k, v in c1.items()))
-        assert shortest_path_kernel(t1, t2) == pytest.approx(expected)
+        assert build_kernel("sp").value(t1, t2) == pytest.approx(expected)
 
 
 # -- label refinement ---------------------------------------------------------------
@@ -183,11 +175,12 @@ def test_wl_value_independent_of_evaluation_history(rng):
 
 
 def test_baseline_symmetry_is_exact(rng):
+    pointcloud, sp, aaw = (build_kernel(name).value for name in ("pointcloud", "sp", "aaw"))
     for trial in range(8):
         t1 = random_tree(rng, 20, n=2, d=1, tree_id=f"y{trial}a")
         t2 = random_tree(rng, 20, n=2, d=1, tree_id=f"y{trial}b")
         if t1.size > 1 and t2.size > 1:
-            assert pointcloud_kernel(t1, t2) == pointcloud_kernel(t2, t1)
-        assert shortest_path_kernel(t1, t2) == shortest_path_kernel(t2, t1)
+            assert pointcloud(t1, t2) == pointcloud(t2, t1)
+        assert sp(t1, t2) == sp(t2, t1)
         assert weisfeiler_lehman_kernel(t1, t2) == weisfeiler_lehman_kernel(t2, t1)
-        assert average_attribute_kernel(t1, t2) == average_attribute_kernel(t2, t1)
+        assert aaw(t1, t2) == aaw(t2, t1)

@@ -42,7 +42,7 @@ def test_gen_reruns_are_byte_identical(tmp_path):
         assert (a / fname).read_bytes() == (b / fname).read_bytes()
 
 
-def test_gen_config_overrides(tmp_path):
+def test_gen_config_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"max_depth": 2}')
     out = tmp_path / "shallow"
@@ -55,6 +55,15 @@ def test_gen_config_overrides(tmp_path):
     assert run(["gen", "--out", tmp_path / "x", "--size", 6, "--config", cfg]) == 1
     cfg.write_text("[1, 2]")
     assert run(["gen", "--out", tmp_path / "y", "--size", 6, "--config", cfg]) == 1
+    # fields of the wrong JSON type are data errors that name the field, never cast
+    for text, field in [('{"n": 2.0}', "n"), ('{"d": true}', "d"), ('{"max_depth": 7.5}', "max_depth"),
+                        ('{"p_branch": "0.5"}', "p_branch")]:
+        cfg.write_text(text)
+        assert run(["gen", "--out", tmp_path / "z", "--size", 6, "--config", cfg]) == 1
+        assert f"{cfg}: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "z").exists()
+    cfg.write_text('{"p_branch": 1.0, "max_depth": 7}')
+    assert run(["gen", "--out", tmp_path / "complete", "--size", 2, "--config", cfg]) == 0
 
 
 def test_kernel_command_and_reproducibility(tmp_path):
@@ -195,7 +204,7 @@ def test_kernel_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
-def test_kernel_data_errors(tmp_path):
+def test_kernel_data_errors(tmp_path, capsys):
     out = tmp_path / "g.csv"
     assert run(["kernel", tmp_path / "missing.json", "--kernel", "sp", "--out", out]) == 1
 
@@ -215,6 +224,12 @@ def test_kernel_data_errors(tmp_path):
             ["kernel", data, "--kernel", "pointcloud", "--normalize", "--threads", 1, "--out", out]
         )
     assert code == 1
+
+    # malformed tree JSON is a data error naming the file, the tree and the node
+    bad = tmp_path / "bad.json"
+    bad.write_text('[{"id": "t", "n": 1, "d": 0, "nodes": [{"id": 0, "parent": null, "x": ["a"]}]}]')
+    assert run(["kernel", bad, "--kernel", "sp", "--out", out]) == 1
+    assert f"{bad}[0]: tree 't': node 0 position has an entry that is not a number" in capsys.readouterr().err
 
 
 def test_spec_json_file_and_flag_precedence(tmp_path):
@@ -270,6 +285,10 @@ def test_spec_json_file_and_flag_precedence(tmp_path):
         ("rootpath-embedded", '{"landmarks": 2.7}'),
         ("wl", '{"iterations": "3"}'),
         ("aaw", '{"component": true}'),
+        ("rootpath-node", '{"lambda1": "0.5"}'),
+        ("rootpath-node", '{"lambda1": true}'),
+        ("rootpath-node", '{"lambda2": Infinity}'),
+        ("rootpath-embedded", '{"lam": "x"}'),
     ]:
         g4 = tmp_path / "g4.csv"
         assert run(["kernel", data / "trees.json", "--kernel", kernel, "--spec-json", inline, "--out", g4]) == 2

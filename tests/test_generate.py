@@ -1,5 +1,6 @@
 """Synthetic generator: determinism, shape statistics, presets, and labels."""
 
+import math
 from collections import deque
 from dataclasses import replace
 
@@ -121,6 +122,12 @@ def test_config_validation():
         GeneratorConfig(seed=-1)
     with pytest.raises(ValueError, match="non-negative"):
         generate_tree(GeneratorConfig(), seed_offset=-1)
+    # integer fields take integers and the rest finite numbers, never booleans or strings
+    for field, value in [("n", 2.0), ("d", True), ("max_depth", 7.5), ("seed", "1"), ("p_branch", True),
+                         ("p_stop", "0.1"), ("attr_base", math.inf), ("direction_jitter", None)]:
+        with pytest.raises(ValueError, match=f"^{field} must be an? (integer|finite number), got"):
+            GeneratorConfig(**{field: value})
+    assert GeneratorConfig(n=np.int64(2), p_branch=1, max_depth=7).max_depth == 7
 
 
 def test_population_layout():

@@ -96,7 +96,7 @@ def test_assemble_errors(rng):
     with pytest.raises(ValueError, match="duplicate"):
         assemble([trees[0], trees[0]], kernel)
     mixed = trees + [random_tree(rng, 5, n=2, d=1, tree_id="odd")]
-    with pytest.raises(ValueError, match="dimensions"):
+    with pytest.raises(ValueError, match=r"dimensions.*tree 'odd' has \(n, d\) = \(2, 1\), tree 't000' \(3, 1\)"):
         assemble(mixed, kernel)
     with pytest.raises(ValueError, match="threads"):
         assemble(trees, kernel, threads=0)
@@ -314,10 +314,17 @@ def test_registry_names_and_errors(rng):
         ("rootpath-embedded", {"landmarks": 2.7}, r"'landmarks' must be an integer, got 2.7"),
         ("wl", {"iterations": "3"}, r"'iterations' must be an integer, got '3'"),
         ("aaw", {"component": True}, r"'component' must be an integer, got True"),
+        # gaussian scales must be finite positive reals, never strings or booleans
+        ("rootpath-node", {"lambda1": "0.5"}, r"lambda1 must be a finite positive number, got '0.5'"),
+        ("rootpath-node", {"lambda1": True}, r"lambda1 must be a finite positive number, got True"),
+        ("pointcloud", {"lambda2": math.inf}, r"lambda2 must be a finite positive number, got inf"),
+        ("all-pairs-node", {"lambda2": math.nan}, r"lambda2 must be a finite positive number, got nan"),
+        ("rootpath-embedded", {"lam": "x"}, r"lam must be a finite positive number, got 'x'"),
     ]:
         with pytest.raises(ValueError, match=match):
             build_kernel(name, **params)
     assert build_kernel("rootpath-embedded", landmarks=np.int64(3)).params["landmarks"] == 3
+    assert build_kernel("rootpath-node", lambda1=2, lambda2=np.float32(0.5)).params["lambda1"] == 2
 
 
 def test_readme_lists_every_kernel_name():
@@ -326,6 +333,11 @@ def test_readme_lists_every_kernel_name():
     listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
     assert sorted(listed) == sorted(KERNEL_NAMES)
     assert len(listed) == len(set(listed))
+    # the last column names exactly the parameters the kernel accepts
+    rows = re.findall(r"^\| `([^`]+)` \|.*\| ([^|]*) \|$", section, flags=re.MULTILINE)
+    assert len(rows) == len(listed)
+    for name, params in rows:
+        assert set(re.findall(r"`([^`]+)`", params)) == set(build_kernel(name).params), name
 
 
 def test_scalar_linear_flags():

@@ -54,16 +54,16 @@ def test_sample_embedded_path_arc_length():
         Node(parent=1, x=np.array([3.0, 0.0, 0.0])),
     ]
     t = GeometricTree("seg", nodes, n=3, d=0)
-    lm = sample_embedded_path(t, 2, 0, 3).landmarks
+    lm = sample_embedded_path(t, 2, 0, 3)
     assert np.allclose(lm, [[3.0, 0, 0], [1.5, 0, 0], [0.0, 0, 0]], atol=1e-15)
     # endpoints are always included
-    lm2 = sample_embedded_path(t, 0, 2, 2).landmarks
+    lm2 = sample_embedded_path(t, 0, 2, 2)
     assert np.allclose(lm2, [[0.0, 0, 0], [3.0, 0, 0]])
 
 
 def test_sample_embedded_path_degenerate():
     t = constant_tree(1, "single")
-    lm = sample_embedded_path(t, 0, 0, 5).landmarks
+    lm = sample_embedded_path(t, 0, 0, 5)
     assert lm.shape == (5, 1)
     assert np.all(lm == 1.0)
     with pytest.raises(ValueError, match="at least 2"):
@@ -138,11 +138,14 @@ def test_node_kernel_default_scales():
 def test_node_kernel_dimension_checks():
     t1 = chain_tree(2, n=1, tree_id="a")
     t2 = chain_tree(2, n=2, tree_id="b")
-    with pytest.raises(ValueError, match="dimensions differ"):
+    with pytest.raises(ValueError, match="dimensions differ: tree 'b' has n = 2, tree 'a' 1"):
         node_kernel(t1, 0, t2, 0, NodeKernelSpec())
     t3 = chain_tree(2, n=1, tree_id="c")
-    with pytest.raises(ValueError, match="d = 0"):
+    with pytest.raises(ValueError, match="d > 0, but tree 'a' has d = 0"):
         node_kernel(t1, 0, t3, 0, NodeKernelSpec(use_attributes=True))
+    t4, t5 = chain_tree(2, n=1, d=1, tree_id="d1"), chain_tree(2, n=1, d=2, tree_id="d2")
+    with pytest.raises(ValueError, match="attribute dimensions differ: tree 'd2' has d = 2, tree 'd1' 1"):
+        node_kernel(t4, 0, t5, 0, NodeKernelSpec(use_attributes=True))
 
 
 def test_node_path_kernel():

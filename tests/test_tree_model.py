@@ -364,6 +364,23 @@ def test_parse_errors():
         parse_tree({**good, "d": 1})
     with pytest.raises(ValueError, match="invalid tree JSON"):
         parse_tree(b"{nope")
+    # every malformed field names the tree and the node, with no type coercion
+    root = {"id": 0, "parent": None, "x": [0.0]}
+    for changes, match in [
+        ({"nodes": [root, 7]}, r"tree 't': node at position 1 is not an object"),
+        ({"nodes": [root, {"id": 1, "parent": [0], "x": [1.0]}]}, r"node at position 1 has 'parent' \[0\], not an integer"),
+        ({"nodes": [root, {"id": 1, "parent": True, "x": [1.0]}]}, r"node at position 1 has 'parent' True"),
+        ({"nodes": [{**root, "id": 0.5}]}, r"tree 't': node at position 0 has 'id' 0.5, not an integer"),
+        ({"nodes": [{**root, "id": "0"}]}, r"node at position 0 has 'id' '0'"),
+        ({"nodes": [{**root, "x": ["a"]}]}, r"tree 't': node 0 position has an entry that is not a number: \['a'\]"),
+        ({"nodes": [{**root, "x": [None]}]}, r"node 0 position has an entry that is not a number"),
+        ({"nodes": [{**root, "x": [[0.0], [1.0, 2.0]]}]}, r"node 0 position has an entry that is not a number"),
+        ({"d": 1, "nodes": [{**root, "a": ["1.5"]}]}, r"node 0 attributes have an entry that is not a number"),
+        ({"n": "two"}, r"tree 't': 'n' must be an integer, got 'two'"),
+        ({"d": False}, r"tree 't': 'd' must be an integer, got False"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            parse_tree({**good, **changes})
 
 
 def test_dataset_round_trip(tmp_path, rng):
