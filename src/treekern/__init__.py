@@ -2,7 +2,6 @@
 
 from .trees import (
     GeometricTree,
-    Node,
     NodePath,
     canonical_pair,
     load_dataset,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GeometricTree",
-    "Node",
     "NodePath",
     "canonical_pair",
     "parse_tree",

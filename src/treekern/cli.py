@@ -153,6 +153,13 @@ def _build_kernel_or_usage(name: str, params: dict):
         raise UsageError(str(exc)) from exc
 
 
+def _out_path(args: argparse.Namespace) -> Path:
+    """The ``--out`` file path, its parent directory created if missing."""
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _check_threads(threads: int | None) -> None:
     if threads is not None and threads < 1:
         raise UsageError("--threads must be >= 1")
@@ -172,6 +179,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--normalize is degenerate for the scalar linear kernel '{args.kernel}'"
         )
+    out = _out_path(args)
     stages: dict[str, float] = {}
     with stage(stages, "load"):
         trees = load_dataset(args.trees)
@@ -192,9 +200,6 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if args.normalize:
         with stage(stages, "normalize"):
             matrix = normalize(matrix)
-    out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
     with stage(stages, "save"):
         save_gram(matrix, out)
     n_pairs = matrix.size * (matrix.size + 1) // 2
@@ -227,6 +232,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     if args.permutations < 1:
         raise UsageError("--permutations must be >= 1")
     _check_threads(args.threads)
+    out = _out_path(args)
     stages: dict[str, float] = {}
     with stage(stages, "load"):
         matrix = load_gram(args.gram)
@@ -236,7 +242,6 @@ def cmd_test(args: argparse.Namespace) -> int:
             matrix, idx_a, idx_b, n_permutations=args.permutations, seed=args.seed
         )
     payload = result.to_json(kernel_spec_ref=matrix.kernel_spec or None)
-    out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_manifest(
         Path(f"{out}.manifest.json"), "test", args, started,
@@ -254,6 +259,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if not 0.0 < args.holdout < 1.0:
         raise UsageError("--holdout must lie strictly between 0 and 1")
+    out = _out_path(args)
     matrix = load_gram(args.gram)
     idx_a, idx_b = _class_indices(matrix.ids, args.labels)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
@@ -278,7 +284,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "n_test": {"class0": len(test["a"]), "class1": len(test["b"])},
         "correct": int((predicted == truth).sum()),
     }
-    out = Path(args.out)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_manifest(
         Path(f"{out}.manifest.json"), "classify", args, started,
@@ -352,8 +357,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError("--repeats must be >= 1")
     params = _kernel_params(args)
     kernel = _build_kernel_or_usage(args.kernel, params)  # validate before timing
+    out = _out_path(args)
     rows = benchmark_kernel(args.kernel, sizes, repeats=args.repeats, seed=args.seed, params=params)
-    out = Path(args.out)
     header = "kernel,n_nodes,height,repeats,loops,median_seconds"
     lines = [header] + [
         f"{r['kernel']},{r['n_nodes']},{r['height']},{r['repeats']},{r['loops']},{r['median_seconds']:.9e}"

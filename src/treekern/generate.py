@@ -128,7 +128,7 @@ def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0, tree_id: str | Non
             child_dir = _tilted(rng, direction, cfg.direction_jitter)
             queue.append((index, level + 1, tuple(p + length * c for p, c in zip(pos, child_dir)), child_dir))
     tree_id = tree_id if tree_id is not None else f"t{seed_offset:05d}"
-    return GeometricTree.from_arrays(tree_id, parents, positions, attrs if cfg.d > 0 else None, n=cfg.n, d=cfg.d)
+    return GeometricTree(tree_id, parents, positions, attrs if cfg.d > 0 else None, n=cfg.n, d=cfg.d)
 
 
 def generate_two_class_population(
@@ -165,7 +165,7 @@ def balanced_binary_tree(n_nodes: int, n: int = 3, d: int = 1, seed: int = 0) ->
     positions = rng.standard_normal((n_nodes, n))
     attrs = rng.standard_normal((n_nodes, d)) if d > 0 else None
     parents = (np.arange(n_nodes) - 1) // 2  # heap layout; the root's is -1
-    return GeometricTree.from_arrays(f"balanced{n_nodes:05d}-{seed}", parents, positions, attrs, n=n, d=d)
+    return GeometricTree(f"balanced{n_nodes:05d}-{seed}", parents, positions, attrs, n=n, d=d)
 
 
 # -- presets -----------------------------------------------------------------------

@@ -177,7 +177,7 @@ def _landmark_stack(tree: GeometricTree, m: int, paths: str) -> np.ndarray:
 
     def build():
         nodes = range(tree.size)
-        ends = [(v, tree.root_index) for v in nodes] if paths == "rootpath" else [(i, j) for i in nodes for j in nodes]
+        ends = [(v, 0) for v in nodes] if paths == "rootpath" else [(i, j) for i in nodes for j in nodes]
         out = np.array([sample_embedded_path(tree, i, j, m).ravel() for i, j in ends])
         out.setflags(write=False)
         return out

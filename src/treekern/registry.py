@@ -19,6 +19,7 @@ per-tree cache is built lazily on first use.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -100,7 +101,12 @@ _CATALOG: dict[str, tuple[dict, Callable]] = {
 
 def _coerce(name: str, key: str, default, value):
     # Switches must arrive as booleans and counts as integers (not booleans);
-    # a string or float from JSON is rejected, never cast.
+    # a string or float from JSON is rejected, never cast. A scale (default
+    # None) given as a real number, numpy scalars included, is kept as a
+    # Python float so the Gram sidecar can record it; anything else is left
+    # for the spec to reject.
+    if default is None and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
     if not isinstance(default, int):
         return value
     if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, (int, np.integer)):

@@ -1,10 +1,10 @@
 """Geometric tree data model, structural queries, and the tree JSON format.
 
 A geometric tree is a rooted tree whose nodes carry a position in R^n and,
-optionally, a measurement vector in R^d. A tree is held as read-only arrays
-in a canonical breadth-first order, so the same tree always serializes to
-the same bytes no matter how it was built; :class:`Node` objects are an
-input form and a lazily built view, not the representation.
+optionally, a measurement vector in R^d. A tree is built from a parent
+array with one position row (and one attribute row) per node and is held
+as read-only arrays in a canonical breadth-first order, so the same tree
+always serializes to the same bytes whatever order its nodes came in.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "Node",
     "NodePath",
     "GeometricTree",
     "canonical_pair",
@@ -30,16 +29,6 @@ __all__ = [
     "dataset_files",
     "save_dataset",
 ]
-
-
-@dataclass(eq=False)
-class Node:
-    """One tree node: parent index (None or -1 for the root), position
-    ``x`` in R^n and optional measurement vector ``a`` in R^d."""
-
-    parent: int | None
-    x: np.ndarray
-    a: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,44 +62,20 @@ class NodePath:
 class GeometricTree:
     """Rooted tree embedded in R^n with optional per-node measurements in R^d.
 
+    Built from input-order ``parents`` (-1 marks the root), ``positions``
+    (|V|, n) and ``attributes`` (|V|, d), or None when d = 0, as arrays or
+    lists of rows; ``n`` and ``d`` default to the width of the first row.
     The representation is four read-only arrays in a canonical
     breadth-first order (level, then parent index, then input order):
-    ``parents`` (-1 at the root), ``node_levels``, ``positions`` (|V|, n)
-    and ``attributes`` (|V|, d), or None when d = 0. The order makes
-    serialization deterministic and keeps each level a contiguous index
-    range. A :class:`Node` list and :meth:`from_arrays` take the same path;
-    :attr:`nodes` is a view built on first use. Every structural query is
-    pure and cached on first use. Positions and attributes must be finite.
+    ``parents`` (-1 at the root), ``node_levels``, ``positions`` and
+    ``attributes``. The order makes serialization deterministic and keeps
+    each level a contiguous index range. Every structural query is pure and
+    cached on first use. Positions and attributes must be finite.
 
     Levels are 1-based: the root is the only node at level 1.
     """
 
-    def __init__(self, tree_id: str, nodes: Sequence[Node], n: int | None = None, d: int | None = None):
-        if not nodes:
-            raise ValueError(f"tree '{tree_id}': has no nodes")
-        with_a = [node.a is not None for node in nodes]
-        if d is None:
-            if any(with_a) and not all(with_a):
-                raise ValueError(f"tree '{tree_id}': attributes present on some nodes only")
-            d = int(np.asarray(nodes[0].a).size) if with_a[0] else 0
-        elif d > 0 and not all(with_a):
-            raise ValueError(f"tree '{tree_id}': node {with_a.index(False)} is missing its attribute vector")
-        elif d == 0 and any(with_a):
-            raise ValueError(f"tree '{tree_id}': node {with_a.index(True)} carries attributes but d = 0")
-        parents = [-1 if node.parent is None else node.parent for node in nodes]
-        attributes = [node.a for node in nodes] if d > 0 else None
-        self._build(tree_id, parents, [node.x for node in nodes], attributes, n, d)
-
-    @classmethod
-    def from_arrays(cls, tree_id: str, parents, positions, attributes=None, n=None, d=None) -> "GeometricTree":
-        """Build a tree from input-order parent indices (-1 marks the root),
-        positions (|V|, n) and attributes (|V|, d) or None, as arrays or lists
-        of rows; ``n`` and ``d`` default to the width of the first row."""
-        tree = cls.__new__(cls)
-        tree._build(tree_id, parents, positions, attributes, n, d)
-        return tree
-
-    def _build(self, tree_id, parents, positions, attributes, n, d) -> None:
+    def __init__(self, tree_id: str, parents, positions, attributes=None, n: int | None = None, d: int | None = None):
         """Validate input-order arrays and store them in canonical order.
 
         A breadth-first pass from the root over children listed in input
@@ -121,6 +86,8 @@ class GeometricTree:
         raw = np.asarray(parents, dtype=np.intp)
         raw_list = raw.tolist()
         size = len(raw_list)
+        if not size:
+            raise ValueError(f"tree '{self.id}': has no nodes")
         if raw_list.count(-1) != 1:
             roots = [i for i, p in enumerate(raw_list) if p == -1]
             if not roots:
@@ -145,6 +112,9 @@ class GeometricTree:
                 v = raw_list[v]
             raise ValueError(f"tree '{self.id}': cycle detected involving node {v}")
 
+        for what, rows in (("position", positions), ("attribute", attributes)):
+            if rows is not None and len(rows) != size:
+                raise ValueError(f"tree '{self.id}': {len(rows)} {what} rows for {size} nodes")
         self.n = int(n) if n is not None else int(np.asarray(positions[0]).size)
         if self.n < 1:
             raise ValueError(f"tree '{self.id}': geometric dimension must be positive")
@@ -153,6 +123,8 @@ class GeometricTree:
         self.d = int(d)
         if self.d < 0:
             raise ValueError(f"tree '{self.id}': attribute dimension must be >= 0")
+        if (attributes is not None) != (self.d > 0):
+            raise ValueError(f"tree '{self.id}': attributes must be given exactly when d > 0 (d = {self.d})")
         xs = self._stack_rows(positions, self.n, "position has")
         attrs = self._stack_rows(attributes, self.d, "attributes have") if self.d > 0 else None
         for name, values in (("position", xs), ("attribute vector", attrs)):
@@ -197,22 +169,6 @@ class GeometricTree:
     @property
     def size(self) -> int:
         return len(self.parents)
-
-    @property
-    def nodes(self) -> tuple[Node, ...]:
-        """The nodes in canonical order, built on first use; ``x`` and ``a``
-        are read-only rows of :attr:`positions` and :attr:`attributes`."""
-
-        def build():
-            attrs = [None] * self.size if self.attributes is None else self.attributes
-            rows = zip(self.parents.tolist(), self.positions, attrs)
-            return tuple(Node(None if p < 0 else p, x, a) for p, x, a in rows)
-
-        return self._memo("nodes", build)
-
-    @property
-    def root_index(self) -> int:
-        return 0
 
     @property
     def height(self) -> int:
@@ -455,7 +411,7 @@ def _tree_from_obj(obj: dict, source: str = "tree") -> GeometricTree:
         raise ValueError(f"{where}: node {ids[has_a.index(True)]} carries 'a' but d = 0")
     attrs = [entry["a"] for entry in raw_nodes] if d > 0 else None
     try:
-        return GeometricTree.from_arrays(str(obj["id"]), parents, xs, attrs, n=obj["n"], d=d)
+        return GeometricTree(str(obj["id"]), parents, xs, attrs, n=obj["n"], d=d)
     except ValueError as exc:  # already names the tree and the node
         raise ValueError(f"{source}: {exc}") from None
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from treekern import GeometricTree, Node
+from treekern import GeometricTree
 
 # Fixed example draws and no example database: a run's verdict depends on
 # neither a random seed nor a local .hypothesis/ directory. Another profile
@@ -23,34 +23,30 @@ def rel_close(a: float, b: float, tol: float) -> bool:
 
 def chain_tree(length: int, n: int = 1, d: int = 0, tree_id: str = "chain", step: float = 1.0):
     """Path graph rooted at one end; node k sits at k*step along the first axis."""
-    nodes = []
-    for k in range(length):
-        x = np.zeros(n)
-        x[0] = k * step
-        a = np.full(d, float(k)) if d > 0 else None
-        nodes.append(Node(parent=None if k == 0 else k - 1, x=x, a=a))
-    return GeometricTree(tree_id, nodes, n=n, d=d)
+    xs = np.zeros((length, n))
+    xs[:, 0] = np.arange(length) * step
+    attrs = np.repeat(np.arange(length, dtype=float)[:, None], d, axis=1) if d > 0 else None
+    return GeometricTree(tree_id, np.arange(length) - 1, xs, attrs, n=n, d=d)
 
 
 def star_tree(leaves: int, n: int = 1, d: int = 0, tree_id: str = "star"):
-    nodes = [Node(parent=None, x=np.zeros(n), a=np.zeros(d) if d > 0 else None)]
-    for k in range(leaves):
-        x = np.zeros(n)
-        x[0] = 1.0
-        nodes.append(Node(parent=0, x=x, a=np.ones(d) if d > 0 else None))
-    return GeometricTree(tree_id, nodes, n=n, d=d)
+    """Root at the origin with ``leaves`` children at 1 along the first axis."""
+    xs = np.zeros((leaves + 1, n))
+    xs[1:, 0] = 1.0
+    attrs = np.repeat(xs[:, :1], d, axis=1) if d > 0 else None  # 0 at the root, 1 at the leaves
+    return GeometricTree(tree_id, [-1] + [0] * leaves, xs, attrs, n=n, d=d)
 
 
 def random_tree(rng, max_nodes: int, n: int = 3, d: int = 0, tree_id: str = "r"):
     """Random recursive tree: each node attaches to a uniformly chosen earlier
     node. Positions and attributes are standard normal."""
     size = int(rng.integers(1, max_nodes + 1))
-    nodes = []
-    for k in range(size):
-        parent = None if k == 0 else int(rng.integers(0, k))
-        a = rng.standard_normal(d) if d > 0 else None
-        nodes.append(Node(parent=parent, x=rng.standard_normal(n), a=a))
-    return GeometricTree(tree_id, nodes, n=n, d=d)
+    parents, xs, attrs = [], [], []
+    for k in range(size):  # per node: parent, then attributes, then position
+        parents.append(-1 if k == 0 else int(rng.integers(0, k)))
+        attrs.append(rng.standard_normal(d) if d > 0 else None)
+        xs.append(rng.standard_normal(n))
+    return GeometricTree(tree_id, parents, xs, attrs if d > 0 else None, n=n, d=d)
 
 
 @st.composite
@@ -60,16 +56,15 @@ def shaped_trees(draw, tree_id: str, d: int):
     shape = draw(st.sampled_from(["single", "chain", "star", "random"]))
     size = 1 if shape == "single" else draw(st.integers(2, 7))
     if shape == "chain":
-        parents = [None] + list(range(size - 1))
+        parents = [-1] + list(range(size - 1))
     elif shape == "star":
-        parents = [None] + [0] * (size - 1)
+        parents = [-1] + [0] * (size - 1)
     else:
-        parents = [None] + [draw(st.integers(0, k - 1)) for k in range(1, size)]
+        parents = [-1] + [draw(st.integers(0, k - 1)) for k in range(1, size)]
     coords = st.floats(-2.0, 2.0)
     xs = draw(arrays(float, (size, 2), elements=coords))
-    attrs = draw(arrays(float, (size, d), elements=coords)) if d else [None] * size
-    nodes = [Node(parent=p, x=x, a=a) for p, x, a in zip(parents, xs, attrs)]
-    return GeometricTree(tree_id, nodes, n=2, d=d)
+    attrs = draw(arrays(float, (size, d), elements=coords)) if d else None
+    return GeometricTree(tree_id, parents, xs, attrs, n=2, d=d)
 
 
 def distance_histogram(tree) -> dict[int, int]:

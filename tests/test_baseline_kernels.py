@@ -6,23 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from treekern import GeometricTree, Node, WLConfig, build_kernel, weisfeiler_lehman_kernel
+from treekern import GeometricTree, WLConfig, build_kernel, weisfeiler_lehman_kernel
 
 from conftest import chain_tree, distance_histogram, random_tree, star_tree
 
 
 def attributed(tree_id, rows):
-    """rows: list of (parent, x, a) with scalars for 1-dimensional x and a."""
-    nodes = [Node(parent=p, x=np.array([float(x)]), a=np.array([float(a)])) for p, x, a in rows]
-    return GeometricTree(tree_id, nodes, n=1, d=1)
+    """rows: list of (parent, x, a) with scalars for 1-dimensional x and a;
+    parent -1 marks the root."""
+    parents, xs, attrs = zip(*rows)
+    return GeometricTree(tree_id, parents, np.array(xs, float)[:, None], np.array(attrs, float)[:, None])
 
 
 # -- pointcloud ---------------------------------------------------------------------
 
 
 def test_pointcloud_hand_value():
-    t1 = attributed("p1", [(None, 0, 0), (0, 1, 3)])
-    t2 = attributed("p2", [(None, 0, 0), (0, 2, 3)])
+    t1 = attributed("p1", [(-1, 0, 0), (0, 1, 3)])
+    t2 = attributed("p2", [(-1, 0, 0), (0, 2, 3)])
     # one edge each; child positions differ by 1, attributes agree
     got = build_kernel("pointcloud", lambda1=1.0, lambda2=1.0).value(t1, t2)
     assert got == pytest.approx(math.exp(-1.0))
@@ -31,8 +32,8 @@ def test_pointcloud_hand_value():
 
 
 def test_pointcloud_requirements():
-    t1 = attributed("q1", [(None, 0, 0), (0, 1, 1)])
-    single = attributed("q2", [(None, 0, 0)])
+    t1 = attributed("q1", [(-1, 0, 0), (0, 1, 1)])
+    single = attributed("q2", [(-1, 0, 0)])
     pointcloud = build_kernel("pointcloud").value
     with pytest.raises(ValueError, match="d > 0"):
         pointcloud(t1, chain_tree(2, tree_id="bare"))
@@ -61,8 +62,8 @@ def test_pointcloud_matches_edge_pair_loop(rng):
 
 
 def test_average_attribute_kernel():
-    t1 = attributed("a1", [(None, 0, 1), (0, 1, 3)])  # mean 2
-    t2 = attributed("a2", [(None, 0, 4)])  # mean 4
+    t1 = attributed("a1", [(-1, 0, 1), (0, 1, 3)])  # mean 2
+    t2 = attributed("a2", [(-1, 0, 4)])  # mean 4
     aaw = build_kernel("aaw").value
     assert aaw(t1, t2) == pytest.approx(math.exp(-4.0))
     assert build_kernel("aaw", form="linear").value(t1, t2) == pytest.approx(8.0)
@@ -77,8 +78,8 @@ def test_average_attribute_kernel():
 
 def test_generation_average_kernel():
     # depth 0 holds the root, depth 1 its children
-    t1 = attributed("g1", [(None, 0, 2), (0, 1, 4), (0, 2, 6)])  # gen means 2, 5
-    t2 = attributed("g2", [(None, 0, 1), (0, 1, 3)])  # gen means 1, 3
+    t1 = attributed("g1", [(-1, 0, 2), (0, 1, 4), (0, 2, 6)])  # gen means 2, 5
+    t2 = attributed("g2", [(-1, 0, 1), (0, 1, 3)])  # gen means 1, 3
     got = build_kernel("agaw", gen_lo=0, gen_hi=1).value(t1, t2)
     assert got == pytest.approx(math.exp(-(1.0 + 4.0)))
     lin = build_kernel("agaw", gen_lo=0, gen_hi=1, form="linear").value(t1, t2)
@@ -86,8 +87,8 @@ def test_generation_average_kernel():
 
 
 def test_generation_average_warns_on_missing_generations():
-    t1 = attributed("w1", [(None, 0, 2), (0, 1, 4)])
-    t2 = attributed("w2", [(None, 0, 2), (0, 1, 4)])
+    t1 = attributed("w1", [(-1, 0, 2), (0, 1, 4)])
+    t2 = attributed("w2", [(-1, 0, 2), (0, 1, 4)])
     # the default window is generations 3..6, all beyond these trees
     with pytest.warns(UserWarning, match="generation"):
         got = build_kernel("agaw").value(t1, t2)

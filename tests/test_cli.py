@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from treekern import GeometricTree, Node, load_gram, save_dataset
+from treekern import GeometricTree, load_gram, save_dataset
 from treekern.cli import fit_slope, main
 
 
@@ -210,13 +210,8 @@ def test_kernel_data_errors(tmp_path, capsys):
 
     # a single-node tree has no edges: its pointcloud diagonal is 0 and
     # normalization must fail as a data error
-    single = GeometricTree("s", [Node(parent=None, x=np.zeros(3), a=np.zeros(1))], n=3, d=1)
-    pair = GeometricTree(
-        "p",
-        [Node(parent=None, x=np.zeros(3), a=np.zeros(1)), Node(parent=0, x=np.ones(3), a=np.ones(1))],
-        n=3,
-        d=1,
-    )
+    single = GeometricTree("s", [-1], np.zeros((1, 3)), np.zeros((1, 1)))
+    pair = GeometricTree("p", [-1, 0], [np.zeros(3), np.ones(3)], [np.zeros(1), np.ones(1)])
     data = tmp_path / "degenerate.json"
     save_dataset([single, pair], data)
     with pytest.warns(UserWarning, match="no edges"):
@@ -372,6 +367,20 @@ def test_bench_smoke(tmp_path, capsys):
     assert run(["bench", "--kernel", "gbc", "--sizes", "8,abc", "--out", out]) == 2
     assert run(["bench", "--kernel", "gbc", "--sizes", "", "--out", out]) == 2
     assert run(["bench", "--kernel", "gbc", "--sizes", "8", "--repeats", 0, "--out", out]) == 2
+
+
+def test_commands_create_their_output_directory(tmp_path):
+    data = gen_dataset(tmp_path)
+    gram = tmp_path / "kernel" / "nested" / "g.csv"
+    labels = data / "labels.csv"
+    outs = [gram, tmp_path / "test" / "nested" / "t.json", tmp_path / "classify" / "nested" / "c.json",
+            tmp_path / "bench" / "nested" / "b.csv"]
+    assert run(["kernel", data, "--kernel", "gbc", "--out", outs[0]]) == 0
+    assert run(["test", gram, labels, "--permutations", 9, "--out", outs[1]]) == 0
+    assert run(["classify", gram, labels, "--out", outs[2]]) == 0
+    assert run(["bench", "--kernel", "gbc", "--sizes", "5,9", "--repeats", 1, "--out", outs[3]]) == 0
+    for out in outs:
+        assert out.is_file() and out.with_name(out.name + ".manifest.json").is_file()
 
 
 def test_fit_slope_recovers_exponent():

@@ -82,7 +82,7 @@ def generate_tree_reference(cfg, seed_offset):
         for _ in range(n_children):
             child_dir = tilted_reference(rng, direction, cfg.direction_jitter)
             queue.append((index, level + 1, pos + length * child_dir, child_dir))
-    return GeometricTree.from_arrays(
+    return GeometricTree(
         f"t{seed_offset:05d}", parents, positions, attrs if cfg.d > 0 else None, n=cfg.n, d=cfg.d
     )
 

@@ -17,7 +17,6 @@ from treekern import (
     GeometricTree,
     GramMatrix,
     KERNEL_NAMES,
-    Node,
     NodeKernelSpec,
     PathKernelSpec,
     assemble,
@@ -324,7 +323,18 @@ def test_registry_names_and_errors(rng):
         with pytest.raises(ValueError, match=match):
             build_kernel(name, **params)
     assert build_kernel("rootpath-embedded", landmarks=np.int64(3)).params["landmarks"] == 3
-    assert build_kernel("rootpath-node", lambda1=2, lambda2=np.float32(0.5)).params["lambda1"] == 2
+    scales = build_kernel("rootpath-node", lambda1=2, lambda2=np.float32(0.5)).params
+    assert scales == {**scales, "lambda1": 2.0, "lambda2": 0.5}
+    assert type(scales["lambda1"]) is float and type(scales["lambda2"]) is float
+
+
+def test_numpy_scalar_scale_is_written_to_the_sidecar(tmp_path, rng):
+    trees = make_trees(rng, count=5)
+    path = tmp_path / "g.csv"
+    save_gram(assemble(trees, build_kernel("rootpath-node", lambda1=np.float32(0.5))), path)
+    back = load_gram(path)
+    assert back.kernel_spec["params"]["lambda1"] == 0.5
+    assert np.array_equal(back.values, assemble(trees, build_kernel("rootpath-node", lambda1=0.5)).values)
 
 
 def test_readme_lists_every_kernel_name():
@@ -401,15 +411,9 @@ def reorder_input(tree: GeometricTree, order) -> GeometricTree:
     """The same tree built from its nodes in another input order, which
     reorders siblings in the canonical numbering."""
     new_index = {old: new for new, old in enumerate(order)}
-    nodes = [
-        Node(
-            parent=None if tree.nodes[old].parent is None else new_index[tree.nodes[old].parent],
-            x=tree.nodes[old].x,
-            a=tree.nodes[old].a,
-        )
-        for old in order
-    ]
-    return GeometricTree(tree.id, nodes, n=tree.n, d=tree.d)
+    parents = [-1 if tree.parents[old] < 0 else new_index[int(tree.parents[old])] for old in order]
+    attrs = None if tree.attributes is None else tree.attributes[order]
+    return GeometricTree(tree.id, parents, tree.positions[order], attrs, n=tree.n, d=tree.d)
 
 
 @st.composite
@@ -540,8 +544,7 @@ def test_cohort_route_matches_oracle_pairs_and_any_block(name, params, trees):
 
 
 def offset_tree(tree: GeometricTree, offset: float) -> GeometricTree:
-    nodes = [Node(parent=node.parent, x=node.x + offset, a=node.a) for node in tree.nodes]
-    return GeometricTree(tree.id, nodes, n=tree.n, d=tree.d)
+    return GeometricTree(tree.id, tree.parents, tree.positions + offset, tree.attributes, n=tree.n, d=tree.d)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from treekern import features, path_kernels
 from treekern import (
     GeometricTree,
-    Node,
     NodeKernelSpec,
     PathKernelSpec,
     all_pairs_kernel,
@@ -37,8 +36,7 @@ NODE_SPECS = [
 
 def constant_tree(size: int, tree_id: str) -> GeometricTree:
     """Every node at x = (1.0,): every linear or gaussian node kernel value is 1."""
-    nodes = [Node(parent=None if k == 0 else k - 1, x=np.array([1.0])) for k in range(size)]
-    return GeometricTree(tree_id, nodes, n=1, d=0)
+    return GeometricTree(tree_id, np.arange(size) - 1, np.ones((size, 1)))
 
 
 # -- embedded landmark paths -------------------------------------------------------
@@ -48,12 +46,7 @@ def test_sample_embedded_path_arc_length():
     # polyline x = 3 -> 1 -> 0 has segment lengths 2 and 1, so with three
     # landmarks the middle one sits at arc length 1.5, inside the first
     # segment, at x = 1.5
-    nodes = [
-        Node(parent=None, x=np.array([0.0, 0.0, 0.0])),
-        Node(parent=0, x=np.array([1.0, 0.0, 0.0])),
-        Node(parent=1, x=np.array([3.0, 0.0, 0.0])),
-    ]
-    t = GeometricTree("seg", nodes, n=3, d=0)
+    t = GeometricTree("seg", [-1, 0, 1], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     lm = sample_embedded_path(t, 2, 0, 3)
     assert np.allclose(lm, [[3.0, 0, 0], [1.5, 0, 0], [0.0, 0, 0]], atol=1e-15)
     # endpoints are always included
@@ -125,10 +118,8 @@ def test_node_kernel_values():
 
 def test_node_kernel_default_scales():
     # defaults are 1/n and 1/d
-    nodes1 = [Node(parent=None, x=np.zeros(4), a=np.zeros(2))]
-    nodes2 = [Node(parent=None, x=np.array([2.0, 0, 0, 0]), a=np.array([0.0, 2.0]))]
-    t1 = GeometricTree("s1", nodes1, n=4, d=2)
-    t2 = GeometricTree("s2", nodes2, n=4, d=2)
+    t1 = GeometricTree("s1", [-1], [[0.0, 0, 0, 0]], [[0.0, 0.0]])
+    t2 = GeometricTree("s2", [-1], [[2.0, 0, 0, 0]], [[0.0, 2.0]])
     g = NodeKernelSpec(form="gaussian")
     assert node_kernel(t1, 0, t2, 0, g) == pytest.approx(math.exp(-4.0 / 4.0))
     g_a = NodeKernelSpec(form="gaussian", use_attributes=True)
@@ -236,9 +227,7 @@ def path_counts_by_enumeration(tree: GeometricTree) -> np.ndarray:
 
 
 # 127 nodes in 7 levels, the shape of the allpairs-big benchmark cohort.
-COMPLETE_BINARY = GeometricTree(
-    "binary", [Node(parent=None if k == 0 else (k - 1) // 2, x=np.zeros(2)) for k in range(127)]
-)
+COMPLETE_BINARY = GeometricTree("binary", (np.arange(127) - 1) // 2, np.zeros((127, 2)))
 
 
 @settings(max_examples=100, deadline=None)

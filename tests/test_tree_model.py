@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from treekern import (
     GeometricTree,
-    Node,
     canonical_pair,
     load_dataset,
     parse_tree,
@@ -20,20 +19,13 @@ from conftest import chain_tree, distance_histogram, random_tree, shaped_trees, 
 
 def two_level_tree():
     # root with two children; the first child has one child of its own
-    nodes = [
-        Node(parent=None, x=np.array([0.0])),
-        Node(parent=0, x=np.array([1.0])),
-        Node(parent=0, x=np.array([2.0])),
-        Node(parent=1, x=np.array([3.0])),
-    ]
-    return GeometricTree("demo", nodes, n=1, d=0)
+    return GeometricTree("demo", [-1, 0, 0, 1], [[0.0], [1.0], [2.0], [3.0]], n=1, d=0)
 
 
 def test_basic_structure():
     t = two_level_tree()
     assert t.size == 4
     assert t.height == 3
-    assert t.root_index == 0
     assert t.node_levels.tolist() == [1, 2, 2, 3]
     assert t.parents.tolist() == [-1, 0, 0, 1]
     assert t.children == ((1, 2), (3,), (), ())
@@ -55,14 +47,8 @@ def test_canonical_order_preserves_sibling_order():
         }
         names = list(order)
         pos = {name: k for k, name in enumerate(names)}
-        nodes = [
-            Node(
-                parent=None if entries[name][0] is None else pos[entries[name][0]],
-                x=np.array([entries[name][1]]),
-            )
-            for name in names
-        ]
-        return GeometricTree("demo", nodes, n=1, d=0)
+        parents = [-1 if entries[name][0] is None else pos[entries[name][0]] for name in names]
+        return GeometricTree("demo", parents, [[entries[name][1]] for name in names], n=1, d=0)
 
     trees = [
         build(["root", "c1", "c2", "g"]),
@@ -84,45 +70,39 @@ def test_canonical_order_preserves_sibling_order():
 def test_construction_errors():
     x = np.array([0.0])
     with pytest.raises(ValueError, match="no nodes"):
-        GeometricTree("t", [])
+        GeometricTree("t", [], [])
     with pytest.raises(ValueError, match="no root"):
-        GeometricTree("t", [Node(parent=0, x=x)])
+        GeometricTree("t", [0], [x])
     with pytest.raises(ValueError, match="multiple roots"):
-        GeometricTree("t", [Node(parent=None, x=x), Node(parent=None, x=x)])
+        GeometricTree("t", [-1, -1], [x, x])
     with pytest.raises(ValueError, match="invalid parent"):
-        GeometricTree("t", [Node(parent=None, x=x), Node(parent=5, x=x)])
+        GeometricTree("t", [-1, 5], [x, x])
     with pytest.raises(ValueError, match="cycle"):
-        GeometricTree(
-            "t",
-            [Node(parent=None, x=x), Node(parent=2, x=x), Node(parent=1, x=x)],
-        )
+        GeometricTree("t", [-1, 2, 1], [x, x, x])
     # the error names a node on the cycle (2 or 3), not node 1 hanging off it
     with pytest.raises(ValueError, match=r"cycle detected involving node [23]$"):
-        GeometricTree(
-            "t",
-            [Node(parent=None, x=x), Node(parent=2, x=x), Node(parent=3, x=x), Node(parent=2, x=x)],
-        )
-    with pytest.raises(ValueError, match="dimension"):
-        GeometricTree("t", [Node(parent=None, x=x), Node(parent=0, x=np.zeros(2))], n=1)
-    with pytest.raises(ValueError, match="attributes"):
-        GeometricTree("t", [Node(parent=None, x=x, a=np.array([1.0])), Node(parent=0, x=x)])
-    with pytest.raises(ValueError, match="d = 0"):
-        GeometricTree("t", [Node(parent=None, x=x, a=np.array([1.0]))], d=0)
+        GeometricTree("t", [-1, 2, 3, 2], [x, x, x, x])
+    with pytest.raises(ValueError, match="node 1 position has dimension 2, expected 1"):
+        GeometricTree("t", [-1, 0], [x, np.zeros(2)], n=1)
+    with pytest.raises(ValueError, match="node 1 attributes have an entry that is not a number: None"):
+        GeometricTree("t", [-1, 0], [x, x], [np.array([1.0]), None])
+    with pytest.raises(ValueError, match=r"attributes must be given exactly when d > 0 \(d = 0\)"):
+        GeometricTree("t", [-1], [x], [[1.0]], d=0)
+    with pytest.raises(ValueError, match=r"attributes must be given exactly when d > 0 \(d = 2\)"):
+        GeometricTree("t", [-1], [x], d=2)
+    with pytest.raises(ValueError, match="1 position rows for 2 nodes"):
+        GeometricTree("t", [-1, 0], [x])
+    with pytest.raises(ValueError, match="3 attribute rows for 2 nodes"):
+        GeometricTree("t", [-1, 0], [x, x], [x, x, x])
 
 
 def test_construction_rejects_non_finite_values():
     ok = np.array([0.0, 0.0])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=r"tree 'lungs': node 2 has a non-finite position"):
-            GeometricTree(
-                "lungs",
-                [Node(parent=None, x=ok), Node(parent=0, x=ok), Node(parent=0, x=np.array([1.0, bad]))],
-            )
+            GeometricTree("lungs", [-1, 0, 0], [ok, ok, np.array([1.0, bad])])
         with pytest.raises(ValueError, match=r"tree 'lungs': node 1 has a non-finite attribute"):
-            GeometricTree(
-                "lungs",
-                [Node(parent=None, x=ok, a=np.ones(1)), Node(parent=0, x=ok, a=np.array([bad]))],
-            )
+            GeometricTree("lungs", [-1, 0], [ok, ok], [np.ones(1), np.array([bad])])
     # the JSON reader admits NaN and Infinity literals; the tree rejects them
     text = '{"id": "j", "n": 1, "d": 1, "nodes": [{"id": 0, "parent": null, "x": [0.0], "a": [NaN]}]}'
     with pytest.raises(ValueError, match=r"tree 'j': node 0 has a non-finite attribute"):
@@ -133,9 +113,8 @@ def test_levels_of_long_reversed_chain():
     # input order lists the leaf first and the root last, so every level
     # walk starts at the deep end of the chain
     size = 50_000
-    nodes = [Node(parent=k + 1, x=np.array([float(k)])) for k in range(size - 1)]
-    nodes.append(Node(parent=None, x=np.array([float(size - 1)])))
-    t = GeometricTree("deep", nodes, n=1, d=0)
+    parents = np.append(np.arange(1, size), -1)
+    t = GeometricTree("deep", parents, np.arange(size, dtype=float)[:, None], n=1, d=0)
     assert t.height == size
     assert np.array_equal(t.node_levels, np.arange(1, size + 1))
     assert np.array_equal(t.parents[1:], np.arange(size - 1))
@@ -150,31 +129,26 @@ def canonical_oracle(parents, xs, attrs):
     levels = []
     for i in range(size):
         level, v = 1, i
-        while parents[v] is not None:
+        while parents[v] >= 0:
             level, v = level + 1, parents[v]
         levels.append(level)
     order, canon = [], {}
     for level in range(1, max(levels) + 1):
         members = [i for i in range(size) if levels[i] == level]
-        for i in sorted(members, key=lambda i: (-1 if parents[i] is None else canon[parents[i]], i)):
+        for i in sorted(members, key=lambda i: (-1 if parents[i] < 0 else canon[parents[i]], i)):
             canon[i] = len(order)
             order.append(i)
-    canon_parents = [-1 if parents[i] is None else canon[parents[i]] for i in order]
+    canon_parents = [-1 if parents[i] < 0 else canon[parents[i]] for i in order]
     return canon_parents, [levels[i] for i in order], xs[order], None if attrs is None else attrs[order]
 
 
-def shuffled_nodes(tree, perm):
-    """The tree's nodes listed in the input order ``perm`` (input position k
-    holds canonical node perm[k]), with parents renumbered to match."""
+def shuffled_input(tree, perm):
+    """The tree's parents, positions and attributes listed in the input order
+    ``perm`` (input position k holds canonical node perm[k]), with parents
+    renumbered to match."""
     position = {canon: k for k, canon in enumerate(perm)}
-    return [
-        Node(
-            parent=None if tree.parents[c] < 0 else position[int(tree.parents[c])],
-            x=tree.positions[c],
-            a=None if tree.attributes is None else tree.attributes[c],
-        )
-        for c in perm
-    ]
+    parents = [-1 if tree.parents[c] < 0 else position[int(tree.parents[c])] for c in perm]
+    return parents, tree.positions[perm], None if tree.attributes is None else tree.attributes[perm]
 
 
 def assert_same_arrays(t1, t2):
@@ -188,11 +162,8 @@ def assert_same_arrays(t1, t2):
 def test_construction_matches_brute_force_canonical_order(tree, random):
     perm = list(range(tree.size))
     random.shuffle(perm)
-    nodes = shuffled_nodes(tree, perm)
-    built = GeometricTree("s", nodes, n=tree.n, d=tree.d)
-    parents = [node.parent for node in nodes]
-    xs = np.array([node.x for node in nodes])
-    attrs = np.array([node.a for node in nodes]) if tree.d else None
+    parents, xs, attrs = shuffled_input(tree, perm)
+    built = GeometricTree("s", parents, xs, attrs, n=tree.n, d=tree.d)
     canon_parents, levels, canon_xs, canon_attrs = canonical_oracle(parents, xs, attrs)
     assert built.parents.tolist() == canon_parents
     assert built.node_levels.tolist() == levels
@@ -205,15 +176,14 @@ def test_construction_matches_brute_force_canonical_order(tree, random):
         "n": tree.n,
         "d": tree.d,
         "nodes": [
-            {"id": 7 * k + 3, "parent": None if node.parent is None else 7 * node.parent + 3, "x": node.x.tolist()}
-            | ({"a": node.a.tolist()} if tree.d else {})
-            for k, node in enumerate(nodes)
+            {"id": 7 * k + 3, "parent": None if p < 0 else 7 * p + 3, "x": xs[k].tolist()}
+            | ({"a": attrs[k].tolist()} if tree.d else {})
+            for k, p in enumerate(parents)
         ],
     }
     assert_same_arrays(parse_tree(obj), built)
-    assert [(node.parent, node.x.tolist()) for node in built.nodes] == [
-        (None if p < 0 else p, x) for p, x in zip(canon_parents, canon_xs.tolist())
-    ]
+    # the stored arrays are read-only, so no caller can break the canonical order
+    assert not any(array.flags.writeable for array in (built.parents, built.positions, built.node_levels))
 
 
 def test_node_path_through_common_ancestor():
