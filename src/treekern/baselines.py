@@ -1,8 +1,9 @@
 """Baseline tree kernels: point clouds, attribute summaries, branch counts,
 shortest paths, and iterative label refinement.
 
-Each kernel but the last is a cohort route (a feature map or a node set),
-reached through :func:`treekern.build_kernel`, which holds the defaults;
+Each kernel but the last is a cohort route (a feature map, or a node set;
+a gaussian of summary rows is a node set of one point per tree), reached
+through :func:`treekern.build_kernel`, which holds the defaults;
 ``build_kernel(name, **params).value(t1, t2)`` evaluates one pair. The
 label-refinement kernel is a pair function.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMap, NodeSet
-from .path_kernels import NodeKernelSpec, node_point_set
+from .path_kernels import FORMS, NodeKernelSpec, node_point_set
 from .trees import GeometricTree, canonical_pair
 
 __all__ = ["WLConfig", "weisfeiler_lehman_kernel"]
@@ -53,6 +54,16 @@ def pointcloud_node_set(*, lambda1: float | None, lambda2: float | None) -> Node
     return node_point_set(spec, "pointcloud_nodes", build)
 
 
+def _row_route(row, key, form: str, width: int) -> FeatureMap | NodeSet:
+    """<r1, r2> (linear ``form``) or exp(-||r1 - r2||^2) (gaussian: each
+    tree one point, its row, in one group, with unit weight) of the summary
+    rows ``row(tree)``, memoized under ``key`` for both forms."""
+    if form not in FORMS:
+        raise ValueError(f"unknown form '{form}'")
+    rows, one = FeatureMap(row, key, width), (np.zeros(1, dtype=np.intp), np.ones((1, 1)))
+    return rows if form == "linear" else NodeSet(lambda trees: [(r[None, :], *one) for r in rows.features(trees)])
+
+
 def _attribute_column(tree: GeometricTree, component: int) -> np.ndarray:
     if tree.d == 0:
         raise ValueError(f"tree '{tree.id}' has no attributes (d = 0)")
@@ -61,7 +72,7 @@ def _attribute_column(tree: GeometricTree, component: int) -> np.ndarray:
     return tree.attributes[:, component]
 
 
-def attribute_mean_map(*, component: int, form: str) -> FeatureMap:
+def attribute_mean_map(*, component: int, form: str) -> FeatureMap | NodeSet:
     """Average-attribute kernel on the tree-wide means m of one attribute
     component (d > 0 required): exp(-(m1 - m2)^2), or m1 * m2 for the
     linear ``form``."""
@@ -69,10 +80,10 @@ def attribute_mean_map(*, component: int, form: str) -> FeatureMap:
     def row(tree: GeometricTree) -> np.ndarray:
         return np.array([float(_attribute_column(tree, component).mean())])
 
-    return FeatureMap(row, ("attribute_mean", component), form, 1)
+    return _row_route(row, ("attribute_mean", component), form, 1)
 
 
-def generation_mean_map(*, gen_lo: int, gen_hi: int, component: int, form: str) -> FeatureMap:
+def generation_mean_map(*, gen_lo: int, gen_hi: int, component: int, form: str) -> FeatureMap | NodeSet:
     """Generation-average kernel on the vectors m of per-generation means of
     one attribute component (d > 0 required), generations ``gen_lo`` to
     ``gen_hi``: exp(-||m1 - m2||^2), or <m1, m2> for the linear ``form``.
@@ -93,13 +104,13 @@ def generation_mean_map(*, gen_lo: int, gen_hi: int, component: int, form: str) 
         return out
 
     key = ("generation_means", gen_lo, gen_hi, component)
-    return FeatureMap(row, key, form, gen_hi - gen_lo + 1)
+    return _row_route(row, key, form, gen_hi - gen_lo + 1)
 
 
-def node_count_map(form: str) -> FeatureMap:
+def node_count_map(form: str) -> FeatureMap | NodeSet:
     """Branch-count kernels on the node count |V|: |V1| * |V2| (linear
     ``form``) or exp(-(|V1| - |V2|)^2) (gaussian)."""
-    return FeatureMap(lambda tree: np.array([float(tree.size)]), "node_count", form, 1)
+    return _row_route(lambda tree: np.array([float(tree.size)]), "node_count", form, 1)
 
 
 def shortest_path_map(*, length_kernel: str) -> FeatureMap:
@@ -121,7 +132,7 @@ def shortest_path_map(*, length_kernel: str) -> FeatureMap:
         # Integer counts times integer lengths: the sum is exact in any order.
         return np.array([counts @ np.arange(len(counts), dtype=float)])
 
-    return FeatureMap(row, ("path_lengths", length_kernel), "linear", 1 if length_kernel == "linear" else None)
+    return FeatureMap(row, ("path_lengths", length_kernel), 1 if length_kernel == "linear" else None)
 
 
 def _counter_dot(c1: Counter, c2: Counter) -> float:

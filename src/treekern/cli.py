@@ -130,7 +130,7 @@ def _kernel_params(args: argparse.Namespace) -> dict:
         text = Path(raw).read_text(encoding="utf-8") if is_file else raw
         try:
             loaded = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer of more digits than Python reads
             raise UsageError(f"--spec-json is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("--spec-json must be a JSON object")

@@ -1,12 +1,13 @@
 """Cohort routes. A :class:`FeatureMap` gives each tree one feature row and
-compares rows by dot products over their common prefix (linear form) or by
-the gaussian of their squared distance. A :class:`NodeSet` gives each tree
-weighted points and sums a gaussian over same-group node pairs. A single
-pair is the same computation on two trees.
+compares rows by dot products over their common prefix: K = ΦΦᵀ exactly. A
+:class:`NodeSet` gives each tree weighted points and sums a gaussian over
+same-group node pairs. A single pair is the same computation on two trees.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -14,43 +15,28 @@ import numpy as np
 
 from .trees import GeometricTree
 
-__all__ = ["FORMS", "FeatureMap", "NodeSet", "feature_gram", "nodeset_gram"]
-
-FORMS = ("linear", "gaussian")
-
-# Floats in one block of gaussian row differences (8 MB).
-_BLOCK_FLOATS = 1 << 20
+__all__ = ["FeatureMap", "NodeSet", "feature_gram", "nodeset_gram"]
 
 # Floats in one node-set temporary (256 KB): more gains no speed and adds
 # to a small cohort's peak memory.
 _NODE_BLOCK_FLOATS = 1 << 15
 
 
-def feature_gram(rows: Sequence[np.ndarray], form: str) -> np.ndarray:
-    """Kernel matrix of the 1-D feature ``rows`` under ``form``: dot products
-    over each pair's common prefix (linear; rows of length c against every
-    row at least that long, cut to c, in one broadcast vector-vector matmul)
-    or exp(-||r_i - r_j||^2) of equal-length rows (gaussian). Each entry is
-    one BLAS dot or one distance of its two rows, symmetric in them, so the
-    result is exactly symmetric and entry (i, j) equals rows i and j alone
-    bit for bit; a GEMM would round differently from the two-row case.
+def feature_gram(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Dot products of the 1-D feature ``rows`` over each pair's common
+    prefix: rows of length c against every row at least that long, cut to
+    c, in one broadcast vector-vector matmul. Each entry is one BLAS dot of
+    its two rows, symmetric in them, so the result is exactly symmetric and
+    entry (i, j) equals rows i and j alone bit for bit; a GEMM would round
+    differently from the two-row case.
     """
-    if form not in FORMS:
-        raise ValueError(f"unknown form '{form}'")
     out = np.empty((len(rows), len(rows)))
-    if form == "linear":
-        lengths = np.array([len(r) for r in rows])
-        for c in sorted(set(lengths.tolist())):
-            short, long = np.flatnonzero(lengths == c), np.flatnonzero(lengths >= c)
-            a, b = np.array([rows[k] for k in short]), np.array([rows[k][:c] for k in long])
-            out[np.ix_(short, long)] = np.matmul(a[:, None, None, :], b[None, :, :, None])[:, :, 0, 0]
-            out[np.ix_(long, short)] = out[np.ix_(short, long)].T
-        return out
-    phi = np.stack(rows)
-    step = max(1, _BLOCK_FLOATS // max(phi.size, 1))
-    for start in range(0, len(phi), step):
-        diff = phi[start : start + step, None, :] - phi[None, :, :]
-        out[start : start + step] = np.exp(-(diff * diff).sum(axis=2))
+    lengths = np.array([len(r) for r in rows])
+    for c in sorted(set(lengths.tolist())):
+        short, long = np.flatnonzero(lengths == c), np.flatnonzero(lengths >= c)
+        a, b = np.array([rows[k] for k in short]), np.array([rows[k][:c] for k in long])
+        out[np.ix_(short, long)] = np.matmul(a[:, None, None, :], b[None, :, :, None])[:, :, 0, 0]
+        out[np.ix_(long, short)] = out[np.ix_(short, long)].T
     return out
 
 
@@ -70,7 +56,8 @@ def _pair_terms(zr: np.ndarray, zc: np.ndarray, wr: np.ndarray, wc: np.ndarray) 
 
 def _add_group(out, slots, z, w, bounds, block: int) -> None:
     """Add one group's sums into ``out``: the trees at ``slots`` hold nodes
-    ``bounds[k]:bounds[k + 1]`` of ``z`` (coordinate-major) and ``w``."""
+    ``bounds[k]:bounds[k + 1]`` of ``z`` (coordinate-major) and ``w``. Each
+    pair is written once, into the cell whose row is the earlier tree."""
     trees, total = len(slots), int(bounds[-1])
     i0 = 0
     while i0 < trees:
@@ -87,7 +74,6 @@ def _add_group(out, slots, z, w, bounds, block: int) -> None:
         part = np.add.reduceat(sums, bounds[i0:i1] - bounds[i0], axis=0)
         first, second = np.arange(i0, i1)[:, None], np.arange(i0, trees)
         out[np.ix_(slots[i0:i1], slots[i0:])] += np.where(first <= second, part, 0.0)
-        out[np.ix_(slots[i0:], slots[i0:i1])] += np.where(first < second, part, 0.0).T
         i0 = i1
 
 
@@ -101,8 +87,9 @@ def nodeset_gram(sets: Sequence[tuple], block: int, order: Sequence[int] | None 
 
     A pair is summed once, the tree earlier in ``order`` as rows, over each
     row's nodes, then the rows, then the groups, in blocks of about
-    ``block`` floats, and written to both entries: the result is exactly
-    symmetric, and an entry depends on neither the other trees nor ``block``.
+    ``block`` floats, into the entry whose row is the earlier tree; square
+    tiles then copy it to the other entry. The result is exactly symmetric,
+    and an entry depends on neither the other trees nor ``block``.
     """
     slots = np.arange(len(sets)) if order is None else np.asarray(order, dtype=np.intp)
     sets = [sets[k] for k in slots]
@@ -120,32 +107,31 @@ def nodeset_gram(sets: Sequence[tuple], block: int, order: Sequence[int] | None 
         for (_, _, rows), lo in zip(parts, bounds):
             w[lo : lo + len(rows), : rows.shape[1]] = rows
         _add_group(out, np.array([slot for slot, _, _ in parts]), z, w, bounds, block)
+    rank, tile = np.argsort(slots), max(1, math.isqrt(block))
+    for r, c in itertools.product(range(0, len(out), tile), repeat=2):
+        rows, cols = slice(r, r + tile), slice(c, c + tile)
+        np.copyto(out[rows, cols], out[cols, rows].T, where=rank[rows, None] > rank[cols])
     return out
 
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """A kernel given by a 1-D feature ``row(tree)``, memoized on the tree
-    under ``key``, and a form. ``width`` is the row length when the
+    """A linear kernel given by a 1-D feature ``row(tree)``, memoized on the
+    tree under ``key``: K = ΦΦᵀ. ``width`` is the row length when the
     parameters fix it, None when it varies with the trees; ``check(trees)``
     rejects trees that cannot be compared."""
 
     row: Callable[[GeometricTree], np.ndarray]
     key: object
-    form: str
     width: int | None = None
     check: Callable[[Sequence[GeometricTree]], None] = lambda trees: None
-
-    def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"unknown form '{self.form}'")
 
     def features(self, trees: Sequence[GeometricTree]) -> list[np.ndarray]:
         self.check(trees)
         return [tree._memo(self.key, lambda tree=tree: self.row(tree)) for tree in trees]
 
     def gram(self, trees: Sequence[GeometricTree]) -> np.ndarray:
-        return feature_gram(self.features(trees), self.form)
+        return feature_gram(self.features(trees))
 
     def value(self, t1: GeometricTree, t2: GeometricTree) -> float:
         return float(self.gram([t1, t2])[0, 1])

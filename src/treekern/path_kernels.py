@@ -11,9 +11,8 @@ over every ordered node pair of each tree, and the rootpath kernel sums over
 node-to-root paths only. The direct double sums are the reference oracles.
 The node-path all-pairs kernel weights each node pair by closed-form path
 counts: a pair loop for a gaussian node kernel, a feature map for a linear
-one.
-The node-path rootpath kernel decomposes into same-level node pairs, each
-node kernel weighted by the inner product of the two descendant count
+one. The node-path rootpath kernel decomposes into same-level node pairs,
+each node kernel weighted by the inner product of the two descendant count
 vectors: a gaussian node set, or for a linear node kernel a feature map of
 per-level sums (see :mod:`treekern.features`). Embedded kernels are node
 sets (gaussian) or feature maps of landmark row sums (linear).
@@ -21,6 +20,7 @@ sets (gaussian) or feature maps of landmark row sums (linear).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .features import FORMS, FeatureMap, NodeSet, _pair_terms
+from .features import FeatureMap, NodeSet, _pair_terms
 from .trees import GeometricTree, NodePath, canonical_pair
 
 __all__ = [
@@ -45,13 +45,17 @@ __all__ = [
     "rootpath_kernel_linear_fast",
 ]
 
+FORMS = ("linear", "gaussian")
+
 
 def _check_scale(name: str, value) -> None:
-    """A gaussian scale is None (its default) or a finite positive real."""
-    if value is not None and (
-        isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf
-    ):
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    """A gaussian scale is None (its default) or a positive real that is
+    finite as a float; an integer past the float range is rejected."""
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    with contextlib.suppress(OverflowError):
+        if value is None or real and 0 < float(value) < math.inf:
+            return
+    raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,7 @@ def landmark_route(spec: PathKernelSpec, paths: str) -> FeatureMap | NodeSet:
     check = partial(_check_node_spec, spec=NodeKernelSpec())  # positions only
     if spec.form == "linear":
         key = (paths, "landmark_sum", spec.landmarks)
-        return FeatureMap(lambda tree: _landmark_stack(tree, spec.landmarks, paths).sum(axis=0), key, "linear", check=check)
+        return FeatureMap(lambda tree: _landmark_stack(tree, spec.landmarks, paths).sum(axis=0), key, check=check)
 
     def nodes(trees):
         check(trees)
@@ -314,7 +318,7 @@ def all_pairs_linear_map(spec: NodeKernelSpec) -> FeatureMap:
     def row(tree: GeometricTree) -> np.ndarray:
         return (_path_counts(tree).T @ _node_points(tree, spec)).ravel()
 
-    return FeatureMap(row, ("all_pairs_linear", spec.use_attributes), "linear", check=partial(_check_node_spec, spec=spec))
+    return FeatureMap(row, ("all_pairs_linear", spec.use_attributes), check=partial(_check_node_spec, spec=spec))
 
 
 def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec) -> float:
@@ -405,7 +409,7 @@ def rootpath_linear_map(spec: NodeKernelSpec) -> FeatureMap:
         g1 = np.arange(len(l1)) - l1 * (l1 + 1) // 2
         return by_level[g1, l1 - g1].ravel()
 
-    return FeatureMap(row, ("rootpath_linear", spec.use_attributes), "linear", check=partial(_check_node_spec, spec=spec))
+    return FeatureMap(row, ("rootpath_linear", spec.use_attributes), check=partial(_check_node_spec, spec=spec))
 
 
 def rootpath_kernel_linear_fast(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> float:

@@ -4,21 +4,19 @@ Each entry gives a kernel's parameter defaults, written here or read from
 the class defaults of :class:`~treekern.path_kernels.NodeKernelSpec`,
 :class:`~treekern.path_kernels.PathKernelSpec` and
 :class:`~treekern.baselines.WLConfig`, and a route built from the resolved
-parameters: a pairwise function of two trees or a cohort route, either a
-:class:`~treekern.features.FeatureMap` (``rootpath-node`` with linear
-``form`` and ``rootpath-node-linear-fast`` share one, and linear
-``all-pairs-node`` has one) or a gaussian
+parameters: a pairwise function of two trees or a cohort route, a linear
+:class:`~treekern.features.FeatureMap` or a gaussian
 :class:`~treekern.features.NodeSet`. ``build_kernel(name, **params)``
 returns a :class:`PairwiseKernel`: its ``value(t1, t2)`` is the single-pair
 entry point and :func:`treekern.assemble` takes it over a cohort. It also
 carries the resolved parameters (for Gram sidecars and manifests), the
 cohort route when there is one, and a ``prepare`` hook that assembly calls
-once over the whole dataset. No catalogued kernel needs the hook: every
-per-tree cache is built lazily on first use.
+once over the whole dataset; no catalogued kernel needs it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -45,10 +43,9 @@ class PairwiseKernel:
 
     @property
     def scalar_linear(self) -> bool:
-        """A linear form over one feature column: K_ij = f_i f_j, so cosine
-        normalization would leave only sign(f_i f_j)."""
-        fm = self.cohort
-        return isinstance(fm, FeatureMap) and fm.form == "linear" and fm.width == 1
+        """A feature map of width 1: K_ij = f_i f_j, so cosine normalization
+        would leave only sign(f_i f_j)."""
+        return isinstance(self.cohort, FeatureMap) and self.cohort.width == 1
 
     @property
     def spec(self) -> dict:
@@ -103,10 +100,11 @@ def _coerce(name: str, key: str, default, value):
     # Switches must arrive as booleans and counts as integers (not booleans);
     # a string or float from JSON is rejected, never cast. A scale (default
     # None) given as a real number, numpy scalars included, is kept as a
-    # Python float so the Gram sidecar can record it; anything else is left
-    # for the spec to reject.
+    # Python float so the Gram sidecar can record it; anything else, an
+    # integer past the float range included, is left for the spec to reject.
     if default is None and isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        with contextlib.suppress(OverflowError):
+            return float(value)
     if not isinstance(default, int):
         return value
     if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, (int, np.integer)):

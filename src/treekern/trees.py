@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -59,6 +59,16 @@ class NodePath:
         return self.tree.attributes[list(self.nodes)]
 
 
+class _NodeError(ValueError):
+    """A construction error about the node at input position ``pos``, told
+    by ``say(name)`` with the node's name; the constructor names it by
+    ``pos``, the JSON reader by its JSON id."""
+
+    def __init__(self, tree_id: str, pos: int, say: Callable[[object], str]):
+        super().__init__(f"tree '{tree_id}': {say(pos)}")
+        self.pos, self.say = pos, say
+
+
 class GeometricTree:
     """Rooted tree embedded in R^n with optional per-node measurements in R^d.
 
@@ -95,7 +105,7 @@ class GeometricTree:
             raise ValueError(f"tree '{self.id}': multiple roots at positions {roots}")
         if min(raw_list) < -1 or max(raw_list) >= size:
             i = next(i for i, p in enumerate(raw_list) if not -1 <= p < size)
-            raise ValueError(f"tree '{self.id}': node {i} has invalid parent index {raw_list[i]}")
+            raise _NodeError(self.id, i, lambda node: f"node {node} has invalid parent index {raw_list[i]}")
 
         kids: list[list[int]] = [[] for _ in range(size + 1)]
         for i, p in enumerate(raw_list):
@@ -110,7 +120,7 @@ class GeometricTree:
             v = min(set(range(size)).difference(order))
             for _ in range(size):  # |V| steps up from any node end on its cycle
                 v = raw_list[v]
-            raise ValueError(f"tree '{self.id}': cycle detected involving node {v}")
+            raise _NodeError(self.id, v, lambda node: f"cycle detected involving node {node}")
 
         for what, rows in (("position", positions), ("attribute", attributes)):
             if rows is not None and len(rows) != size:
@@ -130,7 +140,7 @@ class GeometricTree:
         for name, values in (("position", xs), ("attribute vector", attrs)):
             if values is not None and not np.isfinite(values).all():
                 raw_node = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
-                raise ValueError(f"tree '{self.id}': node {raw_node} has a non-finite {name}")
+                raise _NodeError(self.id, raw_node, lambda node: f"node {node} has a non-finite {name}")
 
         order_arr = np.array(order, dtype=np.intp)
         canon_of_raw = np.empty(size, dtype=np.intp)
@@ -159,9 +169,10 @@ class GeometricTree:
             except ValueError:  # a ragged row
                 flat.append(np.array([row], dtype=object))
             if flat[-1].dtype.kind not in "iuf":
-                raise ValueError(f"tree '{self.id}': node {i} {what} an entry that is not a number: {row!r}")
-            if flat[-1].size != width:
-                raise ValueError(f"tree '{self.id}': node {i} {what} dimension {flat[-1].size}, expected {width}")
+                raise _NodeError(self.id, i, lambda node: f"node {node} {what} an entry that is not a number: {row!r}")
+            got = flat[-1].size
+            if got != width:
+                raise _NodeError(self.id, i, lambda node: f"node {node} {what} dimension {got}, expected {width}")
         return np.array(flat, dtype=float)
 
     # -- basic structure -------------------------------------------------------
@@ -365,15 +376,16 @@ def serialize_tree(tree: GeometricTree) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _tree_from_obj(obj: dict, source: str = "tree") -> GeometricTree:
-    """Build a tree from a decoded JSON object; every error names ``source``,
-    then the tree id and the node once they are known."""
+def _tree_from_obj(obj: dict, source: str | None = None) -> GeometricTree:
+    """Build a tree from a decoded JSON object; every error names ``source``
+    (or "tree" until the id is known), then the tree id and the node, by its
+    JSON id, once they are known."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{source}: expected a JSON object")
+        raise ValueError(f"{source or 'tree'}: expected a JSON object")
     for key in ("id", "n", "d", "nodes"):
         if key not in obj:
-            raise ValueError(f"{source}: missing field '{key}'")
-    where = f"{source}: tree '{obj['id']}'"
+            raise ValueError(f"{source or 'tree'}: missing field '{key}'")
+    where = f"tree '{obj['id']}'" if source is None else f"{source}: tree '{obj['id']}'"
     for key in ("n", "d"):
         if type(obj[key]) is not int:  # exact type: a JSON boolean is no integer
             raise ValueError(f"{where}: '{key}' must be an integer, got {obj[key]!r}")
@@ -400,6 +412,9 @@ def _tree_from_obj(obj: dict, source: str = "tree") -> GeometricTree:
     if len(pos_of_id) < len(ids):
         duplicate = next(node_id for node_id, count in Counter(ids).items() if count > 1)
         raise ValueError(f"{where}: duplicate node id {duplicate}")
+    roots = [node_id for node_id, p in zip(ids, parent_ids) if p is None]
+    if len(roots) > 1:
+        raise ValueError(f"{where}: multiple roots: nodes {roots}")
     parents = [-1 if p is None else pos_of_id.get(p, -2) for p in parent_ids]  # -2: no such node
     if -2 in parents:
         pos = parents.index(-2)
@@ -412,7 +427,11 @@ def _tree_from_obj(obj: dict, source: str = "tree") -> GeometricTree:
     attrs = [entry["a"] for entry in raw_nodes] if d > 0 else None
     try:
         return GeometricTree(str(obj["id"]), parents, xs, attrs, n=obj["n"], d=d)
-    except ValueError as exc:  # already names the tree and the node
+    except _NodeError as exc:
+        raise ValueError(f"{where}: {exc.say(ids[exc.pos])}") from None
+    except ValueError as exc:  # already names the tree
+        if source is None:
+            raise
         raise ValueError(f"{source}: {exc}") from None
 
 

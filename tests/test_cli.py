@@ -290,6 +290,20 @@ def test_spec_json_file_and_flag_precedence(tmp_path):
         assert not g4.exists()
 
 
+def test_spec_json_integer_past_the_float_range_is_a_usage_error(tmp_path, capsys):
+    data = gen_dataset(tmp_path, size=4, seed=2)
+    out = tmp_path / "g.csv"
+    for key, kernel in [("lambda1", "rootpath-node"), ("lam", "rootpath-embedded")]:
+        inline = f'{{"{key}": 1{"0" * 400}}}'
+        assert run(["kernel", data / "trees.json", "--kernel", kernel, "--spec-json", inline, "--out", out]) == 2
+        assert f"{key} must be a finite positive number" in capsys.readouterr().err
+    # more digits than Python converts: the JSON itself is refused
+    inline = f'{{"lambda1": 1{"0" * 5000}}}'
+    assert run(["kernel", data / "trees.json", "--kernel", "rootpath-node", "--spec-json", inline, "--out", out]) == 2
+    assert "--spec-json is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_two_sample_flow(tmp_path, capsys):
     data = gen_dataset(tmp_path, preset="branch-shift", size=16, seed=3)
     gram = tmp_path / "gbc.csv"

@@ -319,6 +319,7 @@ def test_registry_names_and_errors(rng):
         ("pointcloud", {"lambda2": math.inf}, r"lambda2 must be a finite positive number, got inf"),
         ("all-pairs-node", {"lambda2": math.nan}, r"lambda2 must be a finite positive number, got nan"),
         ("rootpath-embedded", {"lam": "x"}, r"lam must be a finite positive number, got 'x'"),
+        ("rootpath-node", {"lambda2": 10**400}, r"lambda2 must be a finite positive number, got 10{400}$"),
     ]:
         with pytest.raises(ValueError, match=match):
             build_kernel(name, **params)
@@ -363,12 +364,27 @@ def test_scalar_linear_flags():
     assert build_kernel("sp", length_kernel="linear").spec["scalar_linear"]
 
 
+def test_gaussian_summaries_are_one_point_node_sets():
+    for name in ("gbc", "aaw", "agaw"):
+        assert isinstance(build_kernel(name).cohort, NodeSet)
+    for name in ("aaw", "agaw"):
+        with pytest.raises(ValueError, match="unknown form 'cubic'"):
+            build_kernel(name, form="cubic")
+    # both branch-count forms read the one row memoized on the tree
+    trees = [chain_tree(3, tree_id="a"), chain_tree(5, tree_id="b")]
+    assemble(trees, build_kernel("lbc"))
+    row = trees[0]._cache["node_count"]
+    assert assemble(trees, build_kernel("gbc")).values[0, 1] == math.exp(-4.0)
+    assert trees[0]._cache["node_count"] is row
+
+
+# The linear kernels, whose cohort route is a feature map.
 FEATURE_KERNELS = [
     ("lbc", {}),
-    ("gbc", {}),
-    ("aaw", {}),
+    ("all-pairs-node", {"form": "linear", "use_attributes": True}),
+    ("rootpath-embedded", {"landmarks": 3, "form": "linear"}),
     ("aaw", {"form": "linear"}),
-    ("agaw", {"gen_lo": 0, "gen_hi": 4}),
+    ("all-pairs-embedded", {"landmarks": 3, "form": "linear"}),
     ("agaw", {"gen_lo": 0, "gen_hi": 4, "form": "linear"}),
     ("agaw", {"gen_lo": 2, "gen_hi": 2, "form": "linear"}),
     ("sp", {}),
@@ -453,8 +469,9 @@ def test_gram_permutes_with_dataset_order(name, params, case):
     assert np.array_equal(shuffled, gram[np.ix_(order, order)])
 
 
-# The kernels that left the pair loop for a cohort route (a node set, or
-# for the linear kernels a feature map), at small landmark counts.
+# The kernels that left the pair loop or the gaussian feature rows for a
+# cohort route (a node set, or for the linear kernels a feature map), at
+# small landmark counts; the last agaw window is wider than 8 generations.
 MOVED_KERNELS = [
     ("rootpath-node", {"form": form, "use_attributes": attributes})
     for form in ("linear", "gaussian")
@@ -469,7 +486,37 @@ MOVED_KERNELS = [
     ("rootpath-node-linear-fast", {"form": "linear", "use_attributes": True}),
     ("all-pairs-node", {"form": "linear", "use_attributes": False}),
     ("all-pairs-node", {"form": "linear", "use_attributes": True}),
+    ("gbc", {}),
+    ("aaw", {}),
+    ("agaw", {"gen_lo": 0, "gen_hi": 4}),
+    ("agaw", {"gen_lo": 0, "gen_hi": 9}),
 ]
+
+
+def summary_by_nodes(tree, name, params) -> list[float]:
+    """The node count, the attribute mean, or the per-generation attribute
+    means (0 for a missing generation), one node at a time."""
+    if name == "gbc":
+        return [float(tree.size)]
+    values = [float(a[params.get("component", 0)]) for a in tree.attributes]
+    if name == "aaw":
+        return [sum(values) / len(values)]
+    depths = []
+    for v in range(tree.size):
+        depth = 0
+        while tree.parents[v] >= 0:
+            v, depth = tree.parents[v], depth + 1
+        depths.append(depth)
+    means = []
+    for gen in range(params["gen_lo"], params["gen_hi"] + 1):
+        picked = [x for x, depth in zip(values, depths) if depth == gen]
+        means.append(sum(picked) / len(picked) if picked else 0.0)
+    return means
+
+
+def gaussian_of_summaries(t1, t2, name, params) -> float:
+    m1, m2 = summary_by_nodes(t1, name, params), summary_by_nodes(t2, name, params)
+    return math.exp(-sum((a - b) ** 2 for a, b in zip(m1, m2)))
 
 
 def pointcloud_by_edge_pairs(t1, t2) -> float:
@@ -497,7 +544,10 @@ def all_pairs_node_by_enumeration(t1, t2, spec) -> float:
 
 
 def literal_oracle(name, params):
-    """The kernel as a literal sum over path or edge pairs."""
+    """The kernel as a literal sum over path or edge pairs, or a gaussian of
+    tree summaries."""
+    if name in ("gbc", "aaw", "agaw"):
+        return partial(gaussian_of_summaries, name=name, params=params)
     if name.startswith("rootpath-node"):
         return build_kernel("rootpath-node-naive", **params).value
     if name == "all-pairs-node":
@@ -530,7 +580,7 @@ def mixed_cohorts(draw):
 def test_cohort_route_matches_oracle_pairs_and_any_block(name, params, trees):
     kernel = build_kernel(name, **params)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # pointcloud: a single node has no edges
+        warnings.simplefilter("ignore")  # pointcloud: no edges; agaw: missing generations
         gram = assemble(trees, kernel).values
         pairs = np.array([[kernel.value(a, b) for b in trees] for a in trees])
         if isinstance(kernel.cohort, NodeSet):

@@ -94,6 +94,11 @@ def test_spec_validation():
         PathKernelSpec(landmarks=1)
     with pytest.raises(ValueError, match="lam"):
         PathKernelSpec(lam=-1.0)
+    # an integer past the float range is rejected by name, not overflowed
+    with pytest.raises(ValueError, match=r"lambda1 must be a finite positive number, got 10{400}$"):
+        NodeKernelSpec(lambda1=10**400)
+    with pytest.raises(ValueError, match=r"lam must be a finite positive number, got 10{400}$"):
+        PathKernelSpec(lam=10**400)
 
 
 # -- node kernels ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tree construction, canonical ordering, paths, descendant vectors, and the
 JSON round trip."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +109,26 @@ def test_construction_rejects_non_finite_values():
     text = '{"id": "j", "n": 1, "d": 1, "nodes": [{"id": 0, "parent": null, "x": [0.0], "a": [NaN]}]}'
     with pytest.raises(ValueError, match=r"tree 'j': node 0 has a non-finite attribute"):
         parse_tree(text)
+
+
+def test_json_errors_name_nodes_by_their_json_ids():
+    def parse(nodes, d=0):
+        return parse_tree({"id": "t", "n": 1, "d": d, "nodes": nodes})
+
+    root = {"id": 10, "parent": None, "x": [0.0]}
+    with pytest.raises(ValueError, match=r"^tree 't': cycle detected involving node 1[12]$"):
+        parse([root, {"id": 11, "parent": 12, "x": [1.0]}, {"id": 12, "parent": 11, "x": [2.0]}])
+    with pytest.raises(ValueError, match=r"^tree 't': node 11 has a non-finite position$"):
+        parse([root, {"id": 11, "parent": 10, "x": [math.nan]}, {"id": 12, "parent": 11, "x": [2.0]}])
+    with pytest.raises(ValueError, match=r"^tree 't': node 12 has a non-finite attribute vector$"):
+        parse([{**root, "a": [0.0]}, {"id": 12, "parent": 10, "x": [1.0], "a": [math.inf]}], d=1)
+    with pytest.raises(ValueError, match=r"^tree 't': node 12 position has dimension 2, expected 1$"):
+        parse([root, {"id": 12, "parent": 10, "x": [1.0, 2.0]}, {"id": 11, "parent": 10, "x": [1.0]}])
+    with pytest.raises(ValueError, match=r"^tree 't': multiple roots: nodes \[10, 12\]$"):
+        parse([root, {"id": 11, "parent": 10, "x": [1.0]}, {"id": 12, "parent": None, "x": [2.0]}])
+    # the constructor itself names nodes by input position
+    with pytest.raises(ValueError, match=r"^tree 't': cycle detected involving node [12]$"):
+        GeometricTree("t", [-1, 2, 1], [[0.0], [1.0], [2.0]])
 
 
 def test_levels_of_long_reversed_chain():
