@@ -51,6 +51,20 @@ def stage(stages: dict[str, float], name: str):
     stages[name] = time.perf_counter() - tic
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's own peak resident set in MiB (``VmHWM``), or None where
+    ``/proc/self/status`` is absent. ``ru_maxrss`` cannot stand in for it:
+    Linux carries the parent's high-water mark into a child across exec."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # reported in kB
+    except OSError:
+        pass
+    return None
+
+
 def _write_manifest(
     manifest_file: Path,
     command: str,
@@ -73,6 +87,7 @@ def _write_manifest(
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "duration_seconds": time.perf_counter() - started,
+        "peak_rss_mb": _peak_rss_mb(),
         **extra,
     }
     manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

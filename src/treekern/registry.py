@@ -96,12 +96,16 @@ _CATALOG: dict[str, tuple[dict, Callable]] = {
 }
 
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
 def _coerce(name: str, key: str, default, value):
-    # Switches must arrive as booleans and counts as integers (not booleans);
-    # a string or float from JSON is rejected, never cast. A scale (default
-    # None) given as a real number, numpy scalars included, is kept as a
-    # Python float so the Gram sidecar can record it; anything else, an
-    # integer past the float range included, is left for the spec to reject.
+    # Switches must arrive as booleans and counts as integers (not booleans)
+    # in the signed 64-bit range that numpy indexes with; a string or float
+    # from JSON is rejected, never cast. A scale (default None) given as a
+    # real number, numpy scalars included, is kept as a Python float so the
+    # Gram sidecar can record it; anything else, an integer past the float
+    # range included, is left for the spec to reject.
     if default is None and isinstance(value, numbers.Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):
             return float(value)
@@ -110,6 +114,11 @@ def _coerce(name: str, key: str, default, value):
     if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, (int, np.integer)):
         kind = "a boolean" if isinstance(default, bool) else "an integer"
         raise ValueError(f"kernel '{name}' parameter '{key}' must be {kind}, got {value!r}")
+    if not _INT64_MIN <= value <= _INT64_MAX:  # its digits can outrun str(), so give its bits
+        raise ValueError(
+            f"kernel '{name}' parameter '{key}' must fit in a signed 64-bit integer, "
+            f"got an integer of {int(value).bit_length()} bits"
+        )
     return type(default)(value)
 
 

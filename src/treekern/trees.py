@@ -462,22 +462,59 @@ def dataset_files(path: str | Path) -> list[Path]:
     return files
 
 
+_DECODER = json.JSONDecoder()
+_SKIP = json.decoder.WHITESPACE.match
+
+
+def _load_file(p: Path) -> list[GeometricTree]:
+    # Decode as json.loads(bytes) does, then walk a top-level array one
+    # element at a time: each dict becomes a tree as soon as it is decoded,
+    # so besides the text only the newest element's objects are live.
+    # Every syntax error is json.loads's, at its position in the whole file.
+    raw = p.read_bytes()
+    text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    del raw
+    trees: list[GeometricTree] = []
+    try:
+        idx = _SKIP(text).end()
+        if not text.startswith("[", idx):
+            obj = _DECODER.decode(text)
+            if isinstance(obj, dict):
+                return [_tree_from_obj(obj, source=str(p))]
+        else:
+            idx = _SKIP(text, idx + 1).end()
+            if not text.startswith("]", idx):
+                while True:  # a trailing comma ends in raw_decode's "Expecting value" at the "]"
+                    obj, idx = _DECODER.raw_decode(text, idx)
+                    trees.append(_tree_from_obj(obj, source=f"{p}[{len(trees)}]"))
+                    idx = _SKIP(text, idx).end()
+                    if text.startswith("]", idx):
+                        break
+                    if not text.startswith(",", idx):
+                        raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
+                    idx = _SKIP(text, idx + 1).end()
+            end = _SKIP(text, idx + 1).end()
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{p}: invalid JSON: {exc}") from exc
+    if not trees:
+        raise ValueError(f"{p}: expected a non-empty JSON array of trees")
+    return trees
+
+
 def load_dataset(path: str | Path) -> list[GeometricTree]:
     """Load trees from the files :func:`dataset_files` names for ``path``;
-    each holds one tree object or a non-empty JSON array of them."""
+    each holds one tree object or a non-empty JSON array of them.
+
+    A file is read in the encodings ``json.loads`` accepts for bytes (UTF-8,
+    with or without a BOM, UTF-16 and UTF-32) and an array is decoded one
+    tree at a time, so the peak is about twice the file plus one tree's
+    objects. Errors are those of ``json.loads``, but a tree error early in a
+    file is reported before a syntax error later in it.
+    """
     path = Path(path)
-    trees: list[GeometricTree] = []
-    for p in dataset_files(path):
-        try:
-            data = json.loads(p.read_bytes())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{p}: invalid JSON: {exc}") from exc
-        if isinstance(data, dict):
-            trees.append(_tree_from_obj(data, source=str(p)))
-            continue
-        if not isinstance(data, list) or not data:
-            raise ValueError(f"{p}: expected a non-empty JSON array of trees")
-        trees.extend(_tree_from_obj(obj, source=f"{p}[{k}]") for k, obj in enumerate(data))
+    trees = [tree for p in dataset_files(path) for tree in _load_file(p)]
     seen: set[str] = set()
     for tree in trees:
         if tree.id in seen:
@@ -487,9 +524,14 @@ def load_dataset(path: str | Path) -> list[GeometricTree]:
 
 
 def save_dataset(trees: Iterable[GeometricTree], path: str | Path) -> None:
-    """Write trees as a JSON array, one canonical tree per line."""
-    path = Path(path)
-    lines = [serialize_tree(t).decode("utf-8").rstrip("\n") for t in trees]
-    if not lines:
+    """Write trees as a JSON array, one canonical tree per line, each tree
+    written as it is serialized."""
+    trees = iter(trees)
+    first = next(trees, None)
+    if first is None:
         raise ValueError("refusing to write an empty dataset")
-    path.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
+    with Path(path).open("wb") as out:
+        out.write(b"[\n" + serialize_tree(first)[:-1])
+        for tree in trees:
+            out.write(b",\n" + serialize_tree(tree)[:-1])
+        out.write(b"\n]\n")

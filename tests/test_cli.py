@@ -2,6 +2,7 @@
 test, holdout classification, benchmarks, manifests, and exit codes."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ def test_manifests_record_stage_timings(tmp_path):
     manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
     assert list(manifest["stages"]) == ["load", "permutation_test"]
     assert manifest["n_permutations"] == 50
+
+
+def test_every_manifest_records_its_own_peak_rss(tmp_path):
+    data = gen_dataset(tmp_path, size=6, seed=8)
+    gram = tmp_path / "g.csv"
+    assert run(["kernel", data, "--kernel", "sp", "--out", gram]) == 0
+    assert run(["test", gram, data / "labels.csv", "--permutations", 20, "--out", tmp_path / "t.json"]) == 0
+    assert run(["classify", gram, data / "labels.csv", "--out", tmp_path / "c.json"]) == 0
+    for manifest_file in [data / "manifest.json", *tmp_path.glob("*.manifest.json")]:
+        peak = json.loads(manifest_file.read_text())["peak_rss_mb"]
+        if sys.platform.startswith("linux"):
+            assert peak > 0, manifest_file
+        else:
+            assert peak is None or peak > 0, manifest_file
 
 
 def test_kernel_normalize_flag(tmp_path):
@@ -297,6 +312,13 @@ def test_spec_json_integer_past_the_float_range_is_a_usage_error(tmp_path, capsy
         inline = f'{{"{key}": 1{"0" * 400}}}'
         assert run(["kernel", data / "trees.json", "--kernel", kernel, "--spec-json", inline, "--out", out]) == 2
         assert f"{key} must be a finite positive number" in capsys.readouterr().err
+    # a count past the signed 64-bit range names the kernel and the parameter
+    for key, kernel in [("landmarks", "rootpath-embedded"), ("gen_hi", "agaw"), ("iterations", "wl")]:
+        inline = f'{{"{key}": 1{"0" * 400}}}'
+        assert run(["kernel", data / "trees.json", "--kernel", kernel, "--spec-json", inline, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"kernel '{kernel}' parameter '{key}' must fit in a signed 64-bit integer" in err
+        assert "Traceback" not in err
     # more digits than Python converts: the JSON itself is refused
     inline = f'{{"lambda1": 1{"0" * 5000}}}'
     assert run(["kernel", data / "trees.json", "--kernel", "rootpath-node", "--spec-json", inline, "--out", out]) == 2

@@ -320,10 +320,16 @@ def test_registry_names_and_errors(rng):
         ("all-pairs-node", {"lambda2": math.nan}, r"lambda2 must be a finite positive number, got nan"),
         ("rootpath-embedded", {"lam": "x"}, r"lam must be a finite positive number, got 'x'"),
         ("rootpath-node", {"lambda2": 10**400}, r"lambda2 must be a finite positive number, got 10{400}$"),
+        # counts must fit the signed 64-bit integers numpy indexes with
+        ("rootpath-embedded", {"landmarks": 10**400}, r"'landmarks' must fit in a signed 64-bit integer"),
+        ("agaw", {"gen_hi": 2**63}, r"kernel 'agaw' parameter 'gen_hi' must fit in a signed 64-bit integer"),
+        ("wl", {"iterations": -(2**63) - 1}, r"'iterations' must fit in a signed 64-bit integer, got an integer of 64 bits"),
+        ("wl", {"iterations": np.uint64(2**64 - 1)}, r"'iterations' must fit in a signed 64-bit integer"),
     ]:
         with pytest.raises(ValueError, match=match):
             build_kernel(name, **params)
     assert build_kernel("rootpath-embedded", landmarks=np.int64(3)).params["landmarks"] == 3
+    assert build_kernel("agaw", gen_hi=2**63 - 1).params["gen_hi"] == 2**63 - 1
     scales = build_kernel("rootpath-node", lambda1=2, lambda2=np.float32(0.5)).params
     assert scales == {**scales, "lambda1": 2.0, "lambda2": 0.5}
     assert type(scales["lambda1"]) is float and type(scales["lambda2"]) is float

@@ -1,7 +1,9 @@
 """Tree construction, canonical ordering, paths, descendant vectors, and the
 JSON round trip."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from treekern import (
     GeometricTree,
+    generate,
     canonical_pair,
     load_dataset,
     parse_tree,
     save_dataset,
     serialize_tree,
 )
+
+from treekern.trees import _tree_from_obj, dataset_files
 
 from conftest import chain_tree, distance_histogram, random_tree, shaped_trees, star_tree
 
@@ -414,6 +419,120 @@ def test_dataset_directory_and_duplicates(tmp_path, rng):
     empty.write_text("[]")
     with pytest.raises(ValueError, match="non-empty"):
         load_dataset(empty)
+
+
+def reference_load(path):
+    """The whole-file reader the streaming one replaces: one json.loads per
+    file, then one tree per element."""
+    trees = []
+    for p in dataset_files(path):
+        try:
+            data = json.loads(p.read_bytes())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{p}: invalid JSON: {exc}") from exc
+        if isinstance(data, dict):
+            trees.append(_tree_from_obj(data, source=str(p)))
+            continue
+        if not isinstance(data, list) or not data:
+            raise ValueError(f"{p}: expected a non-empty JSON array of trees")
+        trees.extend(_tree_from_obj(obj, source=f"{p}[{k}]") for k, obj in enumerate(data))
+    return trees
+
+
+def test_streamed_reader_accepts_what_json_loads_accepts(tmp_path, rng):
+    trees = [random_tree(rng, 12, n=2, d=1, tree_id=f"s{k}") for k in range(4)]
+    lines = [serialize_tree(t).decode("utf-8").strip() for t in trees]
+    objs = [json.loads(line) for line in lines]
+    texts = {
+        "compact": "[" + ",".join(lines) + "]",
+        "pretty": json.dumps(objs, indent=2),
+        "odd_whitespace": " \r\n\t[\n" + " ,\t\r\n ".join(lines) + "\t\n]\r\n \n",
+        "one_element": f"[ {lines[0]} ]",
+        "single_object": lines[1],
+        "single_object_pretty": "\n" + json.dumps(objs[2], indent=4) + "\n",
+    }
+    files = {name: text.encode("utf-8") for name, text in texts.items()}
+    files["utf8_bom"] = b"\xef\xbb\xbf" + texts["pretty"].encode("utf-8")
+    files["utf16"] = texts["odd_whitespace"].encode("utf-16")
+    files["utf16_be"] = texts["compact"].encode("utf-16-be")
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        expected = reference_load(path)
+        assert [t.fingerprint for t in load_dataset(path)] == [t.fingerprint for t in expected], name
+    # a directory: every .json file in name order, each one tree or an array
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    (parts / "a.json").write_text(texts["pretty"].replace('"s', '"a'), encoding="utf-8")
+    (parts / "b.json").write_bytes(texts["single_object"].replace('"s', '"b').encode("utf-16"))
+    loaded = load_dataset(parts)
+    assert [t.id for t in loaded] == ["a0", "a1", "a2", "a3", "b1"]
+    assert [t.fingerprint for t in loaded] == [t.fingerprint for t in reference_load(parts)]
+
+
+def test_streamed_reader_rejects_what_json_loads_rejects(tmp_path, rng):
+    a, b = (serialize_tree(random_tree(rng, 8, tree_id=i)).decode("utf-8").strip() for i in "ab")
+    cases = {
+        # (text, message after the path): syntax errors carry json.loads's
+        # message and position in the whole file
+        "empty_array": ("[ \n ]", "expected a non-empty JSON array of trees"),
+        "number": ("3", "expected a non-empty JSON array of trees"),
+        "string": ('"trees"', "expected a non-empty JSON array of trees"),
+        "null": ("null", "expected a non-empty JSON array of trees"),
+        "empty_file": ("", None),
+        "trailing_comma": (f"[{a},\n{b},\n]", None),
+        "missing_comma": (f"[{a}\n{b}]", None),
+        "data_after": (f"[{a},{b}]\n[]", None),
+        "object_after_object": (f"{a} {b}", None),
+        "truncated_last": (f"[{a},\n{b[:-7]}", None),
+        "unclosed": (f"[{a},{b}", None),
+    }
+    for name, (text, message) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as expected:
+            reference_load(path)
+        with pytest.raises(ValueError) as got:
+            load_dataset(path)
+        assert str(got.value) == str(expected.value), name
+        if message is None:
+            assert str(got.value).startswith(f"{path}: invalid JSON: "), name
+            assert isinstance(got.value.__cause__, json.JSONDecodeError)
+        else:
+            assert str(got.value) == f"{path}: {message}"
+    # an element that is no tree object is named by its index
+    path = tmp_path / "non_object.json"
+    path.write_text(f"[{a},\n[1, 2],\n{b}]", encoding="utf-8")
+    with pytest.raises(ValueError) as expected:
+        reference_load(path)
+    with pytest.raises(ValueError) as got:
+        load_dataset(path)
+    assert str(got.value) == str(expected.value) == f"{path}[1]: expected a JSON object"
+    # a tree error is reported before a syntax error later in the same file
+    path = tmp_path / "tree_then_syntax.json"
+    path.write_text(f'[{a}, {{"id": "c"}}, {b},]', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"tree_then_syntax\.json\[1\]: missing field 'n'"):
+        load_dataset(path)
+    with pytest.raises(ValueError, match="invalid JSON"):
+        reference_load(path)
+
+
+def test_load_dataset_peak_memory_stays_near_the_file_size(tmp_path):
+    cfg_a, cfg_b = generate.preset_configs("attr-shift", 5)
+    trees, _ = generate.generate_two_class_population(cfg_a, cfg_b, 150, 150)
+    path = tmp_path / "trees.json"
+    save_dataset(trees, path)
+    del trees
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 300
+    # the text and the bytes it was decoded from, plus one tree's objects;
+    # decoding the whole array at once peaked above 5x
+    assert peak < 3 * path.stat().st_size
 
 
 def test_star_and_chain_shapes():
