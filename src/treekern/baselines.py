@@ -61,7 +61,7 @@ def _row_route(row, key, form: str, width: int) -> FeatureMap | NodeSet:
     if form not in FORMS:
         raise ValueError(f"unknown form '{form}'")
     rows, one = FeatureMap(row, key, width), (np.zeros(1, dtype=np.intp), np.ones((1, 1)))
-    return rows if form == "linear" else NodeSet(lambda trees: [(r[None, :], *one) for r in rows.features(trees)])
+    return rows if form == "linear" else NodeSet(lambda tree: (rows.features([tree])[0][None, :], *one))
 
 
 def _attribute_column(tree: GeometricTree, component: int) -> np.ndarray:
@@ -151,33 +151,35 @@ def weisfeiler_lehman_kernel(
     dot product between the label count vectors. Values do not depend on the
     dictionary's label numbering, so pairwise evaluation matches a shared
     per-population compression exactly.
+
+    Once a round splits no label class of the pair, every later round adds
+    the same dot product, so the rest is one product.
     """
     t1, t2 = canonical_pair(t1, t2)
 
     def neighbours(tree: GeometricTree) -> list[list[int]]:
-        adj = [list(kids) for kids in tree.children]
-        for i, p in enumerate(tree.parents):
-            if p >= 0:
-                adj[i].append(int(p))
-        return adj
+        return [[*kids, p] if p >= 0 else list(kids) for kids, p in zip(tree.children, tree.parents.tolist())]
 
-    adj1 = neighbours(t1)
-    adj2 = neighbours(t2)
-    labels1 = [int(v) for v in t1.degrees]
-    labels2 = [int(v) for v in t2.degrees]
-    total = _counter_dot(Counter(labels1), Counter(labels2))
     compressed: dict[tuple, int] = {}
-    for _ in range(cfg.iterations):
-        def refine(labels: list[int], adj: list[list[int]]) -> list[int]:
-            out = []
-            for v, label in enumerate(labels):
-                signature = (label, tuple(sorted(labels[w] for w in adj[v])))
-                if signature not in compressed:
-                    compressed[signature] = len(compressed)
-                out.append(compressed[signature])
-            return out
 
-        labels1 = refine(labels1, adj1)
-        labels2 = refine(labels2, adj2)
-        total += _counter_dot(Counter(labels1), Counter(labels2))
+    def refine(labels: list[int], adj: list[list[int]]) -> list[int]:
+        out = []
+        for v, label in enumerate(labels):
+            signature = (label, tuple(sorted(labels[w] for w in adj[v])))
+            if signature not in compressed:
+                compressed[signature] = len(compressed)
+            out.append(compressed[signature])
+        return out
+
+    adj1, adj2 = neighbours(t1), neighbours(t2)
+    labels1, labels2 = t1.degrees.tolist(), t2.degrees.tolist()
+    total = _counter_dot(Counter(labels1), Counter(labels2))
+    classes = len(set(labels1).union(labels2))
+    for done in range(1, cfg.iterations + 1):
+        labels1, labels2 = refine(labels1, adj1), refine(labels2, adj2)
+        dot = _counter_dot(Counter(labels1), Counter(labels2))
+        total += dot
+        classes, before = len(set(labels1).union(labels2)), classes
+        if classes == before:
+            return total + (cfg.iterations - done) * dot
     return total

@@ -139,12 +139,21 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """A gaussian kernel given by ``nodes(trees)``, each tree's (z, g, w)
-    for :func:`nodeset_gram`. Trees go in id order, as
-    :func:`~treekern.trees.canonical_pair` orders a pair; repeated ids
-    fall back to ``sort_key``."""
+    """A gaussian kernel given by each tree's (z, g, w) for
+    :func:`nodeset_gram`, ``points(tree)``, memoized under ``key`` (None: read
+    off another memo); ``check`` as for :class:`FeatureMap`. Trees go in id
+    order, as :func:`~treekern.trees.canonical_pair` orders a pair; repeated
+    ids fall back to ``sort_key``."""
 
-    nodes: Callable[[Sequence[GeometricTree]], list]
+    points: Callable[[GeometricTree], tuple]
+    key: object = None
+    check: Callable[[Sequence[GeometricTree]], None] = lambda trees: None
+
+    def nodes(self, trees: Sequence[GeometricTree]) -> list[tuple]:
+        self.check(trees)
+        if self.key is None:
+            return [self.points(tree) for tree in trees]
+        return [tree._memo(self.key, lambda tree=tree: self.points(tree)) for tree in trees]
 
     def gram(self, trees: Sequence[GeometricTree]) -> np.ndarray:
         ids = [tree.id for tree in trees]

@@ -177,35 +177,27 @@ def landmark_path_kernel(p, q, spec: PathKernelSpec, n: int | None = None) -> fl
 def _landmark_stack(tree: GeometricTree, m: int, paths: str) -> np.ndarray:
     """Landmark vectors of every node-to-root path (``paths`` "rootpath",
     |V| rows) or of every ordered node pair's path ("all_pairs", |V|^2
-    rows); shape (rows, m*n)."""
-
-    def build():
-        nodes = range(tree.size)
-        ends = [(v, 0) for v in nodes] if paths == "rootpath" else [(i, j) for i in nodes for j in nodes]
-        out = np.array([sample_embedded_path(tree, i, j, m).ravel() for i, j in ends])
-        out.setflags(write=False)
-        return out
-
-    return tree._memo((paths, "landmarks", m), build)
+    rows); shape (rows, m*n). Not cached: routes keep what they derive."""
+    nodes = range(tree.size)
+    ends = [(v, 0) for v in nodes] if paths == "rootpath" else [(i, j) for i in nodes for j in nodes]
+    return np.array([sample_embedded_path(tree, i, j, m).ravel() for i, j in ends])
 
 
 def landmark_route(spec: PathKernelSpec, paths: str) -> FeatureMap | NodeSet:
     """Cohort route of the embedded-path kernel over ``paths`` (see
     :func:`_landmark_stack`): the inner product of the landmark row sums
     (linear form), or a node set of the landmark rows times sqrt(lam) in one
-    group with unit weights (gaussian form)."""
+    group with unit weights (gaussian form), memoized as such."""
     check = partial(_check_node_spec, spec=NodeKernelSpec())  # positions only
     if spec.form == "linear":
         key = (paths, "landmark_sum", spec.landmarks)
         return FeatureMap(lambda tree: _landmark_stack(tree, spec.landmarks, paths).sum(axis=0), key, check=check)
 
-    def nodes(trees):
-        check(trees)
-        stacks = [_landmark_stack(tree, spec.landmarks, paths) for tree in trees]
-        scales = [math.sqrt(_embedded_lam(spec, tree.n)) for tree in trees]
-        return [(c * s, np.zeros(len(s), dtype=np.intp), np.ones((len(s), 1))) for c, s in zip(scales, stacks)]
+    def points(tree):
+        stack = math.sqrt(_embedded_lam(spec, tree.n)) * _landmark_stack(tree, spec.landmarks, paths)
+        return stack, np.zeros(len(stack), dtype=np.intp), np.ones((len(stack), 1))
 
-    return NodeSet(nodes)
+    return NodeSet(points, (paths, "landmark_points", spec.landmarks, spec.lam), check)
 
 
 # -- node kernels ----------------------------------------------------------------
@@ -257,12 +249,8 @@ def _node_points(tree: GeometricTree, spec: NodeKernelSpec) -> np.ndarray:
 def node_point_set(spec: NodeKernelSpec, key, build: Callable) -> NodeSet:
     """Node set whose ``build(tree, points)`` gives a tree's (z, g, w) from
     its node points under the gaussian ``spec``, memoized under ``key``."""
-
-    def nodes(trees):
-        _check_node_spec(trees, spec)
-        return [tree._memo((key, spec), lambda tree=tree: build(tree, _node_points(tree, spec))) for tree in trees]
-
-    return NodeSet(nodes)
+    check = partial(_check_node_spec, spec=spec)
+    return NodeSet(lambda tree: build(tree, _node_points(tree, spec)), (key, spec), check)
 
 
 # -- all-pairs tree kernel ---------------------------------------------------------
@@ -282,30 +270,26 @@ def _path_counts(tree: GeometricTree) -> np.ndarray:
     the sphere table), U[v, p] * U[v, q] lie on its parent's side (U = S
     minus the descendant table D) and D[c, p - 1] * D[c, q - 1] on child
     c's side. All terms are integers, so the counts are exact. The build
-    adds only O(|V| * L) temporaries, one length at a time.
+    adds only O(|V| * L) temporaries, one length at a time. Nothing is
+    cached: the linear row drops the table, the gaussian pair loop keeps it.
     """
-
-    def build():
-        sphere = tree.sphere_table
-        up = sphere.copy()
-        up[:, : tree.height] -= tree.descendant_table
-        # below[c, p] = D[c, p - 1]: child c's side, p edges from its parent.
-        below = np.zeros_like(sphere[1:])
-        below[:, 1 : tree.height + 1] = tree.descendant_table[1:]
-        # Non-root nodes are ordered by parent: each node's children are one run.
-        parents, starts = np.unique(tree.parents[1:], return_index=True)
-        top = int(np.flatnonzero(sphere.any(axis=0))[-1]) + 1
-        out = np.empty((tree.size, top * (top + 1) // 2))
-        for length in range(1, top + 1):
-            # Column k of the p side pairs with column k of the q side.
-            p, q = slice(0, length), slice(length - 1, None, -1)
-            counts = out[:, length * (length - 1) // 2 : length * (length + 1) // 2]
-            np.subtract(sphere[:, p] * sphere[:, q], up[:, p] * up[:, q], out=counts)
-            counts[parents] -= np.add.reduceat(below[:, p] * below[:, q], starts, axis=0)
-        out.setflags(write=False)
-        return out
-
-    return tree._memo("path_counts", build)
+    sphere = tree.sphere_table
+    up = sphere.copy()
+    up[:, : tree.height] -= tree.descendant_table
+    # below[c, p] = D[c, p - 1]: child c's side, p edges from its parent.
+    below = np.zeros_like(sphere[1:])
+    below[:, 1 : tree.height + 1] = tree.descendant_table[1:]
+    # Non-root nodes are ordered by parent: each node's children are one run.
+    parents, starts = np.unique(tree.parents[1:], return_index=True)
+    top = int(np.flatnonzero(sphere.any(axis=0))[-1]) + 1
+    out = np.empty((tree.size, top * (top + 1) // 2))
+    for length in range(1, top + 1):
+        # Column k of the p side pairs with column k of the q side.
+        p, q = slice(0, length), slice(length - 1, None, -1)
+        counts = out[:, length * (length - 1) // 2 : length * (length + 1) // 2]
+        np.subtract(sphere[:, p] * sphere[:, q], up[:, p] * up[:, q], out=counts)
+        counts[parents] -= np.add.reduceat(below[:, p] * below[:, q], starts, axis=0)
+    return out
 
 
 def all_pairs_linear_map(spec: NodeKernelSpec) -> FeatureMap:
@@ -342,9 +326,9 @@ def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec)
         return all_pairs_linear_map(spec.node).value(t1, t2)
     t1, t2 = canonical_pair(t1, t2)
     _check_node_spec((t1, t2), spec.node)
-    w1, w2 = _path_counts(t1), _path_counts(t2)
+    key = ("all_pairs_nodes", spec.node)
+    (z1, w1), (z2, w2) = (t._memo(key, lambda t=t: (_node_points(t, spec.node), _path_counts(t))) for t in (t1, t2))
     c = min(w1.shape[1], w2.shape[1])
-    z1, z2 = (t._memo(("node_points", spec.node), partial(_node_points, t, spec.node)) for t in (t1, t2))
     return float(_pair_terms(z1.T, z2.T, w1[:, :c], w2[:, :c]).sum())
 
 

@@ -187,6 +187,8 @@ class GeometricTree:
         return int(self.node_levels[-1])
 
     def _memo(self, key, build):
+        """``build()``, once per ``key``. A tree keeps its structure (the
+        properties below) plus at most one input per kernel, not its sources."""
         value = self._cache.get(key)
         if value is None:
             value = build()

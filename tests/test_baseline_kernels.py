@@ -163,6 +163,17 @@ def test_wl_default_rounds(rng):
         WLConfig(iterations=-1)
 
 
+def test_wl_rounds_after_the_classes_settle_add_one_dot_product_each(rng):
+    # the joint label classes of two trees split at most |V1| + |V2| - 1 times
+    pairs = [(chain_tree(9, tree_id="c9"), star_tree(4, tree_id="s4"))]
+    pairs += [(random_tree(rng, 15, tree_id=f"w{k}a"), random_tree(rng, 15, tree_id=f"w{k}b")) for k in range(4)]
+    for t1, t2 in pairs:
+        settled = t1.size + t2.size
+        start, next_ = (weisfeiler_lehman_kernel(t1, t2, WLConfig(settled + k)) for k in (0, 1))
+        for k in (2, 7, 1000, 10**9):
+            assert weisfeiler_lehman_kernel(t1, t2, WLConfig(settled + k)) == start + k * (next_ - start)
+
+
 def test_wl_value_independent_of_evaluation_history(rng):
     # the compression dictionary is rebuilt per pair, so earlier evaluations
     # cannot shift later values

@@ -2,11 +2,15 @@
 test, holdout classification, benchmarks, manifests, and exit codes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treekern
 from treekern import GeometricTree, load_gram, save_dataset
 from treekern.cli import fit_slope, main
 
@@ -324,6 +328,20 @@ def test_spec_json_integer_past_the_float_range_is_a_usage_error(tmp_path, capsy
     assert run(["kernel", data / "trees.json", "--kernel", "rootpath-node", "--spec-json", inline, "--out", out]) == 2
     assert "--spec-json is not valid JSON" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_wl_with_a_trillion_rounds_finishes(tmp_path):
+    # the label classes settle within a few rounds, after which the rest are
+    # one product; in its own process so that a hang is a timeout, not a stuck run
+    data = gen_dataset(tmp_path, size=4, seed=2)
+    out = tmp_path / "g.csv"
+    argv = [sys.executable, "-m", "treekern", "kernel", data / "trees.json", "--kernel", "wl",
+            "--spec-json", '{"iterations": 1000000000000}', "--out", out]
+    src = str(Path(treekern.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([str(a) for a in argv], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert load_gram(out).size == 4
 
 
 def test_two_sample_flow(tmp_path, capsys):

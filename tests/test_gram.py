@@ -651,3 +651,42 @@ def test_assembly_computes_no_fingerprint(rng, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # agaw: generations missing from small trees
             assemble(trees, build_kernel(name, **params))
+
+
+# What a tree may keep between Gram calls: its structure, whatever kernel asked.
+STRUCTURE = {"children", "degrees", "levels", "rootpaths", "descendant_table", "sphere_table", "fingerprint"}
+
+
+@pytest.mark.parametrize("name,params", ALL_KERNELS + MOVED_KERNELS + FEATURE_KERNELS)
+def test_a_tree_caches_its_structure_and_one_kernel_input(rng, name, params):
+    trees = make_trees(rng, count=4, max_nodes=8)
+    kernel = build_kernel(name, **params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # pointcloud: no edges; agaw: missing generations
+        assemble(trees, kernel)
+        kernel.value(trees[0], trees[1])
+    for tree in trees:
+        assert len(set(tree._cache) - STRUCTURE) <= 1, sorted(map(str, tree._cache))
+
+
+@pytest.mark.parametrize(
+    "name,params,max_nodes",
+    [("all-pairs-embedded", {"landmarks": 5, "form": "linear"}, 15), ("all-pairs-node", {"form": "linear"}, 30)],
+)
+def test_linear_all_pairs_assembly_retains_rows_not_stacks_or_count_tables(rng, name, params, max_nodes):
+    # a tree's landmark stack (|V|^2 rows) or path count table is about 10 to
+    # 100 times its feature row here; the allowance per tree covers its memo
+    # entry and the interpreter's free lists (up to 2000 tuples of a size)
+    trees = make_trees(rng, count=100, max_nodes=max_nodes)
+    kernel = build_kernel(name, **params)
+    assemble(make_trees(rng, count=10, max_nodes=max_nodes), kernel)  # first-call imports stay out
+    for tree in trees:
+        tree.sphere_table  # structure, which any kernel may keep
+    tracemalloc.start()
+    try:
+        assemble(trees, kernel)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    rows = sum(row.nbytes for row in kernel.cohort.features(trees))
+    assert retained <= 2 * rows + 2000 * len(trees), (retained, rows)
