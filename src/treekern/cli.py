@@ -8,6 +8,10 @@ arguments, input hashes, seed, version, and wall-clock duration.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags or incompatible
 kernel specs), 1 on data errors (unreadable or inconsistent inputs).
+
+Each command imports the modules it runs when it runs, so ``test`` and
+``classify`` load no kernel module and no tree model, and building the
+parser loads neither.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -23,10 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, generate, twosample
-from .gram import assemble, load_gram, normalize, save_gram
-from .registry import KERNEL_NAMES, build_kernel
-from .trees import dataset_files, load_dataset, save_dataset
+from . import __version__
 
 __all__ = ["main", "entrypoint", "benchmark_kernel", "fit_slope"]
 
@@ -71,7 +73,7 @@ def _write_manifest(
     args: argparse.Namespace,
     started: float,
     kernel_spec: dict | None = None,
-    input_paths=(),
+    input_files=(),
     **extra,
 ) -> None:
     arguments = {
@@ -83,7 +85,7 @@ def _write_manifest(
         "command": command,
         "arguments": arguments,
         "kernel_spec": kernel_spec,
-        "input_hashes": {str(f): _sha256(f) for p in input_paths for f in dataset_files(p)},
+        "input_hashes": {str(f): _sha256(f) for f in map(Path, input_files)},
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "duration_seconds": time.perf_counter() - started,
@@ -96,7 +98,59 @@ def _write_manifest(
 # -- gen --------------------------------------------------------------------------
 
 
+def _gen_workers() -> int:
+    """Worker processes that grow trees: one per CPU this process may run on,
+    or none where ``fork`` is unavailable and the chunks run in-process."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _grow_chunk(task) -> list[tuple[str, int, bytes]]:
+    """(id, node count, serialized bytes) of each tree of one chunk."""
+    from .generate import generate_tree
+    from .trees import serialize_tree
+
+    cfg, offsets = task
+    return [(tree.id, tree.size, serialize_tree(tree)) for tree in (generate_tree(cfg, k) for k in offsets)]
+
+
+def _grow(cfg_a, cfg_b, size_a: int, size_b: int, workers: int):
+    """The trees of ``generate_two_class_population(cfg_a, cfg_b, size_a,
+    size_b)`` as :func:`_grow_chunk` tuples, in offset order.
+
+    Each class's offsets are cut into two contiguous chunks per worker, so
+    the larger trees of one class spread over every worker. A tree's draws
+    depend only on (seed, offset), so the bytes are the same whichever
+    process grows it. Workers are forked: they inherit the loaded modules
+    instead of importing them again.
+    """
+    parts = 2 * max(workers, 1)
+    tasks = []
+    for cfg, start, count in ((cfg_a, 0, size_a), (cfg_b, size_a, size_b)):
+        cuts = [start + count * k // parts for k in range(parts + 1)]
+        tasks += [(cfg, range(lo, hi)) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    if not workers:
+        for task in tasks:
+            yield from _grow_chunk(task)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        for chunk in pool.map(_grow_chunk, tasks):
+            yield from chunk
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
+    from . import generate
+    from .trees import save_serialized
+
     started = time.perf_counter()
     cfg_a, cfg_b = generate.preset_configs(args.preset, args.seed)
     if args.config is not None:
@@ -112,15 +166,31 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError("--size must be at least 2 (one tree per class)")
     size_a = (args.size + 1) // 2
     size_b = args.size - size_a
-    trees, labels = generate.generate_two_class_population(cfg_a, cfg_b, size_a, size_b)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_dataset(trees, out / "trees.json")
-    generate.save_labels([t.id for t in trees], labels, out / "labels.csv")
-    _write_manifest(out / "manifest.json", "gen", args, started)
-    sizes = [t.size for t in trees]
+    workers = _gen_workers()
+    stages = {"grow": 0.0}
+    ids, sizes = [], []
+
+    def blobs(grown):
+        # Waiting for the next tree counts as growing; the rest is writing.
+        while True:
+            tic = time.perf_counter()
+            tree = next(grown, None)
+            stages["grow"] += time.perf_counter() - tic
+            if tree is None:
+                return
+            ids.append(tree[0])
+            sizes.append(tree[1])
+            yield tree[2]
+
+    with stage(stages, "write"), contextlib.closing(_grow(cfg_a, cfg_b, size_a, size_b, workers)) as grown:
+        save_serialized(blobs(grown), out / "trees.json")
+        generate.save_labels(ids, [0] * size_a + [1] * size_b, out / "labels.csv")
+    stages["write"] -= stages["grow"]
+    _write_manifest(out / "manifest.json", "gen", args, started, workers=workers, stages=stages)
     print(
-        f"wrote {len(trees)} trees ({size_a}+{size_b}, preset {args.preset}, "
+        f"wrote {len(ids)} trees ({size_a}+{size_b}, preset {args.preset}, "
         f"{min(sizes)}-{max(sizes)} nodes) to {out}"
     )
     return 0
@@ -162,6 +232,8 @@ def _kernel_params(args: argparse.Namespace) -> dict:
 
 
 def _build_kernel_or_usage(name: str, params: dict):
+    from .registry import build_kernel
+
     try:
         return build_kernel(name, **params)
     except ValueError as exc:
@@ -181,6 +253,9 @@ def _check_threads(threads: int | None) -> None:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
+    from .gram import assemble, normalize, save_gram
+    from .trees import dataset_files, load_dataset
+
     started = time.perf_counter()
     params = _kernel_params(args)
     kernel = _build_kernel_or_usage(args.kernel, params)
@@ -220,7 +295,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     n_pairs = matrix.size * (matrix.size + 1) // 2
     _write_manifest(
         Path(f"{out}.manifest.json"), "kernel", args, started,
-        kernel_spec=kernel.spec, input_paths=[args.trees], stages=stages,
+        kernel_spec=kernel.spec, input_files=dataset_files(args.trees), stages=stages,
         n_pairs=n_pairs, pairs_per_second=n_pairs / max(stages["assemble"], 1e-9),
     )
     print(f"wrote {matrix.size}x{matrix.size} Gram matrix ({args.kernel}) to {out}")
@@ -231,7 +306,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _class_indices(ids: list[str], labels_path: str) -> tuple[list[int], list[int]]:
-    labels = generate.load_labels(labels_path)
+    from .generate import load_labels
+
+    labels = load_labels(labels_path)
     missing = [i for i in ids if i not in labels]
     if missing:
         raise ValueError(f"no label for tree id '{missing[0]}'")
@@ -243,6 +320,9 @@ def _class_indices(ids: list[str], labels_path: str) -> tuple[list[int], list[in
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    from .gram import load_gram
+    from .twosample import permutation_test
+
     started = time.perf_counter()
     if args.permutations < 1:
         raise UsageError("--permutations must be >= 1")
@@ -253,14 +333,14 @@ def cmd_test(args: argparse.Namespace) -> int:
         matrix = load_gram(args.gram)
     idx_a, idx_b = _class_indices(matrix.ids, args.labels)
     with stage(stages, "permutation_test"):
-        result = twosample.permutation_test(
+        result = permutation_test(
             matrix, idx_a, idx_b, n_permutations=args.permutations, seed=args.seed
         )
     payload = result.to_json(kernel_spec_ref=matrix.kernel_spec or None)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_manifest(
         Path(f"{out}.manifest.json"), "test", args, started,
-        kernel_spec=matrix.kernel_spec or None, input_paths=[args.gram, args.labels],
+        kernel_spec=matrix.kernel_spec or None, input_files=[args.gram, args.labels],
         stages=stages, n_permutations=result.n_permutations,
     )
     print(f"statistic={result.statistic:.6g} p_value={result.p_value:.6g} (N={result.n_permutations})")
@@ -271,6 +351,9 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .gram import load_gram
+    from .twosample import nearest_mean_classify
+
     started = time.perf_counter()
     if not 0.0 < args.holdout < 1.0:
         raise UsageError("--holdout must lie strictly between 0 and 1")
@@ -289,7 +372,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         train[name] = sorted(shuffled[n_test:])
     query = test["a"] + test["b"]
     truth = np.array([0] * len(test["a"]) + [1] * len(test["b"]))
-    predicted = twosample.nearest_mean_classify(matrix, train["a"], train["b"], query)
+    predicted = nearest_mean_classify(matrix, train["a"], train["b"], query)
     accuracy = float((predicted == truth).mean())
     report = {
         "accuracy": accuracy,
@@ -302,7 +385,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_manifest(
         Path(f"{out}.manifest.json"), "classify", args, started,
-        input_paths=[args.gram, args.labels],
+        input_files=[args.gram, args.labels],
     )
     print(f"accuracy={accuracy:.4f} on {len(query)} held-out trees")
     return 0
@@ -324,11 +407,14 @@ def benchmark_kernel(
     numbers reflect repeated kernel evaluation, matching the per-pair cost
     model.
     """
+    from .generate import balanced_binary_tree
+    from .registry import build_kernel
+
     kernel = build_kernel(kernel_name, **(params or {}))
     rows = []
     for size in sizes:
-        t1 = generate.balanced_binary_tree(size, seed=seed)
-        t2 = generate.balanced_binary_tree(size, seed=seed + 1)
+        t1 = balanced_binary_tree(size, seed=seed)
+        t2 = balanced_binary_tree(size, seed=seed + 1)
         kernel.value(t1, t2)  # warm-up
         once = time.perf_counter()
         kernel.value(t1, t2)
@@ -392,12 +478,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 # -- parser -------------------------------------------------------------------------
 
+# What the parser quotes from the kernel catalog and the generator, written
+# out so that building it imports neither; tests/test_cli.py holds them to
+# registry.KERNEL_NAMES, the catalog's defaults and generate.PRESET_NAMES.
+_KERNEL_NAMES = ("all-pairs-embedded", "rootpath-embedded", "all-pairs-node", "rootpath-node-naive",
+                 "rootpath-node", "rootpath-node-linear-fast", "pointcloud", "aaw", "agaw", "lbc",
+                 "gbc", "sp", "wl")
+_HELP_DEFAULTS = {"landmarks": 20, "gen_lo": 3, "gen_hi": 6, "iterations": 10}
+_PRESET_NAMES = ("null", "branch-shift", "attr-shift")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treekern", description="Geometric tree kernels")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    default = {k: v for name in ("rootpath-embedded", "agaw", "wl") for k, v in build_kernel(name).params.items()}
     spec_flags = argparse.ArgumentParser(add_help=False)
     group = spec_flags.add_argument_group("kernel spec")
     group.add_argument("--form", choices=["linear", "gaussian"], default=None,
@@ -410,14 +503,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="gaussian attribute scale (default 1/d)")
     group.add_argument("--lam", type=float, default=None, help="embedded gaussian scale")
     group.add_argument("--landmarks", type=int, default=None,
-                       help=f"equidistant points per resampled path (default {default['landmarks']})")
+                       help=f"equidistant points per resampled path (default {_HELP_DEFAULTS['landmarks']})")
     group.add_argument("--component", type=int, default=None, help="attribute component index")
     group.add_argument("--gen-lo", dest="gen_lo", type=int, default=None,
-                       help=f"first generation for agaw (default {default['gen_lo']})")
+                       help=f"first generation for agaw (default {_HELP_DEFAULTS['gen_lo']})")
     group.add_argument("--gen-hi", dest="gen_hi", type=int, default=None,
-                       help=f"last generation for agaw (default {default['gen_hi']})")
+                       help=f"last generation for agaw (default {_HELP_DEFAULTS['gen_hi']})")
     group.add_argument("--wl-iterations", dest="wl_iterations", type=int, default=None,
-                       help=f"label refinement rounds (default {default['iterations']})")
+                       help=f"label refinement rounds (default {_HELP_DEFAULTS['iterations']})")
     group.add_argument("--length-kernel", dest="length_kernel", choices=["delta", "linear"],
                        default=None, help="path length comparison for sp")
     group.add_argument("--spec-json", dest="spec_json", default=None,
@@ -425,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic two-class dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--preset", choices=list(generate.PRESET_NAMES), default="null",
+    p.add_argument("--preset", choices=list(_PRESET_NAMES), default="null",
                    help="two-class dataset preset")
     p.add_argument("--size", type=int, default=100, help="total number of trees")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
@@ -434,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", parents=[spec_flags], help="assemble a Gram matrix CSV")
     p.add_argument("trees", help="tree dataset (JSON array file or directory)")
-    p.add_argument("--kernel", required=True, choices=list(KERNEL_NAMES),
+    p.add_argument("--kernel", required=True, choices=list(_KERNEL_NAMES),
                    help="kernel name")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--normalize", action="store_true",
@@ -466,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("bench", parents=[spec_flags], help="kernel scaling benchmark")
-    p.add_argument("--kernel", required=True, choices=list(KERNEL_NAMES),
+    p.add_argument("--kernel", required=True, choices=list(_KERNEL_NAMES),
                    help="kernel name")
     p.add_argument("--sizes", default="50,100,200,400,800",
                    help="comma-separated node counts")

@@ -8,7 +8,13 @@ radians, with edge lengths shrinking geometrically per level. Attributes
 follow a linear-in-depth model with gaussian noise.
 
 All randomness comes from a counter-based generator keyed by
-(config seed, tree offset), so datasets are reproducible byte for byte.
+(config seed, tree offset), so datasets are reproducible byte for byte. No
+tree's draws depend on another tree's, so trees may be grown in any order and
+in any process: ``treekern gen`` grows chunks of offsets in forked workers and
+writes the same bytes as :func:`generate_two_class_population`.
+
+The tree model is imported by the functions that build trees, so reading a
+label file loads only this module.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ import numbers
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .trees import GeometricTree
+if TYPE_CHECKING:
+    from .trees import GeometricTree
 
 __all__ = [
     "GeneratorConfig",
@@ -103,6 +111,8 @@ def _tilted(rng: np.random.Generator, direction: tuple, max_angle: float) -> tup
 
 def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0, tree_id: str | None = None) -> GeometricTree:
     """Grow one tree, fully determined by (cfg.seed, seed_offset)."""
+    from .trees import GeometricTree
+
     if seed_offset < 0:
         raise ValueError("seed_offset must be non-negative")
     rng = _rng(cfg.seed, seed_offset)
@@ -159,6 +169,8 @@ def generate_two_class_population(
 def balanced_binary_tree(n_nodes: int, n: int = 3, d: int = 1, seed: int = 0) -> GeometricTree:
     """Complete binary tree with exactly ``n_nodes`` nodes (heap layout) and
     seeded random geometry; used by the scaling benchmark."""
+    from .trees import GeometricTree
+
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     rng = _rng(seed, n_nodes)

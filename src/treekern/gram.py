@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .registry import PairwiseKernel
-from .trees import GeometricTree
+if TYPE_CHECKING:  # annotations only: test and classify read Grams without the kernels
+    from .registry import PairwiseKernel
+    from .trees import GeometricTree
 
 __all__ = [
     "GramMatrix",

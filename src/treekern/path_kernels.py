@@ -81,6 +81,10 @@ class NodeKernelSpec:
         _check_scale("lambda2", self.lambda2)
 
 
+# The most 8-byte floats one array can hold.
+_MAX_LANDMARKS = int(np.iinfo(np.intp).max) // 8
+
+
 @dataclass(frozen=True)
 class PathKernelSpec:
     """Kernel between two paths.
@@ -105,6 +109,11 @@ class PathKernelSpec:
             raise ValueError(f"unknown path kernel form '{self.form}'")
         if self.landmarks < 2:
             raise ValueError("landmark count must be at least 2")
+        if self.landmarks > _MAX_LANDMARKS:
+            raise ValueError(
+                f"landmarks must be at most {_MAX_LANDMARKS}, so that one coordinate of a path's "
+                f"landmarks fits in an array; got {self.landmarks}"
+            )
         _check_scale("lam", self.lam)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "load_dataset",
     "dataset_files",
     "save_dataset",
+    "save_serialized",
 ]
 
 
@@ -528,12 +529,18 @@ def load_dataset(path: str | Path) -> list[GeometricTree]:
 def save_dataset(trees: Iterable[GeometricTree], path: str | Path) -> None:
     """Write trees as a JSON array, one canonical tree per line, each tree
     written as it is serialized."""
-    trees = iter(trees)
-    first = next(trees, None)
+    save_serialized(map(serialize_tree, trees), path)
+
+
+def save_serialized(blobs: Iterable[bytes], path: str | Path) -> None:
+    """Write trees already serialized by :func:`serialize_tree` as the JSON
+    array :func:`save_dataset` writes, each as the iterable yields it."""
+    blobs = iter(blobs)
+    first = next(blobs, None)
     if first is None:
         raise ValueError("refusing to write an empty dataset")
     with Path(path).open("wb") as out:
-        out.write(b"[\n" + serialize_tree(first)[:-1])
-        for tree in trees:
-            out.write(b",\n" + serialize_tree(tree)[:-1])
+        out.write(b"[\n" + first[:-1])
+        for blob in blobs:
+            out.write(b",\n" + blob[:-1])
         out.write(b"\n]\n")

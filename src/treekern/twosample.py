@@ -85,14 +85,26 @@ class _Scorer:
         # in the normal range, and 2^(-s/2) undoes it after the square root.
         self.shift = (1020 - len(pool).bit_length() - math.frexp(max(sub.max(), -sub.min()))[1]) & ~1
         np.ldexp(sub, self.shift, out=sub)
+        # Grown to the largest block scored, then reused by every block.
+        self._product = np.empty((0, len(pool)))
+        self._index = np.empty((0, len(pool)), dtype=np.int32)
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
         """Statistics of an (r, m) float block of orders. One scatter, through
-        an int32 copy of half the block's size, overwrites the block with the
-        vectors z they select, and one product scores them; a single row may
-        take another BLAS path than a block."""
-        np.put_along_axis(block, block.astype(np.int32), self.weights, axis=1)
-        forms = np.maximum(0.0, ((block @ self.sub) * block).sum(axis=1))
+        an int32 copy of the orders, overwrites the block with the vectors z
+        they select, and one product scores them; a single row may take
+        another BLAS path than a block. The copy and the product go to
+        buffers kept across calls."""
+        rows = len(block)
+        if len(self._product) < rows:
+            self._product = np.empty(block.shape)
+            self._index = np.empty(block.shape, dtype=np.int32)
+        product, index = self._product[:rows], self._index[:rows]
+        np.copyto(index, block, casting="unsafe")
+        np.put_along_axis(block, index, self.weights, axis=1)
+        np.matmul(block, self.sub, out=product)
+        product *= block
+        forms = np.maximum(0.0, product.sum(axis=1))
         return np.ldexp(np.sqrt(forms), -self.shift // 2)
 
 
@@ -105,8 +117,24 @@ def mean_distance_statistic(gram, idx_a, idx_b) -> float:
 
 
 # Relabelings are drawn and scored in fixed-size row blocks, so the test
-# holds one block buffer and its product whatever the permutation count.
+# holds one block buffer and its product whatever the permutation count. The
+# statistics' bits depend on the product's shape, so this stays fixed.
 _STAT_BLOCK = 256
+
+
+def _quantiles(values: np.ndarray, qs) -> np.ndarray:
+    """``np.quantile(values, qs)`` with its default linear method, bit for
+    bit on finite values with no negative zero (the statistics are square
+    roots), without the import of ``numpy.ma`` (about 15 ms) that
+    ``np.quantile`` makes through ``np.unique`` on its first call."""
+    ordered = np.sort(values)
+    virtual = (len(ordered) - 1) * np.asarray(qs, dtype=float)
+    below = np.floor(virtual)
+    gamma = virtual - below
+    below = below.astype(np.intp)
+    a, b = ordered[below], ordered[np.minimum(below + 1, len(ordered) - 1)]
+    # numpy's _lerp: interpolate from the nearer end
+    return np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
 
 
 def permutation_test(
@@ -126,7 +154,8 @@ def permutation_test(
     as many ``permutation(m)`` calls, and the scorer of
     :func:`mean_distance_statistic` scores them. Row 0 of the first block
     stays the identity, the observed labeling. Memory is the m x m sub-Gram
-    plus two 256 x m float blocks, whatever ``n_permutations`` is.
+    plus two 256 x m float blocks and one int32 block, whatever
+    ``n_permutations`` is.
     ``threads`` is accepted for compatibility and validated (it must be at
     least 1) but has no effect.
     The returned p-value is (#{T_i >= T_0} + 1) / (n_permutations + 1);
@@ -155,7 +184,7 @@ def permutation_test(
     perm = stats[1:]
     count = int((perm >= t0).sum())
     p_value = (count + 1) / (n_permutations + 1)
-    q = np.quantile(perm, [0.05, 0.25, 0.5, 0.75, 0.95])
+    q = _quantiles(perm, [0.05, 0.25, 0.5, 0.75, 0.95])
     summary = {
         "min": float(perm.min()),
         "max": float(perm.max()),

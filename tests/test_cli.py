@@ -2,21 +2,38 @@
 test, holdout classification, benchmarks, manifests, and exit codes."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import treekern
-from treekern import GeometricTree, load_gram, save_dataset
+from treekern import (
+    GeometricTree,
+    generate,
+    generate_two_class_population,
+    load_gram,
+    preset_configs,
+    save_dataset,
+    save_labels,
+)
 from treekern.cli import fit_slope, main
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def run_python(args, timeout=60):
+    """Run ``python args...`` in a new process on this checkout's package."""
+    src = str(Path(treekern.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def gen_dataset(tmp_path, preset="null", size=10, seed=0, name="data"):
@@ -69,6 +86,88 @@ def test_gen_config_overrides(tmp_path, capsys):
         assert not (tmp_path / "z").exists()
     cfg.write_text('{"p_branch": 1.0, "max_depth": 7}')
     assert run(["gen", "--out", tmp_path / "complete", "--size", 2, "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2, 3])  # 0: no fork, so the chunks grow in-process
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [("null", {}), ("branch-shift", {}), ("attr-shift", {}), ("branch-shift", {"p_branch": 0.6, "max_depth": 4})],
+)
+def test_gen_writes_the_serial_reference_bytes_for_any_worker_count(tmp_path, monkeypatch, preset, overrides, workers):
+    if workers:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    else:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    argv = ["gen", "--out", tmp_path / "gen", "--preset", preset, "--size", 13, "--seed", 5]
+    if overrides:
+        (tmp_path / "cfg.json").write_text(json.dumps(overrides))
+        argv += ["--config", tmp_path / "cfg.json"]
+    assert run(argv) == 0
+    cfg_a, cfg_b = (replace(cfg, **overrides) for cfg in preset_configs(preset, 5))
+    trees, labels = generate_two_class_population(cfg_a, cfg_b, 7, 6)
+    save_dataset(trees, tmp_path / "trees.json")
+    save_labels([t.id for t in trees], labels, tmp_path / "labels.csv")
+    for name in ("trees.json", "labels.csv"):
+        assert (tmp_path / "gen" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    manifest = json.loads((tmp_path / "gen" / "manifest.json").read_text())
+    assert manifest["workers"] == workers
+    assert list(manifest["stages"]) == ["grow", "write"]
+    assert all(seconds >= 0 for seconds in manifest["stages"].values())
+
+
+def test_gen_workers_end_with_the_command(tmp_path, monkeypatch, capsys):
+    assert run(["gen", "--out", tmp_path / "ok", "--size", 12]) == 0
+    assert multiprocessing.active_children() == []
+    grow = generate.generate_tree
+
+    def grow_or_fail(cfg, seed_offset=0, tree_id=None):
+        if seed_offset == 5:
+            raise ValueError("no tree at offset 5")
+        return grow(cfg, seed_offset, tree_id)
+
+    # forked workers inherit the patch, so the error is raised in one of them
+    monkeypatch.setattr(generate, "generate_tree", grow_or_fail)
+    assert run(["gen", "--out", tmp_path / "failed", "--size", 12]) == 1
+    assert "error: no tree at offset 5" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    data = gen_dataset(tmp_path, preset="branch-shift", size=8, seed=1)
+    gram = tmp_path / "g.csv"
+    assert run(["kernel", data, "--kernel", "gbc", "--out", gram]) == 0
+    labels = data / "labels.csv"
+    commands = {
+        "gen": ["gen", "--out", tmp_path / "again", "--size", 8],
+        "test": ["test", gram, labels, "--permutations", 20, "--out", tmp_path / "t.json"],
+        "classify": ["classify", gram, labels, "--out", tmp_path / "c.json"],
+    }
+    code = "import json, sys; from treekern.cli import main; main(sys.argv[1:]); print(json.dumps(sorted(sys.modules)))"
+    for name, argv in commands.items():
+        done = run_python(["-c", code, *argv])
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stdout.splitlines()[-1]))
+        assert loaded & {"treekern.path_kernels", "treekern.registry", "numpy.ma"} == set(), name
+        assert ("treekern.trees" in loaded) == (name == "gen"), name
+
+
+def test_help_quotes_the_kernel_catalog_and_the_presets(monkeypatch, capsys):
+    from treekern import cli, registry
+
+    assert cli._KERNEL_NAMES == registry.KERNEL_NAMES
+    assert cli._PRESET_NAMES == generate.PRESET_NAMES
+    defaults = {"landmarks": "rootpath-embedded", "gen_lo": "agaw", "gen_hi": "agaw", "iterations": "wl"}
+    assert cli._HELP_DEFAULTS == {key: registry.build_kernel(name).params[key] for key, name in defaults.items()}
+    monkeypatch.setenv("COLUMNS", "1000")  # no choice list is wrapped
+    with pytest.raises(SystemExit) as exc:
+        run(["kernel", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--kernel {" + ",".join(registry.KERNEL_NAMES) + "}" in text
+    for flag, key in [("--landmarks", "landmarks"), ("--gen-lo", "gen_lo"), ("--gen-hi", "gen_hi"),
+                      ("--wl-iterations", "iterations")]:
+        entry = text.rsplit(f"{flag} ", 1)[1].split(" --", 1)[0]  # the option's help, after the usage line
+        assert entry.endswith(f"(default {registry.build_kernel(defaults[key]).params[key]})"), entry
 
 
 def test_kernel_command_and_reproducibility(tmp_path):
@@ -330,16 +429,24 @@ def test_spec_json_integer_past_the_float_range_is_a_usage_error(tmp_path, capsy
     assert not out.exists()
 
 
+def test_a_landmark_count_no_array_can_hold_is_a_usage_error(tmp_path, capsys):
+    data = gen_dataset(tmp_path, size=4, seed=2)
+    out = tmp_path / "g.csv"
+    inline = '{"landmarks": 9000000000000000000}'
+    assert run(["kernel", data / "trees.json", "--kernel", "rootpath-embedded", "--spec-json", inline,
+                "--out", out]) == 2
+    assert "usage error: landmarks must be at most" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wl_with_a_trillion_rounds_finishes(tmp_path):
     # the label classes settle within a few rounds, after which the rest are
     # one product; in its own process so that a hang is a timeout, not a stuck run
     data = gen_dataset(tmp_path, size=4, seed=2)
     out = tmp_path / "g.csv"
-    argv = [sys.executable, "-m", "treekern", "kernel", data / "trees.json", "--kernel", "wl",
+    argv = ["-m", "treekern", "kernel", data / "trees.json", "--kernel", "wl",
             "--spec-json", '{"iterations": 1000000000000}', "--out", out]
-    src = str(Path(treekern.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([str(a) for a in argv], env=env, capture_output=True, timeout=60)
+    done = run_python(argv)
     assert done.returncode == 0, done.stderr
     assert load_gram(out).size == 4
 

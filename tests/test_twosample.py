@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from treekern import (
     mean_distance_statistic,
     nearest_mean_classify,
     permutation_test,
 )
+from treekern.twosample import _quantiles
 
 
 def random_psd(rng, size):
@@ -132,6 +135,15 @@ def test_streamed_blocks_match_all_rows_first(rng, n_permutations):
     assert res.statistic == statistic
     assert res.p_value == p_value
     assert res.permutation_summary == summary
+
+
+@given(
+    arrays(float, st.integers(1, 60), elements=st.floats(-1e300, 1e300)),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+def test_summary_quantiles_match_numpy_bit_for_bit(values, qs):
+    values = values + 0.0  # no negative zero: the statistics are square roots
+    assert _quantiles(values, qs).tobytes() == np.quantile(values, qs).tobytes()
 
 
 def test_permutation_test_is_exact_under_power_of_two_scaling(rng):
