@@ -7,7 +7,8 @@ Every command writes a run manifest next to its output recording the
 arguments, input hashes, seed, version, and wall-clock duration.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags or incompatible
-kernel specs), 1 on data errors (unreadable or inconsistent inputs).
+kernel specs), 1 on data errors (unreadable or inconsistent inputs) and on
+allocations that fail.
 
 Each command imports the modules it runs when it runs, so ``test`` and
 ``classify`` load no kernel module and no tree model, and building the
@@ -152,9 +153,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     from .trees import save_serialized
 
     started = time.perf_counter()
+    _check_min("--size", args.size, 2)  # one tree per class
+    _check_min("--seed", args.seed, 0)
     cfg_a, cfg_b = generate.preset_configs(args.preset, args.seed)
     if args.config is not None:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{args.config}: invalid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: expected a JSON object of generator fields")
         try:
@@ -162,8 +168,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
             cfg_b = replace(cfg_b, **overrides)
         except (TypeError, ValueError) as exc:  # an unknown field, or a bad value
             raise ValueError(f"{args.config}: {exc}") from exc
-    if args.size < 2:
-        raise ValueError("--size must be at least 2 (one tree per class)")
     size_a = (args.size + 1) // 2
     size_b = args.size - size_a
     out = Path(args.out)
@@ -247,9 +251,10 @@ def _out_path(args: argparse.Namespace) -> Path:
     return out
 
 
-def _check_threads(threads: int | None) -> None:
-    if threads is not None and threads < 1:
-        raise UsageError("--threads must be >= 1")
+def _check_min(flag: str, value: int | None, low: int) -> None:
+    """A usage error unless ``value`` is at least ``low``; an unset flag (None) passes."""
+    if value is not None and value < low:
+        raise UsageError(f"{flag} must be >= {low}")
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
@@ -259,7 +264,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     params = _kernel_params(args)
     kernel = _build_kernel_or_usage(args.kernel, params)
-    _check_threads(args.threads)
+    _check_min("--threads", args.threads, 1)
     if args.check_against_naive and args.kernel not in (
         "rootpath-node",
         "rootpath-node-linear-fast",
@@ -324,9 +329,9 @@ def cmd_test(args: argparse.Namespace) -> int:
     from .twosample import permutation_test
 
     started = time.perf_counter()
-    if args.permutations < 1:
-        raise UsageError("--permutations must be >= 1")
-    _check_threads(args.threads)
+    _check_min("--permutations", args.permutations, 1)
+    _check_min("--seed", args.seed, 0)
+    _check_min("--threads", args.threads, 1)
     out = _out_path(args)
     stages: dict[str, float] = {}
     with stage(stages, "load"):
@@ -357,6 +362,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if not 0.0 < args.holdout < 1.0:
         raise UsageError("--holdout must lie strictly between 0 and 1")
+    _check_min("--seed", args.seed, 0)
     out = _out_path(args)
     matrix = load_gram(args.gram)
     idx_a, idx_b = _class_indices(matrix.ids, args.labels)
@@ -454,8 +460,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"--sizes must be a comma-separated list of integers: {exc}") from exc
     if not sizes or min(sizes) < 1:
         raise UsageError("--sizes must list positive integers")
-    if args.repeats < 1:
-        raise UsageError("--repeats must be >= 1")
+    _check_min("--repeats", args.repeats, 1)
+    _check_min("--seed", args.seed, 0)
     params = _kernel_params(args)
     kernel = _build_kernel_or_usage(args.kernel, params)  # validate before timing
     out = _out_path(args)
@@ -582,6 +588,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. numpy's "Unable to allocate 21.8 TiB ..."
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -190,7 +190,7 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(f"{path}.meta.json")
 
 
-def save_gram(gram: GramMatrix, path: str | Path, version: str | None = None) -> None:
+def save_gram(gram: GramMatrix, path: str | Path) -> None:
     """Write the matrix as CSV plus a sidecar JSON recording the kernel spec,
     normalization flag, and version.
 
@@ -217,7 +217,7 @@ def save_gram(gram: GramMatrix, path: str | Path, version: str | None = None) ->
     meta = {
         "kernel_spec": gram.kernel_spec,
         "normalized": gram.normalized,
-        "version": version if version is not None else __version__,
+        "version": __version__,
     }
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -10,6 +10,7 @@ always serializes to the same bytes whatever order its nodes came in.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -70,6 +71,11 @@ class _NodeError(ValueError):
         self.pos, self.say = pos, say
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class GeometricTree:
     """Rooted tree embedded in R^n with optional per-node measurements in R^d.
 
@@ -80,8 +86,10 @@ class GeometricTree:
     breadth-first order (level, then parent index, then input order):
     ``parents`` (-1 at the root), ``node_levels``, ``positions`` and
     ``attributes``. The order makes serialization deterministic and keeps
-    each level a contiguous index range. Every structural query is pure and
-    cached on first use. Positions and attributes must be finite.
+    each level a contiguous index range. Every structural property (children,
+    degrees, levels, root paths, descendant and sphere tables, fingerprint)
+    is computed on first use and kept as a read-only attribute. Positions and
+    attributes must be finite.
 
     Levels are 1-based: the root is the only node at level 1.
     """
@@ -146,13 +154,10 @@ class GeometricTree:
         order_arr = np.array(order, dtype=np.intp)
         canon_of_raw = np.empty(size, dtype=np.intp)
         canon_of_raw[order_arr] = np.arange(size)
-        self.parents = np.concatenate(([-1], canon_of_raw[raw[order_arr[1:]]]))
-        self.positions = xs[order_arr]
-        self.attributes = None if attrs is None else attrs[order_arr]
-        self.node_levels = np.searchsorted(bounds[1:-1], np.arange(size), side="right") + 1
-        for array in (self.parents, self.positions, self.attributes, self.node_levels):
-            if array is not None:
-                array.setflags(write=False)
+        self.parents = _read_only(np.concatenate(([-1], canon_of_raw[raw[order_arr[1:]]])))
+        self.positions = _read_only(xs[order_arr])
+        self.attributes = None if attrs is None else _read_only(attrs[order_arr])
+        self.node_levels = _read_only(np.searchsorted(bounds[1:-1], np.arange(size), side="right") + 1)
         self._cache: dict = {}
 
     def _stack_rows(self, rows, width: int, what: str) -> np.ndarray:
@@ -188,33 +193,26 @@ class GeometricTree:
         return int(self.node_levels[-1])
 
     def _memo(self, key, build):
-        """``build()``, once per ``key``. A tree keeps its structure (the
-        properties below) plus at most one input per kernel, not its sources."""
+        """``build()``, once per ``key``: the store of kernel inputs, of which
+        a tree keeps at most one per kernel, not its sources."""
         value = self._cache.get(key)
         if value is None:
             value = build()
             self._cache[key] = value
         return value
 
-    @property
+    @functools.cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        def build():  # in canonical order the children of a node are one index range
-            bounds = np.searchsorted(self.parents, np.arange(self.size + 1)).tolist()
-            return tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+        # in canonical order the children of a node are one index range
+        bounds = np.searchsorted(self.parents, np.arange(self.size + 1)).tolist()
+        return tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
 
-        return self._memo("children", build)
-
-    @property
+    @functools.cached_property
     def degrees(self) -> np.ndarray:
         """Undirected node degrees (children count plus one if not the root)."""
-
-        def build():
-            deg = np.bincount(self.parents[1:], minlength=self.size)
-            deg[1:] += 1
-            deg.setflags(write=False)
-            return deg
-
-        return self._memo("degrees", build)
+        deg = np.bincount(self.parents[1:], minlength=self.size)
+        deg[1:] += 1
+        return _read_only(deg)
 
     def nodes_at_level(self, level: int) -> np.ndarray:
         """Node indices at a 1-based level; empty beyond the height."""
@@ -224,14 +222,10 @@ class GeometricTree:
         hi = int(np.searchsorted(self.node_levels, level, side="right"))
         return np.arange(lo, hi, dtype=np.intp)
 
-    @property
+    @functools.cached_property
     def levels(self) -> tuple[np.ndarray, ...]:
         """Index arrays per level; levels[l - 1] holds the nodes at level l."""
-
-        def build():
-            return tuple(self.nodes_at_level(l) for l in range(1, self.height + 1))
-
-        return self._memo("levels", build)
+        return tuple(_read_only(self.nodes_at_level(l)) for l in range(1, self.height + 1))
 
     # -- paths -----------------------------------------------------------------
 
@@ -257,25 +251,19 @@ class GeometricTree:
             b = int(self.parents[b])
         return NodePath(self, tuple(up_i) + (a,) + tuple(reversed(up_j)))
 
+    @functools.cached_property
+    def _rootpaths(self) -> tuple[NodePath, ...]:
+        return tuple(self.node_path(v, 0) for v in range(self.size))  # node 0 is the root
+
     def rootpath(self, v: int) -> NodePath:
         """Path from ``v`` up to the root (node-to-root orientation)."""
-
-        def build():
-            paths = []
-            for i in range(self.size):
-                seq = [i]
-                while self.parents[seq[-1]] >= 0:
-                    seq.append(int(self.parents[seq[-1]]))
-                paths.append(NodePath(self, tuple(seq)))
-            return tuple(paths)
-
         if not (0 <= v < self.size):
             raise ValueError(f"tree '{self.id}': node index {v} out of range")
-        return self._memo("rootpaths", build)[v]
+        return self._rootpaths[v]
 
     # -- descendant vectors ------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def descendant_table(self) -> np.ndarray:
         """Descendant vectors of all nodes as float rows, zero-padded to the
         height; shape (size, height). Entry [v, k] counts the descendants of
@@ -286,20 +274,15 @@ class GeometricTree:
         children of a range are the nodes whose parent lies in it, found by
         two binary searches, one level at a time for all nodes at once.
         """
+        table = np.zeros((self.size, self.height))
+        lo = np.arange(self.size)
+        hi = lo + 1
+        for k in range(self.height):
+            table[:, k] = hi - lo
+            lo, hi = np.searchsorted(self.parents, lo), np.searchsorted(self.parents, hi)
+        return _read_only(table)
 
-        def build():
-            table = np.zeros((self.size, self.height))
-            lo = np.arange(self.size)
-            hi = lo + 1
-            for k in range(self.height):
-                table[:, k] = hi - lo
-                lo, hi = np.searchsorted(self.parents, lo), np.searchsorted(self.parents, hi)
-            table.setflags(write=False)
-            return table
-
-        return self._memo("descendant_table", build)
-
-    @property
+    @functools.cached_property
     def sphere_table(self) -> np.ndarray:
         """Sphere sizes of all nodes as float rows: entry [v, k] counts the
         nodes at tree distance k (in edges) from v, v itself at k = 0.
@@ -311,30 +294,21 @@ class GeometricTree:
         so S[v, k] = D[v, k] + S[parent, k - 1] - D[v, k - 2] for k >= 1,
         with D the descendant table and D[v, -1] = 0.
         """
-
-        def build():
-            width = 2 * self.height
-            # shifted[:, k + 1] = D[:, k], so column 0 reads D[:, -1] = 0.
-            shifted = np.zeros((self.size, width + 1))
-            shifted[:, 1 : self.height + 1] = self.descendant_table
-            table = shifted[:, 1:].copy()
-            for idx in self.levels[1:]:
-                table[idx, 1:] += table[self.parents[idx], :-1] - shifted[idx, : width - 1]
-            table.setflags(write=False)
-            return table
-
-        return self._memo("sphere_table", build)
+        width = 2 * self.height
+        # shifted[:, k + 1] = D[:, k], so column 0 reads D[:, -1] = 0.
+        shifted = np.zeros((self.size, width + 1))
+        shifted[:, 1 : self.height + 1] = self.descendant_table
+        table = shifted[:, 1:].copy()
+        for idx in self.levels[1:]:
+            table[idx, 1:] += table[self.parents[idx], :-1] - shifted[idx, : width - 1]
+        return _read_only(table)
 
     # -- identity ----------------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def fingerprint(self) -> str:
         """SHA-256 of the canonical serialization."""
-
-        def build():
-            return hashlib.sha256(serialize_tree(self)).hexdigest()
-
-        return self._memo("fingerprint", build)
+        return hashlib.sha256(serialize_tree(self)).hexdigest()
 
     @property
     def sort_key(self) -> tuple[str, str]:

@@ -88,6 +88,19 @@ def test_gen_config_overrides(tmp_path, capsys):
     assert run(["gen", "--out", tmp_path / "complete", "--size", 2, "--config", cfg]) == 0
 
 
+def test_gen_config_that_is_not_json_is_named(tmp_path, capsys):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("")
+    assert run(["gen", "--out", tmp_path / "x", "--size", 6, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: invalid JSON: Expecting value")
+
+
+def test_gen_size_below_one_tree_per_class_is_a_usage_error(tmp_path, capsys):
+    assert run(["gen", "--out", tmp_path / "x", "--size", 1]) == 2
+    assert "usage error: --size must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("workers", [0, 1, 2, 3])  # 0: no fork, so the chunks grow in-process
 @pytest.mark.parametrize(
     "preset, overrides",
@@ -528,6 +541,33 @@ def test_bench_smoke(tmp_path, capsys):
     assert run(["bench", "--kernel", "gbc", "--sizes", "8,abc", "--out", out]) == 2
     assert run(["bench", "--kernel", "gbc", "--sizes", "", "--out", out]) == 2
     assert run(["bench", "--kernel", "gbc", "--sizes", "8", "--repeats", 0, "--out", out]) == 2
+
+
+@pytest.mark.parametrize("command", ["gen", "test", "classify", "bench"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command in ("test", "classify"):
+        data = gen_dataset(tmp_path, size=6)
+        gram = tmp_path / "g.csv"
+        assert run(["kernel", data, "--kernel", "gbc", "--out", gram]) == 0
+        argv = [command, gram, data / "labels.csv"]
+    else:
+        argv = [command] + (["--kernel", "gbc", "--sizes", "5,9"] if command == "bench" else [])
+    capsys.readouterr()
+    assert run(argv + ["--seed", -1, "--out", out]) == 2
+    assert "usage error: --seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_allocation_that_fails_is_a_data_error(tmp_path, monkeypatch, capsys):
+    data = gen_dataset(tmp_path, size=4)
+
+    def assemble(trees, kernel):
+        raise MemoryError("Unable to allocate 21.8 TiB for an array")
+
+    monkeypatch.setattr("treekern.gram.assemble", assemble)
+    assert run(["kernel", data, "--kernel", "gbc", "--out", tmp_path / "g.csv"]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 21.8 TiB for an array\n"
 
 
 def test_commands_create_their_output_directory(tmp_path):

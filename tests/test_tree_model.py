@@ -236,6 +236,30 @@ def test_rootpath():
         t.rootpath(-1)
 
 
+def test_rootpath_is_the_node_path_to_the_root(rng):
+    trees = [chain_tree(1), chain_tree(7), star_tree(5)] + [random_tree(rng, 30) for _ in range(20)]
+    for t in trees:
+        for v in range(t.size):
+            assert t.rootpath(v).nodes == t.node_path(v, 0).nodes
+
+
+STRUCTURE = ("children", "degrees", "levels", "descendant_table", "sphere_table", "fingerprint")
+
+
+def test_structure_is_computed_once_and_read_only(rng):
+    t = random_tree(rng, 30)
+    for name in STRUCTURE:
+        assert getattr(t, name) is getattr(t, name), name
+    assert t.rootpath(t.size - 1) is t.rootpath(t.size - 1)
+    for array in (t.degrees, t.descendant_table, t.sphere_table, *t.levels):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(AttributeError):
+        t.rootpath(0).nodes = ()
+    assert t._cache == {}  # structure is kept outside the kernel-input store
+
+
 def test_node_path_matches_bfs_distance(rng):
     # path length agrees with an independent breadth-first search on the
     # undirected graph, for random trees
