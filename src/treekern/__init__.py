@@ -18,8 +18,8 @@ _EXPORTS = {
                      "rootpath_kernel_decomposed", "rootpath_kernel_linear_fast"),
     "baselines": ("WLConfig", "weisfeiler_lehman_kernel"),
     "registry": ("PairwiseKernel", "build_kernel", "KERNEL_NAMES"),
-    "gram": ("GramMatrix", "PsdReport", "assemble", "normalize", "psd_check", "combine", "save_gram",
-             "load_gram", "sidecar_path"),
+    "gram": ("GramMatrix", "PsdReport", "assemble", "normalize", "psd_check", "save_gram", "load_gram",
+             "sidecar_path"),
     "twosample": ("TwoSampleResult", "mean_distance_statistic", "permutation_test", "nearest_mean_classify"),
     "generate": ("GeneratorConfig", "generate_tree", "generate_two_class_population", "balanced_binary_tree",
                  "preset_configs", "save_labels", "load_labels"),

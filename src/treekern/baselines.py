@@ -1,11 +1,11 @@
 """Baseline tree kernels: point clouds, attribute summaries, branch counts,
 shortest paths, and iterative label refinement.
 
-Each kernel but the last is a cohort route (a feature map, or a node set;
-a gaussian of summary rows is a node set of one point per tree), reached
-through :func:`treekern.build_kernel`, which holds the defaults;
-``build_kernel(name, **params).value(t1, t2)`` evaluates one pair. The
-label-refinement kernel is a pair function.
+Each kernel is a cohort route of :mod:`treekern.features`: a feature map,
+a node set (a gaussian of summary rows is a node set of one point per
+tree), or for label refinement a pair loop. Each is reached through
+:func:`treekern.build_kernel`, which holds the defaults;
+``build_kernel(name, **params).value(t1, t2)`` evaluates one pair.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMap, NodeSet
+from .features import FeatureMap, NodeSet, PairLoop
 from .path_kernels import FORMS, NodeKernelSpec, node_point_set
-from .trees import GeometricTree, canonical_pair
+from .trees import GeometricTree
 
 __all__ = ["WLConfig", "weisfeiler_lehman_kernel"]
 
@@ -51,17 +51,19 @@ def pointcloud_node_set(*, lambda1: float | None, lambda2: float | None) -> Node
         return z[1:], np.zeros(tree.size - 1, dtype=np.intp), np.ones((tree.size - 1, 1))
 
     spec = NodeKernelSpec(form="gaussian", use_attributes=True, lambda1=lambda1, lambda2=lambda2)
-    return node_point_set(spec, "pointcloud_nodes", build)
+    return node_point_set(spec, build)
 
 
-def _row_route(row, key, form: str, width: int) -> FeatureMap | NodeSet:
+def _row_route(row, form: str, width: int) -> FeatureMap | NodeSet:
     """<r1, r2> (linear ``form``) or exp(-||r1 - r2||^2) (gaussian: each
     tree one point, its row, in one group, with unit weight) of the summary
-    rows ``row(tree)``, memoized under ``key`` for both forms."""
+    rows ``row(tree)``."""
     if form not in FORMS:
         raise ValueError(f"unknown form '{form}'")
-    rows, one = FeatureMap(row, key, width), (np.zeros(1, dtype=np.intp), np.ones((1, 1)))
-    return rows if form == "linear" else NodeSet(lambda tree: (rows.features([tree])[0][None, :], *one))
+    if form == "linear":
+        return FeatureMap(row, width)
+    one = (np.zeros(1, dtype=np.intp), np.ones((1, 1)))
+    return NodeSet(lambda tree: (row(tree)[None, :], *one))
 
 
 def _attribute_column(tree: GeometricTree, component: int) -> np.ndarray:
@@ -80,7 +82,7 @@ def attribute_mean_map(*, component: int, form: str) -> FeatureMap | NodeSet:
     def row(tree: GeometricTree) -> np.ndarray:
         return np.array([float(_attribute_column(tree, component).mean())])
 
-    return _row_route(row, ("attribute_mean", component), form, 1)
+    return _row_route(row, form, 1)
 
 
 def generation_mean_map(*, gen_lo: int, gen_hi: int, component: int, form: str) -> FeatureMap | NodeSet:
@@ -103,14 +105,13 @@ def generation_mean_map(*, gen_lo: int, gen_hi: int, component: int, form: str) 
                 out[k] = col[idx].mean()
         return out
 
-    key = ("generation_means", gen_lo, gen_hi, component)
-    return _row_route(row, key, form, gen_hi - gen_lo + 1)
+    return _row_route(row, form, gen_hi - gen_lo + 1)
 
 
 def node_count_map(form: str) -> FeatureMap | NodeSet:
     """Branch-count kernels on the node count |V|: |V1| * |V2| (linear
     ``form``) or exp(-(|V1| - |V2|)^2) (gaussian)."""
-    return _row_route(lambda tree: np.array([float(tree.size)]), "node_count", form, 1)
+    return _row_route(lambda tree: np.array([float(tree.size)]), form, 1)
 
 
 def shortest_path_map(*, length_kernel: str) -> FeatureMap:
@@ -132,7 +133,7 @@ def shortest_path_map(*, length_kernel: str) -> FeatureMap:
         # Integer counts times integer lengths: the sum is exact in any order.
         return np.array([counts @ np.arange(len(counts), dtype=float)])
 
-    return FeatureMap(row, ("path_lengths", length_kernel), 1 if length_kernel == "linear" else None)
+    return FeatureMap(row, 1 if length_kernel == "linear" else None)
 
 
 def _counter_dot(c1: Counter, c2: Counter) -> float:
@@ -140,10 +141,9 @@ def _counter_dot(c1: Counter, c2: Counter) -> float:
     return float(sum(count * big[label] for label, count in sorted(small.items()) if label in big))
 
 
-def weisfeiler_lehman_kernel(
-    t1: GeometricTree, t2: GeometricTree, cfg: WLConfig = WLConfig()
-) -> float:
-    """Iterative label-refinement kernel on the undirected tree graphs.
+def wl_route(cfg: WLConfig) -> PairLoop:
+    """Iterative label-refinement kernel on the undirected tree graphs, a
+    pair loop over each tree's adjacency lists and degree labels.
 
     Initial labels are node degrees. Each round relabels every node by its
     own label plus the sorted labels of its neighbours, compressed through a
@@ -155,31 +155,40 @@ def weisfeiler_lehman_kernel(
     Once a round splits no label class of the pair, every later round adds
     the same dot product, so the rest is one product.
     """
-    t1, t2 = canonical_pair(t1, t2)
 
-    def neighbours(tree: GeometricTree) -> list[list[int]]:
-        return [[*kids, p] if p >= 0 else list(kids) for kids, p in zip(tree.children, tree.parents.tolist())]
+    def build(tree: GeometricTree) -> tuple[list[list[int]], list[int]]:
+        adjacency = [[*kids, p] if p >= 0 else list(kids) for kids, p in zip(tree.children, tree.parents.tolist())]
+        return adjacency, tree.degrees.tolist()
 
-    compressed: dict[tuple, int] = {}
+    def pair(x1: tuple, x2: tuple) -> float:
+        (adj1, labels1), (adj2, labels2) = x1, x2
+        compressed: dict[tuple, int] = {}
 
-    def refine(labels: list[int], adj: list[list[int]]) -> list[int]:
-        out = []
-        for v, label in enumerate(labels):
-            signature = (label, tuple(sorted(labels[w] for w in adj[v])))
-            if signature not in compressed:
-                compressed[signature] = len(compressed)
-            out.append(compressed[signature])
-        return out
+        def refine(labels: list[int], adj: list[list[int]]) -> list[int]:
+            out = []
+            for v, label in enumerate(labels):
+                signature = (label, tuple(sorted(labels[w] for w in adj[v])))
+                if signature not in compressed:
+                    compressed[signature] = len(compressed)
+                out.append(compressed[signature])
+            return out
 
-    adj1, adj2 = neighbours(t1), neighbours(t2)
-    labels1, labels2 = t1.degrees.tolist(), t2.degrees.tolist()
-    total = _counter_dot(Counter(labels1), Counter(labels2))
-    classes = len(set(labels1).union(labels2))
-    for done in range(1, cfg.iterations + 1):
-        labels1, labels2 = refine(labels1, adj1), refine(labels2, adj2)
-        dot = _counter_dot(Counter(labels1), Counter(labels2))
-        total += dot
-        classes, before = len(set(labels1).union(labels2)), classes
-        if classes == before:
-            return total + (cfg.iterations - done) * dot
-    return total
+        total = _counter_dot(Counter(labels1), Counter(labels2))
+        classes = len(set(labels1).union(labels2))
+        for done in range(1, cfg.iterations + 1):
+            labels1, labels2 = refine(labels1, adj1), refine(labels2, adj2)
+            dot = _counter_dot(Counter(labels1), Counter(labels2))
+            total += dot
+            classes, before = len(set(labels1).union(labels2)), classes
+            if classes == before:
+                return total + (cfg.iterations - done) * dot
+        return total
+
+    return PairLoop(build, pair)
+
+
+def weisfeiler_lehman_kernel(
+    t1: GeometricTree, t2: GeometricTree, cfg: WLConfig = WLConfig()
+) -> float:
+    """The label-refinement kernel of :func:`wl_route` on one pair."""
+    return wl_route(cfg).value(t1, t2)

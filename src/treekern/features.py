@@ -1,21 +1,24 @@
-"""Cohort routes. A :class:`FeatureMap` gives each tree one feature row and
-compares rows by dot products over their common prefix: K = ΦΦᵀ exactly. A
-:class:`NodeSet` gives each tree weighted points and sums a gaussian over
-same-group node pairs. A single pair is the same computation on two trees.
+"""Cohort routes. A route's ``inputs(trees)`` checks the trees and builds
+one input per tree, ``gram(trees, inputs)`` the matrix from those inputs,
+and ``value(t1, t2)`` the same on one pair; nothing is kept on the trees. A
+:class:`FeatureMap` gives each tree one feature row and compares rows by dot
+products over their common prefix: K = ΦΦᵀ exactly. A :class:`NodeSet` gives
+each tree weighted points and sums a gaussian over same-group node pairs. A
+:class:`PairLoop` calls a pair function on two trees' inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .trees import GeometricTree
+from .trees import GeometricTree, canonical_pair
 
-__all__ = ["FeatureMap", "NodeSet", "feature_gram", "nodeset_gram"]
+__all__ = ["FeatureMap", "NodeSet", "PairLoop", "feature_gram", "nodeset_gram"]
 
 # Floats in one node-set temporary (256 KB): more gains no speed and adds
 # to a small cohort's peak memory.
@@ -115,50 +118,66 @@ def nodeset_gram(sets: Sequence[tuple], block: int, order: Sequence[int] | None 
 
 
 @dataclass(frozen=True)
-class FeatureMap:
-    """A linear kernel given by a 1-D feature ``row(tree)``, memoized on the
-    tree under ``key``: K = ΦΦᵀ. ``width`` is the row length when the
-    parameters fix it, None when it varies with the trees; ``check(trees)``
-    rejects trees that cannot be compared."""
+class _Route:
+    """``build(tree)`` gives a tree's input; ``check(trees)`` rejects trees
+    that cannot be compared."""
 
-    row: Callable[[GeometricTree], np.ndarray]
-    key: object
-    width: int | None = None
-    check: Callable[[Sequence[GeometricTree]], None] = lambda trees: None
+    build: Callable[[GeometricTree], object]
+    check: Callable[[Sequence[GeometricTree]], None] = field(default=lambda trees: None, kw_only=True)
 
-    def features(self, trees: Sequence[GeometricTree]) -> list[np.ndarray]:
+    def inputs(self, trees: Sequence[GeometricTree]) -> list:
         self.check(trees)
-        return [tree._memo(self.key, lambda tree=tree: self.row(tree)) for tree in trees]
+        return [self.build(tree) for tree in trees]
 
-    def gram(self, trees: Sequence[GeometricTree]) -> np.ndarray:
-        return feature_gram(self.features(trees))
+    def entry(self, trees: Sequence[GeometricTree], inputs: Sequence) -> float:
+        """The kernel between ``trees[0]`` and ``trees[-1]``, from their inputs."""
+        return float(self.gram(trees, inputs)[0, -1])
 
     def value(self, t1: GeometricTree, t2: GeometricTree) -> float:
-        return float(self.gram([t1, t2])[0, 1])
+        """The kernel on one pair; a tree paired with itself builds one input."""
+        trees = [t1] if t1 is t2 else [t1, t2]
+        return self.entry(trees, self.inputs(trees))
 
 
 @dataclass(frozen=True)
-class NodeSet:
+class FeatureMap(_Route):
+    """A linear kernel given by a 1-D feature row per tree: K = ΦΦᵀ.
+    ``width`` is the row length when the parameters fix it, None when it
+    varies with the trees."""
+
+    width: int | None = None
+
+    def gram(self, trees: Sequence[GeometricTree], inputs: Sequence[np.ndarray]) -> np.ndarray:
+        return feature_gram(inputs)
+
+
+@dataclass(frozen=True)
+class NodeSet(_Route):
     """A gaussian kernel given by each tree's (z, g, w) for
-    :func:`nodeset_gram`, ``points(tree)``, memoized under ``key`` (None: read
-    off another memo); ``check`` as for :class:`FeatureMap`. Trees go in id
-    order, as :func:`~treekern.trees.canonical_pair` orders a pair; repeated
-    ids fall back to ``sort_key``."""
+    :func:`nodeset_gram`. Trees go in id order, as
+    :func:`~treekern.trees.canonical_pair` orders a pair; repeated ids fall
+    back to ``sort_key``."""
 
-    points: Callable[[GeometricTree], tuple]
-    key: object = None
-    check: Callable[[Sequence[GeometricTree]], None] = lambda trees: None
-
-    def nodes(self, trees: Sequence[GeometricTree]) -> list[tuple]:
-        self.check(trees)
-        if self.key is None:
-            return [self.points(tree) for tree in trees]
-        return [tree._memo(self.key, lambda tree=tree: self.points(tree)) for tree in trees]
-
-    def gram(self, trees: Sequence[GeometricTree]) -> np.ndarray:
+    def gram(self, trees: Sequence[GeometricTree], inputs: Sequence[tuple]) -> np.ndarray:
         ids = [tree.id for tree in trees]
         key = ids.__getitem__ if len(set(ids)) == len(ids) else (lambda k: trees[k].sort_key)
-        return nodeset_gram(self.nodes(trees), _NODE_BLOCK_FLOATS, sorted(range(len(trees)), key=key))
+        return nodeset_gram(inputs, _NODE_BLOCK_FLOATS, sorted(range(len(trees)), key=key))
 
-    def value(self, t1: GeometricTree, t2: GeometricTree) -> float:
-        return float(self.gram([t1, t2])[0, 1])
+
+@dataclass(frozen=True)
+class PairLoop(_Route):
+    """A kernel evaluated one tree pair at a time, over the upper triangle in
+    row order: ``pair(x1, x2)`` on the two trees' inputs in
+    :func:`~treekern.trees.canonical_pair` order, so K(T1, T2) == K(T2, T1)."""
+
+    pair: Callable[[object, object], float]
+
+    def entry(self, trees: Sequence[GeometricTree], inputs: Sequence) -> float:
+        first, last = (0, -1) if canonical_pair(trees[0], trees[-1])[0] is trees[0] else (-1, 0)
+        return float(self.pair(inputs[first], inputs[last]))
+
+    def gram(self, trees: Sequence[GeometricTree], inputs: Sequence) -> np.ndarray:
+        out = np.empty((len(trees), len(trees)))
+        for i, j in itertools.combinations_with_replacement(range(len(trees)), 2):
+            out[i, j] = out[j, i] = self.entry((trees[i], trees[j]), (inputs[i], inputs[j]))
+        return out

@@ -19,7 +19,6 @@ __all__ = [
     "assemble",
     "normalize",
     "psd_check",
-    "combine",
     "save_gram",
     "load_gram",
     "sidecar_path",
@@ -86,13 +85,12 @@ def assemble(
 ) -> GramMatrix:
     """Evaluate a kernel over every tree pair.
 
-    A kernel with a cohort route (a feature map or a node set) builds the
-    whole matrix in one call of the route. Any other is evaluated pair by
-    pair over the upper triangle, serially in row order, each value written
-    to both of its entries. ``kernel.prepare`` runs once before either.
-    ``threads`` is accepted for compatibility and validated (it must be at
-    least 1) but has no effect: per-pair work holds the interpreter lock, so
-    a thread pool never paid for itself.
+    The kernel's cohort route (a feature map, a node set or a pair loop)
+    checks the trees and builds one input per tree, then the whole matrix
+    from those inputs. ``kernel.prepare`` runs once before. ``threads`` is
+    accepted for compatibility and validated (it must be at least 1) but has
+    no effect: per-pair work holds the interpreter lock, so a thread pool
+    never paid for itself.
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
@@ -107,14 +105,8 @@ def assemble(
         dims = f"tree '{odd.id}' has (n, d) = ({odd.n}, {odd.d}), tree '{first.id}' ({first.n}, {first.d})"
         raise ValueError(f"incompatible tree dimensions in dataset: {dims}")
     kernel.prepare(trees)
-    if kernel.cohort is not None:
-        values = kernel.cohort.gram(trees)
-    else:
-        size = len(trees)
-        values = np.empty((size, size))
-        for i in range(size):
-            for j in range(i, size):
-                values[i, j] = values[j, i] = kernel.value(trees[i], trees[j])
+    route = kernel.cohort
+    values = route.gram(trees, route.inputs(trees))
     return GramMatrix(ids=list(ids), values=values, kernel_spec=kernel.spec)
 
 
@@ -164,23 +156,6 @@ def psd_check(gram: GramMatrix, tol: float = 1e-8) -> PsdReport:
     min_eig = float(eigs[0])
     max_eig = float(eigs[-1])
     return PsdReport(min_eig, max_eig, bool(min_eig >= -tol * max(abs(max_eig), 1.0)))
-
-
-def combine(g1: GramMatrix, g2: GramMatrix) -> GramMatrix:
-    """Entrywise sum of two Gram matrices over the same trees in the same
-    order (a sum of PSD kernels is again a PSD kernel)."""
-    if g1.ids != g2.ids:
-        raise ValueError("cannot combine Gram matrices over different tree id orders")
-    return GramMatrix(
-        ids=list(g1.ids),
-        values=g1.values + g2.values,
-        kernel_spec={
-            "name": "combine",
-            "params": {"parts": [g1.kernel_spec, g2.kernel_spec]},
-            "scalar_linear": False,
-        },
-        normalized=False,
-    )
 
 
 # -- CSV round-trip --------------------------------------------------------------

@@ -8,14 +8,15 @@ with a node kernel; paths of different lengths contribute zero.
 
 On top of these sit the tree kernels: the all-pairs kernel sums a path kernel
 over every ordered node pair of each tree, and the rootpath kernel sums over
-node-to-root paths only. The direct double sums are the reference oracles.
+node-to-root paths only; each is a route of :mod:`treekern.features`. The
+direct double sum over root paths, a pair loop, is the reference oracle.
 The node-path all-pairs kernel weights each node pair by closed-form path
 counts: a pair loop for a gaussian node kernel, a feature map for a linear
 one. The node-path rootpath kernel decomposes into same-level node pairs,
 each node kernel weighted by the inner product of the two descendant count
 vectors: a gaussian node set, or for a linear node kernel a feature map of
-per-level sums (see :mod:`treekern.features`). Embedded kernels are node
-sets (gaussian) or feature maps of landmark row sums (linear).
+per-level sums. Embedded kernels are node sets (gaussian) or feature maps
+of landmark row sums (linear).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .features import FeatureMap, NodeSet, _pair_terms
-from .trees import GeometricTree, NodePath, canonical_pair
+from .features import FeatureMap, NodeSet, PairLoop, _pair_terms
+from .trees import GeometricTree, NodePath
 
 __all__ = [
     "NodeKernelSpec",
@@ -82,7 +83,7 @@ class NodeKernelSpec:
 
 
 # The most 8-byte floats one array can hold.
-_MAX_LANDMARKS = int(np.iinfo(np.intp).max) // 8
+_MAX_FLOATS = int(np.iinfo(np.intp).max) // 8
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,9 @@ class PathKernelSpec:
             raise ValueError(f"unknown path kernel form '{self.form}'")
         if self.landmarks < 2:
             raise ValueError("landmark count must be at least 2")
-        if self.landmarks > _MAX_LANDMARKS:
+        if self.landmarks > _MAX_FLOATS:
             raise ValueError(
-                f"landmarks must be at most {_MAX_LANDMARKS}, so that one coordinate of a path's "
+                f"landmarks must be at most {_MAX_FLOATS}, so that one coordinate of a path's "
                 f"landmarks fits in an array; got {self.landmarks}"
             )
         _check_scale("lam", self.lam)
@@ -186,27 +187,38 @@ def landmark_path_kernel(p, q, spec: PathKernelSpec, n: int | None = None) -> fl
 def _landmark_stack(tree: GeometricTree, m: int, paths: str) -> np.ndarray:
     """Landmark vectors of every node-to-root path (``paths`` "rootpath",
     |V| rows) or of every ordered node pair's path ("all_pairs", |V|^2
-    rows); shape (rows, m*n). Not cached: routes keep what they derive."""
+    rows); shape (rows, m*n)."""
     nodes = range(tree.size)
     ends = [(v, 0) for v in nodes] if paths == "rootpath" else [(i, j) for i in nodes for j in nodes]
     return np.array([sample_embedded_path(tree, i, j, m).ravel() for i, j in ends])
+
+
+def _check_landmarks(trees, m: int) -> None:
+    """The trees' positions must match, and one path's ``m`` landmarks of
+    n coordinates each must fit in an array."""
+    _check_node_spec(trees, NodeKernelSpec())  # positions only
+    n = trees[0].n
+    if m > _MAX_FLOATS // n:
+        raise ValueError(
+            f"landmarks must be at most {_MAX_FLOATS // n} for n = {n}, so that a path's "
+            f"landmarks fit in an array; got {m}"
+        )
 
 
 def landmark_route(spec: PathKernelSpec, paths: str) -> FeatureMap | NodeSet:
     """Cohort route of the embedded-path kernel over ``paths`` (see
     :func:`_landmark_stack`): the inner product of the landmark row sums
     (linear form), or a node set of the landmark rows times sqrt(lam) in one
-    group with unit weights (gaussian form), memoized as such."""
-    check = partial(_check_node_spec, spec=NodeKernelSpec())  # positions only
+    group with unit weights (gaussian form)."""
+    check = partial(_check_landmarks, m=spec.landmarks)
     if spec.form == "linear":
-        key = (paths, "landmark_sum", spec.landmarks)
-        return FeatureMap(lambda tree: _landmark_stack(tree, spec.landmarks, paths).sum(axis=0), key, check=check)
+        return FeatureMap(lambda tree: _landmark_stack(tree, spec.landmarks, paths).sum(axis=0), check=check)
 
     def points(tree):
         stack = math.sqrt(_embedded_lam(spec, tree.n)) * _landmark_stack(tree, spec.landmarks, paths)
         return stack, np.zeros(len(stack), dtype=np.intp), np.ones((len(stack), 1))
 
-    return NodeSet(points, (paths, "landmark_points", spec.landmarks, spec.lam), check)
+    return NodeSet(points, check=check)
 
 
 # -- node kernels ----------------------------------------------------------------
@@ -255,11 +267,10 @@ def _node_points(tree: GeometricTree, spec: NodeKernelSpec) -> np.ndarray:
     return z
 
 
-def node_point_set(spec: NodeKernelSpec, key, build: Callable) -> NodeSet:
+def node_point_set(spec: NodeKernelSpec, build: Callable) -> NodeSet:
     """Node set whose ``build(tree, points)`` gives a tree's (z, g, w) from
-    its node points under the gaussian ``spec``, memoized under ``key``."""
-    check = partial(_check_node_spec, spec=spec)
-    return NodeSet(lambda tree: build(tree, _node_points(tree, spec)), (key, spec), check)
+    its node points under the gaussian ``spec``."""
+    return NodeSet(lambda tree: build(tree, _node_points(tree, spec)), check=partial(_check_node_spec, spec=spec))
 
 
 # -- all-pairs tree kernel ---------------------------------------------------------
@@ -279,8 +290,8 @@ def _path_counts(tree: GeometricTree) -> np.ndarray:
     the sphere table), U[v, p] * U[v, q] lie on its parent's side (U = S
     minus the descendant table D) and D[c, p - 1] * D[c, q - 1] on child
     c's side. All terms are integers, so the counts are exact. The build
-    adds only O(|V| * L) temporaries, one length at a time. Nothing is
-    cached: the linear row drops the table, the gaussian pair loop keeps it.
+    adds only O(|V| * L) temporaries, one length at a time. The linear
+    row drops the table; the gaussian pair loop's input keeps it.
     """
     sphere = tree.sphere_table
     up = sphere.copy()
@@ -301,65 +312,71 @@ def _path_counts(tree: GeometricTree) -> np.ndarray:
     return out
 
 
-def all_pairs_linear_map(spec: NodeKernelSpec) -> FeatureMap:
-    """Feature map of the node-path all-pairs kernel for a linear node
-    kernel: slot s of the row is the node points (the position, Kronecker
-    the attributes when used) summed with the path counts of slot s as
-    weights (:func:`_path_counts`), laid out slot-major, so rows compare
-    over their common prefix, unpadded."""
+def _weighted_node_pairs(x1: tuple, x2: tuple) -> float:
+    (z1, w1), (z2, w2) = x1, x2
+    c = min(w1.shape[1], w2.shape[1])
+    return float(_pair_terms(z1.T, z2.T, w1[:, :c], w2[:, :c]).sum())
 
-    def row(tree: GeometricTree) -> np.ndarray:
-        return (_path_counts(tree).T @ _node_points(tree, spec)).ravel()
 
-    return FeatureMap(row, ("all_pairs_linear", spec.use_attributes), check=partial(_check_node_spec, spec=spec))
+def all_pairs_route(spec: NodeKernelSpec) -> FeatureMap | PairLoop:
+    """Cohort route of the node-path all-pairs kernel. Node paths only pair
+    up at equal lengths, position by position, so the sum is the node
+    kernel of every node pair weighted by the inner product of the two
+    nodes' path count rows (:func:`_path_counts`, cut to the common width).
+    A gaussian node kernel gives a pair loop over each tree's node points
+    and counts: one integer GEMM per pair, exact in any order. A linear one
+    factorizes into a feature map: slot s of the row is the node points
+    (the position, Kronecker the attributes when used) summed with the
+    counts of slot s as weights, so rows compare over their common prefix."""
+    check = partial(_check_node_spec, spec=spec)
+    if spec.form == "linear":
+        return FeatureMap(lambda tree: (_path_counts(tree).T @ _node_points(tree, spec)).ravel(), check=check)
+    return PairLoop(lambda tree: (_node_points(tree, spec), _path_counts(tree)), _weighted_node_pairs, check=check)
 
 
 def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec) -> float:
     """Sum of the path kernel over every ordered node pair of each tree
-    (diagonal pairs included).
+    (diagonal pairs included): :func:`all_pairs_route` for node paths.
 
     Embedded paths are compared through |V|^2 landmark rows per tree
     (:func:`landmark_route`); the gaussian form's cost grows with
     |V1|^2 * |V2|^2 path pairs, so that representation is for small trees
-    only. Node paths only pair up at equal lengths, position by position,
-    so the sum is the node kernel of every node pair weighted by the inner
-    product of the two nodes' path count rows (:func:`_path_counts`, cut
-    to the common width): one integer GEMM per pair, exact in any order,
-    against exp(-squared distance) of the node points for a gaussian node
-    kernel. A linear node kernel factorizes into
-    :func:`all_pairs_linear_map`.
+    only.
     """
     if spec.representation == "embedded_landmarks":
         return landmark_route(spec, "all_pairs").value(t1, t2)
-    if spec.node.form == "linear":
-        return all_pairs_linear_map(spec.node).value(t1, t2)
-    t1, t2 = canonical_pair(t1, t2)
-    _check_node_spec((t1, t2), spec.node)
-    key = ("all_pairs_nodes", spec.node)
-    (z1, w1), (z2, w2) = (t._memo(key, lambda t=t: (_node_points(t, spec.node), _path_counts(t))) for t in (t1, t2))
-    c = min(w1.shape[1], w2.shape[1])
-    return float(_pair_terms(z1.T, z2.T, w1[:, :c], w2[:, :c]).sum())
+    return all_pairs_route(spec.node).value(t1, t2)
 
 
 # -- rootpath tree kernels -----------------------------------------------------------
 
 
+def rootpath_naive_route(spec: PathKernelSpec) -> PairLoop:
+    """Pair loop of the path kernel summed over all root path pairs; a
+    tree's paths are (m, n) landmark arrays or :class:`NodePath` objects."""
+    m = spec.landmarks
+    if spec.representation == "embedded_landmarks":
+        kernel, check = partial(landmark_path_kernel, spec=spec), partial(_check_landmarks, m=m)
+        paths = lambda tree: _landmark_stack(tree, m, "rootpath").reshape(tree.size, m, tree.n)
+    else:
+        kernel, check = partial(node_path_kernel, spec=spec.node), partial(_check_node_spec, spec=spec.node)
+        paths = lambda tree: [tree.rootpath(v) for v in range(tree.size)]
+
+    def pair(paths1: list, paths2: list) -> float:
+        total = 0.0
+        for p1 in paths1:
+            for p2 in paths2:
+                total += kernel(p1, p2)
+        return total
+
+    return PairLoop(paths, pair, check=check)
+
+
 def rootpath_kernel_naive(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec) -> float:
     """Sum of the path kernel over all node-to-root path pairs, evaluated
-    directly. Reference oracle for the rootpath node sets and feature maps."""
-    t1, t2 = canonical_pair(t1, t2)
-    if spec.representation == "embedded_landmarks":
-        _check_node_spec((t1, t2), NodeKernelSpec())  # positions only
-        s1 = _landmark_stack(t1, spec.landmarks, "rootpath")
-        s2 = _landmark_stack(t2, spec.landmarks, "rootpath")
-        return sum(landmark_path_kernel(p, q, spec, t1.n) for p in s1 for q in s2)
-    _check_node_spec((t1, t2), spec.node)
-    total = 0.0
-    for i in range(t1.size):
-        p1 = t1.rootpath(i)
-        for j in range(t2.size):
-            total += node_path_kernel(p1, t2.rootpath(j), spec.node)
-    return total
+    directly (:func:`rootpath_naive_route`). Reference oracle for the
+    rootpath node sets and feature maps."""
+    return rootpath_naive_route(spec).value(t1, t2)
 
 
 def rootpath_route(spec: NodeKernelSpec) -> FeatureMap | NodeSet:
@@ -370,7 +387,7 @@ def rootpath_route(spec: NodeKernelSpec) -> FeatureMap | NodeSet:
     factorizes into :func:`rootpath_linear_map`."""
     if spec.form == "linear":
         return rootpath_linear_map(spec)
-    return node_point_set(spec, "rootpath_nodes", lambda tree, z: (z, tree.node_levels, tree.descendant_table))
+    return node_point_set(spec, lambda tree, z: (z, tree.node_levels, tree.descendant_table))
 
 
 def rootpath_kernel_decomposed(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> float:
@@ -402,7 +419,7 @@ def rootpath_linear_map(spec: NodeKernelSpec) -> FeatureMap:
         g1 = np.arange(len(l1)) - l1 * (l1 + 1) // 2
         return by_level[g1, l1 - g1].ravel()
 
-    return FeatureMap(row, ("rootpath_linear", spec.use_attributes), check=partial(_check_node_spec, spec=spec))
+    return FeatureMap(row, check=partial(_check_node_spec, spec=spec))
 
 
 def rootpath_kernel_linear_fast(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> float:

@@ -3,15 +3,13 @@
 Each entry gives a kernel's parameter defaults, written here or read from
 the class defaults of :class:`~treekern.path_kernels.NodeKernelSpec`,
 :class:`~treekern.path_kernels.PathKernelSpec` and
-:class:`~treekern.baselines.WLConfig`, and a route built from the resolved
-parameters: a pairwise function of two trees or a cohort route, a linear
-:class:`~treekern.features.FeatureMap` or a gaussian
-:class:`~treekern.features.NodeSet`. ``build_kernel(name, **params)``
-returns a :class:`PairwiseKernel`: its ``value(t1, t2)`` is the single-pair
-entry point and :func:`treekern.assemble` takes it over a cohort. It also
-carries the resolved parameters (for Gram sidecars and manifests), the
-cohort route when there is one, and a ``prepare`` hook that assembly calls
-once over the whole dataset; no catalogued kernel needs it.
+:class:`~treekern.baselines.WLConfig`, and a route of
+:mod:`treekern.features` built from the resolved parameters.
+``build_kernel(name, **params)`` returns a :class:`PairwiseKernel`: its
+``value(t1, t2)`` is the single-pair entry point and :func:`treekern.assemble`
+runs its ``cohort`` route over a cohort. It also carries the resolved
+parameters (for Gram sidecars and manifests) and a ``prepare`` hook that
+assembly calls once over the whole dataset; no catalogued kernel needs it.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 
 from . import baselines, path_kernels
 from .baselines import WLConfig
-from .features import FeatureMap, NodeSet
+from .features import FeatureMap, NodeSet, PairLoop
 from .path_kernels import NodeKernelSpec, PathKernelSpec
 from .trees import GeometricTree
 
@@ -38,8 +36,8 @@ class PairwiseKernel:
     name: str
     params: dict
     value: Callable[[GeometricTree, GeometricTree], float]
+    cohort: FeatureMap | NodeSet | PairLoop
     prepare: Callable[[Sequence[GeometricTree]], None] = field(default=lambda trees: None)
-    cohort: FeatureMap | NodeSet | None = None
 
     @property
     def scalar_linear(self) -> bool:
@@ -50,17 +48,6 @@ class PairwiseKernel:
     @property
     def spec(self) -> dict:
         return {"name": self.name, "params": dict(self.params), "scalar_linear": self.scalar_linear}
-
-
-def _node_path(fn, **params):
-    return partial(fn, spec=PathKernelSpec(node=NodeKernelSpec(**params)))
-
-
-def _all_pairs_node(**params):
-    spec = NodeKernelSpec(**params)
-    if spec.form == "linear":
-        return path_kernels.all_pairs_linear_map(spec)
-    return partial(path_kernels.all_pairs_kernel, spec=PathKernelSpec(node=spec))
 
 
 def _embedded(paths, **params):
@@ -76,8 +63,10 @@ _ATTRIBUTE = {"component": 0, "form": "gaussian"}
 _CATALOG: dict[str, tuple[dict, Callable]] = {
     "all-pairs-embedded": (_EMBEDDED, partial(_embedded, "all_pairs")),
     "rootpath-embedded": (_EMBEDDED, partial(_embedded, "rootpath")),
-    "all-pairs-node": (_NODE, _all_pairs_node),
-    "rootpath-node-naive": (_NODE, partial(_node_path, path_kernels.rootpath_kernel_naive)),
+    "all-pairs-node": (_NODE, lambda **p: path_kernels.all_pairs_route(NodeKernelSpec(**p))),
+    "rootpath-node-naive": (
+        _NODE, lambda **p: path_kernels.rootpath_naive_route(PathKernelSpec(node=NodeKernelSpec(**p)))
+    ),
     "rootpath-node": (_NODE, lambda **p: path_kernels.rootpath_route(NodeKernelSpec(**p))),
     "rootpath-node-linear-fast": (
         {**_NODE, "form": "linear"},
@@ -89,10 +78,7 @@ _CATALOG: dict[str, tuple[dict, Callable]] = {
     "lbc": ({}, lambda: baselines.node_count_map("linear")),
     "gbc": ({}, lambda: baselines.node_count_map("gaussian")),
     "sp": ({"length_kernel": "delta"}, baselines.shortest_path_map),
-    "wl": (
-        {"iterations": WLConfig.iterations},
-        lambda **p: partial(baselines.weisfeiler_lehman_kernel, cfg=WLConfig(**p)),
-    ),
+    "wl": ({"iterations": WLConfig.iterations}, lambda **p: baselines.wl_route(WLConfig(**p))),
 }
 
 
@@ -133,9 +119,7 @@ def build_kernel(name: str, **params) -> PairwiseKernel:
         raise ValueError(f"kernel '{name}' does not accept parameters: {extras}")
     resolved = {key: _coerce(name, key, default, params.get(key, default)) for key, default in defaults.items()}
     route = make(**resolved)
-    if isinstance(route, (FeatureMap, NodeSet)):
-        return PairwiseKernel(name, resolved, route.value, cohort=route)
-    return PairwiseKernel(name, resolved, route)
+    return PairwiseKernel(name, resolved, route.value, route)
 
 
 KERNEL_NAMES = tuple(_CATALOG)

@@ -88,8 +88,8 @@ class GeometricTree:
     ``attributes``. The order makes serialization deterministic and keeps
     each level a contiguous index range. Every structural property (children,
     degrees, levels, root paths, descendant and sphere tables, fingerprint)
-    is computed on first use and kept as a read-only attribute. Positions and
-    attributes must be finite.
+    is computed on first use and kept as a read-only attribute; kernels keep
+    nothing else on a tree. Positions and attributes must be finite.
 
     Levels are 1-based: the root is the only node at level 1.
     """
@@ -158,7 +158,6 @@ class GeometricTree:
         self.positions = _read_only(xs[order_arr])
         self.attributes = None if attrs is None else _read_only(attrs[order_arr])
         self.node_levels = _read_only(np.searchsorted(bounds[1:-1], np.arange(size), side="right") + 1)
-        self._cache: dict = {}
 
     def _stack_rows(self, rows, width: int, what: str) -> np.ndarray:
         """Rows of numbers as one (|V|, width) float array; the first row of
@@ -191,15 +190,6 @@ class GeometricTree:
     def height(self) -> int:
         """Number of levels (a single-node tree has height 1)."""
         return int(self.node_levels[-1])
-
-    def _memo(self, key, build):
-        """``build()``, once per ``key``: the store of kernel inputs, of which
-        a tree keeps at most one per kernel, not its sources."""
-        value = self._cache.get(key)
-        if value is None:
-            value = build()
-            self._cache[key] = value
-        return value
 
     @functools.cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:

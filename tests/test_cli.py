@@ -452,6 +452,32 @@ def test_a_landmark_count_no_array_can_hold_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kernel", ["rootpath-embedded", "all-pairs-embedded"])
+def test_a_landmark_count_too_large_for_the_cohort_names_landmarks_and_n(tmp_path, capsys, kernel):
+    # the spec accepts it, but the 3 coordinates of each landmark do not fit
+    data = gen_dataset(tmp_path, size=4, seed=2)
+    out = tmp_path / "g.csv"
+    inline = '{"landmarks": 1152921504606846975}'
+    assert run(["kernel", data / "trees.json", "--kernel", kernel, "--spec-json", inline, "--out", out]) == 1
+    limit = (2**63 - 1) // 8 // 3
+    assert capsys.readouterr().err == (
+        f"error: landmarks must be at most {limit} for n = 3, so that a path's landmarks fit in an array; "
+        "got 1152921504606846975\n"
+    )
+    assert not out.exists()
+
+
+def test_kernel_warnings_are_one_line_each(tmp_path):
+    # a single-node tree has no edges, so pointcloud warns once about it
+    single = GeometricTree("s", [-1], np.zeros((1, 3)), np.zeros((1, 1)))
+    pair = GeometricTree("p", [-1, 0], [np.zeros(3), np.ones(3)], [np.zeros(1), np.ones(1)])
+    data = tmp_path / "degenerate.json"
+    save_dataset([single, pair], data)
+    done = run_python(["-m", "treekern", "kernel", data, "--kernel", "pointcloud", "--out", tmp_path / "g.csv"])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "warning: tree 's' has no edges; pointcloud kernel is 0\n"
+
+
 def test_wl_with_a_trillion_rounds_finishes(tmp_path):
     # the label classes settle within a few rounds, after which the rest are
     # one product; in its own process so that a hang is a timeout, not a stuck run

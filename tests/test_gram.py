@@ -21,7 +21,6 @@ from treekern import (
     PathKernelSpec,
     assemble,
     build_kernel,
-    combine,
     load_gram,
     node_path_kernel,
     normalize,
@@ -32,7 +31,7 @@ from treekern import (
     save_gram,
     sidecar_path,
 )
-from treekern.features import FeatureMap, NodeSet, nodeset_gram
+from treekern.features import FeatureMap, NodeSet, PairLoop, nodeset_gram
 
 from conftest import chain_tree, random_tree, rel_close, shaped_trees, star_tree
 
@@ -163,17 +162,6 @@ def test_psd_check():
     lopsided.values[0, 1] = 1e-6
     with pytest.raises(ValueError, match="asymmetry"):
         psd_check(lopsided)
-
-
-def test_combine():
-    g1 = plain_gram([[1.0, 0.5], [0.5, 1.0]])
-    g2 = plain_gram([[2.0, 0.0], [0.0, 2.0]])
-    out = combine(g1, g2)
-    assert np.array_equal(out.values, g1.values + g2.values)
-    assert out.kernel_spec["name"] == "combine"
-    g3 = GramMatrix(ids=["z", "w"], values=np.eye(2))
-    with pytest.raises(ValueError, match="id order"):
-        combine(g1, g3)
 
 
 def test_save_load_round_trip(tmp_path, rng):
@@ -376,12 +364,8 @@ def test_gaussian_summaries_are_one_point_node_sets():
     for name in ("aaw", "agaw"):
         with pytest.raises(ValueError, match="unknown form 'cubic'"):
             build_kernel(name, form="cubic")
-    # both branch-count forms read the one row memoized on the tree
     trees = [chain_tree(3, tree_id="a"), chain_tree(5, tree_id="b")]
-    assemble(trees, build_kernel("lbc"))
-    row = trees[0]._cache["node_count"]
     assert assemble(trees, build_kernel("gbc")).values[0, 1] == math.exp(-4.0)
-    assert trees[0]._cache["node_count"] is row
 
 
 # The linear kernels, whose cohort route is a feature map.
@@ -477,7 +461,8 @@ def test_gram_permutes_with_dataset_order(name, params, case):
 
 # The kernels that left the pair loop or the gaussian feature rows for a
 # cohort route (a node set, or for the linear kernels a feature map), at
-# small landmark counts; the last agaw window is wider than 8 generations.
+# small landmark counts, and the gaussian node-path pair loops; the last
+# agaw window is wider than 8 generations.
 MOVED_KERNELS = [
     ("rootpath-node", {"form": form, "use_attributes": attributes})
     for form in ("linear", "gaussian")
@@ -496,6 +481,8 @@ MOVED_KERNELS = [
     ("aaw", {}),
     ("agaw", {"gen_lo": 0, "gen_hi": 4}),
     ("agaw", {"gen_lo": 0, "gen_hi": 9}),
+    ("all-pairs-node", {"use_attributes": True}),
+    ("rootpath-node-naive", {"use_attributes": True}),
 ]
 
 
@@ -590,13 +577,22 @@ def test_cohort_route_matches_oracle_pairs_and_any_block(name, params, trees):
         gram = assemble(trees, kernel).values
         pairs = np.array([[kernel.value(a, b) for b in trees] for a in trees])
         if isinstance(kernel.cohort, NodeSet):
-            sets = kernel.cohort.nodes(trees)
+            sets = kernel.cohort.inputs(trees)
             order = sorted(range(len(trees)), key=lambda k: trees[k].sort_key)
             for block in (1, 1 << 40):
                 assert np.array_equal(nodeset_gram(sets, block, order), gram)
     assert np.array_equal(gram, gram.T)
     assert np.array_equal(gram, pairs)
     assert_matches_oracle(name, params, trees, gram)
+
+
+@settings(max_examples=10, deadline=None)
+@given(trees=mixed_cohorts())
+def test_wl_gram_equals_its_pair_values(trees):
+    # a pair loop's matrix and its single pair are separate calls of the pair function
+    kernel = build_kernel("wl")
+    gram = assemble(trees, kernel).values
+    assert np.array_equal(gram, [[kernel.value(a, b) for b in trees] for a in trees])
 
 
 def offset_tree(tree: GeometricTree, offset: float) -> GeometricTree:
@@ -653,16 +649,23 @@ def test_assembly_computes_no_fingerprint(rng, monkeypatch):
             assemble(trees, build_kernel(name, **params))
 
 
+# What a tree holds: the constructor's attributes, then its structure.
+TREE_ATTRIBUTES = {"id", "n", "d", "parents", "positions", "attributes", "node_levels", "children", "degrees",
+                   "levels", "_rootpaths", "descendant_table", "sphere_table", "fingerprint"}
+
+
 @pytest.mark.parametrize("name,params", ALL_KERNELS + MOVED_KERNELS + FEATURE_KERNELS)
-def test_a_tree_caches_its_structure_and_one_kernel_input(rng, name, params):
+def test_a_tree_holds_no_kernel_input(rng, name, params):
     trees = make_trees(rng, count=4, max_nodes=8)
     kernel = build_kernel(name, **params)
+    assert isinstance(kernel.cohort, (FeatureMap, NodeSet, PairLoop))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # pointcloud: no edges; agaw: missing generations
         assemble(trees, kernel)
         kernel.value(trees[0], trees[1])
+        kernel.value(trees[2], trees[2])
     for tree in trees:
-        assert len(tree._cache) <= 1, sorted(map(str, tree._cache))
+        assert set(vars(tree)) <= TREE_ATTRIBUTES, sorted(set(vars(tree)) - TREE_ATTRIBUTES)
 
 
 @pytest.mark.parametrize(
@@ -671,8 +674,8 @@ def test_a_tree_caches_its_structure_and_one_kernel_input(rng, name, params):
 )
 def test_linear_all_pairs_assembly_retains_rows_not_stacks_or_count_tables(rng, name, params, max_nodes):
     # a tree's landmark stack (|V|^2 rows) or path count table is about 10 to
-    # 100 times its feature row here; the allowance per tree covers its memo
-    # entry and the interpreter's free lists (up to 2000 tuples of a size)
+    # 100 times its feature row here; the allowance per tree covers the
+    # interpreter's free lists (up to 2000 tuples of a size)
     trees = make_trees(rng, count=100, max_nodes=max_nodes)
     kernel = build_kernel(name, **params)
     assemble(make_trees(rng, count=10, max_nodes=max_nodes), kernel)  # first-call imports stay out
@@ -684,5 +687,5 @@ def test_linear_all_pairs_assembly_retains_rows_not_stacks_or_count_tables(rng, 
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    rows = sum(row.nbytes for row in kernel.cohort.features(trees))
+    rows = sum(row.nbytes for row in kernel.cohort.inputs(trees))
     assert retained <= 2 * rows + 2000 * len(trees), (retained, rows)

@@ -257,7 +257,6 @@ def test_structure_is_computed_once_and_read_only(rng):
             array[0] = 0
     with pytest.raises(AttributeError):
         t.rootpath(0).nodes = ()
-    assert t._cache == {}  # structure is kept outside the kernel-input store
 
 
 def test_node_path_matches_bfs_distance(rng):
