@@ -3,8 +3,8 @@
 Subcommands: ``gen`` (synthetic two-class datasets), ``kernel`` (Gram matrix
 CSV + sidecar), ``test`` (permutation two-sample test), ``classify``
 (nearest-mean holdout evaluation), and ``bench`` (kernel scaling timings).
-Every command writes a run manifest next to its output recording the
-arguments, input hashes, seed, version, and wall-clock duration.
+Once a command names its output, :func:`main` writes a run manifest beside
+it (inside it for ``gen``), on success and on a data error; README §Files lists its keys.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags or incompatible
 kernel specs), 1 on data errors (unreadable or inconsistent inputs) and on
@@ -25,7 +25,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,14 +47,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-@contextlib.contextmanager
-def stage(stages: dict[str, float], name: str):
-    """Record the wall-clock seconds of the block as ``stages[name]``."""
-    tic = time.perf_counter()
-    yield
-    stages[name] = time.perf_counter() - tic
-
-
 def _peak_rss_mb() -> float | None:
     """This process's own peak resident set in MiB (``VmHWM``), or None where
     ``/proc/self/status`` is absent. ``ru_maxrss`` cannot stand in for it:
@@ -69,32 +61,61 @@ def _peak_rss_mb() -> float | None:
     return None
 
 
-def _write_manifest(
-    manifest_file: Path,
-    command: str,
-    args: argparse.Namespace,
-    started: float,
-    kernel_spec: dict | None = None,
-    input_files=(),
-    **extra,
-) -> None:
-    arguments = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k != "func" and not k.startswith("_")
-    }
-    manifest = {
-        "command": command,
-        "arguments": arguments,
-        "kernel_spec": kernel_spec,
-        "input_hashes": {str(f): _sha256(f) for f in map(Path, input_files)},
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "duration_seconds": time.perf_counter() - started,
-        "peak_rss_mb": _peak_rss_mb(),
-        **extra,
-    }
-    manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+@dataclass
+class Run:
+    """One command run's record, which :func:`main` writes as its manifest; ``fields`` are extra keys."""
+
+    args: argparse.Namespace
+    started: float = field(default_factory=time.perf_counter)
+    manifest: Path | None = None
+    input_files: list = field(default_factory=list)
+    kernel_spec: dict | None = None
+    stages: dict[str, float] = field(default_factory=dict)
+    fields: dict = field(default_factory=dict)
+    running: str | None = None  # the innermost stage under way
+
+    def output(self, path, directory: bool = False) -> Path:
+        """Name the output ``path`` and make its directory (``path`` itself for a ``directory``); the
+        manifest goes beside it as ``<out>.manifest.json``, or inside it as ``manifest.json``."""
+        out = Path(path)
+        (out if directory else out.parent).mkdir(parents=True, exist_ok=True)
+        self.manifest = out / "manifest.json" if directory else Path(f"{out}.manifest.json")
+        return out
+
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Add the block's wall-clock seconds to ``stages[name]``; a block that raises stays running."""
+        self.fields["stages"] = self.stages
+        outer, self.running = self.running, name
+        tic = time.perf_counter()
+        yield
+        self.stages[name] = self.stages.get(name, 0.0) + time.perf_counter() - tic
+        self.running = outer
+
+    def write(self, error: str | None = None) -> None:
+        """Write the manifest once an output is named; an ``error`` adds it and the running stage."""
+        if self.manifest is None:
+            return
+        arguments = {
+            k: (str(v) if isinstance(v, Path) else v)
+            for k, v in vars(self.args).items()
+            if k != "func" and not k.startswith("_")
+        }
+        manifest = {
+            "command": self.args.command,
+            "arguments": arguments,
+            "kernel_spec": self.kernel_spec,
+            "input_hashes": {str(f): _sha256(f) if f.is_file() else None for f in map(Path, self.input_files)},
+            "seed": getattr(self.args, "seed", None),
+            "version": __version__,
+            "duration_seconds": time.perf_counter() - self.started,
+            "peak_rss_mb": _peak_rss_mb(),
+            **self.fields,
+            "status": "ok" if error is None else "error",
+        }
+        if error is not None:
+            manifest.update(stage=self.running, error=error)
+        self.manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # -- gen --------------------------------------------------------------------------
@@ -149,11 +170,10 @@ def _grow(cfg_a, cfg_b, size_a: int, size_b: int, workers: int):
             yield from chunk
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace, run: Run) -> None:
     from . import generate
     from .trees import save_serialized
 
-    started = time.perf_counter()
     _check_min("--size", args.size, 2)  # one tree per class
     _check_min("--seed", args.seed, 0)
     cfg_a, cfg_b = generate.preset_configs(args.preset, args.seed)
@@ -171,34 +191,29 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.config}: {exc}") from exc
     size_a = (args.size + 1) // 2
     size_b = args.size - size_a
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    workers = _gen_workers()
-    stages = {"grow": 0.0}
+    out = run.output(args.out, directory=True)
+    workers = run.fields["workers"] = _gen_workers()
     ids, sizes = [], []
 
     def blobs(grown):
         # Waiting for the next tree counts as growing; the rest is writing.
         while True:
-            tic = time.perf_counter()
-            tree = next(grown, None)
-            stages["grow"] += time.perf_counter() - tic
+            with run.stage("grow"):
+                tree = next(grown, None)
             if tree is None:
                 return
             ids.append(tree[0])
             sizes.append(tree[1])
             yield tree[2]
 
-    with stage(stages, "write"), contextlib.closing(_grow(cfg_a, cfg_b, size_a, size_b, workers)) as grown:
+    with run.stage("write"), contextlib.closing(_grow(cfg_a, cfg_b, size_a, size_b, workers)) as grown:
         save_serialized(blobs(grown), out / "trees.json")
         generate.save_labels(ids, [0] * size_a + [1] * size_b, out / "labels.csv")
-    stages["write"] -= stages["grow"]
-    _write_manifest(out / "manifest.json", "gen", args, started, workers=workers, stages=stages)
+    run.stages["write"] -= run.stages["grow"]
     print(
         f"wrote {len(ids)} trees ({size_a}+{size_b}, preset {args.preset}, "
         f"{min(sizes)}-{max(sizes)} nodes) to {out}"
     )
-    return 0
 
 
 # -- kernel -----------------------------------------------------------------------
@@ -236,20 +251,11 @@ def _kernel_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _build_kernel_or_usage(name: str, params: dict):
-    from .registry import build_kernel
-
+def _or_usage(call, /, *args, **kwargs):
     try:
-        return build_kernel(name, **params)
-    except ValueError as exc:
+        return call(*args, **kwargs)
+    except ValueError as exc:  # a kernel spec the kernel or the cohort cannot take
         raise UsageError(str(exc)) from exc
-
-
-def _out_path(args: argparse.Namespace) -> Path:
-    """The ``--out`` file path, its parent directory created if missing."""
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _check_min(flag: str, value: int | None, low: int) -> None:
@@ -258,13 +264,13 @@ def _check_min(flag: str, value: int | None, low: int) -> None:
         raise UsageError(f"{flag} must be >= {low}")
 
 
-def cmd_kernel(args: argparse.Namespace) -> int:
+def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
     from .gram import assemble, normalize, save_gram
+    from .path_kernels import check_landmark_fit
+    from .registry import build_kernel
     from .trees import dataset_files, load_dataset
 
-    started = time.perf_counter()
-    params = _kernel_params(args)
-    kernel = _build_kernel_or_usage(args.kernel, params)
+    kernel = _or_usage(build_kernel, args.kernel, **_kernel_params(args))
     _check_min("--threads", args.threads, 1)
     if args.check_against_naive and args.kernel not in (
         "rootpath-node",
@@ -275,14 +281,17 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--normalize is degenerate for the scalar linear kernel '{args.kernel}'"
         )
-    out = _out_path(args)
-    stages: dict[str, float] = {}
-    with stage(stages, "load"):
+    out = run.output(args.out)
+    run.kernel_spec = kernel.spec
+    with run.stage("load"):
+        run.input_files = dataset_files(args.trees)
         trees = load_dataset(args.trees)
-    with stage(stages, "assemble"):
+    if "landmarks" in kernel.params:  # the spec allows counts too large for the cohort's n
+        _or_usage(check_landmark_fit, kernel.params["landmarks"], trees[0].n)
+    with run.stage("assemble"):
         matrix = assemble(trees, kernel)
     if args.check_against_naive:
-        naive = assemble(trees, _build_kernel_or_usage("rootpath-node-naive", kernel.params))
+        naive = assemble(trees, _or_usage(build_kernel, "rootpath-node-naive", **kernel.params))
         scale = np.maximum(1.0, np.maximum(np.abs(matrix.values), np.abs(naive.values)))
         deviation = np.abs(matrix.values - naive.values) / scale
         worst = float(deviation.max())
@@ -294,18 +303,13 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             )
         print(f"naive check passed (max relative deviation {worst:.3e})")
     if args.normalize:
-        with stage(stages, "normalize"):
+        with run.stage("normalize"):
             matrix = normalize(matrix)
-    with stage(stages, "save"):
+    with run.stage("save"):
         save_gram(matrix, out)
-    n_pairs = matrix.size * (matrix.size + 1) // 2
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "kernel", args, started,
-        kernel_spec=kernel.spec, input_files=dataset_files(args.trees), stages=stages,
-        n_pairs=n_pairs, pairs_per_second=n_pairs / max(stages["assemble"], 1e-9),
-    )
+    n_pairs = run.fields["n_pairs"] = matrix.size * (matrix.size + 1) // 2
+    run.fields["pairs_per_second"] = n_pairs / max(run.stages["assemble"], 1e-9)
     print(f"wrote {matrix.size}x{matrix.size} Gram matrix ({args.kernel}) to {out}")
-    return 0
 
 
 # -- test -------------------------------------------------------------------------
@@ -325,46 +329,41 @@ def _class_indices(ids: list[str], labels_path: str) -> tuple[list[int], list[in
     return idx_a, idx_b
 
 
-def cmd_test(args: argparse.Namespace) -> int:
+def cmd_test(args: argparse.Namespace, run: Run) -> None:
     from .gram import load_gram
     from .twosample import permutation_test
 
-    started = time.perf_counter()
     _check_min("--permutations", args.permutations, 1)
     _check_min("--seed", args.seed, 0)
     _check_min("--threads", args.threads, 1)
-    out = _out_path(args)
-    stages: dict[str, float] = {}
-    with stage(stages, "load"):
+    out = run.output(args.out)
+    run.input_files = [args.gram, args.labels]
+    with run.stage("load"):
         matrix = load_gram(args.gram)
+    run.kernel_spec = matrix.kernel_spec or None
     idx_a, idx_b = _class_indices(matrix.ids, args.labels)
-    with stage(stages, "permutation_test"):
+    with run.stage("permutation_test"):
         result = permutation_test(
             matrix, idx_a, idx_b, n_permutations=args.permutations, seed=args.seed
         )
-    payload = result.to_json(kernel_spec_ref=matrix.kernel_spec or None)
+    payload = result.to_json(kernel_spec_ref=run.kernel_spec)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "test", args, started,
-        kernel_spec=matrix.kernel_spec or None, input_files=[args.gram, args.labels],
-        stages=stages, n_permutations=result.n_permutations,
-    )
+    run.fields["n_permutations"] = result.n_permutations
     print(f"statistic={result.statistic:.6g} p_value={result.p_value:.6g} (N={result.n_permutations})")
-    return 0
 
 
 # -- classify -----------------------------------------------------------------------
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace, run: Run) -> None:
     from .gram import load_gram
     from .twosample import nearest_mean_classify
 
-    started = time.perf_counter()
     if not 0.0 < args.holdout < 1.0:
         raise UsageError("--holdout must lie strictly between 0 and 1")
     _check_min("--seed", args.seed, 0)
-    out = _out_path(args)
+    out = run.output(args.out)
+    run.input_files = [args.gram, args.labels]
     matrix = load_gram(args.gram)
     idx_a, idx_b = _class_indices(matrix.ids, args.labels)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
@@ -390,12 +389,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "correct": int((predicted == truth).sum()),
     }
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "classify", args, started,
-        input_files=[args.gram, args.labels],
-    )
     print(f"accuracy={accuracy:.4f} on {len(query)} held-out trees")
-    return 0
 
 
 # -- bench --------------------------------------------------------------------------
@@ -453,8 +447,9 @@ def fit_slope(rows: list[dict]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_bench(args: argparse.Namespace, run: Run) -> None:
+    from .registry import build_kernel
+
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
@@ -464,8 +459,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _check_min("--repeats", args.repeats, 1)
     _check_min("--seed", args.seed, 0)
     params = _kernel_params(args)
-    kernel = _build_kernel_or_usage(args.kernel, params)  # validate before timing
-    out = _out_path(args)
+    run.kernel_spec = _or_usage(build_kernel, args.kernel, **params).spec  # validate before timing
+    out = run.output(args.out)
     rows = benchmark_kernel(args.kernel, sizes, repeats=args.repeats, seed=args.seed, params=params)
     header = "kernel,n_nodes,height,repeats,loops,median_seconds"
     lines = [header] + [
@@ -474,13 +469,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ]
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     slope = fit_slope(rows) if len(rows) >= 2 else float("nan")
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "bench", args, started, kernel_spec=kernel.spec
-    )
     for r in rows:
         print(f"{r['kernel']}  |V|={r['n_nodes']:<5d} median {r['median_seconds']:.3e} s")
     print(f"{args.kernel} fitted log-log slope vs |V|: {slope:.3f}")
-    return 0
 
 
 # -- parser -------------------------------------------------------------------------
@@ -582,16 +573,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    run = Run(args)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        args.func(args, run)
+        run.write()
+        return 0
+    except UsageError as exc:  # writes no manifest
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # e.g. numpy's "Unable to allocate 21.8 TiB ..."
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as exc:  # MemoryError: e.g. numpy's "Unable to allocate ..."
+        error = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+        print(f"error: {error}", file=sys.stderr)
+        with contextlib.suppress(Exception):  # a manifest that cannot be written leaves the error as it is
+            run.write(error)
         return 1
 
 

@@ -64,16 +64,17 @@ def _add_group(out, slots, z, w, bounds, block: int) -> None:
     trees, total = len(slots), int(bounds[-1])
     i0 = 0
     while i0 < trees:
-        # Whole trees as rows, against their own and later trees' nodes,
-        # in row tiles of about ``block`` floats.
+        # Whole trees as rows, in row tiles of about ``block`` floats; a
+        # sub-tile's columns start at the tree of its first row.
         i1 = max(i0 + 1, int(np.searchsorted(bounds, bounds[i0] + block // trees, "right")) - 1)
-        cols = slice(bounds[i0], total)
-        sums = np.empty((bounds[i1] - bounds[i0], trees - i0))
+        sums = np.zeros((bounds[i1] - bounds[i0], trees - i0))
         step = max(1, block // (total - bounds[i0]))
         for lo in range(0, len(sums), step):
             rows = slice(bounds[i0] + lo, bounds[i0] + min(lo + step, len(sums)))
+            t = int(np.searchsorted(bounds, rows.start, "right")) - 1
+            cols = slice(bounds[t], total)
             pairs = _pair_terms(z[:, rows], z[:, cols], w[rows], w[cols])
-            sums[lo : lo + step] = np.add.reduceat(pairs, bounds[i0:-1] - bounds[i0], axis=1)
+            sums[lo : lo + step, t - i0 :] = np.add.reduceat(pairs, bounds[t:-1] - bounds[t], axis=1)
         part = np.add.reduceat(sums, bounds[i0:i1] - bounds[i0], axis=0)
         first, second = np.arange(i0, i1)[:, None], np.arange(i0, trees)
         out[np.ix_(slots[i0:i1], slots[i0:])] += np.where(first <= second, part, 0.0)

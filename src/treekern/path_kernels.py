@@ -193,16 +193,20 @@ def _landmark_stack(tree: GeometricTree, m: int, paths: str) -> np.ndarray:
     return np.array([sample_embedded_path(tree, i, j, m).ravel() for i, j in ends])
 
 
-def _check_landmarks(trees, m: int) -> None:
-    """The trees' positions must match, and one path's ``m`` landmarks of
-    n coordinates each must fit in an array."""
-    _check_node_spec(trees, NodeKernelSpec())  # positions only
-    n = trees[0].n
+def check_landmark_fit(m: int, n: int) -> None:
+    """One path's ``m`` landmarks of ``n`` coordinates each must fit in an array."""
     if m > _MAX_FLOATS // n:
         raise ValueError(
             f"landmarks must be at most {_MAX_FLOATS // n} for n = {n}, so that a path's "
             f"landmarks fit in an array; got {m}"
         )
+
+
+def _check_landmarks(trees, m: int) -> None:
+    """The trees' positions must match, and their paths' ``m`` landmarks
+    must fit in an array."""
+    _check_node_spec(trees, NodeKernelSpec())  # positions only
+    check_landmark_fit(m, trees[0].n)
 
 
 def landmark_route(spec: PathKernelSpec, paths: str) -> FeatureMap | NodeSet:

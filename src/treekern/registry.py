@@ -108,7 +108,7 @@ def _coerce(name: str, key: str, default, value):
     return type(default)(value)
 
 
-def build_kernel(name: str, **params) -> PairwiseKernel:
+def build_kernel(name: str, /, **params) -> PairwiseKernel:
     """Build a named kernel; raises ValueError for unknown names, unknown
     parameters, or incompatible parameter combinations."""
     if name not in _CATALOG:

@@ -250,6 +250,95 @@ def test_every_manifest_records_its_own_peak_rss(tmp_path):
             assert peak is None or peak > 0, manifest_file
 
 
+_MANIFEST_KEYS = {"command", "arguments", "kernel_spec", "input_hashes", "seed", "version", "duration_seconds",
+                  "peak_rss_mb", "status"}
+
+
+def test_each_command_writes_its_success_manifest_keys(tmp_path):
+    data = gen_dataset(tmp_path, size=6, seed=8)
+    gram, labels = tmp_path / "g.csv", data / "labels.csv"
+    assert run(["kernel", data, "--kernel", "sp", "--out", gram]) == 0
+    assert run(["test", gram, labels, "--permutations", 20, "--out", tmp_path / "t.json"]) == 0
+    assert run(["classify", gram, labels, "--out", tmp_path / "c.json"]) == 0
+    assert run(["bench", "--kernel", "gbc", "--sizes", "5,9", "--repeats", 1, "--out", tmp_path / "b.csv"]) == 0
+    extra = {
+        data / "manifest.json": {"workers", "stages"},
+        tmp_path / "g.csv.manifest.json": {"stages", "n_pairs", "pairs_per_second"},
+        tmp_path / "t.json.manifest.json": {"stages", "n_permutations"},
+        tmp_path / "c.json.manifest.json": set(),
+        tmp_path / "b.csv.manifest.json": set(),
+    }
+    for path, keys in extra.items():
+        manifest = json.loads(path.read_text())
+        assert set(manifest) == _MANIFEST_KEYS | keys, path
+        assert manifest["status"] == "ok"
+
+
+def read_failure_manifest(path, err: str) -> dict:
+    """The failure manifest at ``path``; its error is the one that ends ``err``."""
+    manifest = json.loads(Path(path).read_text())
+    assert set(manifest) >= _MANIFEST_KEYS | {"stage", "error"}
+    assert manifest["status"] == "error"
+    assert err.endswith(f"error: {manifest['error']}\n")
+    if sys.platform.startswith("linux"):
+        assert manifest["peak_rss_mb"] > 0
+    return manifest
+
+
+def test_a_kernel_that_fails_to_normalize_leaves_a_failure_manifest(tmp_path, capsys):
+    # a single-node tree has no edges, so its pointcloud diagonal is 0
+    single = GeometricTree("s", [-1], np.zeros((1, 3)), np.zeros((1, 1)))
+    pair = GeometricTree("p", [-1, 0], [np.zeros(3), np.ones(3)], [np.zeros(1), np.ones(1)])
+    data = tmp_path / "degenerate.json"
+    save_dataset([single, pair], data)
+    out = tmp_path / "g.csv"
+    with pytest.warns(UserWarning):
+        assert run(["kernel", data, "--kernel", "pointcloud", "--normalize", "--out", out]) == 1
+    manifest = read_failure_manifest(tmp_path / "g.csv.manifest.json", capsys.readouterr().err)
+    assert manifest["stage"] == "normalize"
+    assert manifest["error"] == "non-positive diagonal entry for tree id 's'; cannot normalize"
+    assert list(manifest["stages"]) == ["assemble", "load"]
+    assert manifest["kernel_spec"]["name"] == "pointcloud"
+    assert list(manifest["input_hashes"]) == [str(data)]
+    assert not out.exists()
+
+
+def test_a_malformed_trees_file_fails_in_the_load_stage(tmp_path, capsys):
+    data = tmp_path / "bad.json"
+    data.write_text('[{"id": "t0", "nodes": ')
+    assert run(["kernel", data, "--kernel", "gbc", "--out", tmp_path / "g.csv"]) == 1
+    manifest = read_failure_manifest(tmp_path / "g.csv.manifest.json", capsys.readouterr().err)
+    assert manifest["stage"] == "load"
+    assert manifest["stages"] == {}
+    assert manifest["input_hashes"][str(data)]  # the file that failed to load is hashed
+    # an input that is missing altogether is recorded without a hash
+    assert run(["kernel", tmp_path / "none.json", "--kernel", "gbc", "--out", tmp_path / "g.csv"]) == 1
+    manifest = read_failure_manifest(tmp_path / "g.csv.manifest.json", capsys.readouterr().err)
+    assert manifest["stage"] == "load"
+    assert manifest["input_hashes"] == {str(tmp_path / "none.json"): None}
+
+
+def test_a_usage_error_leaves_no_manifest(tmp_path, capsys):
+    data = gen_dataset(tmp_path, size=6, seed=1)
+    gram = tmp_path / "g.csv"
+    assert run(["kernel", data, "--kernel", "lbc", "--normalize", "--out", gram]) == 2
+    assert run(["kernel", data, "--kernel", "gbc", "--spec-json", '{"name": 1}', "--out", gram]) == 2
+    assert "usage error: kernel 'gbc' does not accept parameters: ['name']" in capsys.readouterr().err
+    assert run(["kernel", data, "--kernel", "gbc", "--out", gram]) == 0
+    assert run(["test", gram, data / "labels.csv", "--permutations", 0, "--out", tmp_path / "t.json"]) == 2
+    assert run(["classify", gram, data / "labels.csv", "--holdout", 1.5, "--out", tmp_path / "c.json"]) == 2
+    assert run(["bench", "--kernel", "gbc", "--sizes", "8,abc", "--out", tmp_path / "b.csv"]) == 2
+    assert sorted(p.name for p in tmp_path.glob("*.manifest.json")) == ["g.csv.manifest.json"]
+
+
+def test_a_failure_manifest_that_cannot_be_written_leaves_the_error_as_it_is(tmp_path, capsys):
+    data = tmp_path / "bad.json"
+    data.write_text("[")
+    (tmp_path / "g.csv.manifest.json").mkdir()  # the manifest cannot be written there
+    assert run(["kernel", data, "--kernel", "gbc", "--out", tmp_path / "g.csv"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data}")
+
+
 def test_kernel_normalize_flag(tmp_path):
     data = gen_dataset(tmp_path, size=8, seed=2)
     out = tmp_path / "norm.csv"
@@ -454,17 +543,19 @@ def test_a_landmark_count_no_array_can_hold_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("kernel", ["rootpath-embedded", "all-pairs-embedded"])
 def test_a_landmark_count_too_large_for_the_cohort_names_landmarks_and_n(tmp_path, capsys, kernel):
-    # the spec accepts it, but the 3 coordinates of each landmark do not fit
+    # the spec accepts it, but the 3 coordinates of each landmark do not fit,
+    # so the spec cannot be used on this cohort: a usage error, with no manifest
     data = gen_dataset(tmp_path, size=4, seed=2)
     out = tmp_path / "g.csv"
     inline = '{"landmarks": 1152921504606846975}'
-    assert run(["kernel", data / "trees.json", "--kernel", kernel, "--spec-json", inline, "--out", out]) == 1
+    assert run(["kernel", data / "trees.json", "--kernel", kernel, "--spec-json", inline, "--out", out]) == 2
     limit = (2**63 - 1) // 8 // 3
     assert capsys.readouterr().err == (
-        f"error: landmarks must be at most {limit} for n = 3, so that a path's landmarks fit in an array; "
+        f"usage error: landmarks must be at most {limit} for n = 3, so that a path's landmarks fit in an array; "
         "got 1152921504606846975\n"
     )
     assert not out.exists()
+    assert not (tmp_path / "g.csv.manifest.json").exists()
 
 
 def test_kernel_warnings_are_one_line_each(tmp_path):
@@ -520,7 +611,7 @@ def test_two_sample_flow(tmp_path, capsys):
     assert run(["test", gram, data / "labels.csv", "--threads", 0, "--out", result]) == 2
 
 
-def test_two_sample_label_errors(tmp_path):
+def test_two_sample_label_errors(tmp_path, capsys):
     data = gen_dataset(tmp_path, size=8, seed=1)
     gram = tmp_path / "g.csv"
     assert run(["kernel", data / "trees.json", "--kernel", "gbc", "--out", gram]) == 0
@@ -528,7 +619,15 @@ def test_two_sample_label_errors(tmp_path):
     partial = tmp_path / "partial.csv"
     lines = (data / "labels.csv").read_text().splitlines()
     partial.write_text("\n".join(lines[:-1]) + "\n")
+    capsys.readouterr()
     assert run(["test", gram, partial, "--out", tmp_path / "r.json"]) == 1
+    manifest = read_failure_manifest(tmp_path / "r.json.manifest.json", capsys.readouterr().err)
+    assert manifest["error"] == "no label for tree id 't00007'"
+    assert manifest["stage"] is None  # between the timed stages
+    assert list(manifest["stages"]) == ["load"]
+    assert manifest["kernel_spec"]["name"] == "gbc"
+    assert set(manifest["input_hashes"]) == {str(gram), str(partial)}
+    assert not (tmp_path / "r.json").exists()
 
     onesided = tmp_path / "onesided.csv"
     onesided.write_text("\n".join([lines[0]] + [f"t{k:05d},0" for k in range(8)]) + "\n")
@@ -552,7 +651,12 @@ def test_classify_flow(tmp_path, capsys):
 
     assert run(["classify", gram, data / "labels.csv", "--holdout", 1.5, "--out", report_path]) == 2
     # a holdout this large leaves a class without training data
-    assert run(["classify", gram, data / "labels.csv", "--holdout", 0.99, "--out", report_path]) == 1
+    failed = tmp_path / "failed.json"
+    assert run(["classify", gram, data / "labels.csv", "--holdout", 0.99, "--out", failed]) == 1
+    manifest = read_failure_manifest(tmp_path / "failed.json.manifest.json", capsys.readouterr().err)
+    assert manifest["error"] == "holdout 0.99 leaves class A without training trees"
+    assert manifest["stage"] is None and "stages" not in manifest
+    assert not failed.exists()
 
 
 def test_bench_smoke(tmp_path, capsys):
@@ -593,7 +697,11 @@ def test_an_allocation_that_fails_is_a_data_error(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr("treekern.gram.assemble", assemble)
     assert run(["kernel", data, "--kernel", "gbc", "--out", tmp_path / "g.csv"]) == 1
-    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 21.8 TiB for an array\n"
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 21.8 TiB for an array\n"
+    manifest = read_failure_manifest(tmp_path / "g.csv.manifest.json", err)
+    assert manifest["error"] == "out of memory: Unable to allocate 21.8 TiB for an array"
+    assert manifest["stage"] == "assemble"
 
 
 def test_commands_create_their_output_directory(tmp_path):

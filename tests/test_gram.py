@@ -579,7 +579,7 @@ def test_cohort_route_matches_oracle_pairs_and_any_block(name, params, trees):
         if isinstance(kernel.cohort, NodeSet):
             sets = kernel.cohort.inputs(trees)
             order = sorted(range(len(trees)), key=lambda k: trees[k].sort_key)
-            for block in (1, 1 << 40):
+            for block in (1, 64, 1 << 40):
                 assert np.array_equal(nodeset_gram(sets, block, order), gram)
     assert np.array_equal(gram, gram.T)
     assert np.array_equal(gram, pairs)
