@@ -16,7 +16,6 @@ _EXPORTS = {
     "path_kernels": ("NodeKernelSpec", "PathKernelSpec", "sample_embedded_path", "landmark_path_kernel",
                      "node_kernel", "node_path_kernel", "all_pairs_kernel", "rootpath_kernel_naive",
                      "rootpath_kernel_decomposed", "rootpath_kernel_linear_fast"),
-    "baselines": ("WLConfig", "weisfeiler_lehman_kernel"),
     "registry": ("PairwiseKernel", "build_kernel", "KERNEL_NAMES"),
     "gram": ("GramMatrix", "PsdReport", "assemble", "normalize", "psd_check", "save_gram", "load_gram",
              "sidecar_path"),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,18 +19,7 @@ from .features import FeatureMap, NodeSet, PairLoop
 from .path_kernels import FORMS, NodeKernelSpec, node_point_set
 from .trees import GeometricTree
 
-__all__ = ["WLConfig", "weisfeiler_lehman_kernel"]
-
-
-@dataclass(frozen=True)
-class WLConfig:
-    """Label-refinement kernel settings: number of refinement rounds."""
-
-    iterations: int = 10
-
-    def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+__all__: list[str] = []
 
 
 def pointcloud_node_set(*, lambda1: float | None, lambda2: float | None) -> NodeSet:
@@ -137,24 +125,26 @@ def shortest_path_map(*, length_kernel: str) -> FeatureMap:
 
 
 def _counter_dot(c1: Counter, c2: Counter) -> float:
-    small, big = (c1, c2) if len(c1) <= len(c2) else (c2, c1)
-    return float(sum(count * big[label] for label, count in sorted(small.items()) if label in big))
+    # Integer counts: the sum is exact in any order.
+    return float(sum(count * c2[label] for label, count in c1.items()))
 
 
-def wl_route(cfg: WLConfig) -> PairLoop:
+def wl_route(*, iterations: int) -> PairLoop:
     """Iterative label-refinement kernel on the undirected tree graphs, a
     pair loop over each tree's adjacency lists and degree labels.
 
-    Initial labels are node degrees. Each round relabels every node by its
-    own label plus the sorted labels of its neighbours, compressed through a
-    dictionary shared by the pair; the kernel is the sum over rounds of the
-    dot product between the label count vectors. Values do not depend on the
-    dictionary's label numbering, so pairwise evaluation matches a shared
-    per-population compression exactly.
+    Initial labels are node degrees. Each of ``iterations`` rounds relabels
+    every node by its own label plus the sorted labels of its neighbours,
+    compressed through a dictionary shared by the pair; the kernel is the sum
+    over rounds of the dot product between the label count vectors. Values
+    do not depend on the dictionary's label numbering, so pairwise evaluation
+    matches a shared per-population compression exactly.
 
     Once a round splits no label class of the pair, every later round adds
     the same dot product, so the rest is one product.
     """
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
 
     def build(tree: GeometricTree) -> tuple[list[list[int]], list[int]]:
         adjacency = [[*kids, p] if p >= 0 else list(kids) for kids, p in zip(tree.children, tree.parents.tolist())]
@@ -175,20 +165,13 @@ def wl_route(cfg: WLConfig) -> PairLoop:
 
         total = _counter_dot(Counter(labels1), Counter(labels2))
         classes = len(set(labels1).union(labels2))
-        for done in range(1, cfg.iterations + 1):
+        for done in range(1, iterations + 1):
             labels1, labels2 = refine(labels1, adj1), refine(labels2, adj2)
             dot = _counter_dot(Counter(labels1), Counter(labels2))
             total += dot
             classes, before = len(set(labels1).union(labels2)), classes
             if classes == before:
-                return total + (cfg.iterations - done) * dot
+                return total + (iterations - done) * dot
         return total
 
     return PairLoop(build, pair)
-
-
-def weisfeiler_lehman_kernel(
-    t1: GeometricTree, t2: GeometricTree, cfg: WLConfig = WLConfig()
-) -> float:
-    """The label-refinement kernel of :func:`wl_route` on one pair."""
-    return wl_route(cfg).value(t1, t2)

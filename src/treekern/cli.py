@@ -218,12 +218,6 @@ def cmd_gen(args: argparse.Namespace, run: Run) -> None:
 
 # -- kernel -----------------------------------------------------------------------
 
-# Kernel-spec flags by destination; each sets the parameter of its name,
-# except that --wl-iterations sets wl's "iterations".
-_SPEC_FLAGS = ("form", "use_attributes", "lambda1", "lambda2", "lam", "landmarks",
-               "component", "gen_lo", "gen_hi", "wl_iterations", "length_kernel")
-
-
 def _kernel_params(args: argparse.Namespace) -> dict:
     params: dict = {}
     if getattr(args, "spec_json", None):
@@ -240,13 +234,9 @@ def _kernel_params(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise UsageError("--spec-json must be a JSON object")
         params.update(loaded)
-    for attr in _SPEC_FLAGS:
-        value = getattr(args, attr, None)
-        key = "iterations" if attr == "wl_iterations" else attr
-        if attr == "use_attributes":
-            if value:
-                params[key] = True
-        elif value is not None:
+    for flag, key, _ in _KERNEL_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's destination for the flag
+        if value is not None and value is not False:  # an unset flag is None, or False for a switch
             params[key] = value
     return params
 
@@ -485,32 +475,32 @@ _KERNEL_NAMES = ("all-pairs-embedded", "rootpath-embedded", "all-pairs-node", "r
 _HELP_DEFAULTS = {"landmarks": 20, "gen_lo": 3, "gen_hi": 6, "iterations": 10}
 _PRESET_NAMES = ("null", "branch-shift", "attr-shift")
 
+# Kernel-spec flags, one row each: (flag, the kernel parameter it sets, its argparse keywords).
+_KERNEL_FLAGS = (
+    ("--form", "form", {"choices": ["linear", "gaussian"], "help": "node kernel form"}),
+    ("--use-attributes", "use_attributes",
+     {"action": "store_true", "help": "multiply the attribute factor into the node kernel"}),
+    ("--lambda1", "lambda1", {"type": float, "help": "gaussian position scale (default 1/n)"}),
+    ("--lambda2", "lambda2", {"type": float, "help": "gaussian attribute scale (default 1/d)"}),
+    ("--lam", "lam", {"type": float, "help": "embedded gaussian scale"}),
+    ("--landmarks", "landmarks",
+     {"type": int, "help": f"equidistant points per resampled path (default {_HELP_DEFAULTS['landmarks']})"}),
+    ("--component", "component", {"type": int, "help": "attribute component index"}),
+    ("--gen-lo", "gen_lo", {"type": int, "help": f"first generation for agaw (default {_HELP_DEFAULTS['gen_lo']})"}),
+    ("--gen-hi", "gen_hi", {"type": int, "help": f"last generation for agaw (default {_HELP_DEFAULTS['gen_hi']})"}),
+    ("--wl-iterations", "iterations",
+     {"type": int, "help": f"label refinement rounds (default {_HELP_DEFAULTS['iterations']})"}),
+    ("--length-kernel", "length_kernel", {"choices": ["delta", "linear"], "help": "path length comparison for sp"}),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treekern", description="Geometric tree kernels")
     sub = parser.add_subparsers(dest="command", required=True)
     spec_flags = argparse.ArgumentParser(add_help=False)
     group = spec_flags.add_argument_group("kernel spec")
-    group.add_argument("--form", choices=["linear", "gaussian"], default=None,
-                       help="node kernel form")
-    group.add_argument("--use-attributes", dest="use_attributes", action="store_true",
-                       help="multiply the attribute factor into the node kernel")
-    group.add_argument("--lambda1", type=float, default=None,
-                       help="gaussian position scale (default 1/n)")
-    group.add_argument("--lambda2", type=float, default=None,
-                       help="gaussian attribute scale (default 1/d)")
-    group.add_argument("--lam", type=float, default=None, help="embedded gaussian scale")
-    group.add_argument("--landmarks", type=int, default=None,
-                       help=f"equidistant points per resampled path (default {_HELP_DEFAULTS['landmarks']})")
-    group.add_argument("--component", type=int, default=None, help="attribute component index")
-    group.add_argument("--gen-lo", dest="gen_lo", type=int, default=None,
-                       help=f"first generation for agaw (default {_HELP_DEFAULTS['gen_lo']})")
-    group.add_argument("--gen-hi", dest="gen_hi", type=int, default=None,
-                       help=f"last generation for agaw (default {_HELP_DEFAULTS['gen_hi']})")
-    group.add_argument("--wl-iterations", dest="wl_iterations", type=int, default=None,
-                       help=f"label refinement rounds (default {_HELP_DEFAULTS['iterations']})")
-    group.add_argument("--length-kernel", dest="length_kernel", choices=["delta", "linear"],
-                       default=None, help="path length comparison for sp")
+    for flag, _, keywords in _KERNEL_FLAGS:
+        group.add_argument(flag, **keywords)
     group.add_argument("--spec-json", dest="spec_json", default=None,
                        help="kernel parameters as inline JSON or a JSON file path")
 

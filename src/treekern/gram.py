@@ -172,7 +172,8 @@ def save_gram(gram: GramMatrix, path: str | Path) -> None:
     The CSV has an ``id,<ids>`` header and one ``<id>,<cells>`` line per row;
     each cell is ``%.17g``, which reads back exactly. Rows go out in the
     strips of :func:`_row_strips`, and each distinct value of a strip, told
-    apart by its bits so that -0.0 and 0.0 stay apart, is formatted once.
+    apart by its bits so that -0.0 and 0.0 stay apart, is formatted once;
+    a strip of more than 75% distinct values is formatted row by row.
     """
     from . import __version__
 
@@ -185,10 +186,14 @@ def save_gram(gram: GramMatrix, path: str | Path) -> None:
         for rows in _row_strips(gram.size):
             strip = gram.values[rows]
             bits, inverse = np.unique(strip.view(np.int64).ravel(), return_inverse=True)
-            formatted = "%.17g," * len(bits) % tuple(bits.view(float).tolist())
-            cells = np.array(formatted.split(",")[:-1], dtype=object)[inverse].reshape(strip.shape)
-            for tree_id, row in zip(gram.ids[rows], cells.tolist()):
-                out.write(tree_id + "," + ",".join(row) + "\n")
+            if len(bits) > 0.75 * strip.size:  # about where formatting every cell gets cheaper
+                lines = [",%.17g" * gram.size % tuple(row) for row in strip.tolist()]
+            else:
+                formatted = "%.17g," * len(bits) % tuple(bits.view(float).tolist())
+                cells = np.array(formatted.split(",")[:-1], dtype=object)[inverse].reshape(strip.shape)
+                lines = ["," + ",".join(row) for row in cells.tolist()]
+            for tree_id, line in zip(gram.ids[rows], lines):
+                out.write(tree_id + line + "\n")
     meta = {
         "kernel_spec": gram.kernel_spec,
         "normalized": gram.normalized,

@@ -202,21 +202,33 @@ def check_landmark_fit(m: int, n: int) -> None:
         )
 
 
-def _check_landmarks(trees, m: int) -> None:
-    """The trees' positions must match, and their paths' ``m`` landmarks
-    must fit in an array."""
+ALL_PAIRS_EMBEDDED_MAX_NODES = 32  # gaussian all-pairs-embedded: one pair compares |V1|^2 |V2|^2 paths
+
+
+def _check_landmarks(trees, m: int, max_nodes: float = math.inf) -> None:
+    """The trees' positions must match, their paths' ``m`` landmarks must fit
+    in an array, and no tree may have more than ``max_nodes`` nodes."""
     _check_node_spec(trees, NodeKernelSpec())  # positions only
     check_landmark_fit(m, trees[0].n)
+    for tree in trees:
+        if tree.size > max_nodes:
+            raise ValueError(
+                f"tree '{tree.id}' has {tree.size} nodes; gaussian all-pairs-embedded compares all "
+                f"{tree.size}^2 paths of each tree and takes trees of at most {max_nodes} nodes"
+            )
 
 
 def landmark_route(spec: PathKernelSpec, paths: str) -> FeatureMap | NodeSet:
     """Cohort route of the embedded-path kernel over ``paths`` (see
     :func:`_landmark_stack`): the inner product of the landmark row sums
     (linear form), or a node set of the landmark rows times sqrt(lam) in one
-    group with unit weights (gaussian form)."""
+    group with unit weights (gaussian form, over all pairs for trees of at
+    most :data:`ALL_PAIRS_EMBEDDED_MAX_NODES` nodes)."""
     check = partial(_check_landmarks, m=spec.landmarks)
     if spec.form == "linear":
         return FeatureMap(lambda tree: _landmark_stack(tree, spec.landmarks, paths).sum(axis=0), check=check)
+    if paths == "all_pairs":
+        check = partial(check, max_nodes=ALL_PAIRS_EMBEDDED_MAX_NODES)
 
     def points(tree):
         stack = math.sqrt(_embedded_lam(spec, tree.n)) * _landmark_stack(tree, spec.landmarks, paths)

@@ -1,9 +1,8 @@
 """Catalog of named kernels: the one place every kernel is reached from.
 
 Each entry gives a kernel's parameter defaults, written here or read from
-the class defaults of :class:`~treekern.path_kernels.NodeKernelSpec`,
-:class:`~treekern.path_kernels.PathKernelSpec` and
-:class:`~treekern.baselines.WLConfig`, and a route of
+the class defaults of :class:`~treekern.path_kernels.NodeKernelSpec` and
+:class:`~treekern.path_kernels.PathKernelSpec`, and a route of
 :mod:`treekern.features` built from the resolved parameters.
 ``build_kernel(name, **params)`` returns a :class:`PairwiseKernel`: its
 ``value(t1, t2)`` is the single-pair entry point and :func:`treekern.assemble`
@@ -23,7 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baselines, path_kernels
-from .baselines import WLConfig
 from .features import FeatureMap, NodeSet, PairLoop
 from .path_kernels import NodeKernelSpec, PathKernelSpec
 from .trees import GeometricTree
@@ -78,7 +76,7 @@ _CATALOG: dict[str, tuple[dict, Callable]] = {
     "lbc": ({}, lambda: baselines.node_count_map("linear")),
     "gbc": ({}, lambda: baselines.node_count_map("gaussian")),
     "sp": ({"length_kernel": "delta"}, baselines.shortest_path_map),
-    "wl": ({"iterations": WLConfig.iterations}, lambda **p: baselines.wl_route(WLConfig(**p))),
+    "wl": ({"iterations": 10}, baselines.wl_route),
 }
 
 

@@ -162,11 +162,11 @@ def permutation_test(
     with fully separated samples it attains its floor
     1 / (n_permutations + 1).
     """
-    score = _Scorer(gram, idx_a, idx_b)
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
+    score = _Scorer(gram, idx_a, idx_b)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     m = len(score.weights)
     total = n_permutations + 1

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from treekern import GeometricTree, WLConfig, build_kernel, weisfeiler_lehman_kernel
+from treekern import GeometricTree, build_kernel
 
 from conftest import chain_tree, distance_histogram, random_tree, star_tree
 
@@ -140,27 +140,29 @@ def test_shortest_path_matches_networkx(rng):
 # -- label refinement ---------------------------------------------------------------
 
 
+def wl(t1, t2, iterations=10):
+    return build_kernel("wl", iterations=iterations).value(t1, t2)
+
+
 def test_wl_hand_values():
     star = star_tree(3, tree_id="star3")
     chain = chain_tree(4, tree_id="chain4")
     # round 0 compares degree counts: {3: 1, 1: 3} vs {1: 2, 2: 2} -> 6;
     # after one refinement no label is shared
-    assert weisfeiler_lehman_kernel(star, chain, WLConfig(iterations=0)) == pytest.approx(6.0)
-    assert weisfeiler_lehman_kernel(star, chain, WLConfig(iterations=1)) == pytest.approx(6.0)
+    assert wl(star, chain, 0) == pytest.approx(6.0)
+    assert wl(star, chain, 1) == pytest.approx(6.0)
     # chain with itself, round 0: degree counts {1: 2, 2: 2} -> 8
-    assert weisfeiler_lehman_kernel(chain, chain, WLConfig(iterations=0)) == pytest.approx(8.0)
+    assert wl(chain, chain, 0) == pytest.approx(8.0)
     # refinement of a chain keeps 4 matching nodes per round
-    assert weisfeiler_lehman_kernel(chain, chain, WLConfig(iterations=2)) == pytest.approx(8 + 2 * (2 * 2 + 2 * 2))
+    assert wl(chain, chain, 2) == pytest.approx(8 + 2 * (2 * 2 + 2 * 2))
 
 
 def test_wl_default_rounds(rng):
     t1 = random_tree(rng, 15, tree_id="wl1")
     t2 = random_tree(rng, 15, tree_id="wl2")
-    assert weisfeiler_lehman_kernel(t1, t2) == weisfeiler_lehman_kernel(
-        t1, t2, WLConfig(iterations=10)
-    )
+    assert build_kernel("wl").value(t1, t2) == wl(t1, t2, 10)
     with pytest.raises(ValueError, match="iterations"):
-        WLConfig(iterations=-1)
+        build_kernel("wl", iterations=-1)
 
 
 def test_wl_rounds_after_the_classes_settle_add_one_dot_product_each(rng):
@@ -169,9 +171,9 @@ def test_wl_rounds_after_the_classes_settle_add_one_dot_product_each(rng):
     pairs += [(random_tree(rng, 15, tree_id=f"w{k}a"), random_tree(rng, 15, tree_id=f"w{k}b")) for k in range(4)]
     for t1, t2 in pairs:
         settled = t1.size + t2.size
-        start, next_ = (weisfeiler_lehman_kernel(t1, t2, WLConfig(settled + k)) for k in (0, 1))
+        start, next_ = (wl(t1, t2, settled + k) for k in (0, 1))
         for k in (2, 7, 1000, 10**9):
-            assert weisfeiler_lehman_kernel(t1, t2, WLConfig(settled + k)) == start + k * (next_ - start)
+            assert wl(t1, t2, settled + k) == start + k * (next_ - start)
 
 
 def test_wl_value_independent_of_evaluation_history(rng):
@@ -180,10 +182,10 @@ def test_wl_value_independent_of_evaluation_history(rng):
     t1 = random_tree(rng, 15, tree_id="h1")
     t2 = random_tree(rng, 15, tree_id="h2")
     t3 = random_tree(rng, 15, tree_id="h3")
-    fresh = weisfeiler_lehman_kernel(t1, t2)
-    weisfeiler_lehman_kernel(t1, t3)
-    weisfeiler_lehman_kernel(t3, t2)
-    assert weisfeiler_lehman_kernel(t1, t2) == fresh
+    fresh = wl(t1, t2)
+    wl(t1, t3)
+    wl(t3, t2)
+    assert wl(t1, t2) == fresh
 
 
 def test_baseline_symmetry_is_exact(rng):
@@ -194,5 +196,5 @@ def test_baseline_symmetry_is_exact(rng):
         if t1.size > 1 and t2.size > 1:
             assert pointcloud(t1, t2) == pointcloud(t2, t1)
         assert sp(t1, t2) == sp(t2, t1)
-        assert weisfeiler_lehman_kernel(t1, t2) == weisfeiler_lehman_kernel(t2, t1)
+        assert wl(t1, t2) == wl(t2, t1)
         assert aaw(t1, t2) == aaw(t2, t1)

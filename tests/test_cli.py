@@ -183,6 +183,24 @@ def test_help_quotes_the_kernel_catalog_and_the_presets(monkeypatch, capsys):
         assert entry.endswith(f"(default {registry.build_kernel(defaults[key]).params[key]})"), entry
 
 
+def test_each_kernel_parameter_has_one_spec_flag_that_sets_it():
+    from treekern import cli, registry
+
+    keys = [key for _, key, _ in cli._KERNEL_FLAGS]
+    catalog = {key for name in registry.KERNEL_NAMES for key in registry.build_kernel(name).params}
+    assert sorted(keys) == sorted(catalog)
+    parser = cli._build_parser()
+    base = ["kernel", "trees.json", "--kernel", "gbc", "--out", "g.csv"]
+    assert cli._kernel_params(parser.parse_args(base)) == {}
+    for flag, key, keywords in cli._KERNEL_FLAGS:
+        if keywords.get("action") == "store_true":
+            given, value = [flag], True
+        else:  # the last choice, or 0, which an unset flag must not be mistaken for
+            value = keywords["choices"][-1] if "choices" in keywords else keywords["type"](0)
+            given = [flag, str(value)]
+        assert cli._kernel_params(parser.parse_args(base + given)) == {key: value}, flag
+
+
 def test_kernel_command_and_reproducibility(tmp_path):
     data = gen_dataset(tmp_path, size=10, seed=1)
     g1 = tmp_path / "g1.csv"
@@ -439,6 +457,12 @@ def test_kernel_data_errors(tmp_path, capsys):
             ["kernel", data, "--kernel", "pointcloud", "--normalize", "--threads", 1, "--out", out]
         )
     assert code == 1
+
+    # gaussian all-pairs-embedded takes trees of at most 32 nodes: a data error naming the tree
+    chain = GeometricTree("c33", np.arange(33) - 1, np.arange(33.0)[:, None])
+    save_dataset([chain], data)
+    assert run(["kernel", data, "--kernel", "all-pairs-embedded", "--out", out]) == 1
+    assert "error: tree 'c33' has 33 nodes;" in capsys.readouterr().err
 
     # malformed tree JSON is a data error naming the file, the tree and the node
     bad = tmp_path / "bad.json"

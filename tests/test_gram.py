@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treekern import (
     GeometricTree,
@@ -231,6 +231,8 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
     distinct=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# six strips of 109 rows, each over 75% distinct values: formatted row by row
+@example(size=600, palette=[1.0], distinct=True, seed=7)
 def test_save_gram_matches_the_plain_row_formatter(tmp_path_factory, size, palette, distinct, seed):
     rng = np.random.default_rng(seed)
     if distinct:

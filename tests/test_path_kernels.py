@@ -2,6 +2,7 @@
 naive, node-set decomposed, and linear fast rootpath routes."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,8 @@ from treekern import (
     NodeKernelSpec,
     PathKernelSpec,
     all_pairs_kernel,
+    assemble,
+    build_kernel,
     landmark_path_kernel,
     node_kernel,
     node_path_kernel,
@@ -273,6 +276,22 @@ def test_all_pairs_embedded_matches_pairwise_loop(rng):
                         expected += landmark_path_kernel(p, q, spec, n=2)
         got = all_pairs_kernel(t1, t2, spec)
         assert rel_close(got, expected, 1e-12), (got, expected)
+
+
+def test_gaussian_all_pairs_embedded_refuses_trees_past_its_node_limit():
+    limit = path_kernels.ALL_PAIRS_EMBEDDED_MAX_NODES
+    small, big = chain_tree(limit, n=3, tree_id="small"), chain_tree(limit + 1, n=3, tree_id="big")
+    kernel = build_kernel("all-pairs-embedded")
+    message = rf"tree 'big' has {limit + 1} nodes; .* {limit + 1}\^2 paths .* at most {limit} nodes"
+    for call in (lambda: kernel.value(small, big), lambda: assemble([small, big], kernel)):
+        tic = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            call()
+        assert time.perf_counter() - tic < 0.25  # refused before any landmark stack is built
+    other = chain_tree(limit, n=3, tree_id="other")
+    assert assemble([small, other], build_kernel("all-pairs-embedded", landmarks=2)).size == 2
+    # the linear form sums each tree's landmark rows once, so it has no limit
+    assert build_kernel("all-pairs-embedded", form="linear", landmarks=2).value(small, big) > 0
 
 
 def test_rootpath_routes_agree(rng):

@@ -219,6 +219,19 @@ def test_permutation_test_rejects_bad_counts(rng):
         permutation_test(values, [0, 1], [2, 3], n_permutations=0)
 
 
+def test_permutation_test_rejects_bad_counts_before_copying_the_gram(rng):
+    values = random_psd(rng, 1500)
+    tracemalloc.start()
+    try:
+        for bad in ({"n_permutations": 0}, {"n_permutations": 9, "threads": 0}):
+            with pytest.raises(ValueError, match="n_permutations|threads"):
+                permutation_test(values, range(750), range(750, 1500), **bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak  # the sub-Gram copy alone is 18 MB
+
+
 def test_permutation_test_rejects_non_finite_gram():
     # an all-NaN Gram used to score every permutation as NaN and report p = 0.01
     with pytest.raises(ValueError, match="non-finite"):
