@@ -354,7 +354,9 @@ def cmd_classify(args: argparse.Namespace, run: Run) -> None:
     _check_min("--seed", args.seed, 0)
     out = run.output(args.out)
     run.input_files = [args.gram, args.labels]
-    matrix = load_gram(args.gram)
+    with run.stage("load"):
+        matrix = load_gram(args.gram)
+    run.kernel_spec = matrix.kernel_spec or None
     idx_a, idx_b = _class_indices(matrix.ids, args.labels)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     train: dict[str, list[int]] = {}
@@ -368,7 +370,8 @@ def cmd_classify(args: argparse.Namespace, run: Run) -> None:
         train[name] = sorted(shuffled[n_test:])
     query = test["a"] + test["b"]
     truth = np.array([0] * len(test["a"]) + [1] * len(test["b"]))
-    predicted = nearest_mean_classify(matrix, train["a"], train["b"], query)
+    with run.stage("classify"):
+        predicted = nearest_mean_classify(matrix, train["a"], train["b"], query)
     accuracy = float((predicted == truth).mean())
     report = {
         "accuracy": accuracy,

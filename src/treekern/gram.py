@@ -56,9 +56,9 @@ class GramMatrix:
             raise ValueError("id count does not match matrix size")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate tree ids in Gram matrix")
-        finite = np.isfinite(self.values)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
+        # min and max propagate NaN and carry +-inf, so no N x N mask is built unless one is there
+        if self.values.size and not (-np.inf < self.values.min() and self.values.max() < np.inf):
+            i, j = np.argwhere(~np.isfinite(self.values))[0]
             raise ValueError(
                 f"Gram matrix has a non-finite entry {self.values[i, j]} at "
                 f"({self.ids[i]}, {self.ids[j]})"
@@ -202,11 +202,25 @@ def save_gram(gram: GramMatrix, path: str | Path) -> None:
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+class _Parsed(dict):
+    """Cell text -> ``float(text)``, converting each text once, on its first lookup."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def load_gram(path: str | Path) -> GramMatrix:
     """Read a Gram CSV (and its sidecar, when present) back exactly.
 
-    The file is read one line at a time, and each row's cells are parsed
-    in one conversion into a preallocated (n, n) array.
+    The file is read one line at a time into a preallocated (n, n) array,
+    in the strips of :func:`_row_strips` that :func:`save_gram` writes. A
+    cell is whatever Python's ``float()`` accepts; non-finite values are
+    then rejected with the rest of the :class:`GramMatrix` checks. When at
+    most 75% of the cells of a strip's first row are distinct texts, the
+    strip's rows go through one text -> float table, so each distinct text
+    is converted once per strip; otherwise, and after a row of more than
+    75% new texts, each row's cells are parsed in one numpy conversion.
     """
     path = Path(path)
     with path.open(encoding="utf-8") as src:
@@ -215,6 +229,8 @@ def load_gram(path: str | Path) -> GramMatrix:
             raise ValueError(f"{path}: not a Gram CSV (missing 'id,' header)")
         ids = header.split(",")[1:]
         values = np.empty((len(ids), len(ids)))
+        strip_starts = {rows.start for rows in _row_strips(len(ids))}
+        table = None
         row = 0
         for line in src:
             line = line.rstrip("\n")
@@ -225,8 +241,17 @@ def load_gram(path: str | Path) -> GramMatrix:
                 raise ValueError(f"{path}: row '{cells[0]}' has {len(cells) - 1} values, expected {len(ids)}")
             if row == len(ids) or cells[0] != ids[row]:
                 raise ValueError(f"{path}: row ids do not match column ids")
+            texts = cells[1:]
+            if row in strip_starts:  # the writer's threshold: a table pays off up to 75% distinct cells
+                table = _Parsed() if len(set(texts)) <= 0.75 * len(texts) else None
             try:
-                values[row] = cells[1:]
+                if table is None:
+                    values[row] = texts
+                else:
+                    known = len(table)
+                    values[row] = np.fromiter(map(table.__getitem__, texts), float, len(texts))
+                    if len(table) - known > 0.75 * len(texts):  # a row of mostly new texts: stop the table
+                        table = None
             except ValueError as err:
                 raise ValueError(f"{path}: row '{cells[0]}': {err}") from err
             row += 1

@@ -283,7 +283,7 @@ def test_each_command_writes_its_success_manifest_keys(tmp_path):
         data / "manifest.json": {"workers", "stages"},
         tmp_path / "g.csv.manifest.json": {"stages", "n_pairs", "pairs_per_second"},
         tmp_path / "t.json.manifest.json": {"stages", "n_permutations"},
-        tmp_path / "c.json.manifest.json": set(),
+        tmp_path / "c.json.manifest.json": {"stages"},
         tmp_path / "b.csv.manifest.json": set(),
     }
     for path, keys in extra.items():
@@ -672,6 +672,9 @@ def test_classify_flow(tmp_path, capsys):
     assert report["accuracy"] >= 0.75
     assert report["correct"] == round(report["accuracy"] * 4)
     assert "accuracy=" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    assert set(manifest["stages"]) == {"load", "classify"}
+    assert manifest["kernel_spec"]["name"] == "gbc"
 
     assert run(["classify", gram, data / "labels.csv", "--holdout", 1.5, "--out", report_path]) == 2
     # a holdout this large leaves a class without training data
@@ -679,7 +682,7 @@ def test_classify_flow(tmp_path, capsys):
     assert run(["classify", gram, data / "labels.csv", "--holdout", 0.99, "--out", failed]) == 1
     manifest = read_failure_manifest(tmp_path / "failed.json.manifest.json", capsys.readouterr().err)
     assert manifest["error"] == "holdout 0.99 leaves class A without training trees"
-    assert manifest["stage"] is None and "stages" not in manifest
+    assert manifest["stage"] is None and list(manifest["stages"]) == ["load"]
     assert not failed.exists()
 
 

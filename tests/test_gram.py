@@ -31,6 +31,7 @@ from treekern import (
     save_gram,
     sidecar_path,
 )
+from treekern import gram as gram_module, twosample
 from treekern.features import FeatureMap, NodeSet, PairLoop, nodeset_gram
 
 from conftest import chain_tree, random_tree, rel_close, shaped_trees, star_tree
@@ -57,7 +58,7 @@ def test_gram_matrix_validation():
     with pytest.raises(ValueError, match="symmetric"):
         GramMatrix(ids=["a", "b"], values=np.array([[1.0, 2.0], [3.0, 1.0]]))
     # NaN compares false against the symmetry tolerance, so it needs its own check
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=r"non-finite entry .* at \(b, a\)"):
             GramMatrix(ids=["a", "b"], values=np.array([[1.0, 0.0], [bad, 1.0]]))
         with pytest.raises(ValueError, match="non-finite"):
@@ -130,6 +131,27 @@ def test_checks_and_normalize_make_no_gram_sized_temporaries():
         tracemalloc.stop()
     assert built <= 0.25 * values.nbytes, built / values.nbytes
     assert normalized <= 1.25 * values.nbytes, normalized / values.nbytes
+
+
+def test_finiteness_checks_build_no_gram_sized_mask():
+    size = 1500
+    half = np.random.default_rng(9).random((size, size))
+    values = half + half.T
+    ids = [f"t{k}" for k in range(size)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gram = GramMatrix(ids=ids, values=values)
+        built = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        twosample._values(gram)
+        checked = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # an np.isfinite mask alone is 2.25 MB; the symmetry check's two row strips are about 1 MB
+    assert built < 1.2e6, built
+    assert checked < 0.1e6, checked
 
 
 def test_normalize_refusals():
@@ -223,25 +245,37 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
                1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 1.0, -2.5]
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    # 256 rows fill one strip of 2^16 cells exactly; 257 need a second strip
-    size=st.sampled_from([1, 2, 5, 64, 256, 257]),
-    palette=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(-1e6, 1e6), min_size=1, max_size=8),
-    distinct=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-# six strips of 109 rows, each over 75% distinct values: formatted row by row
-@example(size=600, palette=[1.0], distinct=True, seed=7)
-def test_save_gram_matches_the_plain_row_formatter(tmp_path_factory, size, palette, distinct, seed):
+def strip_grams(test):
+    """Run ``test`` on symmetric Grams of a few values (cached by writer and
+    reader alike) or of distinct ones (formatted and parsed row by row)."""
+    test = given(
+        # 256 rows fill one strip of 2^16 cells exactly; 257 need a second strip
+        size=st.sampled_from([1, 2, 5, 64, 256, 257]),
+        palette=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(-1e6, 1e6), min_size=1, max_size=8),
+        distinct=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )(test)
+    # six strips of 109 rows, each over 75% distinct values: formatted row by row
+    return settings(max_examples=40, deadline=None)(example(size=600, palette=[1.0], distinct=True, seed=7)(test))
+
+
+def symmetric(values: np.ndarray) -> np.ndarray:
+    lower = np.tril_indices(len(values), -1)
+    values[lower] = values.T[lower]  # assignment keeps -0.0, unlike adding
+    return values
+
+
+def strip_values(size, palette, distinct, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if distinct:
-        values = rng.standard_normal((size, size)) * 10.0 ** rng.integers(-300, 300, (size, size))
-    else:
-        palette = palette + [0.0, -0.0]  # equal as floats, different cells
-        values = np.asarray(palette)[rng.integers(0, len(palette), (size, size))]
-    lower = np.tril_indices(size, -1)
-    values[lower] = values.T[lower]  # assignment keeps -0.0, unlike adding
+        return symmetric(rng.standard_normal((size, size)) * 10.0 ** rng.integers(-300, 300, (size, size)))
+    palette = palette + [0.0, -0.0]  # equal as floats, different cells
+    return symmetric(np.asarray(palette)[rng.integers(0, len(palette), (size, size))])
+
+
+@strip_grams
+def test_save_gram_matches_the_plain_row_formatter(tmp_path_factory, size, palette, distinct, seed):
+    values = strip_values(size, palette, distinct, seed)
     gram = plain_gram(values)
     path = tmp_path_factory.mktemp("csv") / "g.csv"
     save_gram(gram, path)
@@ -249,6 +283,70 @@ def test_save_gram_matches_the_plain_row_formatter(tmp_path_factory, size, palet
     # report the first differing offset instead of diffing two long strings
     same = text == expected
     assert same, next((k for k, (a, b) in enumerate(zip(text, expected)) if a != b), len(expected))
+
+
+@strip_grams
+def test_load_gram_reads_back_the_bits_save_gram_wrote(tmp_path_factory, size, palette, distinct, seed):
+    values = strip_values(size, palette, distinct, seed)
+    path = tmp_path_factory.mktemp("csv") / "g.csv"
+    save_gram(plain_gram(values), path)
+    back = load_gram(path).values
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))  # -0.0 and 0.0 told apart
+
+
+def test_load_gram_reads_distinct_rows_after_a_repetitive_strip_start(tmp_path):
+    # row a has 3 distinct texts among 4 cells, so the strip goes through the text table;
+    # the rows after it share almost no text, and 1, 1.0 and 1e0 are one value
+    rows = {
+        "a": ["1", "1.0", "1e0", "1"],
+        "b": ["1e0", "0.5", "-0", " 2.5"],
+        "c": ["1.0", "-0", "0.25", "1_0"],
+        "d": ["1", "2.5", "10", "4"],
+    }
+    path = tmp_path / "g.csv"
+    path.write_text("id,a,b,c,d\n" + "".join(f"{k},{','.join(v)}\n" for k, v in rows.items()))
+    back = load_gram(path).values
+    expected = np.array([[float(text) for text in row] for row in rows.values()])
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+    assert back[0].tolist() == [1.0] * 4 and np.signbit(back[1, 2]) and back[2, 3] == 10.0
+
+
+def read_counting_table_conversions(path, monkeypatch) -> tuple[np.ndarray, list[str]]:
+    """The values ``load_gram`` reads from ``path``, and each text it converted through a strip's table."""
+    texts = []
+    missing = gram_module._Parsed.__missing__
+
+    def counted(table, text):
+        texts.append(text)
+        return missing(table, text)
+
+    monkeypatch.setattr(gram_module._Parsed, "__missing__", counted)
+    return load_gram(path).values, texts
+
+
+def test_load_gram_converts_each_distinct_text_once_per_strip(tmp_path, monkeypatch):
+    size, palette = 700, np.arange(19) / 7.0
+    values = symmetric(palette[np.random.default_rng(3).integers(0, len(palette), (size, size))])
+    path = tmp_path / "g.csv"
+    save_gram(plain_gram(values), path)
+    back, texts = read_counting_table_conversions(path, monkeypatch)
+    assert np.array_equal(back, values)
+    assert 0 < len(texts) <= len(gram_module._row_strips(size)) * len(palette), len(texts)
+
+
+def test_load_gram_drops_a_strip_table_after_a_row_of_new_texts(tmp_path, monkeypatch):
+    # each strip opens with a row of ones and goes on with distinct values
+    size = 700
+    values = symmetric(np.random.default_rng(4).standard_normal((size, size)))
+    strips = gram_module._row_strips(size)
+    for rows in strips:
+        values[rows.start, :] = values[:, rows.start] = 1.0
+    path = tmp_path / "g.csv"
+    save_gram(plain_gram(values), path)
+    back, texts = read_counting_table_conversions(path, monkeypatch)
+    assert np.array_equal(back, values)
+    # the opening row and the next one go through the table; the rest of the strip is parsed by row
+    assert 0 < len(texts) <= len(strips) * (1 + size), len(texts)
 
 
 def test_load_gram_errors(tmp_path):
@@ -274,6 +372,13 @@ def test_load_gram_errors(tmp_path):
         bad.write_text(f"id,a,b\na,1.0,0.0\nb,{cell},1.0\n")
         with pytest.raises(ValueError, match=r"bad\.csv: row 'b': could not convert"):
             load_gram(bad)
+        # the same cell in a strip whose first row sends it through the text table
+        bad.write_text(f"id,a,b,c,d\na,1,1,1,1\nb,1,1,1,1\nc,{cell},1,1,1\nd,1,1,1,1\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: row 'c': could not convert string to float: '{cell}'$"):
+            load_gram(bad)
+    bad.write_text("id,a,b,c,d\na,1,1,1,1\nb,1,1,1,1\nc,1,1,1,inf\nd,1,1,inf,1\n")
+    with pytest.raises(ValueError, match=r"non-finite entry inf at \(c, d\)"):
+        load_gram(bad)
 
 
 def test_save_gram_rejects_unwritable_ids(tmp_path):

@@ -237,9 +237,10 @@ def test_permutation_test_rejects_non_finite_gram():
     with pytest.raises(ValueError, match="non-finite"):
         permutation_test(np.full((4, 4), np.nan), [0, 1], [2, 3], n_permutations=99)
     values = np.eye(4)
-    values[0, 3] = values[3, 0] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        permutation_test(values, [0, 1], [2, 3], n_permutations=99)
+    for bad in (np.inf, -np.inf, np.nan):
+        values[0, 3] = values[3, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            permutation_test(values, [0, 1], [2, 3], n_permutations=99)
 
 
 def test_to_json_payload(rng):
