@@ -81,7 +81,7 @@ def _add_group(out, slots, z, w, bounds, block: int) -> None:
         i0 = i1
 
 
-def nodeset_gram(sets: Sequence[tuple], block: int, order: Sequence[int] | None = None) -> np.ndarray:
+def nodeset_gram(sets: Sequence[tuple], block: int, order: Sequence[int]) -> np.ndarray:
     """Gram matrix of a weighted gaussian node-set kernel.
 
     ``sets`` holds one (z, g, w) per tree: points z (m, p), integer group
@@ -89,13 +89,14 @@ def nodeset_gram(sets: Sequence[tuple], block: int, order: Sequence[int] | None 
     sums exp(-||z_u - z_v||^2) <w_u, w_v> (w zero-padded) over same-group
     node pairs.
 
-    A pair is summed once, the tree earlier in ``order`` as rows, over each
-    row's nodes, then the rows, then the groups, in blocks of about
-    ``block`` floats, into the entry whose row is the earlier tree; square
-    tiles then copy it to the other entry. The result is exactly symmetric,
-    and an entry depends on neither the other trees nor ``block``.
+    ``order`` lists every index of ``sets`` once. A pair is summed once,
+    the earlier tree in ``order`` as rows, over each row's nodes, then the
+    rows, then the groups, in blocks of about ``block`` floats, into the
+    entry whose row is the earlier tree; square tiles then copy it to the
+    other entry. The result is exactly symmetric, and an entry depends on
+    neither the other trees nor ``block``.
     """
-    slots = np.arange(len(sets)) if order is None else np.asarray(order, dtype=np.intp)
+    slots = np.asarray(order, dtype=np.intp)
     sets = [sets[k] for k in slots]
     out = np.zeros((len(sets), len(sets)))
     # Not np.unique: its first call imports numpy.ma, about 1 MB.
@@ -156,12 +157,12 @@ class FeatureMap(_Route):
 class NodeSet(_Route):
     """A gaussian kernel given by each tree's (z, g, w) for
     :func:`nodeset_gram`. Trees go in id order, as
-    :func:`~treekern.trees.canonical_pair` orders a pair; repeated ids fall
-    back to ``sort_key``."""
+    :func:`~treekern.trees.canonical_pair` orders a pair; repeated ids are
+    ordered by (id, fingerprint)."""
 
     def gram(self, trees: Sequence[GeometricTree], inputs: Sequence[tuple]) -> np.ndarray:
         ids = [tree.id for tree in trees]
-        key = ids.__getitem__ if len(set(ids)) == len(ids) else (lambda k: trees[k].sort_key)
+        key = ids.__getitem__ if len(set(ids)) == len(ids) else (lambda k: (ids[k], trees[k].fingerprint))
         return nodeset_gram(inputs, _NODE_BLOCK_FLOATS, sorted(range(len(trees)), key=key))
 
 

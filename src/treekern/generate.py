@@ -232,9 +232,25 @@ def preset_configs(name: str, seed: int) -> tuple[GeneratorConfig, GeneratorConf
 
 
 def save_labels(ids: list[str], labels, path: str | Path) -> None:
+    """Write a ``tree_id,label`` CSV that :func:`load_labels` reads back.
+    Ids and labels it could not read back are refused before anything is
+    written: an empty list, an id holding a comma, a quote or a line break
+    (any that ``str.splitlines`` splits at), a repeated id, or a label other
+    than 0 or 1."""
     labels = list(labels)
     if len(ids) != len(labels):
         raise ValueError("ids and labels differ in length")
+    if not ids:
+        raise ValueError("no labels")
+    seen: set[str] = set()
+    for tree_id, label in zip(ids, labels):
+        if "," in tree_id or '"' in tree_id or len(f"{tree_id}.".splitlines()) > 1:
+            raise ValueError(f"tree id {tree_id!r} cannot be written to CSV")
+        if tree_id in seen:
+            raise ValueError(f"duplicate tree id '{tree_id}'")
+        if label not in (0, 1):
+            raise ValueError(f"label for '{tree_id}' must be 0 or 1, got {label!r}")
+        seen.add(tree_id)
     lines = ["tree_id,label"] + [f"{i},{int(l)}" for i, l in zip(ids, labels)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

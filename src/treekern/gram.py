@@ -33,10 +33,16 @@ def _row_strips(size: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, size, step)]
 
 
+def _strip_asymmetry(values: np.ndarray, rows: slice) -> float:
+    diff = values[rows] - values[:, rows].T
+    return float(np.abs(diff, out=diff).max())
+
+
 def _max_asymmetry(values: np.ndarray) -> float:
     """max |v_ij - v_ji|, comparing row strips with column strips instead of
-    the whole matrix with its transpose."""
-    return max((float(np.abs(values[s] - values[:, s].T).max()) for s in _row_strips(len(values))), default=0.0)
+    the whole matrix with its transpose. Each strip's difference is its one
+    temporary, freed when its helper call returns, before the next is built."""
+    return max((_strip_asymmetry(values, rows) for rows in _row_strips(len(values))), default=0.0)
 
 
 @dataclass

@@ -292,22 +292,18 @@ def node_point_set(spec: NodeKernelSpec, build: Callable) -> NodeSet:
 # -- all-pairs tree kernel ---------------------------------------------------------
 
 
-def _path_counts(tree: GeometricTree) -> np.ndarray:
-    """Per-node visit counts of all ordered-pair paths, shape
-    (|V|, L(L + 1)/2), L the longest path's node count.
-
-    Slot l(l - 1)/2 + p of row v counts the l-node paths whose node at
-    position p is v. The layout is the same for every tree, so a shorter
-    tree's slots are a prefix of a taller tree's.
+def _path_count_blocks(tree: GeometricTree):
+    """Per-node visit counts of all ordered-pair paths, one (|V|, l) block
+    for each path length l = 1..L (L the longest path's node count): entry
+    [v, p] counts the l-node paths whose node at position p is v.
 
     Closed form, with no path enumerated: a path through v at position p
     starts p edges from v and ends q = l - 1 - p edges from v, on
     different sides of v. Of the S[v, p] * S[v, q] such endpoint pairs (S
     the sphere table), U[v, p] * U[v, q] lie on its parent's side (U = S
     minus the descendant table D) and D[c, p - 1] * D[c, q - 1] on child
-    c's side. All terms are integers, so the counts are exact. The build
-    adds only O(|V| * L) temporaries, one length at a time. The linear
-    row drops the table; the gaussian pair loop's input keeps it.
+    c's side. All terms are integers, so the counts are exact. Each block
+    adds only O(|V| * L) temporaries.
     """
     sphere = tree.sphere_table
     up = sphere.copy()
@@ -317,14 +313,22 @@ def _path_counts(tree: GeometricTree) -> np.ndarray:
     below[:, 1 : tree.height + 1] = tree.descendant_table[1:]
     # Non-root nodes are ordered by parent: each node's children are one run.
     parents, starts = np.unique(tree.parents[1:], return_index=True)
-    top = int(np.flatnonzero(sphere.any(axis=0))[-1]) + 1
-    out = np.empty((tree.size, top * (top + 1) // 2))
-    for length in range(1, top + 1):
+    for length in range(1, int(np.flatnonzero(sphere.any(axis=0))[-1]) + 2):
         # Column k of the p side pairs with column k of the q side.
         p, q = slice(0, length), slice(length - 1, None, -1)
-        counts = out[:, length * (length - 1) // 2 : length * (length + 1) // 2]
-        np.subtract(sphere[:, p] * sphere[:, q], up[:, p] * up[:, q], out=counts)
+        counts = sphere[:, p] * sphere[:, q] - up[:, p] * up[:, q]
         counts[parents] -= np.add.reduceat(below[:, p] * below[:, q], starts, axis=0)
+        yield counts
+
+
+def _path_counts(tree: GeometricTree) -> np.ndarray:
+    """The blocks of :func:`_path_count_blocks` side by side, filled one at a
+    time: slot l(l - 1)/2 + p of row v counts the l-node paths whose node at
+    position p is v, so a shorter tree's slots are a prefix of a taller's."""
+    top = int(np.flatnonzero(tree.sphere_table.any(axis=0))[-1]) + 1
+    out = np.empty((tree.size, top * (top + 1) // 2))
+    for length, counts in enumerate(_path_count_blocks(tree), 1):
+        out[:, length * (length - 1) // 2 : length * (length + 1) // 2] = counts
     return out
 
 
@@ -340,13 +344,15 @@ def all_pairs_route(spec: NodeKernelSpec) -> FeatureMap | PairLoop:
     kernel of every node pair weighted by the inner product of the two
     nodes' path count rows (:func:`_path_counts`, cut to the common width).
     A gaussian node kernel gives a pair loop over each tree's node points
-    and counts: one integer GEMM per pair, exact in any order. A linear one
-    factorizes into a feature map: slot s of the row is the node points
+    and count table: one integer GEMM per pair, exact in any order. A linear
+    one factorizes into a feature map: slot s of the row is the node points
     (the position, Kronecker the attributes when used) summed with the
-    counts of slot s as weights, so rows compare over their common prefix."""
+    counts of slot s as weights, so rows compare over their common prefix.
+    The row is built one path length at a time, so no count table exists."""
     check = partial(_check_node_spec, spec=spec)
     if spec.form == "linear":
-        return FeatureMap(lambda tree: (_path_counts(tree).T @ _node_points(tree, spec)).ravel(), check=check)
+        row = lambda tree, z: np.concatenate([(counts.T @ z).ravel() for counts in _path_count_blocks(tree)])
+        return FeatureMap(lambda tree: row(tree, _node_points(tree, spec)), check=check)
     return PairLoop(lambda tree: (_node_points(tree, spec), _path_counts(tree)), _weighted_node_pairs, check=check)
 
 

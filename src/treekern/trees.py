@@ -87,9 +87,9 @@ class GeometricTree:
     ``parents`` (-1 at the root), ``node_levels``, ``positions`` and
     ``attributes``. The order makes serialization deterministic and keeps
     each level a contiguous index range. Every structural property (children,
-    degrees, levels, root paths, descendant and sphere tables, fingerprint)
-    is computed on first use and kept as a read-only attribute; kernels keep
-    nothing else on a tree. Positions and attributes must be finite.
+    degrees, levels, descendant and sphere tables, fingerprint) is computed
+    on first use and kept as a read-only attribute; paths, root paths too, are
+    not kept, nor is any kernel input. Positions and attributes must be finite.
 
     Levels are 1-based: the root is the only node at level 1.
     """
@@ -241,15 +241,9 @@ class GeometricTree:
             b = int(self.parents[b])
         return NodePath(self, tuple(up_i) + (a,) + tuple(reversed(up_j)))
 
-    @functools.cached_property
-    def _rootpaths(self) -> tuple[NodePath, ...]:
-        return tuple(self.node_path(v, 0) for v in range(self.size))  # node 0 is the root
-
     def rootpath(self, v: int) -> NodePath:
         """Path from ``v`` up to the root (node-to-root orientation)."""
-        if not (0 <= v < self.size):
-            raise ValueError(f"tree '{self.id}': node index {v} out of range")
-        return self._rootpaths[v]
+        return self.node_path(v, 0)  # node 0 is the root
 
     # -- descendant vectors ------------------------------------------------------
 
@@ -299,10 +293,6 @@ class GeometricTree:
     def fingerprint(self) -> str:
         """SHA-256 of the canonical serialization."""
         return hashlib.sha256(serialize_tree(self)).hexdigest()
-
-    @property
-    def sort_key(self) -> tuple[str, str]:
-        return (self.id, self.fingerprint)
 
     def __repr__(self) -> str:
         return f"GeometricTree(id={self.id!r}, size={self.size}, n={self.n}, d={self.d})"

@@ -217,3 +217,31 @@ def test_labels_round_trip(tmp_path):
     bad.write_text("tree_id,label\na,0\na,1\n")
     with pytest.raises(ValueError, match="duplicate"):
         load_labels(bad)
+
+
+@pytest.mark.parametrize(
+    "ids,labels,message",
+    [
+        (["a,b", "c"], [0, 1], r"tree id 'a,b' cannot be written to CSV"),
+        (["a", 'b"c'], [0, 1], r"tree id 'b\"c' cannot be written to CSV"),
+        (["a\nb"], [0], r"tree id 'a\\nb' cannot be written to CSV"),
+        (["a\rb"], [0], r"tree id 'a\\rb' cannot be written to CSV"),
+        (["a\x85b"], [0], r"tree id 'a\\x85b' cannot be written to CSV"),
+        (["a", "b", "a"], [0, 1, 1], r"duplicate tree id 'a'"),
+        (["a", "b"], [0, 2], r"label for 'b' must be 0 or 1, got 2"),
+        ([], [], r"no labels"),
+    ],
+)
+def test_save_labels_refuses_what_load_labels_cannot_read_back(tmp_path, ids, labels, message):
+    path = tmp_path / "labels.csv"
+    with pytest.raises(ValueError, match=message):
+        save_labels(ids, labels, path)
+    assert not path.exists()
+
+
+def test_save_labels_round_trips_any_id_it_writes(tmp_path):
+    path = tmp_path / "labels.csv"
+    ids = ["", " a ", "b;c", "é", "t'0", "x\ty"]
+    labels = [1, 0, True, 0, 1, np.int64(0)]
+    save_labels(ids, labels, path)
+    assert load_labels(path) == {tree_id: int(label) for tree_id, label in zip(ids, labels)}

@@ -261,6 +261,20 @@ def test_all_pairs_node_memory_on_a_chain():
     assert peak <= 20e6, peak
 
 
+def test_linear_all_pairs_node_row_holds_no_count_table():
+    # the whole (|V|, L(L + 1)/2) count table of this chain is 257 MB; the
+    # row is built one path length at a time
+    tree = chain_tree(400, n=3, d=1)
+    spec = PathKernelSpec(node=NodeKernelSpec(form="linear", use_attributes=True))
+    tracemalloc.start()
+    try:
+        all_pairs_kernel(tree, tree, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6, peak
+
+
 def test_all_pairs_embedded_matches_pairwise_loop(rng):
     spec = PathKernelSpec(representation="embedded_landmarks", form="gaussian", landmarks=5)
     for trial in range(5):

@@ -250,7 +250,6 @@ def test_structure_is_computed_once_and_read_only(rng):
     t = random_tree(rng, 30)
     for name in STRUCTURE:
         assert getattr(t, name) is getattr(t, name), name
-    assert t.rootpath(t.size - 1) is t.rootpath(t.size - 1)
     for array in (t.degrees, t.descendant_table, t.sphere_table, *t.levels):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
