@@ -321,7 +321,7 @@ def _class_indices(ids: list[str], labels_path: str) -> tuple[list[int], list[in
 
 def cmd_test(args: argparse.Namespace, run: Run) -> None:
     from .gram import load_gram
-    from .twosample import permutation_test
+    from .twosample import permutation_test, scorer_blas_threads
 
     _check_min("--permutations", args.permutations, 1)
     _check_min("--seed", args.seed, 0)
@@ -332,6 +332,7 @@ def cmd_test(args: argparse.Namespace, run: Run) -> None:
         matrix = load_gram(args.gram)
     run.kernel_spec = matrix.kernel_spec or None
     idx_a, idx_b = _class_indices(matrix.ids, args.labels)
+    run.fields["blas_threads"] = scorer_blas_threads()
     with run.stage("permutation_test"):
         result = permutation_test(
             matrix, idx_a, idx_b, n_permutations=args.permutations, seed=args.seed

@@ -292,10 +292,10 @@ def node_point_set(spec: NodeKernelSpec, build: Callable) -> NodeSet:
 # -- all-pairs tree kernel ---------------------------------------------------------
 
 
-def _path_count_blocks(tree: GeometricTree):
-    """Per-node visit counts of all ordered-pair paths, one (|V|, l) block
-    for each path length l = 1..L (L the longest path's node count): entry
-    [v, p] counts the l-node paths whose node at position p is v.
+def _path_count_blocks(tree: GeometricTree, sphere: np.ndarray):
+    """Per-node visit counts of all ordered-pair paths from the ``sphere``
+    table, one (|V|, l) block per path length l = 1..L (L the longest path's
+    node count): entry [v, p] counts the l-node paths with v at position p.
 
     Closed form, with no path enumerated: a path through v at position p
     starts p edges from v and ends q = l - 1 - p edges from v, on
@@ -305,12 +305,12 @@ def _path_count_blocks(tree: GeometricTree):
     c's side. All terms are integers, so the counts are exact. Each block
     adds only O(|V| * L) temporaries.
     """
-    sphere = tree.sphere_table
+    descendants = tree.descendant_table
     up = sphere.copy()
-    up[:, : tree.height] -= tree.descendant_table
+    up[:, : tree.height] -= descendants
     # below[c, p] = D[c, p - 1]: child c's side, p edges from its parent.
     below = np.zeros_like(sphere[1:])
-    below[:, 1 : tree.height + 1] = tree.descendant_table[1:]
+    below[:, 1 : tree.height + 1] = descendants[1:]
     # Non-root nodes are ordered by parent: each node's children are one run.
     parents, starts = np.unique(tree.parents[1:], return_index=True)
     for length in range(1, int(np.flatnonzero(sphere.any(axis=0))[-1]) + 2):
@@ -325,9 +325,10 @@ def _path_counts(tree: GeometricTree) -> np.ndarray:
     """The blocks of :func:`_path_count_blocks` side by side, filled one at a
     time: slot l(l - 1)/2 + p of row v counts the l-node paths whose node at
     position p is v, so a shorter tree's slots are a prefix of a taller's."""
-    top = int(np.flatnonzero(tree.sphere_table.any(axis=0))[-1]) + 1
+    sphere = tree.sphere_table
+    top = int(np.flatnonzero(sphere.any(axis=0))[-1]) + 1
     out = np.empty((tree.size, top * (top + 1) // 2))
-    for length, counts in enumerate(_path_count_blocks(tree), 1):
+    for length, counts in enumerate(_path_count_blocks(tree, sphere), 1):
         out[:, length * (length - 1) // 2 : length * (length + 1) // 2] = counts
     return out
 
@@ -351,7 +352,7 @@ def all_pairs_route(spec: NodeKernelSpec) -> FeatureMap | PairLoop:
     The row is built one path length at a time, so no count table exists."""
     check = partial(_check_node_spec, spec=spec)
     if spec.form == "linear":
-        row = lambda tree, z: np.concatenate([(counts.T @ z).ravel() for counts in _path_count_blocks(tree)])
+        row = lambda tree, z: np.concatenate([(c.T @ z).ravel() for c in _path_count_blocks(tree, tree.sphere_table)])
         return FeatureMap(lambda tree: row(tree, _node_points(tree, spec)), check=check)
     return PairLoop(lambda tree: (_node_points(tree, spec), _path_counts(tree)), _weighted_node_pairs, check=check)
 

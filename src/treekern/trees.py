@@ -86,10 +86,11 @@ class GeometricTree:
     breadth-first order (level, then parent index, then input order):
     ``parents`` (-1 at the root), ``node_levels``, ``positions`` and
     ``attributes``. The order makes serialization deterministic and keeps
-    each level a contiguous index range. Every structural property (children,
-    degrees, levels, descendant and sphere tables, fingerprint) is computed
-    on first use and kept as a read-only attribute; paths, root paths too, are
-    not kept, nor is any kernel input. Positions and attributes must be finite.
+    each level a contiguous index range. Each structural table (children,
+    degrees, levels, descendant and sphere tables) is computed when read, as
+    a fresh read-only array, and only the fingerprint is kept, so read a
+    table once and pass it; paths and kernel inputs are not kept either.
+    Positions and attributes must be finite.
 
     Levels are 1-based: the root is the only node at level 1.
     """
@@ -191,13 +192,13 @@ class GeometricTree:
         """Number of levels (a single-node tree has height 1)."""
         return int(self.node_levels[-1])
 
-    @functools.cached_property
+    @property
     def children(self) -> tuple[tuple[int, ...], ...]:
         # in canonical order the children of a node are one index range
         bounds = np.searchsorted(self.parents, np.arange(self.size + 1)).tolist()
         return tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
 
-    @functools.cached_property
+    @property
     def degrees(self) -> np.ndarray:
         """Undirected node degrees (children count plus one if not the root)."""
         deg = np.bincount(self.parents[1:], minlength=self.size)
@@ -212,7 +213,7 @@ class GeometricTree:
         hi = int(np.searchsorted(self.node_levels, level, side="right"))
         return np.arange(lo, hi, dtype=np.intp)
 
-    @functools.cached_property
+    @property
     def levels(self) -> tuple[np.ndarray, ...]:
         """Index arrays per level; levels[l - 1] holds the nodes at level l."""
         return tuple(_read_only(self.nodes_at_level(l)) for l in range(1, self.height + 1))
@@ -247,7 +248,7 @@ class GeometricTree:
 
     # -- descendant vectors ------------------------------------------------------
 
-    @functools.cached_property
+    @property
     def descendant_table(self) -> np.ndarray:
         """Descendant vectors of all nodes as float rows, zero-padded to the
         height; shape (size, height). Entry [v, k] counts the descendants of
@@ -266,7 +267,7 @@ class GeometricTree:
             lo, hi = np.searchsorted(self.parents, lo), np.searchsorted(self.parents, hi)
         return _read_only(table)
 
-    @functools.cached_property
+    @property
     def sphere_table(self) -> np.ndarray:
         """Sphere sizes of all nodes as float rows: entry [v, k] counts the
         nodes at tree distance k (in edges) from v, v itself at k = 0.

@@ -3,8 +3,12 @@ and a nearest-mean classifier, all driven by a precomputed Gram matrix."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +17,7 @@ __all__ = [
     "mean_distance_statistic",
     "permutation_test",
     "nearest_mean_classify",
+    "scorer_blas_threads",
 ]
 
 
@@ -62,6 +67,52 @@ def _check_groups(size: int, groups: dict[str, np.ndarray]) -> None:
         raise ValueError("query points overlap the training samples" if "query" in where else "samples A and B overlap")
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy (``numpy.libs/libscipy_openblas*.so``, as numpy's Linux wheels ship
+    it), or None where no such library is found."""
+    import ctypes
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):  # the 64-bit-integer build's symbols, then the 32-bit one's
+            get, put = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+            if get and put:
+                return get, put
+    return None
+
+
+def scorer_blas_threads() -> int | None:
+    """The BLAS thread count the scorer's products run at: 1 where numpy's
+    bundled OpenBLAS is found and pinned, None where it runs unpinned."""
+    return None if _openblas_threads() is None else 1
+
+
+# The thread count is process-wide: scorers in two threads take turns, so
+# neither restores a count under the other's product.
+_PIN = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count. How a
+    product splits over threads changes its rounding, so a pinned scorer
+    gives the same bits on any host; without the library it runs unpinned."""
+    controls = _openblas_threads()
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    with _PIN:
+        previous = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(previous)
+
+
 class _Scorer:
     """Mean-distance statistics of relabelings of the pool A + B.
 
@@ -92,9 +143,9 @@ class _Scorer:
     def __call__(self, block: np.ndarray) -> np.ndarray:
         """Statistics of an (r, m) float block of orders. One scatter, through
         an int32 copy of the orders, overwrites the block with the vectors z
-        they select, and one product scores them; a single row may take
-        another BLAS path than a block. The copy and the product go to
-        buffers kept across calls."""
+        they select, and one product, on one BLAS thread, scores them; a
+        single row may take another BLAS path than a block. The copy and
+        the product go to buffers kept across calls."""
         rows = len(block)
         if len(self._product) < rows:
             self._product = np.empty(block.shape)
@@ -102,7 +153,8 @@ class _Scorer:
         product, index = self._product[:rows], self._index[:rows]
         np.copyto(index, block, casting="unsafe")
         np.put_along_axis(block, index, self.weights, axis=1)
-        np.matmul(block, self.sub, out=product)
+        with _one_blas_thread():
+            np.matmul(block, self.sub, out=product)
         product *= block
         forms = np.maximum(0.0, product.sum(axis=1))
         return np.ldexp(np.sqrt(forms), -self.shift // 2)
@@ -111,7 +163,8 @@ class _Scorer:
 def mean_distance_statistic(gram, idx_a, idx_b) -> float:
     """Distance between the two sample means in the kernel feature space:
     the permutation test's scorer on the identity order, with tiny negative
-    values of z K z from floating point clamped to zero."""
+    values of z K z from floating point clamped to zero. Its bits do not
+    depend on the BLAS thread count where :func:`scorer_blas_threads` is 1."""
     score = _Scorer(gram, idx_a, idx_b)
     return float(score(np.arange(len(score.weights), dtype=float)[None])[0])
 
@@ -155,7 +208,10 @@ def permutation_test(
     :func:`mean_distance_statistic` scores them. Row 0 of the first block
     stays the identity, the observed labeling. Memory is the m x m sub-Gram
     plus two 256 x m float blocks and one int32 block, whatever
-    ``n_permutations`` is.
+    ``n_permutations`` is. The products run on one thread of numpy's bundled
+    OpenBLAS, so the output does not depend on the BLAS thread count; where
+    that library is not found (:func:`scorer_blas_threads` is None) they
+    run unpinned, at whatever count the BLAS picks.
     ``threads`` is accepted for compatibility and validated (it must be at
     least 1) but has no effect.
     The returned p-value is (#{T_i >= T_0} + 1) / (n_permutations + 1);

@@ -21,6 +21,7 @@ from treekern import (
     preset_configs,
     save_dataset,
     save_labels,
+    twosample,
 )
 from treekern.cli import fit_slope, main
 
@@ -29,10 +30,13 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-def run_python(args, timeout=60):
-    """Run ``python args...`` in a new process on this checkout's package."""
+def run_python(args, timeout=60, **variables):
+    """Run ``python args...`` in a new process on this checkout's package;
+    each keyword sets an environment variable, or unsets it when None."""
     src = str(Path(treekern.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(variables)
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=timeout)
 
 
@@ -252,6 +256,9 @@ def test_manifests_record_stage_timings(tmp_path):
     manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
     assert list(manifest["stages"]) == ["load", "permutation_test"]
     assert manifest["n_permutations"] == 50
+    assert manifest["blas_threads"] == twosample.scorer_blas_threads()
+    if sys.platform.startswith("linux"):  # numpy's Linux wheels bundle OpenBLAS
+        assert manifest["blas_threads"] == 1
 
 
 def test_every_manifest_records_its_own_peak_rss(tmp_path):
@@ -282,7 +289,7 @@ def test_each_command_writes_its_success_manifest_keys(tmp_path):
     extra = {
         data / "manifest.json": {"workers", "stages"},
         tmp_path / "g.csv.manifest.json": {"stages", "n_pairs", "pairs_per_second"},
-        tmp_path / "t.json.manifest.json": {"stages", "n_permutations"},
+        tmp_path / "t.json.manifest.json": {"stages", "n_permutations", "blas_threads"},
         tmp_path / "c.json.manifest.json": {"stages"},
         tmp_path / "b.csv.manifest.json": set(),
     }
@@ -656,6 +663,28 @@ def test_two_sample_label_errors(tmp_path, capsys):
     onesided = tmp_path / "onesided.csv"
     onesided.write_text("\n".join([lines[0]] + [f"t{k:05d},0" for k in range(8)]) + "\n")
     assert run(["test", gram, onesided, "--out", tmp_path / "r.json"]) == 1
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # about 3 s. At 700 trees the scorer's product rounded differently on one
+    # and two OpenBLAS threads before the scorer was pinned to one.
+    data = gen_dataset(tmp_path, preset="branch-shift", size=700, seed=1)
+    labels = data / "labels.csv"
+    code = "import sys; from treekern.cli import main; sys.exit(max(main(a.split('|')) for a in sys.argv[1:]))"
+    outputs = []
+    for threads in ("1", "2", None):
+        out = tmp_path / f"threads-{threads}"
+        commands = [
+            ["kernel", data / "trees.json", "--kernel", "gbc", "--normalize", "--out", out / "g.csv"],
+            ["test", out / "g.csv", labels, "--seed", 1, "--out", out / "t.json"],
+            ["classify", out / "g.csv", labels, "--out", out / "c.json"],
+        ]
+        done = run_python(["-c", code, *("|".join(map(str, c)) for c in commands)], OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        files = sorted(f for f in out.iterdir() if not f.name.endswith(".manifest.json"))
+        assert [f.name for f in files] == ["c.json", "g.csv", "g.csv.meta.json", "t.json"]
+        outputs.append([f.read_bytes() for f in files])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_classify_flow(tmp_path, capsys):

@@ -756,9 +756,9 @@ def test_assembly_computes_no_fingerprint(rng, monkeypatch):
             assemble(trees, build_kernel(name, **params))
 
 
-# What a tree holds: the constructor's attributes, then its structure.
-TREE_ATTRIBUTES = {"id", "n", "d", "parents", "positions", "attributes", "node_levels", "children", "degrees",
-                   "levels", "descendant_table", "sphere_table", "fingerprint"}
+# What a tree holds: the constructor's attributes, then its fingerprint; its
+# structure tables are computed when read and not kept.
+TREE_ATTRIBUTES = {"id", "n", "d", "parents", "positions", "attributes", "node_levels", "fingerprint"}
 
 
 @pytest.mark.parametrize("name,params", ALL_KERNELS + MOVED_KERNELS + FEATURE_KERNELS)
@@ -786,8 +786,6 @@ def test_linear_all_pairs_assembly_retains_rows_not_stacks_or_count_tables(rng, 
     trees = make_trees(rng, count=100, max_nodes=max_nodes)
     kernel = build_kernel(name, **params)
     assemble(make_trees(rng, count=10, max_nodes=max_nodes), kernel)  # first-call imports stay out
-    for tree in trees:
-        tree.sphere_table  # structure, which any kernel may keep
     tracemalloc.start()
     try:
         assemble(trees, kernel)

@@ -55,12 +55,12 @@ DEFAULT_BOUND = (3.0, 12.0)
 BOUNDS = {
     ("rootpath-embedded", "linear", "chain"): (7.0, 12.0),  # 2.3 s
     ("rootpath-embedded", "gaussian", "chain"): (7.0, 12.0),  # 2.1 s
-    ("all-pairs-node", "linear", "chain"): (15.0, 75.0),  # 5.0 s, 52 MB
+    ("all-pairs-node", "linear", "chain"): (15.0, 65.0),  # 5.0 s, 43 MB
     ("rootpath-node-naive", "linear", "star"): (7.0, 12.0),  # 2.3 s at NAIVE_SIZE
     ("rootpath-node-naive", "gaussian", "star"): (11.0, 12.0),  # 3.6 s at NAIVE_SIZE
-    ("rootpath-node", "linear", "chain"): (3.0, 48.0),  # 32 MB
-    ("rootpath-node-linear-fast", None, "chain"): (3.0, 48.0),  # 32 MB
-    ("sp", None, "chain"): (3.0, 35.0),  # 23 MB
+    ("rootpath-node", "linear", "chain"): (3.0, 39.0),  # 26 MB
+    ("rootpath-node-linear-fast", None, "chain"): (3.0, 39.0),  # 26 MB
+    ("sp", None, "chain"): (3.0, 18.0),  # 12 MB
 }
 
 EXPECTED_FAILURES = {

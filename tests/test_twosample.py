@@ -11,6 +11,7 @@ from treekern import (
     mean_distance_statistic,
     nearest_mean_classify,
     permutation_test,
+    twosample,
 )
 from treekern.twosample import _quantiles
 
@@ -119,6 +120,29 @@ def test_permutation_test_is_worker_count_invariant(rng):
     assert results[0] == results[1] == results[2]
     with pytest.raises(ValueError, match="threads"):
         permutation_test(values, range(7), range(7, 14), n_permutations=10, threads=0)
+
+
+def test_permutation_test_bits_do_not_depend_on_the_blas_thread_count(rng):
+    # about 0.2 s. At m = 700 a (256, m) x (m, m) product rounds differently
+    # on one and two OpenBLAS threads; the scorer runs it on one, then
+    # restores the caller's count.
+    controls = twosample._openblas_threads()
+    if controls is None:
+        pytest.skip("no controllable OpenBLAS: the scorer runs unpinned")
+    get, put = controls
+    values = random_psd(rng, 700)
+    idx_a, idx_b = range(0, 700, 2), range(1, 700, 2)
+    before, results = get(), []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            results.append(permutation_test(values, idx_a, idx_b, n_permutations=1000, seed=3))
+            results.append(mean_distance_statistic(values, idx_a, idx_b))
+            assert get() == threads
+    finally:
+        put(before)
+    assert results[:2] == results[2:]
+    assert twosample.scorer_blas_threads() == 1
 
 
 @pytest.mark.parametrize("n_permutations", [1, 255, 256, 257, 1000])
