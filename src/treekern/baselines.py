@@ -77,20 +77,21 @@ def generation_mean_map(*, gen_lo: int, gen_hi: int, component: int, form: str) 
     """Generation-average kernel on the vectors m of per-generation means of
     one attribute component (d > 0 required), generations ``gen_lo`` to
     ``gen_hi``: exp(-||m1 - m2||^2), or <m1, m2> for the linear ``form``.
-    Generation g holds the nodes at depth g (root depth 0); a generation the
-    tree lacks has mean 0 and warns once."""
+    Generation g holds the nodes at depth g (root depth 0), so a tree lacks
+    the window's generations from its height on: their means are 0, and the
+    tree warns once, naming them."""
     if gen_lo < 0 or gen_hi < gen_lo:
         raise ValueError("need 0 <= gen_lo <= gen_hi")
 
     def row(tree: GeometricTree) -> np.ndarray:
         col = _attribute_column(tree, component)
         out = np.zeros(gen_hi - gen_lo + 1)
-        for k, gen in enumerate(range(gen_lo, gen_hi + 1)):
-            idx = tree.nodes_at_level(gen + 1)  # generation = depth; root has depth 0
-            if len(idx) == 0:
-                warnings.warn(f"tree '{tree.id}' has no nodes in generation {gen}; mean set to 0")
-            else:
-                out[k] = col[idx].mean()
+        for gen in range(gen_lo, min(gen_hi + 1, tree.height)):
+            out[gen - gen_lo] = col[tree.nodes_at_level(gen + 1)].mean()  # generation = depth, 1-based levels
+        lo = max(gen_lo, tree.height)
+        if lo <= gen_hi:
+            missing = f"generation {lo}; mean" if lo == gen_hi else f"generations {lo} to {gen_hi}; means"
+            warnings.warn(f"tree '{tree.id}' has no nodes in {missing} set to 0")
         return out
 
     return _row_route(row, form, gen_hi - gen_lo + 1)

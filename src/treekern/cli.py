@@ -255,7 +255,7 @@ def _check_min(flag: str, value: int | None, low: int) -> None:
 
 
 def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
-    from .gram import assemble, normalize, save_gram
+    from .gram import assemble, check_writable_ids, normalize, save_gram
     from .path_kernels import check_landmark_fit
     from .registry import build_kernel
     from .trees import dataset_files, load_dataset
@@ -276,6 +276,7 @@ def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
     with run.stage("load"):
         run.input_files = dataset_files(args.trees)
         trees = load_dataset(args.trees)
+        check_writable_ids([tree.id for tree in trees])  # save_gram's rule, before any assembly time is spent
     if "landmarks" in kernel.params:  # the spec allows counts too large for the cohort's n
         _or_usage(check_landmark_fit, kernel.params["landmarks"], trees[0].n)
     with run.stage("assemble"):
@@ -577,7 +578,7 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, KeyError, MemoryError) as exc:  # MemoryError: e.g. numpy's "Unable to allocate ..."
         error = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
-        print(f"error: {error}", file=sys.stderr)
+        print(f"error: {run.running}: {error}" if run.running else f"error: {error}", file=sys.stderr)
         with contextlib.suppress(Exception):  # a manifest that cannot be written leaves the error as it is
             run.write(error)
         return 1

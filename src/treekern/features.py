@@ -1,6 +1,6 @@
-"""Cohort routes. A route's ``inputs(trees)`` checks the trees and builds
-one input per tree, ``gram(trees, inputs)`` the matrix from those inputs,
-and ``value(t1, t2)`` the same on one pair; nothing is kept on the trees. A
+"""Cohort routes. A route's ``inputs(trees)`` checks the cohort rule and builds
+one input per tree, ``gram(trees, inputs)`` the matrix from those inputs, and
+``value(t1, t2)`` the same on one pair; nothing is kept on the trees. A
 :class:`FeatureMap` gives each tree one feature row and compares rows by dot
 products over their common prefix: K = ΦΦᵀ exactly. A :class:`NodeSet` gives
 each tree weighted points and sums a gaussian over same-group node pairs. A
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,16 +119,26 @@ def nodeset_gram(sets: Sequence[tuple], block: int, order: Sequence[int]) -> np.
     return out
 
 
+def check_cohort(trees: Sequence[GeometricTree]) -> None:
+    """The cohort rule: at least one tree, all with the first tree's (n, d)."""
+    if not trees:
+        raise ValueError("no trees given")
+    first = trees[0]
+    odd = next((t for t in trees if (t.n, t.d) != (first.n, first.d)), None)
+    if odd is not None:
+        dims = f"tree '{odd.id}' has (n, d) = ({odd.n}, {odd.d}), tree '{first.id}' ({first.n}, {first.d})"
+        raise ValueError(f"incompatible tree dimensions in dataset: {dims}")
+
+
 @dataclass(frozen=True)
 class _Route:
-    """``build(tree)`` gives a tree's input; ``check(trees)`` rejects trees
-    that cannot be compared."""
+    """``build(tree)`` gives a tree's input, or refuses a tree that its
+    kernel cannot take."""
 
     build: Callable[[GeometricTree], object]
-    check: Callable[[Sequence[GeometricTree]], None] = field(default=lambda trees: None, kw_only=True)
 
     def inputs(self, trees: Sequence[GeometricTree]) -> list:
-        self.check(trees)
+        check_cohort(trees)
         return [self.build(tree) for tree in trees]
 
     def entry(self, trees: Sequence[GeometricTree], inputs: Sequence) -> float:

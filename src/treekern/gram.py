@@ -92,24 +92,17 @@ def assemble(
     """Evaluate a kernel over every tree pair.
 
     The kernel's cohort route (a feature map, a node set or a pair loop)
-    checks the trees and builds one input per tree, then the whole matrix
-    from those inputs. ``kernel.prepare`` runs once before. ``threads`` is
+    checks the cohort rule and builds one input per tree, then the whole
+    matrix from those inputs. ``kernel.prepare`` runs once before. ``threads`` is
     accepted for compatibility and validated (it must be at least 1) but has
     no effect: per-pair work holds the interpreter lock, so a thread pool
     never paid for itself.
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
-    if not trees:
-        raise ValueError("no trees given")
     ids = [t.id for t in trees]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate tree ids in dataset")
-    first = trees[0]
-    odd = next((t for t in trees if (t.n, t.d) != (first.n, first.d)), None)
-    if odd is not None:
-        dims = f"tree '{odd.id}' has (n, d) = ({odd.n}, {odd.d}), tree '{first.id}' ({first.n}, {first.d})"
-        raise ValueError(f"incompatible tree dimensions in dataset: {dims}")
     kernel.prepare(trees)
     route = kernel.cohort
     values = route.gram(trees, route.inputs(trees))
@@ -171,6 +164,14 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(f"{path}.meta.json")
 
 
+def check_writable_ids(ids: Sequence[str]) -> None:
+    """Refuse a tree id that a Gram CSV cannot hold: one with a comma, a
+    quote or a line break."""
+    for tree_id in ids:
+        if any(ch in tree_id for ch in ',"\r\n'):
+            raise ValueError(f"tree id {tree_id!r} cannot be written to CSV")
+
+
 def save_gram(gram: GramMatrix, path: str | Path) -> None:
     """Write the matrix as CSV plus a sidecar JSON recording the kernel spec,
     normalization flag, and version.
@@ -184,9 +185,7 @@ def save_gram(gram: GramMatrix, path: str | Path) -> None:
     from . import __version__
 
     path = Path(path)
-    for tree_id in gram.ids:
-        if any(ch in tree_id for ch in ',"\r\n'):
-            raise ValueError(f"tree id {tree_id!r} cannot be written to CSV")
+    check_writable_ids(gram.ids)
     with path.open("w", encoding="utf-8") as out:
         out.write("id," + ",".join(gram.ids) + "\n")
         for rows in _row_strips(gram.size):

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .features import FeatureMap, NodeSet, PairLoop, _pair_terms
+from .features import FeatureMap, NodeSet, PairLoop, _pair_terms, check_cohort
 from .trees import GeometricTree, NodePath
 
 __all__ = [
@@ -130,18 +130,10 @@ def _embedded_lam(spec: PathKernelSpec, n: int) -> float:
     return spec.lam if spec.lam is not None else 1.0 / (spec.landmarks * n)
 
 
-def _check_node_spec(trees, spec: NodeKernelSpec) -> None:
-    """Every tree must match the first's dimensions under ``spec``."""
-    t1 = trees[0]
-    for t2 in trees:
-        if t1.n != t2.n:
-            raise ValueError(f"geometric dimensions differ: tree '{t2.id}' has n = {t2.n}, tree '{t1.id}' {t1.n}")
-        if spec.use_attributes:
-            if t1.d == 0 or t2.d == 0:
-                bare = t1 if t1.d == 0 else t2
-                raise ValueError(f"node kernel uses attributes, which needs d > 0, but tree '{bare.id}' has d = 0")
-            if t1.d != t2.d:
-                raise ValueError(f"attribute dimensions differ: tree '{t2.id}' has d = {t2.d}, tree '{t1.id}' {t1.d}")
+def _check_attributes(tree: GeometricTree, spec: NodeKernelSpec) -> None:
+    """A node kernel that uses attributes needs a tree with d > 0."""
+    if spec.use_attributes and tree.d == 0:
+        raise ValueError(f"node kernel uses attributes, which needs d > 0, but tree '{tree.id}' has d = 0")
 
 
 # -- embedded landmark paths ---------------------------------------------------
@@ -187,7 +179,8 @@ def landmark_path_kernel(p, q, spec: PathKernelSpec, n: int | None = None) -> fl
 def _landmark_stack(tree: GeometricTree, m: int, paths: str) -> np.ndarray:
     """Landmark vectors of every node-to-root path (``paths`` "rootpath",
     |V| rows) or of every ordered node pair's path ("all_pairs", |V|^2
-    rows); shape (rows, m*n)."""
+    rows); shape (rows, m*n). A path's ``m`` landmarks must fit in an array."""
+    check_landmark_fit(m, tree.n)
     nodes = range(tree.size)
     ends = [(v, 0) for v in nodes] if paths == "rootpath" else [(i, j) for i in nodes for j in nodes]
     return np.array([sample_embedded_path(tree, i, j, m).ravel() for i, j in ends])
@@ -205,36 +198,25 @@ def check_landmark_fit(m: int, n: int) -> None:
 ALL_PAIRS_EMBEDDED_MAX_NODES = 32  # gaussian all-pairs-embedded: one pair compares |V1|^2 |V2|^2 paths
 
 
-def _check_landmarks(trees, m: int, max_nodes: float = math.inf) -> None:
-    """The trees' positions must match, their paths' ``m`` landmarks must fit
-    in an array, and no tree may have more than ``max_nodes`` nodes."""
-    _check_node_spec(trees, NodeKernelSpec())  # positions only
-    check_landmark_fit(m, trees[0].n)
-    for tree in trees:
-        if tree.size > max_nodes:
-            raise ValueError(
-                f"tree '{tree.id}' has {tree.size} nodes; gaussian all-pairs-embedded compares all "
-                f"{tree.size}^2 paths of each tree and takes trees of at most {max_nodes} nodes"
-            )
-
-
 def landmark_route(spec: PathKernelSpec, paths: str) -> FeatureMap | NodeSet:
     """Cohort route of the embedded-path kernel over ``paths`` (see
     :func:`_landmark_stack`): the inner product of the landmark row sums
     (linear form), or a node set of the landmark rows times sqrt(lam) in one
     group with unit weights (gaussian form, over all pairs for trees of at
     most :data:`ALL_PAIRS_EMBEDDED_MAX_NODES` nodes)."""
-    check = partial(_check_landmarks, m=spec.landmarks)
     if spec.form == "linear":
-        return FeatureMap(lambda tree: _landmark_stack(tree, spec.landmarks, paths).sum(axis=0), check=check)
-    if paths == "all_pairs":
-        check = partial(check, max_nodes=ALL_PAIRS_EMBEDDED_MAX_NODES)
+        return FeatureMap(lambda tree: _landmark_stack(tree, spec.landmarks, paths).sum(axis=0))
 
     def points(tree):
+        if paths == "all_pairs" and tree.size > ALL_PAIRS_EMBEDDED_MAX_NODES:
+            raise ValueError(
+                f"tree '{tree.id}' has {tree.size} nodes; gaussian all-pairs-embedded compares all "
+                f"{tree.size}^2 paths of each tree and takes trees of at most {ALL_PAIRS_EMBEDDED_MAX_NODES} nodes"
+            )
         stack = math.sqrt(_embedded_lam(spec, tree.n)) * _landmark_stack(tree, spec.landmarks, paths)
         return stack, np.zeros(len(stack), dtype=np.intp), np.ones((len(stack), 1))
 
-    return NodeSet(points, check=check)
+    return NodeSet(points)
 
 
 # -- node kernels ----------------------------------------------------------------
@@ -252,7 +234,8 @@ def node_path_kernel(p1: NodePath, p2: NodePath, spec: NodeKernelSpec) -> float:
     if len(p1) != len(p2):
         return 0.0
     t1, t2 = p1.tree, p2.tree
-    _check_node_spec((t1, t2), spec)
+    check_cohort((t1, t2))
+    _check_attributes(t1, spec)
     x1 = p1.positions()
     x2 = p2.positions()
     if spec.form == "linear":
@@ -273,6 +256,7 @@ def _node_points(tree: GeometricTree, spec: NodeKernelSpec) -> np.ndarray:
     distance) (gaussian form) is the node kernel ``spec``: the position,
     with the attributes Kronecker it when used, or both scaled by the
     square roots of their gaussian scales and concatenated."""
+    _check_attributes(tree, spec)
     if spec.form == "linear":
         if not spec.use_attributes:
             return tree.positions
@@ -286,7 +270,7 @@ def _node_points(tree: GeometricTree, spec: NodeKernelSpec) -> np.ndarray:
 def node_point_set(spec: NodeKernelSpec, build: Callable) -> NodeSet:
     """Node set whose ``build(tree, points)`` gives a tree's (z, g, w) from
     its node points under the gaussian ``spec``."""
-    return NodeSet(lambda tree: build(tree, _node_points(tree, spec)), check=partial(_check_node_spec, spec=spec))
+    return NodeSet(lambda tree: build(tree, _node_points(tree, spec)))
 
 
 # -- all-pairs tree kernel ---------------------------------------------------------
@@ -350,11 +334,10 @@ def all_pairs_route(spec: NodeKernelSpec) -> FeatureMap | PairLoop:
     (the position, Kronecker the attributes when used) summed with the
     counts of slot s as weights, so rows compare over their common prefix.
     The row is built one path length at a time, so no count table exists."""
-    check = partial(_check_node_spec, spec=spec)
     if spec.form == "linear":
         row = lambda tree, z: np.concatenate([(c.T @ z).ravel() for c in _path_count_blocks(tree, tree.sphere_table)])
-        return FeatureMap(lambda tree: row(tree, _node_points(tree, spec)), check=check)
-    return PairLoop(lambda tree: (_node_points(tree, spec), _path_counts(tree)), _weighted_node_pairs, check=check)
+        return FeatureMap(lambda tree: row(tree, _node_points(tree, spec)))
+    return PairLoop(lambda tree: (_node_points(tree, spec), _path_counts(tree)), _weighted_node_pairs)
 
 
 def all_pairs_kernel(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec) -> float:
@@ -379,10 +362,10 @@ def rootpath_naive_route(spec: PathKernelSpec) -> PairLoop:
     tree's paths are (m, n) landmark arrays or :class:`NodePath` objects."""
     m = spec.landmarks
     if spec.representation == "embedded_landmarks":
-        kernel, check = partial(landmark_path_kernel, spec=spec), partial(_check_landmarks, m=m)
+        kernel = partial(landmark_path_kernel, spec=spec)
         paths = lambda tree: _landmark_stack(tree, m, "rootpath").reshape(tree.size, m, tree.n)
     else:
-        kernel, check = partial(node_path_kernel, spec=spec.node), partial(_check_node_spec, spec=spec.node)
+        kernel = partial(node_path_kernel, spec=spec.node)
         paths = lambda tree: [tree.rootpath(v) for v in range(tree.size)]
 
     def pair(paths1: list, paths2: list) -> float:
@@ -392,7 +375,7 @@ def rootpath_naive_route(spec: PathKernelSpec) -> PairLoop:
                 total += kernel(p1, p2)
         return total
 
-    return PairLoop(paths, pair, check=check)
+    return PairLoop(paths, pair)
 
 
 def rootpath_kernel_naive(t1: GeometricTree, t2: GeometricTree, spec: PathKernelSpec) -> float:
@@ -442,7 +425,7 @@ def rootpath_linear_map(spec: NodeKernelSpec) -> FeatureMap:
         g1 = np.arange(len(l1)) - l1 * (l1 + 1) // 2
         return by_level[g1, l1 - g1].ravel()
 
-    return FeatureMap(row, check=partial(_check_node_spec, spec=spec))
+    return FeatureMap(row)
 
 
 def rootpath_kernel_linear_fast(t1: GeometricTree, t2: GeometricTree, spec: NodeKernelSpec) -> float:

@@ -2,11 +2,13 @@
 paths, and iterative label refinement."""
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from treekern import GeometricTree, build_kernel
+from treekern import GeometricTree, assemble, build_kernel
 
 from conftest import chain_tree, distance_histogram, random_tree, star_tree
 
@@ -35,7 +37,9 @@ def test_pointcloud_requirements():
     t1 = attributed("q1", [(-1, 0, 0), (0, 1, 1)])
     single = attributed("q2", [(-1, 0, 0)])
     pointcloud = build_kernel("pointcloud").value
-    with pytest.raises(ValueError, match="d > 0"):
+    with pytest.raises(ValueError, match="d > 0, but tree 'bare' has d = 0"):
+        pointcloud(chain_tree(2, tree_id="bare"), chain_tree(2, tree_id="bare2"))
+    with pytest.raises(ValueError, match="incompatible tree dimensions in dataset: tree 'bare'"):
         pointcloud(t1, chain_tree(2, tree_id="bare"))
     with pytest.warns(UserWarning, match="no edges"):
         assert pointcloud(t1, single) == 0.0
@@ -95,6 +99,26 @@ def test_generation_average_warns_on_missing_generations():
     assert got == pytest.approx(1.0)  # both vectors are zero
     with pytest.raises(ValueError, match="gen_lo"):
         build_kernel("agaw", gen_lo=2, gen_hi=1).value(t1, t2)
+
+
+def test_generation_average_work_and_warnings_stop_at_the_tree_height():
+    # about 0.1 s; one pass and one warning per generation of the window took over 2 s
+    trees = [chain_tree(height, d=1, tree_id=f"h{height}") for height in (1, 3, 5, 7)]
+    wide = build_kernel("agaw", gen_lo=0, gen_hi=100_000, form="linear")
+    tic = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gram = assemble(trees, wide)
+    assert time.perf_counter() - tic < 2.0
+    assert [str(w.message) for w in caught] == [
+        f"tree 'h{height}' has no nodes in generations {height} to 100000; means set to 0" for height in (1, 3, 5, 7)
+    ]
+    with pytest.warns(UserWarning, match="^tree 'h1' has no nodes in generation 6; mean set to 0$"):
+        build_kernel("agaw", gen_lo=6, gen_hi=6).value(trees[0], trees[0])
+    # the generations the trees have give the same Gram as a window that stops at the tallest
+    with pytest.warns(UserWarning):
+        narrow = assemble(trees, build_kernel("agaw", gen_lo=0, gen_hi=6, form="linear"))
+    assert np.allclose(gram.values, narrow.values, rtol=1e-15, atol=0)
 
 
 # -- branch counts ------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_gen_workers_end_with_the_command(tmp_path, monkeypatch, capsys):
     # forked workers inherit the patch, so the error is raised in one of them
     monkeypatch.setattr(generate, "generate_tree", grow_or_fail)
     assert run(["gen", "--out", tmp_path / "failed", "--size", 12]) == 1
-    assert "error: no tree at offset 5" in capsys.readouterr().err
+    assert "error: grow: no tree at offset 5" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 
 
@@ -300,11 +300,12 @@ def test_each_command_writes_its_success_manifest_keys(tmp_path):
 
 
 def read_failure_manifest(path, err: str) -> dict:
-    """The failure manifest at ``path``; its error is the one that ends ``err``."""
+    """The failure manifest at ``path``; its error, after its stage when one was running, ends ``err``."""
     manifest = json.loads(Path(path).read_text())
     assert set(manifest) >= _MANIFEST_KEYS | {"stage", "error"}
     assert manifest["status"] == "error"
-    assert err.endswith(f"error: {manifest['error']}\n")
+    stage = f"{manifest['stage']}: " if manifest["stage"] is not None else ""
+    assert err.endswith(f"error: {stage}{manifest['error']}\n")
     if sys.platform.startswith("linux"):
         assert manifest["peak_rss_mb"] > 0
     return manifest
@@ -326,6 +327,18 @@ def test_a_kernel_that_fails_to_normalize_leaves_a_failure_manifest(tmp_path, ca
     assert manifest["kernel_spec"]["name"] == "pointcloud"
     assert list(manifest["input_hashes"]) == [str(data)]
     assert not out.exists()
+
+
+def test_kernel_refuses_an_id_it_cannot_write_before_it_assembles(tmp_path, capsys):
+    # about 0.02 s
+    data = tmp_path / "comma.json"
+    save_dataset([GeometricTree(tree_id, [-1, 0], np.zeros((2, 3))) for tree_id in ("t4", "t,5")], data)
+    assert run(["kernel", data, "--kernel", "gbc", "--out", tmp_path / "g.csv"]) == 1
+    manifest = read_failure_manifest(tmp_path / "g.csv.manifest.json", capsys.readouterr().err)
+    assert manifest["stage"] == "load"
+    assert manifest["error"] == "tree id 't,5' cannot be written to CSV"
+    assert manifest["stages"] == {}  # nothing was assembled
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_a_malformed_trees_file_fails_in_the_load_stage(tmp_path, capsys):
@@ -361,7 +374,7 @@ def test_a_failure_manifest_that_cannot_be_written_leaves_the_error_as_it_is(tmp
     data.write_text("[")
     (tmp_path / "g.csv.manifest.json").mkdir()  # the manifest cannot be written there
     assert run(["kernel", data, "--kernel", "gbc", "--out", tmp_path / "g.csv"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {data}")
+    assert capsys.readouterr().err.startswith(f"error: load: {data}")
 
 
 def test_kernel_normalize_flag(tmp_path):
@@ -469,7 +482,7 @@ def test_kernel_data_errors(tmp_path, capsys):
     chain = GeometricTree("c33", np.arange(33) - 1, np.arange(33.0)[:, None])
     save_dataset([chain], data)
     assert run(["kernel", data, "--kernel", "all-pairs-embedded", "--out", out]) == 1
-    assert "error: tree 'c33' has 33 nodes;" in capsys.readouterr().err
+    assert "error: assemble: tree 'c33' has 33 nodes;" in capsys.readouterr().err
 
     # malformed tree JSON is a data error naming the file, the tree and the node
     bad = tmp_path / "bad.json"
@@ -754,7 +767,7 @@ def test_an_allocation_that_fails_is_a_data_error(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr("treekern.gram.assemble", assemble)
     assert run(["kernel", data, "--kernel", "gbc", "--out", tmp_path / "g.csv"]) == 1
     err = capsys.readouterr().err
-    assert err == "error: out of memory: Unable to allocate 21.8 TiB for an array\n"
+    assert err == "error: assemble: out of memory: Unable to allocate 21.8 TiB for an array\n"
     manifest = read_failure_manifest(tmp_path / "g.csv.manifest.json", err)
     assert manifest["error"] == "out of memory: Unable to allocate 21.8 TiB for an array"
     assert manifest["stage"] == "assemble"

@@ -101,6 +101,21 @@ def test_assemble_errors(rng):
         assemble(trees, kernel, threads=0)
 
 
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_every_route_refuses_the_same_cohorts_with_the_same_message(name):
+    # under 0.1 s for all kernels together: every refusal comes before any input is built
+    kernel = build_kernel(name)
+    one, two = (chain_tree(3, n=2, d=d, tree_id=f"d{d}") for d in (1, 2))
+    calls = [lambda: kernel.value(one, two), lambda: assemble([one, two], kernel),
+             lambda: kernel.cohort.inputs([one, two])]
+    for call in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == "incompatible tree dimensions in dataset: tree 'd2' has (n, d) = (2, 2), tree 'd1' (2, 1)"
+    with pytest.raises(ValueError, match="^no trees given$"):
+        assemble([], kernel)
+
+
 def test_normalize_hand_value():
     gram = plain_gram([[4.0, 2.0], [2.0, 9.0]])
     out = normalize(gram)

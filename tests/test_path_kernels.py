@@ -137,13 +137,13 @@ def test_node_kernel_default_scales():
 def test_node_kernel_dimension_checks():
     t1 = chain_tree(2, n=1, tree_id="a")
     t2 = chain_tree(2, n=2, tree_id="b")
-    with pytest.raises(ValueError, match="dimensions differ: tree 'b' has n = 2, tree 'a' 1"):
+    with pytest.raises(ValueError, match=r"dimensions in dataset: tree 'b' has \(n, d\) = \(2, 0\), tree 'a' \(1, 0\)"):
         node_kernel(t1, 0, t2, 0, NodeKernelSpec())
     t3 = chain_tree(2, n=1, tree_id="c")
     with pytest.raises(ValueError, match="d > 0, but tree 'a' has d = 0"):
         node_kernel(t1, 0, t3, 0, NodeKernelSpec(use_attributes=True))
     t4, t5 = chain_tree(2, n=1, d=1, tree_id="d1"), chain_tree(2, n=1, d=2, tree_id="d2")
-    with pytest.raises(ValueError, match="attribute dimensions differ: tree 'd2' has d = 2, tree 'd1' 1"):
+    with pytest.raises(ValueError, match=r"dimensions in dataset: tree 'd2' has \(n, d\) = \(1, 2\), tree 'd1' \(1, 1\)"):
         node_kernel(t4, 0, t5, 0, NodeKernelSpec(use_attributes=True))
 
 
