@@ -3,7 +3,7 @@ shortest paths, and iterative label refinement.
 
 Each kernel is a cohort route of :mod:`treekern.features`: a feature map,
 a node set (a gaussian of summary rows is a node set of one point per
-tree), or for label refinement a pair loop. Each is reached through
+tree), or its own route for label refinement. Each is reached through
 :func:`treekern.build_kernel`, which holds the defaults;
 ``build_kernel(name, **params).value(t1, t2)`` evaluates one pair.
 """
@@ -11,11 +11,12 @@ tree), or for label refinement a pair loop. Each is reached through
 from __future__ import annotations
 
 import warnings
-from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureMap, NodeSet, PairLoop
+from .features import FeatureMap, NodeSet, _Route
 from .path_kernels import FORMS, NodeKernelSpec, node_point_set
 from .trees import GeometricTree
 
@@ -125,25 +126,48 @@ def shortest_path_map(*, length_kernel: str) -> FeatureMap:
     return FeatureMap(row, 1 if length_kernel == "linear" else None)
 
 
-def _counter_dot(c1: Counter, c2: Counter) -> float:
-    # Integer counts: the sum is exact in any order.
-    return float(sum(count * c2[label] for label, count in c1.items()))
+@dataclass(frozen=True)
+class _Refinement(_Route):
+    """Label refinement over a cohort: node degrees, then ``iterations`` rounds
+    that relabel every node of every tree once, by its label and its
+    neighbours' sorted labels, through one dictionary; the kernel sums the
+    label count dot products. A pair's value equals its entry in any Gram."""
+
+    iterations: int
+    _block = 1 << 21  # floats in one block of label count columns
+
+    def gram(self, trees: Sequence[GeometricTree], inputs: Sequence[tuple]) -> np.ndarray:
+        adjacency, labels = zip(*inputs)
+        size, step, total, classes = len(trees), max(1, self._block // len(trees)), 0.0, 0
+        owner = np.repeat(np.arange(size), [len(adj) for adj in adjacency])
+        for done in range(self.iterations + 1):
+            if done:
+                compressed: dict[tuple, int] = {}
+                labels = [[compressed.setdefault((label, tuple(sorted(old[w] for w in adj[v]))), len(compressed))
+                           for v, label in enumerate(old)] for old, adj in zip(labels, adjacency)]
+            # C Cᵀ over labels two or more trees hold, in blocks of columns, plus each tree's
+            # other labels' squared counts on its diagonal: integer sums, exact in any order.
+            key, counts = np.unique(np.concatenate(labels) * size + owner, return_counts=True)
+            tree, holders = key % size, np.unique(key // size, return_counts=True)[1]
+            shared = np.repeat(holders > 1, holders)
+            current = np.diag(np.bincount(tree[~shared], counts[~shared] ** 2, size).astype(float))
+            column, tree, counts = np.repeat(np.cumsum(holders > 1) - 1, holders)[shared], tree[shared], counts[shared]
+            for lo in range(0, len(column) and column[-1] + 1, step):
+                part = slice(*np.searchsorted(column, (lo, lo + step)))
+                block = np.zeros((size, min(step, column[-1] + 1 - lo)))
+                block[tree[part], column[part] - lo] = counts[part]
+                current += block @ block.T
+            total = total + current
+            if len(holders) == classes:
+                # Every later round repeats this one, as each pair's did from the round before its
+                # classes settled, so total - (done + 1) * current and each entry are stop-independent.
+                return total - (done + 1) * current + float(self.iterations + 1) * current
+            classes = len(holders)
+        return total
 
 
-def wl_route(*, iterations: int) -> PairLoop:
-    """Iterative label-refinement kernel on the undirected tree graphs, a
-    pair loop over each tree's adjacency lists and degree labels.
-
-    Initial labels are node degrees. Each of ``iterations`` rounds relabels
-    every node by its own label plus the sorted labels of its neighbours,
-    compressed through a dictionary shared by the pair; the kernel is the sum
-    over rounds of the dot product between the label count vectors. Values
-    do not depend on the dictionary's label numbering, so pairwise evaluation
-    matches a shared per-population compression exactly.
-
-    Once a round splits no label class of the pair, every later round adds
-    the same dot product, so the rest is one product.
-    """
+def wl_route(*, iterations: int) -> _Refinement:
+    """Label refinement on the undirected tree graphs: a tree's input is its adjacency lists and degrees."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
 
@@ -151,28 +175,4 @@ def wl_route(*, iterations: int) -> PairLoop:
         adjacency = [[*kids, p] if p >= 0 else list(kids) for kids, p in zip(tree.children, tree.parents.tolist())]
         return adjacency, tree.degrees.tolist()
 
-    def pair(x1: tuple, x2: tuple) -> float:
-        (adj1, labels1), (adj2, labels2) = x1, x2
-        compressed: dict[tuple, int] = {}
-
-        def refine(labels: list[int], adj: list[list[int]]) -> list[int]:
-            out = []
-            for v, label in enumerate(labels):
-                signature = (label, tuple(sorted(labels[w] for w in adj[v])))
-                if signature not in compressed:
-                    compressed[signature] = len(compressed)
-                out.append(compressed[signature])
-            return out
-
-        total = _counter_dot(Counter(labels1), Counter(labels2))
-        classes = len(set(labels1).union(labels2))
-        for done in range(1, iterations + 1):
-            labels1, labels2 = refine(labels1, adj1), refine(labels2, adj2)
-            dot = _counter_dot(Counter(labels1), Counter(labels2))
-            total += dot
-            classes, before = len(set(labels1).union(labels2)), classes
-            if classes == before:
-                return total + (iterations - done) * dot
-        return total
-
-    return PairLoop(build, pair)
+    return _Refinement(build, iterations)

@@ -27,10 +27,14 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
+
+if TYPE_CHECKING:  # annotations only: a command imports gram when it runs
+    from .gram import GramMatrix
 
 __all__ = ["main", "entrypoint", "benchmark_kernel", "fit_slope"]
 
@@ -306,33 +310,34 @@ def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
 # -- test -------------------------------------------------------------------------
 
 
-def _class_indices(ids: list[str], labels_path: str) -> tuple[list[int], list[int]]:
+def _labelled_gram(args: argparse.Namespace, run: Run) -> tuple[Path, GramMatrix, list[int], list[int]]:
+    """Name the output, load the Gram matrix in stage ``load`` and split its trees by label 0 and 1."""
     from .generate import load_labels
-
-    labels = load_labels(labels_path)
-    missing = [i for i in ids if i not in labels]
-    if missing:
-        raise ValueError(f"no label for tree id '{missing[0]}'")
-    idx_a = [k for k, tree_id in enumerate(ids) if labels[tree_id] == 0]
-    idx_b = [k for k, tree_id in enumerate(ids) if labels[tree_id] == 1]
-    if not idx_a or not idx_b:
-        raise ValueError("both label classes must be non-empty")
-    return idx_a, idx_b
-
-
-def cmd_test(args: argparse.Namespace, run: Run) -> None:
     from .gram import load_gram
-    from .twosample import permutation_test, scorer_blas_threads
 
-    _check_min("--permutations", args.permutations, 1)
-    _check_min("--seed", args.seed, 0)
-    _check_min("--threads", args.threads, 1)
     out = run.output(args.out)
     run.input_files = [args.gram, args.labels]
     with run.stage("load"):
         matrix = load_gram(args.gram)
     run.kernel_spec = matrix.kernel_spec or None
-    idx_a, idx_b = _class_indices(matrix.ids, args.labels)
+    labels = load_labels(args.labels)
+    missing = [i for i in matrix.ids if i not in labels]
+    if missing:
+        raise ValueError(f"no label for tree id '{missing[0]}'")
+    idx_a = [k for k, tree_id in enumerate(matrix.ids) if labels[tree_id] == 0]
+    idx_b = [k for k, tree_id in enumerate(matrix.ids) if labels[tree_id] == 1]
+    if not idx_a or not idx_b:
+        raise ValueError("both label classes must be non-empty")
+    return out, matrix, idx_a, idx_b
+
+
+def cmd_test(args: argparse.Namespace, run: Run) -> None:
+    from .twosample import permutation_test, scorer_blas_threads
+
+    _check_min("--permutations", args.permutations, 1)
+    _check_min("--seed", args.seed, 0)
+    _check_min("--threads", args.threads, 1)
+    out, matrix, idx_a, idx_b = _labelled_gram(args, run)
     run.fields["blas_threads"] = scorer_blas_threads()
     with run.stage("permutation_test"):
         result = permutation_test(
@@ -348,18 +353,12 @@ def cmd_test(args: argparse.Namespace, run: Run) -> None:
 
 
 def cmd_classify(args: argparse.Namespace, run: Run) -> None:
-    from .gram import load_gram
     from .twosample import nearest_mean_classify
 
     if not 0.0 < args.holdout < 1.0:
         raise UsageError("--holdout must lie strictly between 0 and 1")
     _check_min("--seed", args.seed, 0)
-    out = run.output(args.out)
-    run.input_files = [args.gram, args.labels]
-    with run.stage("load"):
-        matrix = load_gram(args.gram)
-    run.kernel_spec = matrix.kernel_spec or None
-    idx_a, idx_b = _class_indices(matrix.ids, args.labels)
+    out, matrix, idx_a, idx_b = _labelled_gram(args, run)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     train: dict[str, list[int]] = {}
     test: dict[str, list[int]] = {}

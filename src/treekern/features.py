@@ -4,7 +4,8 @@ one input per tree, ``gram(trees, inputs)`` the matrix from those inputs, and
 :class:`FeatureMap` gives each tree one feature row and compares rows by dot
 products over their common prefix: K = ΦΦᵀ exactly. A :class:`NodeSet` gives
 each tree weighted points and sums a gaussian over same-group node pairs. A
-:class:`PairLoop` calls a pair function on two trees' inputs.
+:class:`PairLoop` calls a pair function on two trees' inputs. Label
+refinement, with cohort-wide labels, has its own route in :mod:`treekern.baselines`.
 """
 
 from __future__ import annotations

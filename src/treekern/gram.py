@@ -91,12 +91,12 @@ def assemble(
 ) -> GramMatrix:
     """Evaluate a kernel over every tree pair.
 
-    The kernel's cohort route (a feature map, a node set or a pair loop)
-    checks the cohort rule and builds one input per tree, then the whole
-    matrix from those inputs. ``kernel.prepare`` runs once before. ``threads`` is
-    accepted for compatibility and validated (it must be at least 1) but has
-    no effect: per-pair work holds the interpreter lock, so a thread pool
-    never paid for itself.
+    The kernel's cohort route (a feature map, a node set, a pair loop or
+    label refinement's own) checks the cohort rule and builds one input per
+    tree, then the whole matrix from those inputs; ``kernel.prepare`` runs
+    once before. ``threads`` is accepted for compatibility and validated (it
+    must be at least 1) but has no effect: per-pair work holds the
+    interpreter lock, so a thread pool never paid for itself.
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
@@ -165,10 +165,10 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def check_writable_ids(ids: Sequence[str]) -> None:
-    """Refuse a tree id that a Gram CSV cannot hold: one with a comma, a
-    quote or a line break."""
+    """Refuse a tree id that a Gram or labels CSV cannot hold: one with a
+    comma, a quote or a line break (any that ``str.splitlines`` splits at)."""
     for tree_id in ids:
-        if any(ch in tree_id for ch in ',"\r\n'):
+        if "," in tree_id or '"' in tree_id or len(f"{tree_id}.".splitlines()) > 1:
             raise ValueError(f"tree id {tree_id!r} cannot be written to CSV")
 
 

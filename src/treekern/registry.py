@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baselines, path_kernels
-from .features import FeatureMap, NodeSet, PairLoop
+from .features import FeatureMap, _Route
 from .path_kernels import NodeKernelSpec, PathKernelSpec
 from .trees import GeometricTree
 
@@ -34,7 +34,7 @@ class PairwiseKernel:
     name: str
     params: dict
     value: Callable[[GeometricTree, GeometricTree], float]
-    cohort: FeatureMap | NodeSet | PairLoop
+    cohort: _Route
     prepare: Callable[[Sequence[GeometricTree]], None] = field(default=lambda trees: None)
 
     @property

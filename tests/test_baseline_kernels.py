@@ -4,11 +4,12 @@ paths, and iterative label refinement."""
 import math
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from treekern import GeometricTree, assemble, build_kernel
+from treekern import GeometricTree, assemble, build_kernel, generate_two_class_population, preset_configs
 
 from conftest import chain_tree, distance_histogram, random_tree, star_tree
 
@@ -201,8 +202,8 @@ def test_wl_rounds_after_the_classes_settle_add_one_dot_product_each(rng):
 
 
 def test_wl_value_independent_of_evaluation_history(rng):
-    # the compression dictionary is rebuilt per pair, so earlier evaluations
-    # cannot shift later values
+    # each evaluation refines through dictionaries of its own, so earlier
+    # evaluations cannot shift later values
     t1 = random_tree(rng, 15, tree_id="h1")
     t2 = random_tree(rng, 15, tree_id="h2")
     t3 = random_tree(rng, 15, tree_id="h3")
@@ -210,6 +211,33 @@ def test_wl_value_independent_of_evaluation_history(rng):
     wl(t1, t3)
     wl(t3, t2)
     assert wl(t1, t2) == fresh
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+def test_wl_matches_networkx_subtree_hashes():
+    # from networkx 3.5 an unlabelled graph's first hashes are of the node
+    # degrees, so its hashes r hold wl's round r labels; about 0.3 s
+    nx = pytest.importorskip("networkx", minversion="3.5")
+    trees, _ = generate_two_class_population(*preset_configs("attr-shift", seed=1), 5, 5)
+    for k in (0, 1, 3, 10):
+        counts = []
+        for tree in trees:
+            graph = nx.Graph((v, p) for v, p in enumerate(tree.parents.tolist()) if p >= 0)
+            graph.add_nodes_from(range(tree.size))
+            hashes = nx.weisfeiler_lehman_subgraph_hashes(graph, iterations=k + 1).values()
+            counts.append([Counter(labels[r] for labels in hashes) for r in range(k + 1)])
+        for t1, rounds1 in zip(trees, counts):
+            for t2, rounds2 in zip(trees, counts):
+                expected = sum(c * r2[label] for r1, r2 in zip(rounds1, rounds2) for label, c in r1.items())
+                assert wl(t1, t2, k) == expected, (t1.id, t2.id, k)
+
+
+def test_wl_assembles_a_cohort_in_one_pass():
+    # about 0.1 s; refining both trees of every pair took 5.8 s
+    trees, _ = generate_two_class_population(*preset_configs("attr-shift", seed=3), 100, 100)
+    tic = time.perf_counter()
+    assemble(trees, build_kernel("wl"))
+    assert time.perf_counter() - tic < 1.0
 
 
 def test_baseline_symmetry_is_exact(rng):

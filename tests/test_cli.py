@@ -341,6 +341,17 @@ def test_kernel_refuses_an_id_it_cannot_write_before_it_assembles(tmp_path, caps
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_kernel_refuses_an_id_its_labels_file_could_not_hold(tmp_path, capsys):
+    # a vertical tab is a line break to str.splitlines, so load_labels would split the id
+    data = tmp_path / "tab.json"
+    save_dataset([GeometricTree(tree_id, [-1, 0], np.zeros((2, 3))) for tree_id in ("a\x0bb", "c")], data)
+    assert run(["kernel", data, "--kernel", "gbc", "--out", tmp_path / "g.csv"]) == 1
+    manifest = read_failure_manifest(tmp_path / "g.csv.manifest.json", capsys.readouterr().err)
+    assert manifest["stage"] == "load"
+    assert manifest["error"] == "tree id 'a\\x0bb' cannot be written to CSV"
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_a_malformed_trees_file_fails_in_the_load_stage(tmp_path, capsys):
     data = tmp_path / "bad.json"
     data.write_text('[{"id": "t0", "nodes": ')

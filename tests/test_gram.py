@@ -32,6 +32,7 @@ from treekern import (
     sidecar_path,
 )
 from treekern import gram as gram_module, twosample
+from treekern.baselines import _Refinement
 from treekern.features import FeatureMap, NodeSet, PairLoop, nodeset_gram
 
 from conftest import chain_tree, random_tree, rel_close, shaped_trees, star_tree
@@ -708,13 +709,24 @@ def test_cohort_route_matches_oracle_pairs_and_any_block(name, params, trees):
     assert_matches_oracle(name, params, trees, gram)
 
 
+@pytest.mark.parametrize("iterations", [0, 1, 10, 2**62])
 @settings(max_examples=10, deadline=None)
 @given(trees=mixed_cohorts())
-def test_wl_gram_equals_its_pair_values(trees):
-    # a pair loop's matrix and its single pair are separate calls of the pair function
-    kernel = build_kernel("wl")
+def test_wl_gram_equals_its_pair_values(iterations, trees):
+    # the matrix stops refining when the whole cohort settles, a single pair
+    # when its two trees do; every entry is the same either way
+    kernel = build_kernel("wl", iterations=iterations)
     gram = assemble(trees, kernel).values
     assert np.array_equal(gram, [[kernel.value(a, b) for b in trees] for a in trees])
+
+
+@pytest.mark.parametrize("block", [1, 20, 64])
+def test_wl_gram_does_not_depend_on_its_column_blocks(rng, monkeypatch, block):
+    # eight trees, so 1, 2 or 8 label columns per block against the default's all in one
+    trees = make_trees(rng, count=8, max_nodes=15)
+    whole = assemble(trees, build_kernel("wl")).values
+    monkeypatch.setattr(_Refinement, "_block", block)
+    assert np.array_equal(assemble(trees, build_kernel("wl")).values, whole)
 
 
 def offset_tree(tree: GeometricTree, offset: float) -> GeometricTree:
@@ -780,7 +792,7 @@ TREE_ATTRIBUTES = {"id", "n", "d", "parents", "positions", "attributes", "node_l
 def test_a_tree_holds_no_kernel_input(rng, name, params):
     trees = make_trees(rng, count=4, max_nodes=8)
     kernel = build_kernel(name, **params)
-    assert isinstance(kernel.cohort, (FeatureMap, NodeSet, PairLoop))
+    assert isinstance(kernel.cohort, (FeatureMap, NodeSet, PairLoop, _Refinement))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # pointcloud: no edges; agaw: missing generations
         assemble(trees, kernel)
