@@ -11,17 +11,17 @@ __version__ = "0.1.0"
 
 # module -> the names it exports here, in the order of __all__
 _EXPORTS = {
-    "trees": ("GeometricTree", "NodePath", "canonical_pair", "parse_tree", "serialize_tree",
-              "load_dataset", "save_dataset"),
+    "trees": ("GeometricTree", "NodePath", "canonical_order", "canonical_pair", "parse_tree",
+              "serialize_tree", "load_dataset", "save_dataset"),
     "path_kernels": ("NodeKernelSpec", "PathKernelSpec", "sample_embedded_path", "landmark_path_kernel",
                      "node_kernel", "node_path_kernel", "all_pairs_kernel", "rootpath_kernel_naive",
                      "rootpath_kernel_decomposed", "rootpath_kernel_linear_fast"),
     "registry": ("PairwiseKernel", "build_kernel", "KERNEL_NAMES"),
     "gram": ("GramMatrix", "PsdReport", "assemble", "normalize", "psd_check", "save_gram", "load_gram",
-             "sidecar_path"),
+             "sidecar_path", "save_labels", "load_labels"),
     "twosample": ("TwoSampleResult", "mean_distance_statistic", "permutation_test", "nearest_mean_classify"),
     "generate": ("GeneratorConfig", "generate_tree", "generate_two_class_population", "balanced_binary_tree",
-                 "preset_configs", "save_labels", "load_labels"),
+                 "preset_configs"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -11,8 +11,8 @@ kernel specs), 1 on data errors (unreadable or inconsistent inputs) and on
 allocations that fail.
 
 Each command imports the modules it runs when it runs, so ``test`` and
-``classify`` load no kernel module and no tree model, and building the
-parser loads neither.
+``classify`` load no kernel module, tree model or generator, and building
+the parser loads none of them.
 """
 
 from __future__ import annotations
@@ -176,6 +176,7 @@ def _grow(cfg_a, cfg_b, size_a: int, size_b: int, workers: int):
 
 def cmd_gen(args: argparse.Namespace, run: Run) -> None:
     from . import generate
+    from .gram import save_labels
     from .trees import save_serialized
 
     _check_min("--size", args.size, 2)  # one tree per class
@@ -212,7 +213,7 @@ def cmd_gen(args: argparse.Namespace, run: Run) -> None:
 
     with run.stage("write"), contextlib.closing(_grow(cfg_a, cfg_b, size_a, size_b, workers)) as grown:
         save_serialized(blobs(grown), out / "trees.json")
-        generate.save_labels(ids, [0] * size_a + [1] * size_b, out / "labels.csv")
+        save_labels(ids, [0] * size_a + [1] * size_b, out / "labels.csv")
     run.stages["write"] -= run.stages["grow"]
     print(
         f"wrote {len(ids)} trees ({size_a}+{size_b}, preset {args.preset}, "
@@ -312,8 +313,7 @@ def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
 
 def _labelled_gram(args: argparse.Namespace, run: Run) -> tuple[Path, GramMatrix, list[int], list[int]]:
     """Name the output, load the Gram matrix in stage ``load`` and split its trees by label 0 and 1."""
-    from .generate import load_labels
-    from .gram import load_gram
+    from .gram import load_gram, load_labels
 
     out = run.output(args.out)
     run.input_files = [args.gram, args.labels]

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .trees import GeometricTree, canonical_pair
+from .trees import GeometricTree, canonical_order
 
 __all__ = ["FeatureMap", "NodeSet", "PairLoop", "feature_gram", "nodeset_gram"]
 
@@ -90,8 +90,9 @@ def nodeset_gram(sets: Sequence[tuple], block: int, order: Sequence[int]) -> np.
     sums exp(-||z_u - z_v||^2) <w_u, w_v> (w zero-padded) over same-group
     node pairs.
 
-    ``order`` lists every index of ``sets`` once. A pair is summed once,
-    the earlier tree in ``order`` as rows, over each row's nodes, then the
+    ``order`` lists every index of ``sets`` once; the routes pass
+    :func:`~treekern.trees.canonical_order`. A pair is summed once, the
+    earlier tree in ``order`` as rows, over each row's nodes, then the
     rows, then the groups, in blocks of about ``block`` floats, into the
     entry whose row is the earlier tree; square tiles then copy it to the
     other entry. The result is exactly symmetric, and an entry depends on
@@ -167,27 +168,23 @@ class FeatureMap(_Route):
 @dataclass(frozen=True)
 class NodeSet(_Route):
     """A gaussian kernel given by each tree's (z, g, w) for
-    :func:`nodeset_gram`. Trees go in id order, as
-    :func:`~treekern.trees.canonical_pair` orders a pair; repeated ids are
-    ordered by (id, fingerprint)."""
+    :func:`nodeset_gram`, the trees in :func:`~treekern.trees.canonical_order`."""
 
     def gram(self, trees: Sequence[GeometricTree], inputs: Sequence[tuple]) -> np.ndarray:
-        ids = [tree.id for tree in trees]
-        key = ids.__getitem__ if len(set(ids)) == len(ids) else (lambda k: (ids[k], trees[k].fingerprint))
-        return nodeset_gram(inputs, _NODE_BLOCK_FLOATS, sorted(range(len(trees)), key=key))
+        return nodeset_gram(inputs, _NODE_BLOCK_FLOATS, canonical_order(trees))
 
 
 @dataclass(frozen=True)
 class PairLoop(_Route):
     """A kernel evaluated one tree pair at a time, over the upper triangle in
     row order: ``pair(x1, x2)`` on the two trees' inputs in
-    :func:`~treekern.trees.canonical_pair` order, so K(T1, T2) == K(T2, T1)."""
+    :func:`~treekern.trees.canonical_order`, so K(T1, T2) == K(T2, T1)."""
 
     pair: Callable[[object, object], float]
 
     def entry(self, trees: Sequence[GeometricTree], inputs: Sequence) -> float:
-        first, last = (0, -1) if canonical_pair(trees[0], trees[-1])[0] is trees[0] else (-1, 0)
-        return float(self.pair(inputs[first], inputs[last]))
+        ends = (inputs[0], inputs[-1])
+        return float(self.pair(*(ends[k] for k in canonical_order((trees[0], trees[-1])))))
 
     def gram(self, trees: Sequence[GeometricTree], inputs: Sequence) -> np.ndarray:
         out = np.empty((len(trees), len(trees)))

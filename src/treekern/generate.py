@@ -11,10 +11,9 @@ All randomness comes from a counter-based generator keyed by
 (config seed, tree offset), so datasets are reproducible byte for byte. No
 tree's draws depend on another tree's, so trees may be grown in any order and
 in any process: ``treekern gen`` grows chunks of offsets in forked workers and
-writes the same bytes as :func:`generate_two_class_population`.
-
-The tree model is imported by the functions that build trees, so reading a
-label file loads only this module.
+writes the same bytes as :func:`generate_two_class_population`. The label
+file that ``treekern gen`` writes beside the trees has its format in
+:mod:`treekern.gram`, with the Gram CSV's.
 """
 
 from __future__ import annotations
@@ -23,13 +22,10 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .trees import GeometricTree
+from .trees import GeometricTree
 
 __all__ = [
     "GeneratorConfig",
@@ -37,8 +33,6 @@ __all__ = [
     "generate_two_class_population",
     "balanced_binary_tree",
     "preset_configs",
-    "save_labels",
-    "load_labels",
     "PRESET_NAMES",
 ]
 
@@ -111,8 +105,6 @@ def _tilted(rng: np.random.Generator, direction: tuple, max_angle: float) -> tup
 
 def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0, tree_id: str | None = None) -> GeometricTree:
     """Grow one tree, fully determined by (cfg.seed, seed_offset)."""
-    from .trees import GeometricTree
-
     if seed_offset < 0:
         raise ValueError("seed_offset must be non-negative")
     rng = _rng(cfg.seed, seed_offset)
@@ -169,8 +161,6 @@ def generate_two_class_population(
 def balanced_binary_tree(n_nodes: int, n: int = 3, d: int = 1, seed: int = 0) -> GeometricTree:
     """Complete binary tree with exactly ``n_nodes`` nodes (heap layout) and
     seeded random geometry; used by the scaling benchmark."""
-    from .trees import GeometricTree
-
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     rng = _rng(seed, n_nodes)
@@ -226,49 +216,3 @@ def preset_configs(name: str, seed: int) -> tuple[GeneratorConfig, GeneratorConf
         )
         return shape, cfg_b
     raise ValueError(f"unknown preset '{name}'")
-
-
-# -- labels CSV ---------------------------------------------------------------------
-
-
-def save_labels(ids: list[str], labels, path: str | Path) -> None:
-    """Write a ``tree_id,label`` CSV that :func:`load_labels` reads back.
-    Ids and labels it could not read back are refused before anything is
-    written: an empty list, an id :func:`~treekern.gram.check_writable_ids`
-    refuses, a repeated id, or a label other than 0 or 1."""
-    from .gram import check_writable_ids
-
-    labels = list(labels)
-    if len(ids) != len(labels):
-        raise ValueError("ids and labels differ in length")
-    if not ids:
-        raise ValueError("no labels")
-    check_writable_ids(ids)
-    seen: set[str] = set()
-    for tree_id, label in zip(ids, labels):
-        if tree_id in seen:
-            raise ValueError(f"duplicate tree id '{tree_id}'")
-        if label not in (0, 1):
-            raise ValueError(f"label for '{tree_id}' must be 0 or 1, got {label!r}")
-        seen.add(tree_id)
-    lines = ["tree_id,label"] + [f"{i},{int(l)}" for i, l in zip(ids, labels)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_labels(path: str | Path) -> dict[str, int]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "tree_id,label":
-        raise ValueError(f"{path}: expected header 'tree_id,label'")
-    out: dict[str, int] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        tree_id, _, label = line.partition(",")
-        if label not in ("0", "1"):
-            raise ValueError(f"{path}: label for '{tree_id}' must be 0 or 1, got {label!r}")
-        if tree_id in out:
-            raise ValueError(f"{path}: duplicate tree id '{tree_id}'")
-        out[tree_id] = int(label)
-    if not out:
-        raise ValueError(f"{path}: no labels")
-    return out

@@ -1,4 +1,5 @@
-"""Gram matrix assembly, normalization, PSD checking, and CSV round-trip."""
+"""Gram matrix assembly, normalization and PSD checking, and the Gram and
+labels CSV files, whose tree ids obey one rule: :func:`check_writable_ids`."""
 
 from __future__ import annotations
 
@@ -22,9 +23,14 @@ __all__ = [
     "save_gram",
     "load_gram",
     "sidecar_path",
+    "save_labels",
+    "load_labels",
 ]
 
 _SYMMETRY_TOL = 1e-12
+# Past this share of distinct values in a strip of Gram cells, formatting or
+# parsing every cell costs less than a table of the distinct ones.
+_DISTINCT_SHARE = 0.75
 
 
 def _row_strips(size: int) -> list[slice]:
@@ -157,7 +163,7 @@ def psd_check(gram: GramMatrix, tol: float = 1e-8) -> PsdReport:
     return PsdReport(min_eig, max_eig, bool(min_eig >= -tol * max(abs(max_eig), 1.0)))
 
 
-# -- CSV round-trip --------------------------------------------------------------
+# -- CSV files ---------------------------------------------------------------------
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -180,7 +186,7 @@ def save_gram(gram: GramMatrix, path: str | Path) -> None:
     each cell is ``%.17g``, which reads back exactly. Rows go out in the
     strips of :func:`_row_strips`, and each distinct value of a strip, told
     apart by its bits so that -0.0 and 0.0 stay apart, is formatted once;
-    a strip of more than 75% distinct values is formatted row by row.
+    a strip of more than ``_DISTINCT_SHARE`` distinct values, row by row.
     """
     from . import __version__
 
@@ -191,7 +197,7 @@ def save_gram(gram: GramMatrix, path: str | Path) -> None:
         for rows in _row_strips(gram.size):
             strip = gram.values[rows]
             bits, inverse = np.unique(strip.view(np.int64).ravel(), return_inverse=True)
-            if len(bits) > 0.75 * strip.size:  # about where formatting every cell gets cheaper
+            if len(bits) > _DISTINCT_SHARE * strip.size:
                 lines = [",%.17g" * gram.size % tuple(row) for row in strip.tolist()]
             else:
                 formatted = "%.17g," * len(bits) % tuple(bits.view(float).tolist())
@@ -222,10 +228,11 @@ def load_gram(path: str | Path) -> GramMatrix:
     in the strips of :func:`_row_strips` that :func:`save_gram` writes. A
     cell is whatever Python's ``float()`` accepts; non-finite values are
     then rejected with the rest of the :class:`GramMatrix` checks. When at
-    most 75% of the cells of a strip's first row are distinct texts, the
-    strip's rows go through one text -> float table, so each distinct text
-    is converted once per strip; otherwise, and after a row of more than
-    75% new texts, each row's cells are parsed in one numpy conversion.
+    most ``_DISTINCT_SHARE`` of the cells of a strip's first row are
+    distinct texts, the strip's rows go through one text -> float table, so
+    each distinct text is converted once per strip; otherwise, and after a
+    row of more than that share of new texts, each row's cells are parsed
+    in one numpy conversion.
     """
     path = Path(path)
     with path.open(encoding="utf-8") as src:
@@ -247,15 +254,15 @@ def load_gram(path: str | Path) -> GramMatrix:
             if row == len(ids) or cells[0] != ids[row]:
                 raise ValueError(f"{path}: row ids do not match column ids")
             texts = cells[1:]
-            if row in strip_starts:  # the writer's threshold: a table pays off up to 75% distinct cells
-                table = _Parsed() if len(set(texts)) <= 0.75 * len(texts) else None
+            if row in strip_starts:
+                table = _Parsed() if len(set(texts)) <= _DISTINCT_SHARE * len(texts) else None
             try:
                 if table is None:
                     values[row] = texts
                 else:
                     known = len(table)
                     values[row] = np.fromiter(map(table.__getitem__, texts), float, len(texts))
-                    if len(table) - known > 0.75 * len(texts):  # a row of mostly new texts: stop the table
+                    if len(table) - known > _DISTINCT_SHARE * len(texts):  # mostly new texts: stop the table
                         table = None
             except ValueError as err:
                 raise ValueError(f"{path}: row '{cells[0]}': {err}") from err
@@ -275,3 +282,44 @@ def load_gram(path: str | Path) -> GramMatrix:
         kernel_spec=kernel_spec,
         normalized=normalized,
     )
+
+
+def save_labels(ids: list[str], labels, path: str | Path) -> None:
+    """Write a ``tree_id,label`` CSV that :func:`load_labels` reads back.
+    Ids and labels it could not read back are refused before anything is
+    written: an empty list, an id :func:`check_writable_ids` refuses, a
+    repeated id, or a label other than 0 or 1."""
+    labels = list(labels)
+    if len(ids) != len(labels):
+        raise ValueError("ids and labels differ in length")
+    if not ids:
+        raise ValueError("no labels")
+    check_writable_ids(ids)
+    seen: set[str] = set()
+    for tree_id, label in zip(ids, labels):
+        if tree_id in seen:
+            raise ValueError(f"duplicate tree id '{tree_id}'")
+        if label not in (0, 1):
+            raise ValueError(f"label for '{tree_id}' must be 0 or 1, got {label!r}")
+        seen.add(tree_id)
+    lines = ["tree_id,label"] + [f"{i},{int(l)}" for i, l in zip(ids, labels)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def load_labels(path: str | Path) -> dict[str, int]:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != "tree_id,label":
+        raise ValueError(f"{path}: expected header 'tree_id,label'")
+    out: dict[str, int] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        tree_id, _, label = line.partition(",")
+        if label not in ("0", "1"):
+            raise ValueError(f"{path}: label for '{tree_id}' must be 0 or 1, got {label!r}")
+        if tree_id in out:
+            raise ValueError(f"{path}: duplicate tree id '{tree_id}'")
+        out[tree_id] = int(label)
+    if not out:
+        raise ValueError(f"{path}: no labels")
+    return out

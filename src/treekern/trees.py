@@ -16,13 +16,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "NodePath",
     "GeometricTree",
+    "canonical_order",
     "canonical_pair",
     "parse_tree",
     "serialize_tree",
@@ -299,17 +300,20 @@ class GeometricTree:
         return f"GeometricTree(id={self.id!r}, size={self.size}, n={self.n}, d={self.d})"
 
 
+def canonical_order(trees: Sequence[GeometricTree]) -> list[int]:
+    """Indices of ``trees`` by id, then by fingerprint among distinct trees
+    that share an id (no other tree computes one). Every route sums a pair
+    with its earlier tree as the rows, so swapping two trees cannot change
+    the evaluation order and K(T1, T2) == K(T2, T1) holds exactly."""
+    shared = Counter(tree.id for tree in {id(tree): tree for tree in trees}.values())
+    keys = [(tree.id, tree.fingerprint if shared[tree.id] > 1 else "") for tree in trees]
+    return sorted(range(len(trees)), key=keys.__getitem__)
+
+
 def canonical_pair(t1: GeometricTree, t2: GeometricTree) -> tuple[GeometricTree, GeometricTree]:
-    """Order a tree pair deterministically by id, then (for equal ids only)
-    by content fingerprint. Every pairwise kernel routes its operands through
-    this, so swapping the arguments cannot change the floating-point
-    evaluation order and K(T1, T2) == K(T2, T1) holds exactly.
-    """
-    if t1.id != t2.id:
-        return (t2, t1) if t2.id < t1.id else (t1, t2)
-    if t2 is not t1 and t2.fingerprint < t1.fingerprint:
-        return t2, t1
-    return t1, t2
+    """The two trees in :func:`canonical_order`."""
+    first, second = canonical_order((t1, t2))
+    return (t1, t2)[first], (t1, t2)[second]
 
 
 # -- JSON format ------------------------------------------------------------------

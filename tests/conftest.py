@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from treekern import GeometricTree
+from treekern import GeometricTree, KERNEL_NAMES, build_kernel
 
 # Fixed example draws and no example database: a run's verdict depends on
 # neither a random seed nor a local .hypothesis/ directory. Another profile
@@ -49,6 +49,14 @@ def random_tree(rng, max_nodes: int, n: int = 3, d: int = 0, tree_id: str = "r")
     return GeometricTree(tree_id, parents, xs, attrs if d > 0 else None, n=n, d=d)
 
 
+def recursive_tree(size: int, seed: int, tree_id: str) -> GeometricTree:
+    """Random recursive tree of exactly ``size`` nodes: node k attaches to a
+    uniformly chosen earlier node; standard normal positions and attributes."""
+    rng = np.random.default_rng(seed)
+    parents = [-1] + [int(rng.integers(0, k)) for k in range(1, size)]
+    return GeometricTree(tree_id, parents, rng.standard_normal((size, 3)), rng.standard_normal((size, 1)))
+
+
 @st.composite
 def shaped_trees(draw, tree_id: str, d: int):
     """Single nodes, chains, stars and random recursive trees of up to 7
@@ -79,6 +87,19 @@ def distance_histogram(tree) -> dict[int, int]:
         for dist in lengths.values():
             out[dist] = out.get(dist, 0) + 1
     return out
+
+
+def kernel_cases():
+    """(name, params) for every catalogued kernel and form, with attributes
+    where the kernel takes them."""
+    for name in KERNEL_NAMES:
+        params = build_kernel(name).params
+        forms = [None] if "form" not in params or name == "rootpath-node-linear-fast" else ["linear", "gaussian"]
+        for form in forms:
+            case = {} if form is None else {"form": form}
+            if "use_attributes" in params:
+                case["use_attributes"] = True
+            yield name, case
 
 
 @pytest.fixture

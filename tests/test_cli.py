@@ -154,18 +154,24 @@ def test_commands_import_only_what_they_run(tmp_path):
     gram = tmp_path / "g.csv"
     assert run(["kernel", data, "--kernel", "gbc", "--out", gram]) == 0
     labels = data / "labels.csv"
+    kernel_modules = {"treekern.path_kernels", "treekern.registry", "numpy.ma"}
+    # command: (argv, modules it must not load)
     commands = {
-        "gen": ["gen", "--out", tmp_path / "again", "--size", 8],
-        "test": ["test", gram, labels, "--permutations", 20, "--out", tmp_path / "t.json"],
-        "classify": ["classify", gram, labels, "--out", tmp_path / "c.json"],
+        "gen": (["gen", "--out", tmp_path / "again", "--size", 8], kernel_modules),
+        "kernel": (["kernel", data, "--kernel", "gbc", "--out", tmp_path / "again.csv"],
+                   {"treekern.generate", "treekern.twosample"}),
+        "test": (["test", gram, labels, "--permutations", 20, "--out", tmp_path / "t.json"],
+                 kernel_modules | {"treekern.generate", "treekern.trees"}),
+        "classify": (["classify", gram, labels, "--out", tmp_path / "c.json"],
+                     kernel_modules | {"treekern.generate", "treekern.trees"}),
     }
     code = "import json, sys; from treekern.cli import main; main(sys.argv[1:]); print(json.dumps(sorted(sys.modules)))"
-    for name, argv in commands.items():
+    for name, (argv, unused) in commands.items():
         done = run_python(["-c", code, *argv])
         assert done.returncode == 0, done.stderr
         loaded = set(json.loads(done.stdout.splitlines()[-1]))
-        assert loaded & {"treekern.path_kernels", "treekern.registry", "numpy.ma"} == set(), name
-        assert ("treekern.trees" in loaded) == (name == "gen"), name
+        assert loaded & unused == set(), name
+        assert ("treekern.trees" in loaded) == (name in ("gen", "kernel")), name
 
 
 def test_help_quotes_the_kernel_catalog_and_the_presets(monkeypatch, capsys):

@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from treekern import GeometricTree, KERNEL_NAMES, build_kernel
+from treekern import build_kernel
 
-from conftest import chain_tree, star_tree
+from conftest import chain_tree, kernel_cases, recursive_tree, star_tree
 
 SIZE = 600
 # rootpath-node-naive compares every pair of root paths, |V|^2 of them, by
@@ -21,30 +21,11 @@ SIZE = 600
 NAIVE_SIZE = 200
 
 
-def recursive_tree(size: int, seed: int, tree_id: str) -> GeometricTree:
-    """Random recursive tree of exactly ``size`` nodes: node k attaches to a
-    uniformly chosen earlier node; standard normal positions and attributes."""
-    rng = np.random.default_rng(seed)
-    parents = [-1] + [int(rng.integers(0, k)) for k in range(1, size)]
-    return GeometricTree(tree_id, parents, rng.standard_normal((size, 3)), rng.standard_normal((size, 1)))
-
-
 SHAPES = {
     "chain": lambda size: (chain_tree(size, 3, 1, "a"), chain_tree(size, 3, 1, "b", step=0.5)),
     "star": lambda size: (star_tree(size - 1, 3, 1, "a"), star_tree(size - 1, 3, 1, "b")),
     "random": lambda size: (recursive_tree(size, 1, "a"), recursive_tree(size, 2, "b")),
 }
-
-
-def kernel_cases():
-    for name in KERNEL_NAMES:
-        params = build_kernel(name).params
-        forms = [None] if "form" not in params or name == "rootpath-node-linear-fast" else ["linear", "gaussian"]
-        for form in forms:
-            case = {} if form is None else {"form": form}
-            if "use_attributes" in params:
-                case["use_attributes"] = True
-            yield name, case
 
 
 # (name, form, shape) -> (seconds, traced MB) where a case needs more than

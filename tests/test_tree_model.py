@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from treekern import (
     GeometricTree,
     generate,
+    canonical_order,
     canonical_pair,
     load_dataset,
     parse_tree,
@@ -322,7 +323,7 @@ def test_sphere_table_matches_networkx_distances(rng):
         assert np.array_equal(table.sum(axis=0), expected)
 
 
-def test_canonical_pair_is_order_free():
+def test_canonical_pair_is_order_free(monkeypatch):
     t1 = chain_tree(3, tree_id="a")
     t2 = chain_tree(4, tree_id="b")
     assert canonical_pair(t1, t2) == (t1, t2)
@@ -332,6 +333,16 @@ def test_canonical_pair_is_order_free():
     # keeps the given instances
     first, second = canonical_pair(t1, same)
     assert {first, second} == {t1, same}
+    # a cohort: only distinct trees that share an id read their fingerprints,
+    # and a tree given twice keeps its given order
+    read = []
+    fingerprint = GeometricTree.fingerprint.func
+    monkeypatch.setattr(GeometricTree, "fingerprint", property(lambda t: read.append(t) or fingerprint(t)))
+    other = chain_tree(5, tree_id="a")
+    trees = [t2, other, t2, t1]
+    low, high = sorted((1, 3), key=lambda k: fingerprint(trees[k]))
+    assert canonical_order(trees) == [low, high, 0, 2]
+    assert sorted(map(id, read)) == sorted(map(id, (t1, other)))
 
 
 def test_serialize_parse_round_trip(rng):
