@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 # module -> the names it exports here, in the order of __all__
 _EXPORTS = {
-    "trees": ("GeometricTree", "NodePath", "canonical_order", "canonical_pair", "parse_tree",
-              "serialize_tree", "load_dataset", "save_dataset"),
+    "trees": ("GeometricTree", "NodePath", "canonical_order", "parse_tree", "serialize_tree", "load_dataset",
+              "save_dataset"),
     "path_kernels": ("NodeKernelSpec", "PathKernelSpec", "sample_embedded_path", "landmark_path_kernel",
                      "node_kernel", "node_path_kernel", "all_pairs_kernel", "rootpath_kernel_naive",
                      "rootpath_kernel_decomposed", "rootpath_kernel_linear_fast"),

@@ -56,11 +56,10 @@ def _row_route(row, form: str, width: int) -> FeatureMap | NodeSet:
 
 
 def _attribute_column(tree: GeometricTree, component: int) -> np.ndarray:
-    if tree.d == 0:
-        raise ValueError(f"tree '{tree.id}' has no attributes (d = 0)")
+    attributes = tree.attribute_rows("an attribute-average kernel")
     if not (0 <= component < tree.d):
         raise ValueError(f"attribute component {component} out of range for d = {tree.d}")
-    return tree.attributes[:, component]
+    return attributes[:, component]
 
 
 def attribute_mean_map(*, component: int, form: str) -> FeatureMap | NodeSet:

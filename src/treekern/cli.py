@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -127,7 +128,7 @@ class Run:
 
 def _gen_workers() -> int:
     """Worker processes that grow trees: one per CPU this process may run on,
-    or none where ``fork`` is unavailable and the chunks run in-process."""
+    or none where ``fork`` is unavailable and the trees grow in-process."""
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -138,40 +139,33 @@ def _gen_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _grow_chunk(task) -> list[tuple[str, int, bytes]]:
-    """(id, node count, serialized bytes) of each tree of one chunk."""
+def _grow_one(step) -> tuple[str, int, bytes]:
+    """(id, node count, serialized bytes) of the tree of one plan step."""
     from .generate import generate_tree
     from .trees import serialize_tree
 
-    cfg, offsets = task
-    return [(tree.id, tree.size, serialize_tree(tree)) for tree in (generate_tree(cfg, k) for k in offsets)]
+    cfg, offset, _ = step
+    tree = generate_tree(cfg, offset)
+    return tree.id, tree.size, serialize_tree(tree)
 
 
-def _grow(cfg_a, cfg_b, size_a: int, size_b: int, workers: int):
-    """The trees of ``generate_two_class_population(cfg_a, cfg_b, size_a,
-    size_b)`` as :func:`_grow_chunk` tuples, in offset order.
+def _grow(plan: list, workers: int):
+    """:func:`_grow_one` of each step of a :func:`~treekern.generate.two_class_plan`, in plan order.
 
-    Each class's offsets are cut into two contiguous chunks per worker, so
-    the larger trees of one class spread over every worker. A tree's draws
-    depend only on (seed, offset), so the bytes are the same whichever
-    process grows it. Workers are forked: they inherit the loaded modules
-    instead of importing them again.
+    The plan is cut into about four chunks per worker, so the larger trees
+    of one class spread over every worker. A tree's draws depend only on
+    (seed, offset), so the bytes are the same whichever process grows it.
+    Workers are forked: they inherit the loaded modules instead of
+    importing them again.
     """
-    parts = 2 * max(workers, 1)
-    tasks = []
-    for cfg, start, count in ((cfg_a, 0, size_a), (cfg_b, size_a, size_b)):
-        cuts = [start + count * k // parts for k in range(parts + 1)]
-        tasks += [(cfg, range(lo, hi)) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     if not workers:
-        for task in tasks:
-            yield from _grow_chunk(task)
+        yield from map(_grow_one, plan)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        for chunk in pool.map(_grow_chunk, tasks):
-            yield from chunk
+        yield from pool.map(_grow_one, plan, chunksize=math.ceil(len(plan) / (4 * workers)))
 
 
 def cmd_gen(args: argparse.Namespace, run: Run) -> None:
@@ -194,8 +188,8 @@ def cmd_gen(args: argparse.Namespace, run: Run) -> None:
             cfg_b = replace(cfg_b, **overrides)
         except (TypeError, ValueError) as exc:  # an unknown field, or a bad value
             raise ValueError(f"{args.config}: {exc}") from exc
-    size_a = (args.size + 1) // 2
-    size_b = args.size - size_a
+    size_a, size_b = (args.size + 1) // 2, args.size // 2
+    plan = generate.two_class_plan(cfg_a, cfg_b, size_a, size_b)
     out = run.output(args.out, directory=True)
     workers = run.fields["workers"] = _gen_workers()
     ids, sizes = [], []
@@ -211,9 +205,9 @@ def cmd_gen(args: argparse.Namespace, run: Run) -> None:
             sizes.append(tree[1])
             yield tree[2]
 
-    with run.stage("write"), contextlib.closing(_grow(cfg_a, cfg_b, size_a, size_b, workers)) as grown:
+    with run.stage("write"), contextlib.closing(_grow(plan, workers)) as grown:
         save_serialized(blobs(grown), out / "trees.json")
-        save_labels(ids, [0] * size_a + [1] * size_b, out / "labels.csv")
+        save_labels(ids, [label for *_, label in plan], out / "labels.csv")
     run.stages["write"] -= run.stages["grow"]
     print(
         f"wrote {len(ids)} trees ({size_a}+{size_b}, preset {args.preset}, "

@@ -176,9 +176,10 @@ class NodeSet(_Route):
 
 @dataclass(frozen=True)
 class PairLoop(_Route):
-    """A kernel evaluated one tree pair at a time, over the upper triangle in
-    row order: ``pair(x1, x2)`` on the two trees' inputs in
-    :func:`~treekern.trees.canonical_order`, so K(T1, T2) == K(T2, T1)."""
+    """A kernel evaluated one tree pair at a time: ``pair(x1, x2)`` on the two
+    trees' inputs in :func:`~treekern.trees.canonical_order`, so
+    K(T1, T2) == K(T2, T1). ``gram`` walks the pairs of that order once, each
+    tree paired with itself and every later tree."""
 
     pair: Callable[[object, object], float]
 
@@ -188,6 +189,6 @@ class PairLoop(_Route):
 
     def gram(self, trees: Sequence[GeometricTree], inputs: Sequence) -> np.ndarray:
         out = np.empty((len(trees), len(trees)))
-        for i, j in itertools.combinations_with_replacement(range(len(trees)), 2):
-            out[i, j] = out[j, i] = self.entry((trees[i], trees[j]), (inputs[i], inputs[j]))
+        for i, j in itertools.combinations_with_replacement(canonical_order(trees), 2):
+            out[i, j] = out[j, i] = self.pair(inputs[i], inputs[j])
         return out

@@ -10,10 +10,11 @@ follow a linear-in-depth model with gaussian noise.
 All randomness comes from a counter-based generator keyed by
 (config seed, tree offset), so datasets are reproducible byte for byte. No
 tree's draws depend on another tree's, so trees may be grown in any order and
-in any process: ``treekern gen`` grows chunks of offsets in forked workers and
-writes the same bytes as :func:`generate_two_class_population`. The label
-file that ``treekern gen`` writes beside the trees has its format in
-:mod:`treekern.gram`, with the Gram CSV's.
+in any process: ``treekern gen`` grows the steps of :func:`two_class_plan` in
+forked workers and writes the same bytes as
+:func:`generate_two_class_population`. The label file that ``treekern gen``
+writes beside the trees has its format in :mod:`treekern.gram`, with the
+Gram CSV's.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .trees import GeometricTree
 __all__ = [
     "GeneratorConfig",
     "generate_tree",
+    "two_class_plan",
     "generate_two_class_population",
     "balanced_binary_tree",
     "preset_configs",
@@ -133,29 +135,25 @@ def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0, tree_id: str | Non
     return GeometricTree(tree_id, parents, positions, attrs if cfg.d > 0 else None, n=cfg.n, d=cfg.d)
 
 
-def generate_two_class_population(
-    cfg_a: GeneratorConfig,
-    cfg_b: GeneratorConfig,
-    size_a: int,
-    size_b: int,
-) -> tuple[list[GeometricTree], np.ndarray]:
-    """Generate ``size_a`` trees from ``cfg_a`` (label 0) followed by
-    ``size_b`` trees from ``cfg_b`` (label 1).
-
-    Class B trees use seed offsets after class A's, so identical configs
-    yield two disjoint samples from one distribution (the null fixture).
-    """
+def two_class_plan(cfg_a: GeneratorConfig, cfg_b: GeneratorConfig, size_a: int, size_b: int) -> list[tuple]:
+    """(config, seed offset, label) of each tree of a two-class population,
+    in file order: ``size_a`` trees from ``cfg_a`` (label 0), then ``size_b``
+    trees from ``cfg_b`` (label 1). Class B trees use seed offsets after
+    class A's, so identical configs yield two disjoint samples from one
+    distribution (the null fixture)."""
     if size_a < 1 or size_b < 1:
         raise ValueError("both class sizes must be >= 1")
     if (cfg_a.n, cfg_a.d) != (cfg_b.n, cfg_b.d):
         raise ValueError("class configs must share n and d")
-    trees = []
-    for offset in range(size_a):
-        trees.append(generate_tree(cfg_a, offset))
-    for offset in range(size_a, size_a + size_b):
-        trees.append(generate_tree(cfg_b, offset))
-    labels = np.array([0] * size_a + [1] * size_b, dtype=int)
-    return trees, labels
+    return [(cfg_a, k, 0) for k in range(size_a)] + [(cfg_b, k, 1) for k in range(size_a, size_a + size_b)]
+
+
+def generate_two_class_population(
+    cfg_a: GeneratorConfig, cfg_b: GeneratorConfig, size_a: int, size_b: int
+) -> tuple[list[GeometricTree], np.ndarray]:
+    """The trees of :func:`two_class_plan` and their labels."""
+    plan = two_class_plan(cfg_a, cfg_b, size_a, size_b)
+    return [generate_tree(cfg, offset) for cfg, offset, _ in plan], np.array([label for *_, label in plan])
 
 
 def balanced_binary_tree(n_nodes: int, n: int = 3, d: int = 1, seed: int = 0) -> GeometricTree:

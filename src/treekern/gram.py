@@ -1,5 +1,6 @@
 """Gram matrix assembly, normalization and PSD checking, and the Gram and
-labels CSV files, whose tree ids obey one rule: :func:`check_writable_ids`."""
+labels CSV files, whose tree ids obey two rules: :func:`check_writable_ids`
+and :func:`check_distinct_ids`."""
 
 from __future__ import annotations
 
@@ -53,7 +54,8 @@ def _max_asymmetry(values: np.ndarray) -> float:
 
 @dataclass
 class GramMatrix:
-    """Square kernel matrix with the tree ids it was assembled over."""
+    """Square, finite, symmetric kernel matrix with the distinct tree ids it
+    was assembled over."""
 
     ids: list[str]
     values: np.ndarray
@@ -66,8 +68,7 @@ class GramMatrix:
             raise ValueError("Gram matrix must be square")
         if len(self.ids) != self.values.shape[0]:
             raise ValueError("id count does not match matrix size")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("duplicate tree ids in Gram matrix")
+        check_distinct_ids(self.ids)
         # min and max propagate NaN and carry +-inf, so no N x N mask is built unless one is there
         if self.values.size and not (-np.inf < self.values.min() and self.values.max() < np.inf):
             i, j = np.argwhere(~np.isfinite(self.values))[0]
@@ -95,7 +96,8 @@ def assemble(
     kernel: PairwiseKernel,
     threads: int | None = None,
 ) -> GramMatrix:
-    """Evaluate a kernel over every tree pair.
+    """Evaluate a kernel over every tree pair of trees with distinct ids
+    (:func:`check_distinct_ids`).
 
     The kernel's cohort route (a feature map, a node set, a pair loop or
     label refinement's own) checks the cohort rule and builds one input per
@@ -107,8 +109,7 @@ def assemble(
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
     ids = [t.id for t in trees]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate tree ids in dataset")
+    check_distinct_ids(ids)
     kernel.prepare(trees)
     route = kernel.cohort
     values = route.gram(trees, route.inputs(trees))
@@ -178,6 +179,17 @@ def check_writable_ids(ids: Sequence[str]) -> None:
             raise ValueError(f"tree id {tree_id!r} cannot be written to CSV")
 
 
+def check_distinct_ids(ids: Sequence[str], source: object = None) -> None:
+    """Refuse a repeated tree id, naming the first one seen twice, and the
+    ``source`` of the ids when one is given."""
+    seen: set[str] = set()
+    for tree_id in ids:
+        if tree_id in seen:
+            where = f"{source}: " if source else ""
+            raise ValueError(f"{where}duplicate tree id '{tree_id}'")
+        seen.add(tree_id)
+
+
 def save_gram(gram: GramMatrix, path: str | Path) -> None:
     """Write the matrix as CSV plus a sidecar JSON recording the kernel spec,
     normalization flag, and version.
@@ -240,6 +252,7 @@ def load_gram(path: str | Path) -> GramMatrix:
         if not header.startswith("id,"):
             raise ValueError(f"{path}: not a Gram CSV (missing 'id,' header)")
         ids = header.split(",")[1:]
+        check_distinct_ids(ids, path)
         values = np.empty((len(ids), len(ids)))
         strip_starts = {rows.start for rows in _row_strips(len(ids))}
         table = None
@@ -295,13 +308,10 @@ def save_labels(ids: list[str], labels, path: str | Path) -> None:
     if not ids:
         raise ValueError("no labels")
     check_writable_ids(ids)
-    seen: set[str] = set()
+    check_distinct_ids(ids)
     for tree_id, label in zip(ids, labels):
-        if tree_id in seen:
-            raise ValueError(f"duplicate tree id '{tree_id}'")
         if label not in (0, 1):
             raise ValueError(f"label for '{tree_id}' must be 0 or 1, got {label!r}")
-        seen.add(tree_id)
     lines = ["tree_id,label"] + [f"{i},{int(l)}" for i, l in zip(ids, labels)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -310,16 +320,11 @@ def load_labels(path: str | Path) -> dict[str, int]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "tree_id,label":
         raise ValueError(f"{path}: expected header 'tree_id,label'")
-    out: dict[str, int] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        tree_id, _, label = line.partition(",")
+    rows = [line.partition(",") for line in lines[1:] if line]
+    for tree_id, _, label in rows:
         if label not in ("0", "1"):
             raise ValueError(f"{path}: label for '{tree_id}' must be 0 or 1, got {label!r}")
-        if tree_id in out:
-            raise ValueError(f"{path}: duplicate tree id '{tree_id}'")
-        out[tree_id] = int(label)
-    if not out:
+    check_distinct_ids([tree_id for tree_id, _, _ in rows], path)
+    if not rows:
         raise ValueError(f"{path}: no labels")
-    return out
+    return {tree_id: int(label) for tree_id, _, label in rows}

@@ -130,12 +130,6 @@ def _embedded_lam(spec: PathKernelSpec, n: int) -> float:
     return spec.lam if spec.lam is not None else 1.0 / (spec.landmarks * n)
 
 
-def _check_attributes(tree: GeometricTree, spec: NodeKernelSpec) -> None:
-    """A node kernel that uses attributes needs a tree with d > 0."""
-    if spec.use_attributes and tree.d == 0:
-        raise ValueError(f"node kernel uses attributes, which needs d > 0, but tree '{tree.id}' has d = 0")
-
-
 # -- embedded landmark paths ---------------------------------------------------
 
 
@@ -235,7 +229,6 @@ def node_path_kernel(p1: NodePath, p2: NodePath, spec: NodeKernelSpec) -> float:
         return 0.0
     t1, t2 = p1.tree, p2.tree
     check_cohort((t1, t2))
-    _check_attributes(t1, spec)
     x1 = p1.positions()
     x2 = p2.positions()
     if spec.form == "linear":
@@ -256,15 +249,11 @@ def _node_points(tree: GeometricTree, spec: NodeKernelSpec) -> np.ndarray:
     distance) (gaussian form) is the node kernel ``spec``: the position,
     with the attributes Kronecker it when used, or both scaled by the
     square roots of their gaussian scales and concatenated."""
-    _check_attributes(tree, spec)
+    a = tree.attribute_rows("a node kernel that uses attributes") if spec.use_attributes else None
     if spec.form == "linear":
-        if not spec.use_attributes:
-            return tree.positions
-        return (tree.attributes[:, :, None] * tree.positions[:, None, :]).reshape(tree.size, -1)
+        return tree.positions if a is None else (a[:, :, None] * tree.positions[:, None, :]).reshape(tree.size, -1)
     z = math.sqrt(_lambda1(spec, tree.n)) * tree.positions
-    if spec.use_attributes:
-        z = np.hstack([z, math.sqrt(_lambda2(spec, tree.d)) * tree.attributes])
-    return z
+    return z if a is None else np.hstack([z, math.sqrt(_lambda2(spec, tree.d)) * a])
 
 
 def node_point_set(spec: NodeKernelSpec, build: Callable) -> NodeSet:

@@ -24,7 +24,6 @@ __all__ = [
     "NodePath",
     "GeometricTree",
     "canonical_order",
-    "canonical_pair",
     "parse_tree",
     "serialize_tree",
     "load_dataset",
@@ -57,9 +56,8 @@ class NodePath:
         return self.tree.positions[list(self.nodes)]
 
     def attributes(self) -> np.ndarray:
-        if self.tree.attributes is None:
-            raise ValueError("tree has no attributes (d = 0)")
-        return self.tree.attributes[list(self.nodes)]
+        """Attributes along the path, shape (len, d); the tree must have d > 0."""
+        return self.tree.attribute_rows("reading a node path's attributes")[list(self.nodes)]
 
 
 class _NodeError(ValueError):
@@ -219,6 +217,13 @@ class GeometricTree:
         """Index arrays per level; levels[l - 1] holds the nodes at level l."""
         return tuple(_read_only(self.nodes_at_level(l)) for l in range(1, self.height + 1))
 
+    def attribute_rows(self, reader: str) -> np.ndarray:
+        """The attribute rows, shape (|V|, d), for ``reader``, which needs
+        d > 0: a tree with d = 0 is refused, naming the tree and ``reader``."""
+        if self.attributes is None:
+            raise ValueError(f"{reader} needs d > 0, but tree '{self.id}' has d = 0")
+        return self.attributes
+
     # -- paths -----------------------------------------------------------------
 
     def node_path(self, vi: int, vj: int) -> NodePath:
@@ -308,12 +313,6 @@ def canonical_order(trees: Sequence[GeometricTree]) -> list[int]:
     shared = Counter(tree.id for tree in {id(tree): tree for tree in trees}.values())
     keys = [(tree.id, tree.fingerprint if shared[tree.id] > 1 else "") for tree in trees]
     return sorted(range(len(trees)), key=keys.__getitem__)
-
-
-def canonical_pair(t1: GeometricTree, t2: GeometricTree) -> tuple[GeometricTree, GeometricTree]:
-    """The two trees in :func:`canonical_order`."""
-    first, second = canonical_order((t1, t2))
-    return (t1, t2)[first], (t1, t2)[second]
 
 
 # -- JSON format ------------------------------------------------------------------
@@ -475,13 +474,10 @@ def load_dataset(path: str | Path) -> list[GeometricTree]:
     objects. Errors are those of ``json.loads``, but a tree error early in a
     file is reported before a syntax error later in it.
     """
-    path = Path(path)
+    from .gram import check_distinct_ids  # here: the tree model alone loads no Gram code
+
     trees = [tree for p in dataset_files(path) for tree in _load_file(p)]
-    seen: set[str] = set()
-    for tree in trees:
-        if tree.id in seen:
-            raise ValueError(f"{path}: duplicate tree id '{tree.id}'")
-        seen.add(tree.id)
+    check_distinct_ids([tree.id for tree in trees], Path(path))
     return trees
 
 

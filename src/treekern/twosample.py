@@ -208,10 +208,12 @@ def permutation_test(
     :func:`mean_distance_statistic` scores them. Row 0 of the first block
     stays the identity, the observed labeling. Memory is the m x m sub-Gram
     plus two 256 x m float blocks and one int32 block, whatever
-    ``n_permutations`` is. The products run on one thread of numpy's bundled
-    OpenBLAS, so the output does not depend on the BLAS thread count; where
-    that library is not found (:func:`scorer_blas_threads` is None) they
-    run unpinned, at whatever count the BLAS picks.
+    ``n_permutations`` is, plus 16 bytes per permutation: the
+    ``n_permutations + 1`` statistics and the quantiles' sorted copy. The
+    products run on one thread of numpy's bundled OpenBLAS, so the output
+    does not depend on the BLAS thread count; where that library is not
+    found (:func:`scorer_blas_threads` is None) they run unpinned, at
+    whatever count the BLAS picks.
     ``threads`` is accepted for compatibility and validated (it must be at
     least 1) but has no effect.
     The returned p-value is (#{T_i >= T_0} + 1) / (n_permutations + 1);

@@ -4,6 +4,8 @@ test, holdout classification, benchmarks, manifests, and exit codes."""
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,6 +20,7 @@ from treekern import (
     generate,
     generate_two_class_population,
     load_gram,
+    path_kernels,
     preset_configs,
     save_dataset,
     save_labels,
@@ -44,6 +47,24 @@ def gen_dataset(tmp_path, preset="null", size=10, seed=0, name="data"):
     out = tmp_path / name
     assert run(["gen", "--out", out, "--preset", preset, "--size", size, "--seed", seed]) == 0
     return out
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    # about 0.3 s: every treekern line of the README's command-line block, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```sh\n(.*?)^```$", section, flags=re.MULTILINE | re.DOTALL)
+    lines = block.replace("\\\n", " ").splitlines()
+    monkeypatch.chdir(tmp_path)
+    printed = {}  # command -> what its last run printed
+    for line in lines:
+        if line.startswith("treekern "):
+            args = shlex.split(line)[1:]
+            assert main(args) == 0, line
+            printed[args[0]] = capsys.readouterr().out
+    expected = "statistic=0.700195 p_value=9.999e-05 (N=10000)"
+    assert f"# {expected}" in lines
+    assert printed["test"] == expected + "\n"
 
 
 def test_gen_writes_dataset_and_manifest(tmp_path, capsys):
@@ -248,7 +269,7 @@ def test_kernel_reads_a_gen_directory_like_its_trees_file(tmp_path):
     assert list(manifest["input_hashes"]) == [str(data / "trees.json")]
 
 
-def test_manifests_record_stage_timings(tmp_path):
+def test_manifests_record_stage_timings(tmp_path, monkeypatch):
     data = gen_dataset(tmp_path, size=6, seed=8)
     gram = tmp_path / "g.csv"
     assert run(["kernel", data, "--kernel", "sp", "--normalize", "--out", gram]) == 0
@@ -265,6 +286,11 @@ def test_manifests_record_stage_timings(tmp_path):
     assert manifest["blas_threads"] == twosample.scorer_blas_threads()
     if sys.platform.startswith("linux"):  # numpy's Linux wheels bundle OpenBLAS
         assert manifest["blas_threads"] == 1
+    # without a bundled OpenBLAS the scorer runs unpinned, and the manifest says so
+    monkeypatch.setattr(twosample, "_openblas_threads", lambda: None)
+    assert twosample.scorer_blas_threads() is None
+    assert run(["test", gram, data / "labels.csv", "--permutations", 50, "--out", result]) == 0
+    assert json.loads((tmp_path / "t.json.manifest.json").read_text())["blas_threads"] is None
 
 
 def test_every_manifest_records_its_own_peak_rss(tmp_path):
@@ -403,7 +429,7 @@ def test_kernel_normalize_flag(tmp_path):
     assert np.max(np.abs(np.diag(gram.values) - 1.0)) <= 1e-12
 
 
-def test_kernel_check_against_naive(tmp_path, capsys):
+def test_kernel_check_against_naive(tmp_path, capsys, monkeypatch):
     data = gen_dataset(tmp_path, size=8, seed=3)
     out = tmp_path / "checked.csv"
     code = run(
@@ -436,6 +462,16 @@ def test_kernel_check_against_naive(tmp_path, capsys):
         ["kernel", data / "trees.json", "--kernel", "sp", "--check-against-naive", "--out", out]
     )
     assert code == 2
+    capsys.readouterr()
+    # a naive route that disagrees is a data error naming the worst pair
+    doubled = path_kernels.node_path_kernel
+    monkeypatch.setattr(path_kernels, "node_path_kernel", lambda p1, p2, spec: 2 * doubled(p1, p2, spec))
+    code = run(["kernel", data / "trees.json", "--kernel", "rootpath-node", "--check-against-naive", "--out", out])
+    assert code == 1
+    assert re.fullmatch(
+        r"error: decomposed kernel disagrees with the naive route: relative deviation 5\.000e-01 at \(t\d{5}, t\d{5}\)\n",
+        capsys.readouterr().err,
+    )
 
 
 def test_kernel_usage_errors(tmp_path):

@@ -18,7 +18,7 @@ from treekern import (
     save_labels,
     serialize_tree,
 )
-from treekern.generate import PRESET_NAMES, _rng
+from treekern.generate import PRESET_NAMES, _rng, two_class_plan
 
 
 def test_generate_tree_is_deterministic():
@@ -120,6 +120,12 @@ def test_config_validation():
         GeneratorConfig(max_depth=0)
     with pytest.raises(ValueError, match="seed"):
         GeneratorConfig(seed=-1)
+    for field, value, message in [("n", 0, "n must be >= 1"), ("d", -1, "d must be >= 0"),
+                                  ("edge_length_decay", 0.0, "edge_length_decay must be positive"),
+                                  ("direction_jitter", -0.1, "direction_jitter must be >= 0"),
+                                  ("attr_noise_sd", -1.0, "attr_noise_sd must be >= 0")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeneratorConfig(**{field: value})
     with pytest.raises(ValueError, match="non-negative"):
         generate_tree(GeneratorConfig(), seed_offset=-1)
     # integer fields take integers and the rest finite numbers, never booleans or strings
@@ -136,6 +142,8 @@ def test_population_layout():
     assert labels.tolist() == [0, 0, 0, 1, 1, 1, 1]
     assert [t.id for t in trees] == [f"t{k:05d}" for k in range(7)]
     assert len({t.fingerprint for t in trees}) == 7  # disjoint offset streams
+    other = replace(cfg, p_branch=0.9)
+    assert two_class_plan(cfg, other, 2, 1) == [(cfg, 0, 0), (cfg, 1, 0), (other, 2, 1)]
     with pytest.raises(ValueError, match="class sizes"):
         generate_two_class_population(cfg, cfg, 0, 4)
     with pytest.raises(ValueError, match="share n and d"):
@@ -215,8 +223,14 @@ def test_labels_round_trip(tmp_path):
     with pytest.raises(ValueError, match="0 or 1"):
         load_labels(bad)
     bad.write_text("tree_id,label\na,0\na,1\n")
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=r"bad\.csv: duplicate tree id 'a'$"):
         load_labels(bad)
+    bad.write_text("tree_id,label\n\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: no labels$"):
+        load_labels(bad)
+    # blank lines are skipped
+    path.write_text("tree_id,label\n\na,1\n\nb,0\n\n")
+    assert load_labels(path) == {"a": 1, "b": 0}
 
 
 @pytest.mark.parametrize(

@@ -54,8 +54,8 @@ def test_gram_matrix_validation():
         GramMatrix(ids=["a"], values=np.zeros((1, 2)))
     with pytest.raises(ValueError, match="id count"):
         GramMatrix(ids=["a"], values=np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="duplicate"):
-        GramMatrix(ids=["a", "a"], values=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^duplicate tree id 'a'$"):
+        GramMatrix(ids=["b", "a", "a"], values=np.zeros((3, 3)))
     with pytest.raises(ValueError, match="symmetric"):
         GramMatrix(ids=["a", "b"], values=np.array([[1.0, 2.0], [3.0, 1.0]]))
     # NaN compares false against the symmetry tolerance, so it needs its own check
@@ -93,7 +93,7 @@ def test_assemble_errors(rng):
     kernel = build_kernel("gbc")
     with pytest.raises(ValueError, match="no trees"):
         assemble([], kernel)
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="^duplicate tree id 't000'$"):
         assemble([trees[0], trees[0]], kernel)
     mixed = trees + [random_tree(rng, 5, n=2, d=1, tree_id="odd")]
     with pytest.raises(ValueError, match=r"dimensions.*tree 'odd' has \(n, d\) = \(2, 1\), tree 't000' \(3, 1\)"):
@@ -312,7 +312,8 @@ def test_load_gram_reads_back_the_bits_save_gram_wrote(tmp_path_factory, size, p
 
 def test_load_gram_reads_distinct_rows_after_a_repetitive_strip_start(tmp_path):
     # row a has 3 distinct texts among 4 cells, so the strip goes through the text table;
-    # the rows after it share almost no text, and 1, 1.0 and 1e0 are one value
+    # the rows after it share almost no text, and 1, 1.0 and 1e0 are one value;
+    # the blank lines between the rows are skipped
     rows = {
         "a": ["1", "1.0", "1e0", "1"],
         "b": ["1e0", "0.5", "-0", " 2.5"],
@@ -320,7 +321,7 @@ def test_load_gram_reads_distinct_rows_after_a_repetitive_strip_start(tmp_path):
         "d": ["1", "2.5", "10", "4"],
     }
     path = tmp_path / "g.csv"
-    path.write_text("id,a,b,c,d\n" + "".join(f"{k},{','.join(v)}\n" for k, v in rows.items()))
+    path.write_text("id,a,b,c,d\n" + "\n".join(f"{k},{','.join(v)}\n" for k, v in rows.items()))
     back = load_gram(path).values
     expected = np.array([[float(text) for text in row] for row in rows.values()])
     assert np.array_equal(back.view(np.int64), expected.view(np.int64))
@@ -372,6 +373,9 @@ def test_load_gram_errors(tmp_path):
         load_gram(bad)
     bad.write_text("id,a,b\na,1.0\nb,0.0,1.0\n")
     with pytest.raises(ValueError, match="expected 2"):
+        load_gram(bad)
+    bad.write_text("id,a,a\na,1.0,0.0\na,0.0,1.0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: duplicate tree id 'a'$"):
         load_gram(bad)
     for text in (
         "id,a,b\nb,1.0,0.0\na,0.0,1.0\n",

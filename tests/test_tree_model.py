@@ -13,7 +13,6 @@ from treekern import (
     GeometricTree,
     generate,
     canonical_order,
-    canonical_pair,
     load_dataset,
     parse_tree,
     save_dataset,
@@ -225,7 +224,7 @@ def test_node_path_through_common_ancestor():
     assert p.positions().shape == (4, 1)
     with pytest.raises(ValueError, match="out of range"):
         t.node_path(0, 99)
-    with pytest.raises(ValueError, match="no attributes"):
+    with pytest.raises(ValueError, match="reading a node path's attributes needs d > 0, but tree 'demo' has d = 0"):
         p.attributes()
 
 
@@ -326,13 +325,12 @@ def test_sphere_table_matches_networkx_distances(rng):
 def test_canonical_pair_is_order_free(monkeypatch):
     t1 = chain_tree(3, tree_id="a")
     t2 = chain_tree(4, tree_id="b")
-    assert canonical_pair(t1, t2) == (t1, t2)
-    assert canonical_pair(t2, t1) == (t1, t2)
+    assert canonical_order((t1, t2)) == [0, 1]
+    assert canonical_order((t2, t1)) == [1, 0]
     same = chain_tree(3, tree_id="a")
     # identical ids fall back to the content fingerprint; identical content
-    # keeps the given instances
-    first, second = canonical_pair(t1, same)
-    assert {first, second} == {t1, same}
+    # keeps the given order
+    assert canonical_order((t1, same)) == canonical_order((same, t1)) == [0, 1]
     # a cohort: only distinct trees that share an id read their fingerprints,
     # and a tree given twice keeps its given order
     read = []
@@ -405,6 +403,9 @@ def test_parse_errors():
         ({"d": 1, "nodes": [{**root, "a": ["1.5"]}]}, r"node 0 attributes have an entry that is not a number"),
         ({"n": "two"}, r"tree 't': 'n' must be an integer, got 'two'"),
         ({"d": False}, r"tree 't': 'd' must be an integer, got False"),
+        ({"nodes": [{"id": 0, "parent": None}]}, r"tree 't': node at position 0 missing field 'x'"),
+        ({"nodes": [{**root, "a": [1.0]}]}, r"tree 't': node 0 carries 'a' but d = 0"),
+        ({"nodes": []}, r"tree 't': 'nodes' must be a non-empty array"),
     ]:
         with pytest.raises(ValueError, match=match):
             parse_tree({**good, **changes})
@@ -431,7 +432,7 @@ def test_dataset_directory_and_duplicates(tmp_path, rng):
 
     dup = tmp_path / "dup.json"
     save_dataset([t1, random_tree(rng, 10, tree_id="x1")], dup)
-    with pytest.raises(ValueError, match="duplicate tree id"):
+    with pytest.raises(ValueError, match=r"dup\.json: duplicate tree id 'x1'$"):
         load_dataset(dup)
 
     broken = tmp_path / "parts"
@@ -449,6 +450,14 @@ def test_dataset_directory_and_duplicates(tmp_path, rng):
     empty.write_text("[]")
     with pytest.raises(ValueError, match="non-empty"):
         load_dataset(empty)
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "trees.txt").write_bytes(serialize_tree(t1))
+    with pytest.raises(ValueError, match=r"bare: directory contains no \.json files"):
+        load_dataset(bare)
+    with pytest.raises(ValueError, match="refusing to write an empty dataset"):
+        save_dataset([], tmp_path / "none.json")
+    assert not (tmp_path / "none.json").exists()
 
 
 def reference_load(path):
@@ -516,6 +525,11 @@ def test_streamed_reader_rejects_what_json_loads_rejects(tmp_path, rng):
         "object_after_object": (f"{a} {b}", None),
         "truncated_last": (f"[{a},\n{b[:-7]}", None),
         "unclosed": (f"[{a},{b}", None),
+        # a constructor refusal gains the file it came from
+        "zero_n": ('{"id": "z", "n": 0, "d": 0, "nodes": [{"id": 0, "parent": null, "x": []}]}',
+                   "tree 'z': geometric dimension must be positive"),
+        "negative_d": ('{"id": "m", "n": 1, "d": -1, "nodes": [{"id": 0, "parent": null, "x": [0.0]}]}',
+                       "tree 'm': attribute dimension must be >= 0"),
     }
     for name, (text, message) in cases.items():
         path = tmp_path / f"{name}.json"
