@@ -139,33 +139,34 @@ def _gen_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _grow_one(step) -> tuple[str, int, bytes]:
-    """(id, node count, serialized bytes) of the tree of one plan step."""
-    from .generate import generate_tree
+def _grow_chunk(steps: list) -> list[tuple[str, int, bytes]]:
+    """(id, node count, serialized bytes) of the tree of each plan step, grown in one call."""
+    from .generate import generate_trees
     from .trees import serialize_tree
 
-    cfg, offset, _ = step
-    tree = generate_tree(cfg, offset)
-    return tree.id, tree.size, serialize_tree(tree)
+    return [(tree.id, tree.size, serialize_tree(tree)) for tree in generate_trees(steps)]
 
 
 def _grow(plan: list, workers: int):
-    """:func:`_grow_one` of each step of a :func:`~treekern.generate.two_class_plan`, in plan order.
+    """:func:`_grow_chunk` of a :func:`~treekern.generate.two_class_plan`, tree by tree in plan order.
 
     The plan is cut into about four chunks per worker, so the larger trees
     of one class spread over every worker. A tree's draws depend only on
-    (seed, offset), so the bytes are the same whichever process grows it.
-    Workers are forked: they inherit the loaded modules instead of
-    importing them again.
+    (seed, offset), so the bytes are the same whichever process grows it
+    and whichever chunk it grows with. Workers are forked: they inherit the
+    loaded modules instead of importing them again. Without workers the
+    whole plan grows in one call.
     """
     if not workers:
-        yield from map(_grow_one, plan)
+        yield from _grow_chunk(plan)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    size = math.ceil(len(plan) / (4 * workers))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(_grow_one, plan, chunksize=math.ceil(len(plan) / (4 * workers)))
+        for grown in pool.map(_grow_chunk, [plan[k : k + size] for k in range(0, len(plan), size)]):
+            yield from grown
 
 
 def cmd_gen(args: argparse.Namespace, run: Run) -> None:

@@ -9,19 +9,27 @@ follow a linear-in-depth model with gaussian noise.
 
 All randomness comes from a counter-based generator keyed by
 (config seed, tree offset), so datasets are reproducible byte for byte. No
-tree's draws depend on another tree's, so trees may be grown in any order and
-in any process: ``treekern gen`` grows the steps of :func:`two_class_plan` in
-forked workers and writes the same bytes as
-:func:`generate_two_class_population`. The label file that ``treekern gen``
-writes beside the trees has its format in :mod:`treekern.gram`, with the
-Gram CSV's.
+tree's draws depend on another tree's, so trees may be grown in any order,
+in any process and in any company: ``treekern gen`` grows chunks of the
+steps of :func:`two_class_plan` in forked workers and writes the same bytes
+as :func:`generate_two_class_population`. :func:`generate_trees` grows a
+list of steps in two passes. Pass 1 makes each tree's draws in stream
+order: per node, breadth first, the attribute noise, the stop and branch
+draws, then each child's tilt vector and angle draw. Pass 2 computes all
+the trees' geometry a level at a time, with the rounding of one tree
+grown node by node. A tilt redraws its vector while the part orthogonal to
+the parent direction has a norm of at most ``_REDRAW_NORM``; pass 1 cannot
+see that, so on meeting one, pass 2 has that tree's draws made again with
+the earliest such child's vector redrawn. The label file that
+``treekern gen`` writes beside the trees has its format in
+:mod:`treekern.gram`, with the Gram CSV's.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -31,6 +39,7 @@ from .trees import GeometricTree
 __all__ = [
     "GeneratorConfig",
     "generate_tree",
+    "generate_trees",
     "two_class_plan",
     "generate_two_class_population",
     "balanced_binary_tree",
@@ -83,56 +92,99 @@ def _rng(seed: int, offset: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, offset])))
 
 
-def _tilted(rng: np.random.Generator, direction: tuple, max_angle: float) -> tuple:
-    """Unit vector at a random angle up to ``max_angle`` from ``direction``.
-
-    Vectors are tuples of floats. The projection (``np.dot``), the sum of
-    squares (numpy's pairwise sum) and the cosine and sine are left to numpy,
-    whose rounding plain Python does not reproduce; every other step rounds
-    once per entry in either.
-    """
-    if len(direction) == 1 or max_angle == 0.0:
-        return direction
-    while True:
-        g = rng.standard_normal(len(direction))
-        proj = float(np.dot(g, direction))
-        g = [x - proj * d for x, d in zip(g.tolist(), direction)]
-        norm = math.sqrt(np.add.reduce([x * x for x in g]))
-        if norm > 1e-12:
-            break
-    theta = max_angle * rng.random()
-    c, s = float(np.cos(theta)), float(np.sin(theta))
-    return tuple(c * d + s * (x / norm) for d, x in zip(direction, g))
+# The norm of a tilt vector's orthogonal part at or below which it is redrawn.
+_REDRAW_NORM = 1e-12
 
 
-def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0, tree_id: str | None = None) -> GeometricTree:
-    """Grow one tree, fully determined by (cfg.seed, seed_offset)."""
-    if seed_offset < 0:
-        raise ValueError("seed_offset must be non-negative")
-    rng = _rng(cfg.seed, seed_offset)
-    parents: list[int] = []
-    positions: list[tuple] = []
-    attrs: list[np.ndarray] = []
-    queue: deque = deque([(-1, 1, (0.0,) * cfg.n, (1.0,) + (0.0,) * (cfg.n - 1))])
-    while queue:
-        parent, level, pos, direction = queue.popleft()
+def _draw(cfg: GeneratorConfig, offset: int, redraws: dict) -> tuple:
+    """Pass 1: a tree's breadth-first parents and levels, its noise rows, and
+    each child's kept tilt vector and uniform draw; a child in ``redraws``
+    throws that many vectors away first. No geometry, no scalar numpy call."""
+    rng = _rng(cfg.seed, offset)
+    random, standard_normal, zeros = rng.random, rng.standard_normal, np.zeros(cfg.d)
+    tilts = cfg.n > 1 and cfg.direction_jitter != 0.0
+    parents, levels, noise, gs, us = [-1], [1], [], [], []
+    for v, level in enumerate(levels):  # visits the children appended below too
         if cfg.d > 0:
-            noise = rng.normal(0.0, cfg.attr_noise_sd, size=cfg.d) if cfg.attr_noise_sd > 0 else np.zeros(cfg.d)
-            attrs.append(cfg.attr_base + cfg.attr_depth_slope * (level - 1) + noise)
-        index = len(parents)
-        parents.append(parent)
-        positions.append(pos)
-        if level >= cfg.max_depth:
+            noise.append(rng.normal(0.0, cfg.attr_noise_sd, size=cfg.d) if cfg.attr_noise_sd > 0 else zeros)
+        if level >= cfg.max_depth or random() < cfg.p_stop:
             continue
-        if rng.random() < cfg.p_stop:
-            continue
-        n_children = 2 if rng.random() < cfg.p_branch else 1
-        length = cfg.edge_length_decay ** (level - 1)
-        for _ in range(n_children):
-            child_dir = _tilted(rng, direction, cfg.direction_jitter)
-            queue.append((index, level + 1, tuple(p + length * c for p, c in zip(pos, child_dir)), child_dir))
-    tree_id = tree_id if tree_id is not None else f"t{seed_offset:05d}"
-    return GeometricTree(tree_id, parents, positions, attrs if cfg.d > 0 else None, n=cfg.n, d=cfg.d)
+        for _ in range(2 if random() < cfg.p_branch else 1):
+            if tilts:
+                for _ in range(redraws.get(len(parents), 0)):
+                    standard_normal(cfg.n)
+                gs.append(standard_normal(cfg.n))
+                us.append(random())
+            parents.append(v)
+            levels.append(level + 1)
+    return parents, levels, noise, gs, us
+
+
+def _place(cfgs: list, drawn: list) -> list | dict:
+    """Pass 2: each tree's positions, laid out a level at a time across all
+    the trees, or, where a level has an orthogonal part of norm at most
+    ``_REDRAW_NORM``, {tree: its earliest such child}. ``np.matmul`` of
+    stacked vectors takes each product with ``np.dot``'s BLAS routine, and
+    the sums of squares, cosines and sines are the scalar calls' ufunc
+    loops, so each tree rounds as when grown alone."""
+    n = cfgs[0].n
+    sizes = [len(parents) for parents, *_ in drawn]
+    starts = np.cumsum([0, *sizes])
+    tree_of = np.repeat(np.arange(len(drawn)), sizes)
+    levels = np.concatenate([lv for _, lv, *_ in drawn])
+    parents = np.concatenate([np.add(p, start) for (p, *_), start in zip(drawn, starts)])
+    g, angle, tilts = np.zeros((len(levels), n)), np.zeros(len(levels)), np.zeros(len(levels), dtype=bool)
+    for (*_, gs, us), start, end in zip(drawn, starts, starts[1:]):
+        if gs:  # a tilting tree: every node but the root, in draw order
+            g[start + 1 : end], angle[start + 1 : end], tilts[start + 1 : end] = gs, us, True
+    angle *= np.array([cfg.direction_jitter for cfg in cfgs], dtype=float)[tree_of]
+    order = np.argsort(levels, kind="stable")
+    bounds = np.searchsorted(levels[order], np.arange(1, levels.max() + 1), side="right")
+    positions, directions = np.zeros((2, len(levels), n))
+    directions[:, 0] = 1.0
+    for level in range(2, len(bounds) + 1):
+        kids = order[bounds[level - 2] : bounds[level - 1]]
+        bent = kids[tilts[kids]]
+        if len(bent):
+            d, gb = directions[parents[bent]], g[bent]
+            ortho = gb - np.matmul(gb[:, None, :], d[:, :, None])[:, 0] * d
+            norm = np.sqrt(np.add.reduce(ortho * ortho, axis=1))
+            low = bent[norm <= _REDRAW_NORM]
+            if len(low):
+                trees, first = np.unique(tree_of[low], return_index=True)
+                return {int(t): int(low[k] - starts[t]) for t, k in zip(trees, first)}
+            theta = angle[bent]
+            directions[bent] = np.cos(theta)[:, None] * d + np.sin(theta)[:, None] * (ortho / norm[:, None])
+        length = np.array([cfg.edge_length_decay ** (level - 2) for cfg in cfgs])[tree_of[kids]]
+        positions[kids] = positions[parents[kids]] + length[:, None] * directions[kids]
+    return np.split(positions, starts[1:-1])
+
+
+def generate_trees(steps: list) -> list[GeometricTree]:
+    """The trees of plan steps (config, seed offset, ...) of one n, each
+    named ``t<offset>`` and the same bytes whichever steps it grows with."""
+    cfgs = [cfg for cfg, *_ in steps]
+    if len({cfg.n for cfg in cfgs}) != 1:
+        raise ValueError("steps must be given, all of one n")
+    if any(offset < 0 for _, offset, *_ in steps):
+        raise ValueError("seed_offset must be non-negative")
+    redraws = [Counter() for _ in steps]
+    drawn = [_draw(cfg, offset, {}) for cfg, offset, *_ in steps]
+    while isinstance(positions := _place(cfgs, drawn), dict):
+        for t, child in positions.items():
+            redraws[t][child] += 1
+            drawn[t] = _draw(cfgs[t], steps[t][1], redraws[t])
+    trees = []
+    for (cfg, offset, *_), (parents, levels, noise, _, _), xs in zip(steps, drawn, positions):
+        level_values = [cfg.attr_base + cfg.attr_depth_slope * (level - 1) for level in levels]
+        attrs = np.array(level_values, dtype=float)[:, None] + noise if cfg.d > 0 else None
+        trees.append(GeometricTree(f"t{offset:05d}", parents, xs, attrs, n=cfg.n, d=cfg.d))
+    return trees
+
+
+def generate_tree(cfg: GeneratorConfig, seed_offset: int = 0) -> GeometricTree:
+    """Grow one tree, fully determined by (cfg.seed, seed_offset)."""
+    return generate_trees([(cfg, seed_offset)])[0]
 
 
 def two_class_plan(cfg_a: GeneratorConfig, cfg_b: GeneratorConfig, size_a: int, size_b: int) -> list[tuple]:
@@ -153,7 +205,7 @@ def generate_two_class_population(
 ) -> tuple[list[GeometricTree], np.ndarray]:
     """The trees of :func:`two_class_plan` and their labels."""
     plan = two_class_plan(cfg_a, cfg_b, size_a, size_b)
-    return [generate_tree(cfg, offset) for cfg, offset, _ in plan], np.array([label for *_, label in plan])
+    return generate_trees(plan), np.array([label for *_, label in plan])
 
 
 def balanced_binary_tree(n_nodes: int, n: int = 3, d: int = 1, seed: int = 0) -> GeometricTree:

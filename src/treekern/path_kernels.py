@@ -355,7 +355,11 @@ def rootpath_naive_route(spec: PathKernelSpec) -> PairLoop:
         paths = lambda tree: _landmark_stack(tree, m, "rootpath").reshape(tree.size, m, tree.n)
     else:
         kernel = partial(node_path_kernel, spec=spec.node)
-        paths = lambda tree: [tree.rootpath(v) for v in range(tree.size)]
+
+        def paths(tree: GeometricTree) -> list:
+            if spec.node.use_attributes:  # refuse d = 0 with the cohort, not at its first pair
+                tree.attribute_rows("a node kernel that uses attributes")
+            return [tree.rootpath(v) for v in range(tree.size)]
 
     def pair(paths1: list, paths2: list) -> float:
         total = 0.0

@@ -156,15 +156,15 @@ def test_gen_writes_the_serial_reference_bytes_for_any_worker_count(tmp_path, mo
 def test_gen_workers_end_with_the_command(tmp_path, monkeypatch, capsys):
     assert run(["gen", "--out", tmp_path / "ok", "--size", 12]) == 0
     assert multiprocessing.active_children() == []
-    grow = generate.generate_tree
+    grow = generate.generate_trees
 
-    def grow_or_fail(cfg, seed_offset=0, tree_id=None):
-        if seed_offset == 5:
+    def grow_or_fail(steps):
+        if any(offset == 5 for _, offset, _ in steps):
             raise ValueError("no tree at offset 5")
-        return grow(cfg, seed_offset, tree_id)
+        return grow(steps)
 
-    # forked workers inherit the patch, so the error is raised in one of them
-    monkeypatch.setattr(generate, "generate_tree", grow_or_fail)
+    # forked workers inherit the patch, so the error is raised in the one that grows offset 5
+    monkeypatch.setattr(generate, "generate_trees", grow_or_fail)
     assert run(["gen", "--out", tmp_path / "failed", "--size", 12]) == 1
     assert "error: grow: no tree at offset 5" in capsys.readouterr().err
     assert multiprocessing.active_children() == []

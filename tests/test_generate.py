@@ -18,7 +18,8 @@ from treekern import (
     save_labels,
     serialize_tree,
 )
-from treekern.generate import PRESET_NAMES, _rng, two_class_plan
+from treekern import generate
+from treekern.generate import PRESET_NAMES, _rng, generate_trees, two_class_plan
 
 
 def test_generate_tree_is_deterministic():
@@ -44,8 +45,9 @@ def test_generate_tree_respects_dimensions():
     assert bare.id == "t00000"
 
 
-def tilted_reference(rng, direction, max_angle):
-    """The generator's tilt step on numpy vectors."""
+def tilted_reference(rng, direction, max_angle, min_norm):
+    """The generator's tilt step on numpy vectors: g is drawn again while
+    its part orthogonal to ``direction`` has a norm of at most ``min_norm``."""
     n = len(direction)
     if n == 1 or max_angle == 0.0:
         return direction.copy()
@@ -53,15 +55,16 @@ def tilted_reference(rng, direction, max_angle):
         g = rng.standard_normal(n)
         g -= np.dot(g, direction) * direction
         norm = float(np.sqrt((g * g).sum()))
-        if norm > 1e-12:
+        if norm > min_norm:
             break
     u = g / norm
     theta = max_angle * rng.random()
     return np.cos(theta) * direction + np.sin(theta) * u
 
 
-def generate_tree_reference(cfg, seed_offset):
-    """``generate_tree`` on numpy vectors: the same draws in the same order."""
+def generate_tree_reference(cfg, seed_offset, min_norm=1e-12):
+    """One tree grown node by node on numpy vectors, each node's draws
+    followed at once by its geometry: the stream ``generate_trees`` keeps."""
     rng = _rng(cfg.seed, seed_offset)
     root_dir = np.zeros(cfg.n)
     root_dir[0] = 1.0
@@ -80,7 +83,7 @@ def generate_tree_reference(cfg, seed_offset):
         n_children = 2 if rng.random() < cfg.p_branch else 1
         length = cfg.edge_length_decay ** (level - 1)
         for _ in range(n_children):
-            child_dir = tilted_reference(rng, direction, cfg.direction_jitter)
+            child_dir = tilted_reference(rng, direction, cfg.direction_jitter, min_norm)
             queue.append((index, level + 1, pos + length * child_dir, child_dir))
     return GeometricTree(
         f"t{seed_offset:05d}", parents, positions, attrs if cfg.d > 0 else None, n=cfg.n, d=cfg.d
@@ -90,6 +93,8 @@ def generate_tree_reference(cfg, seed_offset):
 ORACLE_SHAPES = [
     *(pytest.param(name, seed, {}, id=f"{name}-{seed}") for name in PRESET_NAMES for seed in (0, 1)),
     *(pytest.param("null", 0, {"n": n, "d": d}, id=f"n{n}-d{d}") for n in (1, 2, 8, 9) for d in (0, 2)),
+    *(pytest.param("branch-shift", 2, {key: value}, id=f"{key}-{value}")
+      for key, value in [("max_depth", 1), ("p_stop", 1.0), ("direction_jitter", 0.0), ("attr_noise_sd", 0.0)]),
 ]
 
 
@@ -98,9 +103,24 @@ def test_generate_tree_matches_the_numpy_vector_loop(preset, seed, overrides):
     # numpy sums 8 or more squares pairwise and np.dot runs in BLAS, so
     # n = 8 and 9 catch a sum or a dot product taken in plain Python
     configs = [replace(cfg, **overrides) for cfg in preset_configs(preset, seed)]
-    for offset in range(40):
-        cfg = configs[offset % 2]
-        assert serialize_tree(generate_tree(cfg, offset)) == serialize_tree(generate_tree_reference(cfg, offset))
+    steps = [(configs[offset % 2], offset) for offset in range(40)]
+    expected = [serialize_tree(generate_tree_reference(cfg, offset)) for cfg, offset in steps]
+    assert [serialize_tree(generate_tree(cfg, offset)) for cfg, offset in steps] == expected
+    # one chunk of both classes, its levels laid out together
+    assert [serialize_tree(tree) for tree in generate_trees(steps)] == expected
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_redraws_keep_the_stream(preset, monkeypatch):
+    # at this norm about one 3-D tilt in eight draws its vector again
+    configs = preset_configs(preset, 4)
+    steps = [(configs[offset % 2], offset) for offset in range(30)]
+    unforced = [serialize_tree(tree) for tree in generate_trees(steps)]
+    monkeypatch.setattr(generate, "_REDRAW_NORM", 0.5)
+    expected = [serialize_tree(generate_tree_reference(cfg, offset, min_norm=0.5)) for cfg, offset in steps]
+    grown = [serialize_tree(tree) for tree in generate_trees(steps)]
+    assert grown == expected
+    assert sum(a != b for a, b in zip(grown, unforced)) > 20
 
 
 def test_attribute_depth_model():

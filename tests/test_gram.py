@@ -117,6 +117,15 @@ def test_every_route_refuses_the_same_cohorts_with_the_same_message(name):
         assemble([], kernel)
 
 
+@pytest.mark.parametrize("name", ["all-pairs-node", "rootpath-node", "rootpath-node-linear-fast", "rootpath-node-naive"])
+def test_node_kernels_that_use_attributes_refuse_d0_with_the_cohort(name):
+    kernel = build_kernel(name, use_attributes=True)
+    bare = [chain_tree(3, n=2, tree_id=f"bare{k}") for k in range(2)]
+    for call in [lambda: kernel.cohort.inputs(bare), lambda: kernel.value(*bare), lambda: assemble(bare, kernel)]:
+        with pytest.raises(ValueError, match=r"^a node kernel that uses attributes needs d > 0, but tree 'bare0' has d = 0$"):
+            call()
+
+
 def test_normalize_hand_value():
     gram = plain_gram([[4.0, 2.0], [2.0, 9.0]])
     out = normalize(gram)
