@@ -102,18 +102,19 @@ def _draw(cfg: GeneratorConfig, offset: int, redraws: dict) -> tuple:
     throws that many vectors away first. No geometry, no scalar numpy call."""
     rng = _rng(cfg.seed, offset)
     random, standard_normal, zeros = rng.random, rng.standard_normal, np.zeros(cfg.d)
-    tilts = cfg.n > 1 and cfg.direction_jitter != 0.0
+    n, d, sd, max_depth, p_stop, p_branch = cfg.n, cfg.d, cfg.attr_noise_sd, cfg.max_depth, cfg.p_stop, cfg.p_branch
+    tilts = n > 1 and cfg.direction_jitter != 0.0
     parents, levels, noise, gs, us = [-1], [1], [], [], []
     for v, level in enumerate(levels):  # visits the children appended below too
-        if cfg.d > 0:
-            noise.append(rng.normal(0.0, cfg.attr_noise_sd, size=cfg.d) if cfg.attr_noise_sd > 0 else zeros)
-        if level >= cfg.max_depth or random() < cfg.p_stop:
+        if d > 0:
+            noise.append(rng.normal(0.0, sd, size=d) if sd > 0 else zeros)
+        if level >= max_depth or random() < p_stop:
             continue
-        for _ in range(2 if random() < cfg.p_branch else 1):
+        for _ in range(2 if random() < p_branch else 1):
             if tilts:
                 for _ in range(redraws.get(len(parents), 0)):
-                    standard_normal(cfg.n)
-                gs.append(standard_normal(cfg.n))
+                    standard_normal(n)
+                gs.append(standard_normal(n))
                 us.append(random())
             parents.append(v)
             levels.append(level + 1)

@@ -168,6 +168,9 @@ def test_population_layout():
         generate_two_class_population(cfg, cfg, 0, 4)
     with pytest.raises(ValueError, match="share n and d"):
         generate_two_class_population(cfg, GeneratorConfig(seed=1, n=2), 2, 2)
+    for steps in ([], [(cfg, 0), (replace(cfg, n=2), 1)]):
+        with pytest.raises(ValueError, match="^steps must be given, all of one n$"):
+            generate_trees(steps)
 
 
 def test_default_population_size_band():
