@@ -101,7 +101,8 @@ ORACLE_SHAPES = [
 @pytest.mark.parametrize("preset, seed, overrides", ORACLE_SHAPES)
 def test_generate_tree_matches_the_numpy_vector_loop(preset, seed, overrides):
     # numpy sums 8 or more squares pairwise and np.dot runs in BLAS, so
-    # n = 8 and 9 catch a sum or a dot product taken in plain Python
+    # n = 8 and 9 catch a sum or a dot product taken in plain Python or as
+    # a vectorized product-sum
     configs = [replace(cfg, **overrides) for cfg in preset_configs(preset, seed)]
     steps = [(configs[offset % 2], offset) for offset in range(40)]
     expected = [serialize_tree(generate_tree_reference(cfg, offset)) for cfg, offset in steps]
