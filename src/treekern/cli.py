@@ -327,16 +327,17 @@ def _labelled_gram(args: argparse.Namespace, run: Run) -> tuple[Path, GramMatrix
 
 
 def cmd_test(args: argparse.Namespace, run: Run) -> None:
-    from .twosample import permutation_test, scorer_blas_threads
+    from .twosample import permutation_test, scorer_blas_threads, scoring_threads
 
     _check_min("--permutations", args.permutations, 1)
     _check_min("--seed", args.seed, 0)
     _check_min("--threads", args.threads, 1)
     out, matrix, idx_a, idx_b = _labelled_gram(args, run)
     run.fields["blas_threads"] = scorer_blas_threads()
+    run.fields["scoring_threads"] = scoring_threads(args.permutations, args.threads)
     with run.stage("permutation_test"):
         result = permutation_test(
-            matrix, idx_a, idx_b, n_permutations=args.permutations, seed=args.seed
+            matrix, idx_a, idx_b, n_permutations=args.permutations, seed=args.seed, threads=args.threads
         )
     payload = result.to_json(kernel_spec_ref=run.kernel_spec)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -532,7 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of random relabelings")
     p.add_argument("--seed", type=int, default=0, help="permutation seed")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; no effect (runs serially)")
+                   help="cap on the threads that score the permutations "
+                        "(default: one per usable CPU; the output does not depend on it)")
     p.add_argument("--out", required=True, help="result JSON path")
     p.set_defaults(func=cmd_test)
 

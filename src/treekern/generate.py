@@ -92,8 +92,12 @@ def _rng(seed: int, offset: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, offset])))
 
 
-# The norm of a tilt vector's orthogonal part at or below which it is redrawn.
+# The norm of a tilt vector's orthogonal part at or below which it is redrawn,
+# and the redraws of one child after which growing fails instead: a gaussian
+# tilt vector lands that close to the parent's line with probability below
+# 1e-12 (at n = 2, the worst case), so only a defect reaches the cap.
 _REDRAW_NORM = 1e-12
+_MAX_REDRAWS = 64
 
 
 def _draw(cfg: GeneratorConfig, offset: int, redraws: dict) -> tuple:
@@ -174,6 +178,11 @@ def generate_trees(steps: list) -> list[GeometricTree]:
     while isinstance(positions := _place(cfgs, drawn), dict):
         for t, child in positions.items():
             redraws[t][child] += 1
+            if redraws[t][child] > _MAX_REDRAWS:
+                raise RuntimeError(
+                    f"tree offset {steps[t][1]}: child {child}'s tilt was redrawn {_MAX_REDRAWS} times "
+                    f"and its orthogonal part still has a norm of at most {_REDRAW_NORM}"
+                )
             drawn[t] = _draw(cfgs[t], steps[t][1], redraws[t])
     trees = []
     for (cfg, offset, *_), (parents, levels, noise, _, _), xs in zip(steps, drawn, positions):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +19,7 @@ __all__ = [
     "permutation_test",
     "nearest_mean_classify",
     "scorer_blas_threads",
+    "scoring_threads",
 ]
 
 
@@ -89,16 +91,38 @@ def scorer_blas_threads() -> int | None:
     return None if _openblas_threads() is None else 1
 
 
-# The thread count is process-wide: scorers in two threads take turns, so
-# neither restores a count under the other's product.
+# Relabelings are drawn and scored in fixed-size row blocks, so the test
+# holds one block buffer and its product per scoring thread whatever the
+# permutation count. The statistics' bits depend on the product's shape, so
+# this stays fixed.
+_STAT_BLOCK = 256
+
+
+def scoring_threads(n_permutations: int, threads: int | None = None) -> int:
+    """The threads :func:`permutation_test` scores its blocks on: the CPUs
+    this process may run on, capped by ``threads`` when given and by the
+    number of blocks, or 1 where the products run unpinned (an unpinned
+    BLAS threads each product itself)."""
+    if scorer_blas_threads() is None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, threads or cpus, -(-(n_permutations + 1) // _STAT_BLOCK))
+
+
+# The thread count is process-wide: pinned callers in two threads take
+# turns, so neither restores a count under the other's products.
 _PIN = threading.Lock()
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore the count. How a
-    product splits over threads changes its rounding, so a pinned scorer
-    gives the same bits on any host; without the library it runs unpinned."""
+    """Run the products inside on one OpenBLAS thread, then restore the
+    count. How a product splits over threads changes its rounding, so a
+    pinned scorer gives the same bits on any host; without the library the
+    products run unpinned."""
     controls = _openblas_threads()
     if controls is None:
         yield
@@ -119,6 +143,8 @@ class _Scorer:
     An order ``p`` of the pool puts slots ``p[:a]`` in A and ``p[a:]`` in B,
     so the identity is the observed labeling. Its statistic is sqrt(z K z),
     with K the pool's sub-Gram and z = 1/a on the A slots, -1/b on the B ones.
+    A scorer is read-only once built, so threads share it; each brings its
+    own :meth:`buffers`.
     """
 
     def __init__(self, gram, idx_a, idx_b):
@@ -126,35 +152,41 @@ class _Scorer:
         idx_a = np.asarray(idx_a, dtype=np.intp)
         idx_b = np.asarray(idx_b, dtype=np.intp)
         _check_groups(values.shape[0], {"sample A": idx_a, "sample B": idx_b})
-        self.sizes = (len(idx_a), len(idx_b))
-        self.weights = np.repeat([1.0 / len(idx_a), -1.0 / len(idx_b)], self.sizes)
+        self.sizes = a, b = len(idx_a), len(idx_b)
+        self.m = a + b
+        # A row is filled with the larger class's weight, then the smaller
+        # class's slots get theirs: every slot is written once either way.
+        if a <= b:
+            self.fill, self.spot, self.smaller = -1.0 / b, 1.0 / a, slice(0, a)
+        else:
+            self.fill, self.spot, self.smaller = 1.0 / a, -1.0 / b, slice(a, self.m)
         pool = np.concatenate([idx_a, idx_b])
         self.sub = sub = values[np.ix_(pool, pool)]
         # Scale the copy by 2^s, s even, so that no nonzero entry is subnormal
         # (a slow BLAS path) and no partial sum, at most m * max|K|, overflows.
         # Power-of-two scaling commutes exactly with every operation that stays
         # in the normal range, and 2^(-s/2) undoes it after the square root.
-        self.shift = (1020 - len(pool).bit_length() - math.frexp(max(sub.max(), -sub.min()))[1]) & ~1
+        self.shift = (1020 - self.m.bit_length() - math.frexp(max(sub.max(), -sub.min()))[1]) & ~1
         np.ldexp(sub, self.shift, out=sub)
-        # Grown to the largest block scored, then reused by every block.
-        self._product = np.empty((0, len(pool)))
-        self._index = np.empty((0, len(pool)), dtype=np.int32)
 
-    def __call__(self, block: np.ndarray) -> np.ndarray:
-        """Statistics of an (r, m) float block of orders. One scatter, through
-        an int32 copy of the orders, overwrites the block with the vectors z
-        they select, and one product, on one BLAS thread, scores them; a
-        single row may take another BLAS path than a block. The copy and
-        the product go to buffers kept across calls."""
-        rows = len(block)
-        if len(self._product) < rows:
-            self._product = np.empty(block.shape)
-            self._index = np.empty(block.shape, dtype=np.int32)
-        product, index = self._product[:rows], self._index[:rows]
-        np.copyto(index, block, casting="unsafe")
-        np.put_along_axis(block, index, self.weights, axis=1)
-        with _one_blas_thread():
-            np.matmul(block, self.sub, out=product)
+    def buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One thread's buffers for blocks of up to ``rows`` orders: the
+        (rows, m) block, its product, and an int32 copy of the smaller
+        class's columns."""
+        smaller = self.smaller.stop - self.smaller.start
+        return np.empty((rows, self.m)), np.empty((rows, self.m)), np.empty((rows, smaller), dtype=np.int32)
+
+    def __call__(self, block: np.ndarray, product: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Statistics of an (r, m) float block of orders, with ``product``
+        and ``index`` the first r rows of the buffers. One fill and one
+        scatter, through the int32 copy of the smaller class's orders,
+        overwrite the block with the vectors z they select, and one product
+        scores them; a single row may take another BLAS path than a block.
+        The caller pins the BLAS threads."""
+        np.copyto(index, block[:, self.smaller], casting="unsafe")
+        block.fill(self.fill)
+        np.put_along_axis(block, index, self.spot, axis=1)
+        np.matmul(block, self.sub, out=product)
         product *= block
         forms = np.maximum(0.0, product.sum(axis=1))
         return np.ldexp(np.sqrt(forms), -self.shift // 2)
@@ -166,13 +198,10 @@ def mean_distance_statistic(gram, idx_a, idx_b) -> float:
     values of z K z from floating point clamped to zero. Its bits do not
     depend on the BLAS thread count where :func:`scorer_blas_threads` is 1."""
     score = _Scorer(gram, idx_a, idx_b)
-    return float(score(np.arange(len(score.weights), dtype=float)[None])[0])
-
-
-# Relabelings are drawn and scored in fixed-size row blocks, so the test
-# holds one block buffer and its product whatever the permutation count. The
-# statistics' bits depend on the product's shape, so this stays fixed.
-_STAT_BLOCK = 256
+    block, product, index = score.buffers(1)
+    block[0] = np.arange(score.m)
+    with _one_blas_thread():
+        return float(score(block, product, index)[0])
 
 
 def _quantiles(values: np.ndarray, qs) -> np.ndarray:
@@ -202,20 +231,27 @@ def permutation_test(
 
     Group-size-preserving relabelings are sampled with replacement from a
     counter-based generator (Philox), so a seed fixes the whole permutation
-    sequence across platforms. They are drawn and scored serially, 256 at a
-    time in one buffer: one ``Generator.permuted`` call draws the orders of
-    as many ``permutation(m)`` calls, and the scorer of
+    sequence across platforms. They are drawn and scored 256 at a time: one
+    ``Generator.permuted`` call draws the orders of as many
+    ``permutation(m)`` calls, and the scorer of
     :func:`mean_distance_statistic` scores them. Row 0 of the first block
-    stays the identity, the observed labeling. Memory is the m x m sub-Gram
-    plus two 256 x m float blocks and one int32 block, whatever
-    ``n_permutations`` is, plus 16 bytes per permutation: the
-    ``n_permutations + 1`` statistics and the quantiles' sorted copy. The
-    products run on one thread of numpy's bundled OpenBLAS, so the output
-    does not depend on the BLAS thread count; where that library is not
-    found (:func:`scorer_blas_threads` is None) they run unpinned, at
+    stays the identity, the observed labeling. The blocks are scored on
+    :func:`scoring_threads` threads: each thread draws its next block under
+    one lock, so the stream is drawn in block order, and scores it outside
+    the lock, as the same (rows, m) x (m, m) product on one BLAS thread, so
+    each block's statistics have the same bits at any thread count. The
+    first error stops the other threads from taking new blocks; every
+    thread is joined before the error is raised. Memory is the m x m
+    sub-Gram plus, per scoring thread, two 256 x m float blocks and a
+    256 x min(a, b) int32 block, whatever ``n_permutations`` is, plus 16
+    bytes per permutation: the ``n_permutations + 1`` statistics and the
+    quantiles' sorted copy. The products run on one thread of numpy's
+    bundled OpenBLAS, so the output does not depend on the BLAS thread
+    count; where that library is not found (:func:`scorer_blas_threads` is
+    None) one thread scores every block and the products run unpinned, at
     whatever count the BLAS picks.
-    ``threads`` is accepted for compatibility and validated (it must be at
-    least 1) but has no effect.
+    ``threads``, when given, caps the scoring threads (it must be at least
+    1); it does not change the output.
     The returned p-value is (#{T_i >= T_0} + 1) / (n_permutations + 1);
     with fully separated samples it attains its floor
     1 / (n_permutations + 1).
@@ -226,18 +262,47 @@ def permutation_test(
         raise ValueError("threads must be >= 1")
     score = _Scorer(gram, idx_a, idx_b)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    m = len(score.weights)
+    m = score.m
     total = n_permutations + 1
-    # Orders are held as floats: an 8-byte shuffle takes numpy's fast path,
-    # and the scorer overwrites them in place with the weights they select.
-    block = np.empty((min(_STAT_BLOCK, total), m))
     stats = np.empty(total)
-    for start in range(0, total, _STAT_BLOCK):
-        rows = block[: min(_STAT_BLOCK, total - start)]
-        rows[:] = np.arange(m)
-        drawn = rows[1:] if start == 0 else rows
-        rng.permuted(drawn, axis=1, out=drawn)
-        stats[start : start + len(rows)] = score(rows)
+    starts = iter(range(0, total, _STAT_BLOCK))
+    draw = threading.Lock()
+    stop = threading.Event()
+    errors = []  # list.append is atomic: errors[0] is the first raised
+
+    def work():
+        try:
+            # Orders are held as floats: an 8-byte shuffle takes numpy's fast
+            # path, and the scorer overwrites them in place with the weights.
+            block, product, index = score.buffers(min(_STAT_BLOCK, total))
+            while True:
+                with draw:
+                    start = None if stop.is_set() else next(starts, None)
+                    if start is None:
+                        return
+                    rows = min(_STAT_BLOCK, total - start)
+                    block[:rows] = np.arange(m)
+                    drawn = block[1:rows] if start == 0 else block[:rows]
+                    rng.permuted(drawn, axis=1, out=drawn)
+                stats[start : start + rows] = score(block[:rows], product[:rows], index[:rows])
+        except BaseException as error:
+            errors.append(error)
+            stop.set()
+
+    pool = []
+    with _one_blas_thread():
+        try:
+            for _ in range(scoring_threads(n_permutations, threads) - 1):
+                thread = threading.Thread(target=work, name="treekern-scorer")
+                thread.start()
+                pool.append(thread)
+            work()
+        finally:
+            stop.set()
+            for thread in pool:
+                thread.join()
+    if errors:
+        raise errors[0]
     t0 = float(stats[0])
     perm = stats[1:]
     count = int((perm >= t0).sum())

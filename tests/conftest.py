@@ -1,12 +1,13 @@
 """Shared builders for the test suite: small hand trees, seeded random ones
-and Hypothesis strategies, plus the suite's Hypothesis profile."""
+and Hypothesis strategies, plus the suite's Hypothesis profile and a patch
+that makes the permutation scorer fail."""
 
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from treekern import GeometricTree, KERNEL_NAMES, build_kernel
+from treekern import GeometricTree, KERNEL_NAMES, build_kernel, twosample
 
 # Fixed example draws and no example database: a run's verdict depends on
 # neither a random seed nor a local .hypothesis/ directory. Another profile
@@ -100,6 +101,25 @@ def kernel_cases():
             if "use_attributes" in params:
                 case["use_attributes"] = True
             yield name, case
+
+
+def fail_scoring_at(monkeypatch, m: int, seed: int, start: int = 512) -> None:
+    """Make the permutation scorer raise a ValueError on the block of a pool
+    of m that starts at row ``start`` (> 0) of ``seed``'s stream. The block
+    is known by its first order: ``start - 1`` ``permutation(m)`` draws
+    precede it, as the identity row takes no draw."""
+    draws = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    for _ in range(start - 1):
+        draws.permutation(m)
+    first = draws.permutation(m)
+    score = twosample._Scorer.__call__
+
+    def failing(self, block, *buffers):
+        if np.array_equal(block[0], first):
+            raise ValueError(f"scoring failed on the block at {start}")
+        return score(self, block, *buffers)
+
+    monkeypatch.setattr(twosample._Scorer, "__call__", failing)
 
 
 @pytest.fixture

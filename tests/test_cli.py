@@ -28,6 +28,8 @@ from treekern import (
 )
 from treekern.cli import fit_slope, main
 
+from conftest import fail_scoring_at
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -286,11 +288,16 @@ def test_manifests_record_stage_timings(tmp_path, monkeypatch):
     assert manifest["blas_threads"] == twosample.scorer_blas_threads()
     if sys.platform.startswith("linux"):  # numpy's Linux wheels bundle OpenBLAS
         assert manifest["blas_threads"] == 1
-    # without a bundled OpenBLAS the scorer runs unpinned, and the manifest says so
+    assert manifest["scoring_threads"] == 1  # 51 statistics are one block
+    assert run(["test", gram, data / "labels.csv", "--permutations", 600, "--threads", 2, "--out", result]) == 0
+    manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+    assert manifest["scoring_threads"] == twosample.scoring_threads(600, 2)
+    # without a bundled OpenBLAS the scorer runs unpinned on one thread, and the manifest says so
     monkeypatch.setattr(twosample, "_openblas_threads", lambda: None)
     assert twosample.scorer_blas_threads() is None
-    assert run(["test", gram, data / "labels.csv", "--permutations", 50, "--out", result]) == 0
-    assert json.loads((tmp_path / "t.json.manifest.json").read_text())["blas_threads"] is None
+    assert run(["test", gram, data / "labels.csv", "--permutations", 600, "--out", result]) == 0
+    manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+    assert (manifest["blas_threads"], manifest["scoring_threads"]) == (None, 1)
 
 
 def test_every_manifest_records_its_own_peak_rss(tmp_path):
@@ -321,7 +328,7 @@ def test_each_command_writes_its_success_manifest_keys(tmp_path):
     extra = {
         data / "manifest.json": {"workers", "stages"},
         tmp_path / "g.csv.manifest.json": {"stages", "n_pairs", "pairs_per_second"},
-        tmp_path / "t.json.manifest.json": {"stages", "n_permutations", "blas_threads"},
+        tmp_path / "t.json.manifest.json": {"stages", "n_permutations", "blas_threads", "scoring_threads"},
         tmp_path / "c.json.manifest.json": {"stages"},
         tmp_path / "b.csv.manifest.json": set(),
     }
@@ -708,6 +715,22 @@ def test_two_sample_flow(tmp_path, capsys):
     assert run(["test", gram, data / "labels.csv", "--threads", 0, "--out", result]) == 2
 
 
+def test_a_scoring_error_fails_the_test_stage(tmp_path, capsys, monkeypatch):
+    # about 0.1 s: the block at 512 fails on one of the scoring threads
+    data = gen_dataset(tmp_path, preset="branch-shift", size=16, seed=3)
+    gram = tmp_path / "gbc.csv"
+    assert run(["kernel", data / "trees.json", "--kernel", "gbc", "--out", gram]) == 0
+    fail_scoring_at(monkeypatch, m=16, seed=0)
+    capsys.readouterr()
+    out = tmp_path / "t.json"
+    assert run(["test", gram, data / "labels.csv", "--permutations", 2000, "--out", out]) == 1
+    manifest = read_failure_manifest(tmp_path / "t.json.manifest.json", capsys.readouterr().err)
+    assert manifest["stage"] == "permutation_test"
+    assert manifest["error"] == "scoring failed on the block at 512"
+    assert list(manifest["stages"]) == ["load"]
+    assert not out.exists()
+
+
 def test_two_sample_label_errors(tmp_path, capsys):
     data = gen_dataset(tmp_path, size=8, seed=1)
     gram = tmp_path / "g.csv"
@@ -733,7 +756,8 @@ def test_two_sample_label_errors(tmp_path, capsys):
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # about 3 s. At 700 trees the scorer's product rounded differently on one
-    # and two OpenBLAS threads before the scorer was pinned to one.
+    # and two OpenBLAS threads before the scorer was pinned to one. The last
+    # `test`, on one scoring thread, adds about 0.2 s.
     data = gen_dataset(tmp_path, preset="branch-shift", size=700, seed=1)
     labels = data / "labels.csv"
     code = "import sys; from treekern.cli import main; sys.exit(max(main(a.split('|')) for a in sys.argv[1:]))"
@@ -751,6 +775,10 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert [f.name for f in files] == ["c.json", "g.csv", "g.csv.meta.json", "t.json"]
         outputs.append([f.read_bytes() for f in files])
     assert outputs[0] == outputs[1] == outputs[2]
+    # one scoring thread gives the bytes of the default count
+    one = tmp_path / "one-scoring-thread.json"
+    assert run(["test", out / "g.csv", labels, "--seed", 1, "--threads", 1, "--out", one]) == 0
+    assert one.read_bytes() == (out / "t.json").read_bytes()
 
 
 def test_classify_flow(tmp_path, capsys):

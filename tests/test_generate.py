@@ -1,6 +1,7 @@
 """Synthetic generator: determinism, shape statistics, presets, and labels."""
 
 import math
+import time
 from collections import deque
 from dataclasses import replace
 
@@ -123,6 +124,17 @@ def test_redraws_keep_the_stream(preset, monkeypatch):
     assert grown == expected
     assert sum(a != b for a, b in zip(grown, unforced)) > 20
 
+
+
+def test_a_child_that_keeps_being_redrawn_fails_instead_of_hanging(monkeypatch):
+    # about 0.02 s: at an infinite norm every tilt is redrawn, so the first
+    # child reaches the cap and growing stops with its tree and child named
+    monkeypatch.setattr(generate, "_REDRAW_NORM", math.inf)
+    cfg = preset_configs("branch-shift", 1)[0]
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=f"tree offset 3: child 1's tilt was redrawn {generate._MAX_REDRAWS} times"):
+        generate_tree(cfg, 3)
+    assert time.perf_counter() - start < 0.5
 
 def test_attribute_depth_model():
     # with zero noise, attributes are exactly base + slope * depth

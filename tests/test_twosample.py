@@ -1,5 +1,6 @@
 """Two-sample statistic, permutation test, and the nearest-mean classifier."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,8 @@ from treekern import (
     twosample,
 )
 from treekern.twosample import _quantiles
+
+from conftest import fail_scoring_at
 
 
 def random_psd(rng, size):
@@ -145,13 +148,22 @@ def test_permutation_test_bits_do_not_depend_on_the_blas_thread_count(rng):
     assert twosample.scorer_blas_threads() == 1
 
 
+_SMALL = [3, 0, 7, 12, 19, 5, 21, 9]
+_LARGE = [1, 2, 4, 6, 8, 10, 11, 13, 14, 15, 16, 17, 18]
+
+
 @pytest.mark.parametrize("n_permutations", [1, 255, 256, 257, 1000])
-def test_streamed_blocks_match_all_rows_first(rng, n_permutations):
+@pytest.mark.parametrize(
+    "idx_a, idx_b",
+    [(_SMALL, _LARGE), (_LARGE, _SMALL), ([20], _SMALL + _LARGE), (_LARGE + _SMALL, [22])],
+    ids=["a<b", "a>b", "a=1", "b=1"],
+)
+def test_streamed_blocks_match_all_rows_first(rng, n_permutations, idx_a, idx_b):
     # block edges: one row, a block minus the observed row, one full block,
-    # one row into the second block, and a partial fourth block
+    # one row into the second block, and a partial fourth block; the scorer
+    # scatters the smaller class's weight, A's or B's
     values = random_psd(rng, 23)
-    idx_a = np.array([3, 0, 7, 12, 19, 5, 21, 9])
-    idx_b = np.array([1, 2, 4, 6, 8, 10, 11, 13, 14, 15, 16, 17, 18])
+    idx_a, idx_b = np.array(idx_a), np.array(idx_b)
     res = permutation_test(values, idx_a, idx_b, n_permutations=n_permutations, seed=11)
     statistic, p_value, summary = permutation_test_all_rows_first(
         values, idx_a, idx_b, n_permutations, seed=11
@@ -159,6 +171,52 @@ def test_streamed_blocks_match_all_rows_first(rng, n_permutations):
     assert res.statistic == statistic
     assert res.p_value == p_value
     assert res.permutation_summary == summary
+
+
+def test_thread_counts_give_the_bits_of_all_rows_first(rng):
+    # about 0.3 s: unequal groups at a cohort's size, with a partial last
+    # block, scored on one to three threads and at the default count. The
+    # reference's products run pinned, as at m = 700 two BLAS threads round
+    # differently.
+    m, n_permutations = 700, 3 * 256 + 10
+    values = random_psd(rng, m)
+    idx_a, idx_b = np.arange(0, 600, 2), np.setdiff1d(np.arange(m), np.arange(0, 600, 2))
+    with twosample._one_blas_thread():
+        statistic, p_value, summary = permutation_test_all_rows_first(values, idx_a, idx_b, n_permutations, seed=2)
+    for threads in (1, 2, 3, None):
+        res = permutation_test(values, idx_a, idx_b, n_permutations=n_permutations, seed=2, threads=threads)
+        assert (res.statistic, res.p_value, res.permutation_summary) == (statistic, p_value, summary), threads
+
+
+def test_scoring_threads_are_capped(monkeypatch):
+    cpus = twosample.scoring_threads(10**6)
+    assert cpus >= 1
+    assert twosample.scoring_threads(10**6, threads=1) == 1
+    assert twosample.scoring_threads(10**6, threads=cpus + 5) == cpus
+    assert twosample.scoring_threads(255) == 1  # one block
+    assert twosample.scoring_threads(256) == min(cpus, 2)
+    monkeypatch.setattr(twosample, "_openblas_threads", lambda: None)
+    assert twosample.scoring_threads(10**6) == 1  # an unpinned BLAS threads each product
+
+
+def test_a_scoring_error_is_raised_after_every_thread_has_ended(rng, monkeypatch):
+    # about 0.05 s: the block at 512 fails on one of two threads
+    values = random_psd(rng, 300)
+    fail_scoring_at(monkeypatch, m=300, seed=4)
+    score, scored = twosample._Scorer.__call__, []
+    monkeypatch.setattr(twosample._Scorer, "__call__", lambda *args: scored.append(1) or score(*args))
+    controls = twosample._openblas_threads()
+    get, put = controls if controls else (lambda: None, lambda count: None)
+    before, running = get(), set(threading.enumerate())
+    put(2)  # a count the scorer's pin must give back
+    try:
+        with pytest.raises(ValueError, match="scoring failed on the block at 512"):
+            permutation_test(values, range(100), range(100, 300), n_permutations=5_000, seed=4, threads=2)
+        assert set(threading.enumerate()) == running
+        assert get() == (2 if controls else None)
+        assert len(scored) < 10  # of 20 blocks: no thread takes a block after the error
+    finally:
+        put(before)
 
 
 @given(
@@ -195,18 +253,19 @@ def test_permutation_test_memory_is_independent_of_count(rng):
     # all weight rows at once would need (P + 1) * m * 8 bytes: 48 MB at 20,000
     assert peaks[20_000] < 1.5 * peaks[2_000]
     assert peaks[20_000] < 8e6
-    # at a cohort's size the m x m sub-Gram copy and the blocks of 256
-    # relabelings (orders overwritten by weights, an index copy, the product)
-    # dominate
+    # at a cohort's size the m x m sub-Gram copy and, per scoring thread, a
+    # block of 256 relabelings (orders overwritten by weights), its product
+    # and the int32 copy of the smaller class's orders dominate
     m = 700
     values = random_psd(rng, m)
-    tracemalloc.start()
-    try:
-        permutation_test(values, range(0, m, 2), range(1, m, 2), n_permutations=1_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (m * m + 3 * 256 * m)
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            permutation_test(values, range(0, m, 2), range(1, m, 2), n_permutations=1_000, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (m * m + threads * 3 * 256 * m)
 
 
 def test_permutation_test_observed_statistic(rng):
