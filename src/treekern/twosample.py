@@ -173,8 +173,7 @@ class _Scorer:
         """One thread's buffers for blocks of up to ``rows`` orders: the
         (rows, m) block, its product, and an int32 copy of the smaller
         class's columns."""
-        smaller = self.smaller.stop - self.smaller.start
-        return np.empty((rows, self.m)), np.empty((rows, self.m)), np.empty((rows, smaller), dtype=np.int32)
+        return np.empty((rows, self.m)), np.empty((rows, self.m)), np.empty((rows, min(self.sizes)), dtype=np.int32)
 
     def __call__(self, block: np.ndarray, product: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Statistics of an (r, m) float block of orders, with ``product``

@@ -1,5 +1,6 @@
 """Two-sample statistic, permutation test, and the nearest-mean classifier."""
 
+import sys
 import threading
 import tracemalloc
 
@@ -186,6 +187,23 @@ def test_thread_counts_give_the_bits_of_all_rows_first(rng):
     for threads in (1, 2, 3, None):
         res = permutation_test(values, idx_a, idx_b, n_permutations=n_permutations, seed=2, threads=threads)
         assert (res.statistic, res.p_value, res.permutation_summary) == (statistic, p_value, summary), threads
+
+
+def test_more_scoring_threads_than_cores_keep_the_bits(rng, monkeypatch):
+    # about 0.02 s: eight threads on a tiny switch interval interleave their
+    # draws and scores as often as the interpreter lets them
+    values = random_psd(rng, 60)
+    want = permutation_test(values, range(25), range(25, 60), n_permutations=5_000, seed=6, threads=1)
+    monkeypatch.setattr(twosample.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    if twosample.scorer_blas_threads() is not None:
+        assert twosample.scoring_threads(5_000) == 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = permutation_test(values, range(25), range(25, 60), n_permutations=5_000, seed=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_scoring_threads_are_capped(monkeypatch):
