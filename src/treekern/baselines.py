@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .features import FeatureMap, NodeSet, _Route
-from .path_kernels import FORMS, NodeKernelSpec, node_point_set
+from .path_kernels import _MAX_FLOATS, FORMS, NodeKernelSpec, node_point_set
 from .trees import GeometricTree
 
 __all__: list[str] = []
@@ -82,10 +82,13 @@ def generation_mean_map(*, gen_lo: int, gen_hi: int, component: int, form: str) 
     tree warns once, naming them."""
     if gen_lo < 0 or gen_hi < gen_lo:
         raise ValueError("need 0 <= gen_lo <= gen_hi")
+    width = gen_hi - gen_lo + 1
+    if width > _MAX_FLOATS:  # a tree's means are one array
+        raise ValueError(f"gen_lo to gen_hi must span at most {_MAX_FLOATS} generations; got {width}")
 
     def row(tree: GeometricTree) -> np.ndarray:
         col = _attribute_column(tree, component)
-        out = np.zeros(gen_hi - gen_lo + 1)
+        out = np.zeros(width)
         for gen in range(gen_lo, min(gen_hi + 1, tree.height)):
             out[gen - gen_lo] = col[tree.nodes_at_level(gen + 1)].mean()  # generation = depth, 1-based levels
         lo = max(gen_lo, tree.height)
@@ -94,7 +97,7 @@ def generation_mean_map(*, gen_lo: int, gen_hi: int, component: int, form: str) 
             warnings.warn(f"tree '{tree.id}' has no nodes in {missing} set to 0")
         return out
 
-    return _row_route(row, form, gen_hi - gen_lo + 1)
+    return _row_route(row, form, width)
 
 
 def node_count_map(form: str) -> FeatureMap | NodeSet:

@@ -131,12 +131,9 @@ def _gen_workers() -> int:
     or none where ``fork`` is unavailable and the trees grow in-process."""
     import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 0
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
+    from .gram import usable_cpus
+
+    return usable_cpus() if "fork" in multiprocessing.get_all_start_methods() else 0
 
 
 def _grow_chunk(steps: list) -> list[tuple[str, int, bytes]]:
@@ -255,22 +252,15 @@ def _check_min(flag: str, value: int | None, low: int) -> None:
 
 
 def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
-    from .gram import assemble, check_writable_ids, normalize, save_gram
+    from .gram import assemble, check_normalizable, check_writable_ids, normalize, save_gram
     from .path_kernels import check_landmark_fit
     from .registry import build_kernel
     from .trees import dataset_files, load_dataset
 
     kernel = _or_usage(build_kernel, args.kernel, **_kernel_params(args))
     _check_min("--threads", args.threads, 1)
-    if args.check_against_naive and args.kernel not in (
-        "rootpath-node",
-        "rootpath-node-linear-fast",
-    ):
-        raise UsageError("--check-against-naive applies to the decomposed rootpath kernels only")
-    if args.normalize and kernel.scalar_linear:
-        raise UsageError(
-            f"--normalize is degenerate for the scalar linear kernel '{args.kernel}'"
-        )
+    if args.normalize:
+        _or_usage(check_normalizable, kernel.spec)
     out = run.output(args.out)
     run.kernel_spec = kernel.spec
     with run.stage("load"):
@@ -281,18 +271,6 @@ def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
         _or_usage(check_landmark_fit, kernel.params["landmarks"], trees[0].n)
     with run.stage("assemble"):
         matrix = assemble(trees, kernel)
-    if args.check_against_naive:
-        naive = assemble(trees, _or_usage(build_kernel, "rootpath-node-naive", **kernel.params))
-        scale = np.maximum(1.0, np.maximum(np.abs(matrix.values), np.abs(naive.values)))
-        deviation = np.abs(matrix.values - naive.values) / scale
-        worst = float(deviation.max())
-        if worst > 1e-9:
-            i, j = np.unravel_index(int(deviation.argmax()), deviation.shape)
-            raise ValueError(
-                f"decomposed kernel disagrees with the naive route: relative deviation "
-                f"{worst:.3e} at ({matrix.ids[i]}, {matrix.ids[j]})"
-            )
-        print(f"naive check passed (max relative deviation {worst:.3e})")
     if args.normalize:
         with run.stage("normalize"):
             matrix = normalize(matrix)
@@ -446,6 +424,8 @@ def cmd_bench(args: argparse.Namespace, run: Run) -> None:
         raise UsageError(f"--sizes must be a comma-separated list of integers: {exc}") from exc
     if not sizes or min(sizes) < 1:
         raise UsageError("--sizes must list positive integers")
+    if len(set(sizes)) < len(sizes):
+        raise UsageError("--sizes must not repeat a size: the slope is fitted across distinct sizes")
     _check_min("--repeats", args.repeats, 1)
     _check_min("--seed", args.seed, 0)
     params = _kernel_params(args)
@@ -468,10 +448,10 @@ def cmd_bench(args: argparse.Namespace, run: Run) -> None:
 
 # What the parser quotes from the kernel catalog and the generator, written
 # out so that building it imports neither; tests/test_cli.py holds them to
-# registry.KERNEL_NAMES, the catalog's defaults and generate.PRESET_NAMES.
-_KERNEL_NAMES = ("all-pairs-embedded", "rootpath-embedded", "all-pairs-node", "rootpath-node-naive",
-                 "rootpath-node", "rootpath-node-linear-fast", "pointcloud", "aaw", "agaw", "lbc",
-                 "gbc", "sp", "wl")
+# registry.KERNEL_NAMES, less the literal root-path route (a test oracle, which
+# only the library runs), the catalog's defaults and generate.PRESET_NAMES.
+_KERNEL_NAMES = ("all-pairs-embedded", "rootpath-embedded", "all-pairs-node", "rootpath-node",
+                 "rootpath-node-linear-fast", "pointcloud", "aaw", "agaw", "lbc", "gbc", "sp", "wl")
 _HELP_DEFAULTS = {"landmarks": 20, "gen_lo": 3, "gen_hi": 6, "iterations": 10}
 _PRESET_NAMES = ("null", "branch-shift", "attr-shift")
 
@@ -522,8 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cosine-normalize so diagonal entries become 1")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; no effect (runs serially)")
-    p.add_argument("--check-against-naive", dest="check_against_naive", action="store_true",
-                   help="recompute via the literal path-pair sum and compare")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("test", help="permutation two-sample test on a Gram matrix")

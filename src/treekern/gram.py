@@ -1,10 +1,12 @@
-"""Gram matrix assembly, normalization and PSD checking, and the Gram and
-labels CSV files, whose tree ids obey two rules: :func:`check_writable_ids`
-and :func:`check_distinct_ids`."""
+"""Gram matrix assembly, normalization and PSD checking, the Gram and labels
+CSV files, whose tree ids obey two rules: :func:`check_writable_ids` and
+:func:`check_distinct_ids`, and :func:`usable_cpus`, which sizes the pools of
+``gen`` and ``test``, the two commands that load this module and start any."""
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -34,6 +36,15 @@ _SYMMETRY_TOL = 1e-12
 _DISTINCT_SHARE = 0.75
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the CPU count
+    where the platform has no affinity masks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _row_strips(size: int) -> list[slice]:
     """Slices of consecutive rows of a square matrix, about 2^16 floats each."""
     step = max(1, (1 << 16) // max(size, 1))
@@ -50,6 +61,16 @@ def _max_asymmetry(values: np.ndarray) -> float:
     the whole matrix with its transpose. Each strip's difference is its one
     temporary, freed when its helper call returns, before the next is built."""
     return max((_strip_asymmetry(values, rows) for rows in _row_strips(len(values))), default=0.0)
+
+
+def check_finite(values: np.ndarray, ids: Sequence[str] | None = None) -> None:
+    """Refuse a square matrix with a NaN or infinite entry, naming its first
+    one by the row and column ``ids``, or by index when none are given."""
+    # min and max propagate NaN and carry +-inf, so no N x N mask is built unless one is there
+    if values.size and not (-np.inf < values.min() and values.max() < np.inf):
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        at = ", ".join(map(str, (i, j) if ids is None else (ids[i], ids[j])))
+        raise ValueError(f"Gram matrix has a non-finite entry {values[i, j]} at ({at})")
 
 
 @dataclass
@@ -69,13 +90,7 @@ class GramMatrix:
         if len(self.ids) != self.values.shape[0]:
             raise ValueError("id count does not match matrix size")
         check_distinct_ids(self.ids)
-        # min and max propagate NaN and carry +-inf, so no N x N mask is built unless one is there
-        if self.values.size and not (-np.inf < self.values.min() and self.values.max() < np.inf):
-            i, j = np.argwhere(~np.isfinite(self.values))[0]
-            raise ValueError(
-                f"Gram matrix has a non-finite entry {self.values[i, j]} at "
-                f"({self.ids[i]}, {self.ids[j]})"
-            )
+        check_finite(self.values, self.ids)
         if _max_asymmetry(self.values) > _SYMMETRY_TOL:
             raise ValueError("Gram matrix is not symmetric")
 
@@ -119,19 +134,14 @@ def assemble(
 def normalize(gram: GramMatrix) -> GramMatrix:
     """Cosine-normalize so the diagonal becomes 1: K'_ij = K_ij / sqrt(K_ii K_jj).
 
-    Refuses kernels flagged scalar-linear, where every normalized entry
-    degenerates to a constant (for positive scalars, exactly 1) and the
-    matrix loses all information. Already-normalized matrices pass through
+    Refuses kernels flagged scalar-linear (:func:`check_normalizable`),
+    where every normalized entry degenerates to a constant (for positive
+    scalars, exactly 1) and the matrix loses all information. Already-normalized matrices pass through
     unchanged, making the operation idempotent.
     """
     if gram.normalized:
         return gram
-    if gram.kernel_spec.get("scalar_linear"):
-        name = gram.kernel_spec.get("name", "kernel")
-        raise ValueError(
-            f"normalization is degenerate for the scalar linear kernel '{name}': "
-            "every entry becomes sign(K_ii K_jj); refusing"
-        )
+    check_normalizable(gram.kernel_spec)
     diag = np.diag(gram.values).copy()
     bad = np.flatnonzero(diag <= 0)
     if len(bad):
@@ -148,6 +158,15 @@ def normalize(gram: GramMatrix) -> GramMatrix:
         kernel_spec=dict(gram.kernel_spec),
         normalized=True,
     )
+
+
+def check_normalizable(kernel_spec: dict) -> None:
+    """Refuse to normalize a kernel its ``kernel_spec`` flags scalar-linear."""
+    if kernel_spec.get("scalar_linear"):
+        raise ValueError(
+            f"normalization is degenerate for the scalar linear kernel '{kernel_spec.get('name', 'kernel')}': "
+            "every entry becomes sign(K_ii K_jj); refusing"
+        )
 
 
 def psd_check(gram: GramMatrix, tol: float = 1e-8) -> PsdReport:

@@ -6,12 +6,13 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .gram import check_finite, usable_cpus
 
 __all__ = [
     "TwoSampleResult",
@@ -46,8 +47,7 @@ class TwoSampleResult:
 
 def _values(gram) -> np.ndarray:
     values = np.asarray(getattr(gram, "values", gram), dtype=float)
-    if values.size and not (-np.inf < values.min() and values.max() < np.inf):  # no N x N mask
-        raise ValueError("Gram matrix has non-finite entries")
+    check_finite(values, getattr(gram, "ids", None))
     return values
 
 
@@ -105,10 +105,7 @@ def scoring_threads(n_permutations: int, threads: int | None = None) -> int:
     BLAS threads each product itself)."""
     if scorer_blas_threads() is None:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     return min(cpus, threads or cpus, -(-(n_permutations + 1) // _STAT_BLOCK))
 
 

@@ -20,7 +20,6 @@ from treekern import (
     generate,
     generate_two_class_population,
     load_gram,
-    path_kernels,
     preset_configs,
     save_dataset,
     save_labels,
@@ -151,6 +150,8 @@ def test_gen_writes_the_serial_reference_bytes_for_any_worker_count(tmp_path, mo
         assert (tmp_path / "gen" / name).read_bytes() == (tmp_path / name).read_bytes(), name
     manifest = json.loads((tmp_path / "gen" / "manifest.json").read_text())
     assert manifest["workers"] == workers
+    if workers and twosample.scorer_blas_threads() is not None:  # the scoring threads read the same mask
+        assert twosample.scoring_threads(10**6) == workers
     assert list(manifest["stages"]) == ["grow", "write"]
     assert all(seconds >= 0 for seconds in manifest["stages"].values())
 
@@ -200,7 +201,8 @@ def test_commands_import_only_what_they_run(tmp_path):
 def test_help_quotes_the_kernel_catalog_and_the_presets(monkeypatch, capsys):
     from treekern import cli, registry
 
-    assert cli._KERNEL_NAMES == registry.KERNEL_NAMES
+    # the literal root-path route is a test oracle, which only the library runs
+    assert cli._KERNEL_NAMES == tuple(name for name in registry.KERNEL_NAMES if name != "rootpath-node-naive")
     assert cli._PRESET_NAMES == generate.PRESET_NAMES
     defaults = {"landmarks": "rootpath-embedded", "gen_lo": "agaw", "gen_hi": "agaw", "iterations": "wl"}
     assert cli._HELP_DEFAULTS == {key: registry.build_kernel(name).params[key] for key, name in defaults.items()}
@@ -209,7 +211,7 @@ def test_help_quotes_the_kernel_catalog_and_the_presets(monkeypatch, capsys):
         run(["kernel", "--help"])
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    assert "--kernel {" + ",".join(registry.KERNEL_NAMES) + "}" in text
+    assert "--kernel {" + ",".join(cli._KERNEL_NAMES) + "}" in text
     for flag, key in [("--landmarks", "landmarks"), ("--gen-lo", "gen_lo"), ("--gen-hi", "gen_hi"),
                       ("--wl-iterations", "iterations")]:
         entry = text.rsplit(f"{flag} ", 1)[1].split(" --", 1)[0]  # the option's help, after the usage line
@@ -436,51 +438,6 @@ def test_kernel_normalize_flag(tmp_path):
     assert np.max(np.abs(np.diag(gram.values) - 1.0)) <= 1e-12
 
 
-def test_kernel_check_against_naive(tmp_path, capsys, monkeypatch):
-    data = gen_dataset(tmp_path, size=8, seed=3)
-    out = tmp_path / "checked.csv"
-    code = run(
-        [
-            "kernel",
-            data / "trees.json",
-            "--kernel",
-            "rootpath-node",
-            "--form",
-            "gaussian",
-            "--use-attributes",
-            "--check-against-naive",
-            "--out",
-            out,
-        ]
-    )
-    assert code == 0
-    assert "naive check passed" in capsys.readouterr().out
-    # the oracle takes the fast route's own default form (linear)
-    code = run(
-        [
-            "kernel", data / "trees.json", "--kernel", "rootpath-node-linear-fast",
-            "--check-against-naive", "--out", out,
-        ]
-    )
-    assert code == 0
-    assert "naive check passed" in capsys.readouterr().out
-    # the flag is meaningless for unrelated kernels
-    code = run(
-        ["kernel", data / "trees.json", "--kernel", "sp", "--check-against-naive", "--out", out]
-    )
-    assert code == 2
-    capsys.readouterr()
-    # a naive route that disagrees is a data error naming the worst pair
-    doubled = path_kernels.node_path_kernel
-    monkeypatch.setattr(path_kernels, "node_path_kernel", lambda p1, p2, spec: 2 * doubled(p1, p2, spec))
-    code = run(["kernel", data / "trees.json", "--kernel", "rootpath-node", "--check-against-naive", "--out", out])
-    assert code == 1
-    assert re.fullmatch(
-        r"error: decomposed kernel disagrees with the naive route: relative deviation 5\.000e-01 at \(t\d{5}, t\d{5}\)\n",
-        capsys.readouterr().err,
-    )
-
-
 def test_kernel_usage_errors(tmp_path):
     data = gen_dataset(tmp_path, size=6)
     trees = data / "trees.json"
@@ -516,10 +473,12 @@ def test_kernel_usage_errors(tmp_path):
     # parameters the kernel does not accept
     assert run(["kernel", trees, "--kernel", "gbc", "--landmarks", 5, "--out", out]) == 2
     assert run(["kernel", trees, "--kernel", "sp", "--threads", 0, "--out", out]) == 2
-    # unknown kernel names are rejected by the parser itself
-    with pytest.raises(SystemExit) as exc:
-        run(["kernel", trees, "--kernel", "mystery", "--out", out])
-    assert exc.value.code == 2
+    # unknown kernel names, the oracle's among them, and unknown flags are rejected by the parser itself
+    for argv in (["--kernel", "mystery"], ["--kernel", "rootpath-node-naive"],
+                 ["--kernel", "rootpath-node", "--check-against-naive"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["kernel", trees, *argv, "--out", out])
+        assert exc.value.code == 2
 
 
 def test_kernel_data_errors(tmp_path, capsys):
@@ -638,11 +597,13 @@ def test_spec_json_integer_past_the_float_range_is_a_usage_error(tmp_path, capsy
 def test_a_landmark_count_no_array_can_hold_is_a_usage_error(tmp_path, capsys):
     data = gen_dataset(tmp_path, size=4, seed=2)
     out = tmp_path / "g.csv"
-    inline = '{"landmarks": 9000000000000000000}'
-    assert run(["kernel", data / "trees.json", "--kernel", "rootpath-embedded", "--spec-json", inline,
-                "--out", out]) == 2
-    assert "usage error: landmarks must be at most" in capsys.readouterr().err
-    assert not out.exists()
+    for kernel, flags, refusal in [
+        ("rootpath-embedded", ["--spec-json", '{"landmarks": 9000000000000000000}'], "landmarks must be at most"),
+        ("agaw", ["--gen-hi", 4611686018427387904], "gen_lo to gen_hi must span at most"),  # 2**62
+    ]:
+        assert run(["kernel", data / "trees.json", "--kernel", kernel, *flags, "--out", out]) == 2
+        assert f"usage error: {refusal}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("kernel", ["rootpath-embedded", "all-pairs-embedded"])
@@ -820,6 +781,8 @@ def test_bench_smoke(tmp_path, capsys):
 
     assert run(["bench", "--kernel", "gbc", "--sizes", "8,abc", "--out", out]) == 2
     assert run(["bench", "--kernel", "gbc", "--sizes", "", "--out", out]) == 2
+    assert run(["bench", "--kernel", "gbc", "--sizes", "5,5", "--out", out]) == 2
+    assert "usage error: --sizes must not repeat a size" in capsys.readouterr().err
     assert run(["bench", "--kernel", "gbc", "--sizes", "8", "--repeats", 0, "--out", out]) == 2
 
 

@@ -453,7 +453,7 @@ def test_registry_names_and_errors(rng):
         with pytest.raises(ValueError, match=match):
             build_kernel(name, **params)
     assert build_kernel("rootpath-embedded", landmarks=np.int64(3)).params["landmarks"] == 3
-    assert build_kernel("agaw", gen_hi=2**63 - 1).params["gen_hi"] == 2**63 - 1
+    assert build_kernel("agaw", gen_lo=2**63 - 1, gen_hi=2**63 - 1).params["gen_hi"] == 2**63 - 1
     scales = build_kernel("rootpath-node", lambda1=2, lambda2=np.float32(0.5)).params
     assert scales == {**scales, "lambda1": 2.0, "lambda2": 0.5}
     assert type(scales["lambda1"]) is float and type(scales["lambda2"]) is float

@@ -1,5 +1,6 @@
 """Two-sample statistic, permutation test, and the nearest-mean classifier."""
 
+import os
 import sys
 import threading
 import tracemalloc
@@ -194,7 +195,7 @@ def test_more_scoring_threads_than_cores_keep_the_bits(rng, monkeypatch):
     # draws and scores as often as the interpreter lets them
     values = random_psd(rng, 60)
     want = permutation_test(values, range(25), range(25, 60), n_permutations=5_000, seed=6, threads=1)
-    monkeypatch.setattr(twosample.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     if twosample.scorer_blas_threads() is not None:
         assert twosample.scoring_threads(5_000) == 8
     interval = sys.getswitchinterval()
@@ -340,7 +341,7 @@ def test_permutation_test_rejects_non_finite_gram():
     values = np.eye(4)
     for bad in (np.inf, -np.inf, np.nan):
         values[0, 3] = values[3, 0] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=rf"non-finite entry {bad} at \(0, 3\)"):
             permutation_test(values, [0, 1], [2, 3], n_permutations=99)
 
 
