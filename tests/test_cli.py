@@ -438,6 +438,30 @@ def test_kernel_normalize_flag(tmp_path):
     assert np.max(np.abs(np.diag(gram.values) - 1.0)) <= 1e-12
 
 
+def test_kernel_check_against_naive(tmp_path, capsys):
+    # the CLI runs no oracle: its decomposed Grams agree with the library's
+    # naive route through the documented migration, and the flag is refused
+    from treekern import assemble, build_kernel, load_dataset
+
+    data = gen_dataset(tmp_path, size=8, seed=3)
+    trees = load_dataset(data / "trees.json")
+    out = tmp_path / "g.csv"
+    for flags in (["--kernel", "rootpath-node", "--form", "gaussian", "--use-attributes"],
+                  ["--kernel", "rootpath-node-linear-fast"]):  # the fast route's own default form (linear)
+        assert run(["kernel", data / "trees.json", *flags, "--out", out]) == 0
+        gram = load_gram(out)
+        naive = assemble(trees, build_kernel("rootpath-node-naive", **gram.kernel_spec["params"]))
+        assert gram.ids == naive.ids
+        scale = np.maximum(1.0, np.maximum(np.abs(gram.values), np.abs(naive.values)))
+        assert np.max(np.abs(gram.values - naive.values) / scale) <= 1e-9, flags
+    out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        run(["kernel", data / "trees.json", "--kernel", "rootpath-node", "--check-against-naive", "--out", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --check-against-naive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kernel_usage_errors(tmp_path):
     data = gen_dataset(tmp_path, size=6)
     trees = data / "trees.json"
@@ -473,9 +497,8 @@ def test_kernel_usage_errors(tmp_path):
     # parameters the kernel does not accept
     assert run(["kernel", trees, "--kernel", "gbc", "--landmarks", 5, "--out", out]) == 2
     assert run(["kernel", trees, "--kernel", "sp", "--threads", 0, "--out", out]) == 2
-    # unknown kernel names, the oracle's among them, and unknown flags are rejected by the parser itself
-    for argv in (["--kernel", "mystery"], ["--kernel", "rootpath-node-naive"],
-                 ["--kernel", "rootpath-node", "--check-against-naive"]):
+    # unknown kernel names, the oracle's among them, are rejected by the parser itself
+    for argv in (["--kernel", "mystery"], ["--kernel", "rootpath-node-naive"]):
         with pytest.raises(SystemExit) as exc:
             run(["kernel", trees, *argv, "--out", out])
         assert exc.value.code == 2
