@@ -126,14 +126,19 @@ class Run:
 # -- gen --------------------------------------------------------------------------
 
 
-def _gen_workers() -> int:
-    """Worker processes that grow trees: one per CPU this process may run on,
-    or none where ``fork`` is unavailable and the trees grow in-process."""
-    import multiprocessing
+# Trees per forked worker below which forking costs more than it saves: on 2
+# CPUs, 120 trees grew faster in-process and 700 forked (README §Determinism).
+_TREES_PER_WORKER = 125
 
+
+def _gen_workers(trees: int) -> int:
+    """Worker processes that grow ``trees`` trees: one per CPU this process may
+    run on and per ``_TREES_PER_WORKER`` trees, or none, and they grow
+    in-process, where that is fewer than two or ``fork`` is unavailable."""
     from .gram import usable_cpus
 
-    return usable_cpus() if "fork" in multiprocessing.get_all_start_methods() else 0
+    workers = min(usable_cpus(), trees // _TREES_PER_WORKER)
+    return workers if workers > 1 and hasattr(os, "fork") else 0
 
 
 def _grow_chunk(steps: list) -> list[tuple[str, int, bytes]]:
@@ -181,6 +186,8 @@ def cmd_gen(args: argparse.Namespace, run: Run) -> None:
             raise ValueError(f"{args.config}: invalid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: expected a JSON object of generator fields")
+        if "seed" in overrides:  # the manifest records --seed, so only --seed may set it
+            raise ValueError(f"{args.config}: seed is set by --seed, not by the config file")
         try:
             cfg_a = replace(cfg_a, **overrides)
             cfg_b = replace(cfg_b, **overrides)
@@ -189,7 +196,7 @@ def cmd_gen(args: argparse.Namespace, run: Run) -> None:
     size_a, size_b = (args.size + 1) // 2, args.size // 2
     plan = generate.two_class_plan(cfg_a, cfg_b, size_a, size_b)
     out = run.output(args.out, directory=True)
-    workers = run.fields["workers"] = _gen_workers()
+    workers = run.fields["workers"] = _gen_workers(len(plan))
     ids, sizes = [], []
 
     def blobs(grown):
@@ -252,7 +259,7 @@ def _check_min(flag: str, value: int | None, low: int) -> None:
 
 
 def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
-    from .gram import assemble, check_normalizable, check_writable_ids, normalize, save_gram
+    from .gram import assemble, blas_threads, check_normalizable, check_writable_ids, normalize, save_gram
     from .path_kernels import check_landmark_fit
     from .registry import build_kernel
     from .trees import dataset_files, load_dataset
@@ -269,6 +276,7 @@ def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
         check_writable_ids([tree.id for tree in trees])  # save_gram's rule, before any assembly time is spent
     if "landmarks" in kernel.params:  # the spec allows counts too large for the cohort's n
         _or_usage(check_landmark_fit, kernel.params["landmarks"], trees[0].n)
+    run.fields["blas_threads"] = blas_threads()
     with run.stage("assemble"):
         matrix = assemble(trees, kernel)
     if args.normalize:
@@ -305,13 +313,14 @@ def _labelled_gram(args: argparse.Namespace, run: Run) -> tuple[Path, GramMatrix
 
 
 def cmd_test(args: argparse.Namespace, run: Run) -> None:
-    from .twosample import permutation_test, scorer_blas_threads, scoring_threads
+    from .gram import blas_threads
+    from .twosample import permutation_test, scoring_threads
 
     _check_min("--permutations", args.permutations, 1)
     _check_min("--seed", args.seed, 0)
     _check_min("--threads", args.threads, 1)
     out, matrix, idx_a, idx_b = _labelled_gram(args, run)
-    run.fields["blas_threads"] = scorer_blas_threads()
+    run.fields["blas_threads"] = blas_threads()
     run.fields["scoring_threads"] = scoring_threads(args.permutations, args.threads)
     with run.stage("permutation_test"):
         result = permutation_test(

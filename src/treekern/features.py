@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .gram import _one_blas_thread
 from .trees import GeometricTree, canonical_order
 
 __all__ = ["FeatureMap", "NodeSet", "PairLoop", "feature_gram", "nodeset_gram"]
@@ -157,12 +158,17 @@ class _Route:
 class FeatureMap(_Route):
     """A linear kernel given by a 1-D feature row per tree: K = ΦΦᵀ.
     ``width`` is the row length when the parameters fix it, None when it
-    varies with the trees."""
+    varies with the trees. Rows and dot products run on one BLAS thread."""
 
     width: int | None = None
 
+    def inputs(self, trees: Sequence[GeometricTree]) -> list:
+        with _one_blas_thread():
+            return super().inputs(trees)
+
     def gram(self, trees: Sequence[GeometricTree], inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return feature_gram(inputs)
+        with _one_blas_thread():
+            return feature_gram(inputs)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ list of steps in two passes. Pass 1 makes each tree's draws in stream
 order: per node, breadth first, the attribute noise, the stop and branch
 draws, then each child's tilt vector and angle draw. Pass 2 computes all
 the trees' geometry a level at a time, with the rounding of one tree
-grown node by node. A tilt redraws its vector while the part orthogonal to
-the parent direction has a norm of at most ``_REDRAW_NORM``; pass 1 cannot
-see that, so on meeting one, pass 2 has that tree's draws made again with
-the earliest such child's vector redrawn. The label file that
+grown node by node. A child whose tilt vector's part orthogonal to the
+parent direction has a norm of at most ``_FLAT_NORM`` has no plane to tilt
+in and keeps its parent's direction; its draws are made all the same, so
+pass 1 is each tree's whole stream. The label file that
 ``treekern gen`` writes beside the trees has its format in
 :mod:`treekern.gram`, with the Gram CSV's.
 """
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -92,18 +91,15 @@ def _rng(seed: int, offset: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, offset])))
 
 
-# The norm of a tilt vector's orthogonal part at or below which it is redrawn,
-# and the redraws of one child after which growing fails instead: a gaussian
-# tilt vector lands that close to the parent's line with probability below
-# 1e-12 (at n = 2, the worst case), so only a defect reaches the cap.
-_REDRAW_NORM = 1e-12
-_MAX_REDRAWS = 64
+# The norm of a tilt vector's orthogonal part at or below which the child
+# keeps its parent's direction: a gaussian tilt vector lands that close to
+# the parent's line with probability below 1e-12 (at n = 2, the worst case).
+_FLAT_NORM = 1e-12
 
 
-def _draw(cfg: GeneratorConfig, offset: int, redraws: dict) -> tuple:
+def _draw(cfg: GeneratorConfig, offset: int) -> tuple:
     """Pass 1: a tree's breadth-first parents and levels, its noise rows, and
-    each child's kept tilt vector and uniform draw; a child in ``redraws``
-    throws that many vectors away first. No geometry, no scalar numpy call."""
+    each child's tilt vector and uniform draw. No geometry, no scalar numpy call."""
     rng = _rng(cfg.seed, offset)
     random, standard_normal, zeros = rng.random, rng.standard_normal, np.zeros(cfg.d)
     n, d, sd, max_depth, p_stop, p_branch = cfg.n, cfg.d, cfg.attr_noise_sd, cfg.max_depth, cfg.p_stop, cfg.p_branch
@@ -116,8 +112,6 @@ def _draw(cfg: GeneratorConfig, offset: int, redraws: dict) -> tuple:
             continue
         for _ in range(2 if random() < p_branch else 1):
             if tilts:
-                for _ in range(redraws.get(len(parents), 0)):
-                    standard_normal(n)
                 gs.append(standard_normal(n))
                 us.append(random())
             parents.append(v)
@@ -125,13 +119,12 @@ def _draw(cfg: GeneratorConfig, offset: int, redraws: dict) -> tuple:
     return parents, levels, noise, gs, us
 
 
-def _place(cfgs: list, drawn: list) -> list | dict:
+def _place(cfgs: list, drawn: list) -> list:
     """Pass 2: each tree's positions, laid out a level at a time across all
-    the trees, or, where a level has an orthogonal part of norm at most
-    ``_REDRAW_NORM``, {tree: its earliest such child}. ``np.matmul`` of
-    stacked vectors takes each product with ``np.dot``'s BLAS routine, and
-    the sums of squares, cosines and sines are the scalar calls' ufunc
-    loops, so each tree rounds as when grown alone."""
+    the trees. ``np.matmul`` of stacked vectors takes each product with
+    ``np.dot``'s BLAS routine, and the sums of squares, cosines and sines
+    are the scalar calls' ufunc loops, so each tree rounds as when grown
+    alone; a flat tilt selects its parent's direction."""
     n = cfgs[0].n
     sizes = [len(parents) for parents, *_ in drawn]
     starts = np.cumsum([0, *sizes])
@@ -154,12 +147,11 @@ def _place(cfgs: list, drawn: list) -> list | dict:
             d, gb = directions[parents[bent]], g[bent]
             ortho = gb - np.matmul(gb[:, None, :], d[:, :, None])[:, 0] * d
             norm = np.sqrt(np.add.reduce(ortho * ortho, axis=1))
-            low = bent[norm <= _REDRAW_NORM]
-            if len(low):
-                trees, first = np.unique(tree_of[low], return_index=True)
-                return {int(t): int(low[k] - starts[t]) for t, k in zip(trees, first)}
+            flat = norm <= _FLAT_NORM
+            norm[flat] = 1.0  # a flat row's quotient is not kept: no division by zero
             theta = angle[bent]
-            directions[bent] = np.cos(theta)[:, None] * d + np.sin(theta)[:, None] * (ortho / norm[:, None])
+            tilted = np.cos(theta)[:, None] * d + np.sin(theta)[:, None] * (ortho / norm[:, None])
+            directions[bent] = np.where(flat[:, None], d, tilted)
         length = np.array([cfg.edge_length_decay ** (level - 2) for cfg in cfgs])[tree_of[kids]]
         positions[kids] = positions[parents[kids]] + length[:, None] * directions[kids]
     return np.split(positions, starts[1:-1])
@@ -173,19 +165,9 @@ def generate_trees(steps: list) -> list[GeometricTree]:
         raise ValueError("steps must be given, all of one n")
     if any(offset < 0 for _, offset, *_ in steps):
         raise ValueError("seed_offset must be non-negative")
-    redraws = [Counter() for _ in steps]
-    drawn = [_draw(cfg, offset, {}) for cfg, offset, *_ in steps]
-    while isinstance(positions := _place(cfgs, drawn), dict):
-        for t, child in positions.items():
-            redraws[t][child] += 1
-            if redraws[t][child] > _MAX_REDRAWS:
-                raise RuntimeError(
-                    f"tree offset {steps[t][1]}: child {child}'s tilt was redrawn {_MAX_REDRAWS} times "
-                    f"and its orthogonal part still has a norm of at most {_REDRAW_NORM}"
-                )
-            drawn[t] = _draw(cfgs[t], steps[t][1], redraws[t])
+    drawn = [_draw(cfg, offset) for cfg, offset, *_ in steps]
     trees = []
-    for (cfg, offset, *_), (parents, levels, noise, _, _), xs in zip(steps, drawn, positions):
+    for (cfg, offset, *_), (parents, levels, noise, _, _), xs in zip(steps, drawn, _place(cfgs, drawn)):
         level_values = [cfg.attr_base + cfg.attr_depth_slope * (level - 1) for level in levels]
         attrs = np.array(level_values, dtype=float)[:, None] + noise if cfg.d > 0 else None
         trees.append(GeometricTree(f"t{offset:05d}", parents, xs, attrs, n=cfg.n, d=cfg.d))

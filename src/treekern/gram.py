@@ -1,12 +1,16 @@
 """Gram matrix assembly, normalization and PSD checking, the Gram and labels
 CSV files, whose tree ids obey two rules: :func:`check_writable_ids` and
-:func:`check_distinct_ids`, and :func:`usable_cpus`, which sizes the pools of
-``gen`` and ``test``, the two commands that load this module and start any."""
+:func:`check_distinct_ids`, :func:`usable_cpus`, which sizes the pools of
+``gen`` and ``test``, and the one-thread BLAS scope of the scorer and the
+feature maps: every command that starts a pool or runs a product loads it."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -43,6 +47,55 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy (``numpy.libs/libscipy_openblas*.so``, as numpy's Linux wheels ship
+    it), or None where no such library is found."""
+    import ctypes
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):  # the 64-bit-integer build's symbols, then the 32-bit one's
+            get, put = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+            if get and put:
+                get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count that pinned products (the permutation scorer's
+    and the feature maps') run at: 1 where numpy's bundled OpenBLAS is found
+    and pinned, None where they run unpinned."""
+    return None if _openblas_threads() is None else 1
+
+
+# The thread count is process-wide: pinned callers in two threads take turns,
+# so neither restores a count under the other's products. Scopes do not nest.
+_PIN = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the products inside on one OpenBLAS thread, then restore the
+    count. How a product splits over threads changes its rounding, so
+    pinned products give the same bits on any host; without the library
+    they run unpinned."""
+    controls = _openblas_threads()
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    with _PIN:
+        previous = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(previous)
 
 
 def _row_strips(size: int) -> list[slice]:

@@ -3,23 +3,19 @@ and a nearest-mean classifier, all driven by a precomputed Gram matrix."""
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .gram import check_finite, usable_cpus
+from .gram import _one_blas_thread, blas_threads, check_finite, usable_cpus
 
 __all__ = [
     "TwoSampleResult",
     "mean_distance_statistic",
     "permutation_test",
     "nearest_mean_classify",
-    "scorer_blas_threads",
     "scoring_threads",
 ]
 
@@ -69,28 +65,6 @@ def _check_groups(size: int, groups: dict[str, np.ndarray]) -> None:
         raise ValueError("query points overlap the training samples" if "query" in where else "samples A and B overlap")
 
 
-@functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS bundled with
-    numpy (``numpy.libs/libscipy_openblas*.so``, as numpy's Linux wheels ship
-    it), or None where no such library is found."""
-    import ctypes
-
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
-        lib = ctypes.CDLL(str(path))
-        for suffix in ("64_", ""):  # the 64-bit-integer build's symbols, then the 32-bit one's
-            get, put = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
-            if get and put:
-                return get, put
-    return None
-
-
-def scorer_blas_threads() -> int | None:
-    """The BLAS thread count the scorer's products run at: 1 where numpy's
-    bundled OpenBLAS is found and pinned, None where it runs unpinned."""
-    return None if _openblas_threads() is None else 1
-
-
 # Relabelings are drawn and scored in fixed-size row blocks, so the test
 # holds one block buffer and its product per scoring thread whatever the
 # permutation count. The statistics' bits depend on the product's shape, so
@@ -103,35 +77,10 @@ def scoring_threads(n_permutations: int, threads: int | None = None) -> int:
     this process may run on, capped by ``threads`` when given and by the
     number of blocks, or 1 where the products run unpinned (an unpinned
     BLAS threads each product itself)."""
-    if scorer_blas_threads() is None:
+    if blas_threads() is None:
         return 1
     cpus = usable_cpus()
     return min(cpus, threads or cpus, -(-(n_permutations + 1) // _STAT_BLOCK))
-
-
-# The thread count is process-wide: pinned callers in two threads take
-# turns, so neither restores a count under the other's products.
-_PIN = threading.Lock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the products inside on one OpenBLAS thread, then restore the
-    count. How a product splits over threads changes its rounding, so a
-    pinned scorer gives the same bits on any host; without the library the
-    products run unpinned."""
-    controls = _openblas_threads()
-    if controls is None:
-        yield
-        return
-    get, put = controls
-    with _PIN:
-        previous = get()
-        put(1)
-        try:
-            yield
-        finally:
-            put(previous)
 
 
 class _Scorer:
@@ -192,7 +141,7 @@ def mean_distance_statistic(gram, idx_a, idx_b) -> float:
     """Distance between the two sample means in the kernel feature space:
     the permutation test's scorer on the identity order, with tiny negative
     values of z K z from floating point clamped to zero. Its bits do not
-    depend on the BLAS thread count where :func:`scorer_blas_threads` is 1."""
+    depend on the BLAS thread count where :func:`blas_threads` is 1."""
     score = _Scorer(gram, idx_a, idx_b)
     block, product, index = score.buffers(1)
     block[0] = np.arange(score.m)
@@ -243,7 +192,7 @@ def permutation_test(
     bytes per permutation: the ``n_permutations + 1`` statistics and the
     quantiles' sorted copy. The products run on one thread of numpy's
     bundled OpenBLAS, so the output does not depend on the BLAS thread
-    count; where that library is not found (:func:`scorer_blas_threads` is
+    count; where that library is not found (:func:`blas_threads` is
     None) one thread scores every block and the products run unpinned, at
     whatever count the BLAS picks.
     ``threads``, when given, caps the scoring threads (it must be at least

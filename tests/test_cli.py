@@ -25,7 +25,9 @@ from treekern import (
     save_labels,
     twosample,
 )
+from treekern import cli
 from treekern.cli import fit_slope, main
+from treekern.gram import blas_threads
 
 from conftest import fail_scoring_at
 
@@ -110,6 +112,11 @@ def test_gen_config_overrides(tmp_path, capsys):
         assert run(["gen", "--out", tmp_path / "z", "--size", 6, "--config", cfg]) == 1
         assert f"{cfg}: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "z").exists()
+    # the manifest records --seed, so the config may not change the seed
+    cfg.write_text('{"seed": 5}')
+    assert run(["gen", "--out", tmp_path / "z", "--seed", 0, "--size", 6, "--config", cfg]) == 1
+    assert f"{cfg}: seed is set by --seed" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
     cfg.write_text('{"p_branch": 1.0, "max_depth": 7}')
     assert run(["gen", "--out", tmp_path / "complete", "--size", 2, "--config", cfg]) == 0
 
@@ -127,16 +134,17 @@ def test_gen_size_below_one_tree_per_class_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("workers", [0, 1, 2, 3])  # 0: no fork, so the chunks grow in-process
+@pytest.mark.parametrize("workers", [0, 1, 2, 3])  # 0: no fork, 1: one CPU; both grow in-process
 @pytest.mark.parametrize(
     "preset, overrides",
     [("null", {}), ("branch-shift", {}), ("attr-shift", {}), ("branch-shift", {"p_branch": 0.6, "max_depth": 4})],
 )
 def test_gen_writes_the_serial_reference_bytes_for_any_worker_count(tmp_path, monkeypatch, preset, overrides, workers):
+    monkeypatch.setattr(cli, "_TREES_PER_WORKER", 4)  # 13 trees may take three workers
     if workers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     else:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
     argv = ["gen", "--out", tmp_path / "gen", "--preset", preset, "--size", 13, "--seed", 5]
     if overrides:
         (tmp_path / "cfg.json").write_text(json.dumps(overrides))
@@ -149,14 +157,23 @@ def test_gen_writes_the_serial_reference_bytes_for_any_worker_count(tmp_path, mo
     for name in ("trees.json", "labels.csv"):
         assert (tmp_path / "gen" / name).read_bytes() == (tmp_path / name).read_bytes(), name
     manifest = json.loads((tmp_path / "gen" / "manifest.json").read_text())
-    assert manifest["workers"] == workers
-    if workers and twosample.scorer_blas_threads() is not None:  # the scoring threads read the same mask
+    assert manifest["workers"] == (workers if workers > 1 else 0)
+    if workers and blas_threads() is not None:  # the scoring threads read the same mask
         assert twosample.scoring_threads(10**6) == workers
     assert list(manifest["stages"]) == ["grow", "write"]
     assert all(seconds >= 0 for seconds in manifest["stages"].values())
 
 
+def test_gen_forks_one_worker_per_enough_trees(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+    per = cli._TREES_PER_WORKER
+    assert [cli._gen_workers(trees) for trees in (16, 2 * per - 1, 2 * per, 700)] == [0, 0, 2, 2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert [cli._gen_workers(trees) for trees in (3 * per, 100 * per)] == [3, 8]
+
+
 def test_gen_workers_end_with_the_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_TREES_PER_WORKER", 1)
     assert run(["gen", "--out", tmp_path / "ok", "--size", 12]) == 0
     assert multiprocessing.active_children() == []
     grow = generate.generate_trees
@@ -282,12 +299,13 @@ def test_manifests_record_stage_timings(tmp_path, monkeypatch):
     assert all(seconds >= 0 for seconds in manifest["stages"].values())
     assert manifest["n_pairs"] == 6 * 7 // 2
     assert manifest["pairs_per_second"] > 0
+    assert manifest["blas_threads"] == blas_threads()
     result = tmp_path / "t.json"
     assert run(["test", gram, data / "labels.csv", "--permutations", 50, "--out", result]) == 0
     manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
     assert list(manifest["stages"]) == ["load", "permutation_test"]
     assert manifest["n_permutations"] == 50
-    assert manifest["blas_threads"] == twosample.scorer_blas_threads()
+    assert manifest["blas_threads"] == blas_threads()
     if sys.platform.startswith("linux"):  # numpy's Linux wheels bundle OpenBLAS
         assert manifest["blas_threads"] == 1
     assert manifest["scoring_threads"] == 1  # 51 statistics are one block
@@ -295,8 +313,8 @@ def test_manifests_record_stage_timings(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
     assert manifest["scoring_threads"] == twosample.scoring_threads(600, 2)
     # without a bundled OpenBLAS the scorer runs unpinned on one thread, and the manifest says so
-    monkeypatch.setattr(twosample, "_openblas_threads", lambda: None)
-    assert twosample.scorer_blas_threads() is None
+    monkeypatch.setattr(treekern.gram, "_openblas_threads", lambda: None)
+    assert blas_threads() is None
     assert run(["test", gram, data / "labels.csv", "--permutations", 600, "--out", result]) == 0
     manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
     assert (manifest["blas_threads"], manifest["scoring_threads"]) == (None, 1)
@@ -329,7 +347,7 @@ def test_each_command_writes_its_success_manifest_keys(tmp_path):
     assert run(["bench", "--kernel", "gbc", "--sizes", "5,9", "--repeats", 1, "--out", tmp_path / "b.csv"]) == 0
     extra = {
         data / "manifest.json": {"workers", "stages"},
-        tmp_path / "g.csv.manifest.json": {"stages", "n_pairs", "pairs_per_second"},
+        tmp_path / "g.csv.manifest.json": {"stages", "n_pairs", "pairs_per_second", "blas_threads"},
         tmp_path / "t.json.manifest.json": {"stages", "n_permutations", "blas_threads", "scoring_threads"},
         tmp_path / "c.json.manifest.json": {"stages"},
         tmp_path / "b.csv.manifest.json": set(),
@@ -739,24 +757,34 @@ def test_two_sample_label_errors(tmp_path, capsys):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # about 3 s. At 700 trees the scorer's product rounded differently on one
-    # and two OpenBLAS threads before the scorer was pinned to one. The last
-    # `test`, on one scoring thread, adds about 0.2 s.
+    # about 4 s. At 700 trees the scorer's product rounded differently on one
+    # and two OpenBLAS threads before the scorer was pinned to one, and on six
+    # 90-node chains the linear feature maps' rows and dot products did before
+    # they were. The last `test`, on one scoring thread, adds about 0.2 s.
     data = gen_dataset(tmp_path, preset="branch-shift", size=700, seed=1)
     labels = data / "labels.csv"
+    (tmp_path / "chain.json").write_text('{"p_branch": 0.0, "p_stop": 0.0, "max_depth": 90}')
+    chains = tmp_path / "chains"
+    assert run(["gen", "--out", chains, "--preset", "attr-shift", "--size", 6, "--seed", 1,
+                "--config", tmp_path / "chain.json"]) == 0
     code = "import sys; from treekern.cli import main; sys.exit(max(main(a.split('|')) for a in sys.argv[1:]))"
     outputs = []
     for threads in ("1", "2", None):
         out = tmp_path / f"threads-{threads}"
+        linear = ["kernel", chains, "--form", "linear", "--out"]
         commands = [
             ["kernel", data / "trees.json", "--kernel", "gbc", "--normalize", "--out", out / "g.csv"],
             ["test", out / "g.csv", labels, "--seed", 1, "--out", out / "t.json"],
             ["classify", out / "g.csv", labels, "--out", out / "c.json"],
+            [*linear, out / "rp.csv", "--kernel", "rootpath-node", "--use-attributes"],
+            [*linear, out / "ap.csv", "--kernel", "all-pairs-node"],
         ]
         done = run_python(["-c", code, *("|".join(map(str, c)) for c in commands)], OPENBLAS_NUM_THREADS=threads)
         assert done.returncode == 0, done.stderr
         files = sorted(f for f in out.iterdir() if not f.name.endswith(".manifest.json"))
-        assert [f.name for f in files] == ["c.json", "g.csv", "g.csv.meta.json", "t.json"]
+        assert [f.name for f in files] == [
+            "ap.csv", "ap.csv.meta.json", "c.json", "g.csv", "g.csv.meta.json", "rp.csv", "rp.csv.meta.json", "t.json"
+        ]
         outputs.append([f.read_bytes() for f in files])
     assert outputs[0] == outputs[1] == outputs[2]
     # one scoring thread gives the bytes of the default count

@@ -1,7 +1,7 @@
 """Synthetic generator: determinism, shape statistics, presets, and labels."""
 
 import math
-import time
+import warnings
 from collections import deque
 from dataclasses import replace
 
@@ -46,24 +46,23 @@ def test_generate_tree_respects_dimensions():
     assert bare.id == "t00000"
 
 
-def tilted_reference(rng, direction, max_angle, min_norm):
-    """The generator's tilt step on numpy vectors: g is drawn again while
-    its part orthogonal to ``direction`` has a norm of at most ``min_norm``."""
+def tilted_reference(rng, direction, max_angle, flat_norm):
+    """The generator's tilt step on numpy vectors: g and the angle are drawn
+    for every child, and a g whose part orthogonal to ``direction`` has a
+    norm of at most ``flat_norm`` keeps ``direction``."""
     n = len(direction)
     if n == 1 or max_angle == 0.0:
         return direction.copy()
-    while True:
-        g = rng.standard_normal(n)
-        g -= np.dot(g, direction) * direction
-        norm = float(np.sqrt((g * g).sum()))
-        if norm > min_norm:
-            break
-    u = g / norm
+    g = rng.standard_normal(n)
     theta = max_angle * rng.random()
-    return np.cos(theta) * direction + np.sin(theta) * u
+    g -= np.dot(g, direction) * direction
+    norm = float(np.sqrt((g * g).sum()))
+    if norm <= flat_norm:
+        return direction.copy()
+    return np.cos(theta) * direction + np.sin(theta) * (g / norm)
 
 
-def generate_tree_reference(cfg, seed_offset, min_norm=1e-12):
+def generate_tree_reference(cfg, seed_offset, flat_norm=1e-12):
     """One tree grown node by node on numpy vectors, each node's draws
     followed at once by its geometry: the stream ``generate_trees`` keeps."""
     rng = _rng(cfg.seed, seed_offset)
@@ -84,7 +83,7 @@ def generate_tree_reference(cfg, seed_offset, min_norm=1e-12):
         n_children = 2 if rng.random() < cfg.p_branch else 1
         length = cfg.edge_length_decay ** (level - 1)
         for _ in range(n_children):
-            child_dir = tilted_reference(rng, direction, cfg.direction_jitter, min_norm)
+            child_dir = tilted_reference(rng, direction, cfg.direction_jitter, flat_norm)
             queue.append((index, level + 1, pos + length * child_dir, child_dir))
     return GeometricTree(
         f"t{seed_offset:05d}", parents, positions, attrs if cfg.d > 0 else None, n=cfg.n, d=cfg.d
@@ -113,28 +112,49 @@ def test_generate_tree_matches_the_numpy_vector_loop(preset, seed, overrides):
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_redraws_keep_the_stream(preset, monkeypatch):
-    # at this norm about one 3-D tilt in eight draws its vector again
+def test_flat_tilts_keep_the_parent_direction(preset, monkeypatch):
+    # at this bound about one 3-D tilt in eight is flat
     configs = preset_configs(preset, 4)
     steps = [(configs[offset % 2], offset) for offset in range(30)]
     unforced = [serialize_tree(tree) for tree in generate_trees(steps)]
-    monkeypatch.setattr(generate, "_REDRAW_NORM", 0.5)
-    expected = [serialize_tree(generate_tree_reference(cfg, offset, min_norm=0.5)) for cfg, offset in steps]
+    monkeypatch.setattr(generate, "_FLAT_NORM", 0.5)
+    expected = [serialize_tree(generate_tree_reference(cfg, offset, flat_norm=0.5)) for cfg, offset in steps]
     grown = [serialize_tree(tree) for tree in generate_trees(steps)]
     assert grown == expected
     assert sum(a != b for a, b in zip(grown, unforced)) > 20
 
 
+class AxisDraws:
+    """A tree's generator whose tilt vectors lie on the root's axis, after
+    the same draws as the real one."""
 
-def test_a_child_that_keeps_being_redrawn_fails_instead_of_hanging(monkeypatch):
-    # about 0.02 s: at an infinite norm every tilt is redrawn, so the first
-    # child reaches the cap and growing stops with its tree and child named
-    monkeypatch.setattr(generate, "_REDRAW_NORM", math.inf)
-    cfg = preset_configs("branch-shift", 1)[0]
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match=f"tree offset 3: child 1's tilt was redrawn {generate._MAX_REDRAWS} times"):
-        generate_tree(cfg, 3)
-    assert time.perf_counter() - start < 0.5
+    def __init__(self, rng):
+        self.random, self.normal, self.draw = rng.random, rng.normal, rng.standard_normal
+
+    def standard_normal(self, n):
+        self.draw(n)
+        return np.eye(n)[0]
+
+
+@pytest.mark.parametrize("flat", ["infinite-bound", "zero-norm"])
+def test_when_every_tilt_is_flat_every_node_lies_on_the_root_axis(monkeypatch, flat):
+    # each child's draws are still made, so the shapes stay; attr-shift trees
+    # never stop before their depth cap. A zero norm divides nothing by zero.
+    steps = [(cfg, offset) for offset, cfg in enumerate(preset_configs("attr-shift", 1))]
+    unforced = generate_trees(steps)
+    if flat == "infinite-bound":
+        monkeypatch.setattr(generate, "_FLAT_NORM", math.inf)
+    else:
+        monkeypatch.setattr(generate, "_rng", lambda seed, offset: AxisDraws(_rng(seed, offset)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grown = generate_trees(steps)
+    for tree, straight in zip(unforced, grown):
+        assert straight.size > 1
+        assert np.array_equal(straight.parents, tree.parents)
+        assert not straight.positions[:, 1:].any()
+        assert np.all(straight.positions[1:, 0] > 0)
+
 
 def test_attribute_depth_model():
     # with zero noise, attributes are exactly base + slope * depth

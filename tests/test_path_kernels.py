@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treekern import features, path_kernels
+from treekern import features, gram, path_kernels
 from treekern import (
     GeometricTree,
     NodeKernelSpec,
@@ -273,6 +273,34 @@ def test_linear_all_pairs_node_row_holds_no_count_table():
     finally:
         tracemalloc.stop()
     assert peak <= 32e6, peak
+
+
+def test_linear_all_pairs_node_rows_and_dots_run_on_one_blas_thread(monkeypatch):
+    # OpenBLAS splits a long enough product over its threads, which changes
+    # its rounding: a 600-node chain's row differed on one and two threads
+    controls = gram._openblas_threads()
+    if controls is None:
+        pytest.skip("no controllable OpenBLAS: the products run unpinned")
+    get, put = controls
+    blocks, dots, seen = path_kernels._path_count_blocks, features.feature_gram, []
+
+    def counted_blocks(*args):
+        for counts in blocks(*args):
+            seen.append(get())
+            yield counts
+
+    monkeypatch.setattr(path_kernels, "_path_count_blocks", counted_blocks)
+    monkeypatch.setattr(features, "feature_gram", lambda rows: seen.append(get()) or dots(rows))
+    trees = [chain_tree(5, n=2, tree_id="a"), chain_tree(8, n=2, tree_id="b")]
+    route = path_kernels.all_pairs_route(NodeKernelSpec(form="linear"))
+    before = get()
+    put(2)  # a count the pin must give back
+    try:
+        route.gram(trees, route.inputs(trees))
+        assert get() == 2
+    finally:
+        put(before)
+    assert len(seen) > 2 and set(seen) == {1}
 
 
 def test_all_pairs_embedded_matches_pairwise_loop(rng):

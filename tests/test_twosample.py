@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from treekern import (
+    gram,
     mean_distance_statistic,
     nearest_mean_classify,
     permutation_test,
@@ -131,7 +132,7 @@ def test_permutation_test_bits_do_not_depend_on_the_blas_thread_count(rng):
     # about 0.2 s. At m = 700 a (256, m) x (m, m) product rounds differently
     # on one and two OpenBLAS threads; the scorer runs it on one, then
     # restores the caller's count.
-    controls = twosample._openblas_threads()
+    controls = gram._openblas_threads()
     if controls is None:
         pytest.skip("no controllable OpenBLAS: the scorer runs unpinned")
     get, put = controls
@@ -147,7 +148,7 @@ def test_permutation_test_bits_do_not_depend_on_the_blas_thread_count(rng):
     finally:
         put(before)
     assert results[:2] == results[2:]
-    assert twosample.scorer_blas_threads() == 1
+    assert gram.blas_threads() == 1
 
 
 _SMALL = [3, 0, 7, 12, 19, 5, 21, 9]
@@ -183,7 +184,7 @@ def test_thread_counts_give_the_bits_of_all_rows_first(rng):
     m, n_permutations = 700, 3 * 256 + 10
     values = random_psd(rng, m)
     idx_a, idx_b = np.arange(0, 600, 2), np.setdiff1d(np.arange(m), np.arange(0, 600, 2))
-    with twosample._one_blas_thread():
+    with gram._one_blas_thread():
         statistic, p_value, summary = permutation_test_all_rows_first(values, idx_a, idx_b, n_permutations, seed=2)
     for threads in (1, 2, 3, None):
         res = permutation_test(values, idx_a, idx_b, n_permutations=n_permutations, seed=2, threads=threads)
@@ -196,7 +197,7 @@ def test_more_scoring_threads_than_cores_keep_the_bits(rng, monkeypatch):
     values = random_psd(rng, 60)
     want = permutation_test(values, range(25), range(25, 60), n_permutations=5_000, seed=6, threads=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    if twosample.scorer_blas_threads() is not None:
+    if gram.blas_threads() is not None:
         assert twosample.scoring_threads(5_000) == 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -214,7 +215,7 @@ def test_scoring_threads_are_capped(monkeypatch):
     assert twosample.scoring_threads(10**6, threads=cpus + 5) == cpus
     assert twosample.scoring_threads(255) == 1  # one block
     assert twosample.scoring_threads(256) == min(cpus, 2)
-    monkeypatch.setattr(twosample, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(gram, "_openblas_threads", lambda: None)
     assert twosample.scoring_threads(10**6) == 1  # an unpinned BLAS threads each product
 
 
@@ -224,7 +225,7 @@ def test_a_scoring_error_is_raised_after_every_thread_has_ended(rng, monkeypatch
     fail_scoring_at(monkeypatch, m=300, seed=4)
     score, scored = twosample._Scorer.__call__, []
     monkeypatch.setattr(twosample._Scorer, "__call__", lambda *args: scored.append(1) or score(*args))
-    controls = twosample._openblas_threads()
+    controls = gram._openblas_threads()
     get, put = controls if controls else (lambda: None, lambda count: None)
     before, running = get(), set(threading.enumerate())
     put(2)  # a count the scorer's pin must give back
