@@ -173,26 +173,23 @@ def _grow(plan: list, workers: int):
 
 def cmd_gen(args: argparse.Namespace, run: Run) -> None:
     from . import generate
-    from .gram import save_labels
+    from .gram import errors_from, save_labels
     from .trees import save_serialized
 
     _check_min("--size", args.size, 2)  # one tree per class
     _check_min("--seed", args.seed, 0)
     cfg_a, cfg_b = generate.preset_configs(args.preset, args.seed)
     if args.config is not None:
-        try:
+        with errors_from(args.config):
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or not text
-            raise ValueError(f"{args.config}: invalid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ValueError(f"{args.config}: expected a JSON object of generator fields")
-        if "seed" in overrides:  # the manifest records --seed, so only --seed may set it
-            raise ValueError(f"{args.config}: seed is set by --seed, not by the config file")
-        try:
-            cfg_a = replace(cfg_a, **overrides)
-            cfg_b = replace(cfg_b, **overrides)
-        except (TypeError, ValueError) as exc:  # an unknown field, or a bad value
-            raise ValueError(f"{args.config}: {exc}") from exc
+            if not isinstance(overrides, dict):
+                raise ValueError("expected a JSON object of generator fields")
+            if "seed" in overrides:  # the manifest records --seed, so only --seed may set it
+                raise ValueError("seed is set by --seed, not by the config file")
+            try:
+                cfg_a, cfg_b = replace(cfg_a, **overrides), replace(cfg_b, **overrides)
+            except TypeError as exc:  # an unknown field; a bad value raises ValueError
+                raise ValueError(exc) from exc
     size_a, size_b = (args.size + 1) // 2, args.size // 2
     plan = generate.two_class_plan(cfg_a, cfg_b, size_a, size_b)
     out = run.output(args.out, directory=True)
@@ -293,15 +290,15 @@ def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
 
 
 def _labelled_gram(args: argparse.Namespace, run: Run) -> tuple[Path, GramMatrix, list[int], list[int]]:
-    """Name the output, load the Gram matrix in stage ``load`` and split its trees by label 0 and 1."""
+    """Name the output, load the Gram matrix and the labels in stage ``load`` and split the trees by label 0 and 1."""
     from .gram import load_gram, load_labels
 
     out = run.output(args.out)
     run.input_files = [args.gram, args.labels]
     with run.stage("load"):
         matrix = load_gram(args.gram)
-    run.kernel_spec = matrix.kernel_spec or None
-    labels = load_labels(args.labels)
+        run.kernel_spec = matrix.kernel_spec or None
+        labels = load_labels(args.labels)
     missing = [i for i in matrix.ids if i not in labels]
     if missing:
         raise ValueError(f"no label for tree id '{missing[0]}'")

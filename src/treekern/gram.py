@@ -1,8 +1,9 @@
 """Gram matrix assembly, normalization and PSD checking, the Gram and labels
 CSV files, whose tree ids obey two rules: :func:`check_writable_ids` and
-:func:`check_distinct_ids`, :func:`usable_cpus`, which sizes the pools of
-``gen`` and ``test``, and the one-thread BLAS scope of the scorer and the
-feature maps: every command that starts a pool or runs a product loads it."""
+:func:`check_distinct_ids`, :class:`errors_from`, which names the file of an
+input error, :func:`usable_cpus`, which sizes the pools of ``gen`` and
+``test``, and the one-thread BLAS scope of the scorer and the feature maps:
+every command that reads a file, starts a pool or runs a product loads it."""
 
 from __future__ import annotations
 
@@ -38,6 +39,24 @@ _SYMMETRY_TOL = 1e-12
 # Past this share of distinct values in a strip of Gram cells, formatting or
 # parsing every cell costs less than a table of the distinct ones.
 _DISTINCT_SHARE = 0.75
+
+
+class _Named(ValueError):
+    """An input error that already names its source."""
+
+
+@dataclass
+class errors_from(contextlib.AbstractContextManager):
+    """A scope that prefixes ``<source>: `` to a ValueError raised inside, a
+    decoding error too, and ``invalid JSON: `` to a JSON syntax error's
+    message; an error an inner scope has named passes as it is."""
+
+    source: object
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValueError) and not isinstance(exc, _Named):
+            syntax = "invalid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
+            raise _Named(f"{self.source}: {syntax}{exc}") from exc
 
 
 def usable_cpus() -> int:
@@ -251,14 +270,13 @@ def check_writable_ids(ids: Sequence[str]) -> None:
             raise ValueError(f"tree id {tree_id!r} cannot be written to CSV")
 
 
-def check_distinct_ids(ids: Sequence[str], source: object = None) -> None:
-    """Refuse a repeated tree id, naming the first one seen twice, and the
-    ``source`` of the ids when one is given."""
+def check_distinct_ids(ids: Sequence[str]) -> None:
+    """Refuse a repeated tree id, naming the first one seen twice; a reader
+    names the file the ids came from with :func:`errors_from`."""
     seen: set[str] = set()
     for tree_id in ids:
         if tree_id in seen:
-            where = f"{source}: " if source else ""
-            raise ValueError(f"{where}duplicate tree id '{tree_id}'")
+            raise ValueError(f"duplicate tree id '{tree_id}'")
         seen.add(tree_id)
 
 
@@ -316,15 +334,17 @@ def load_gram(path: str | Path) -> GramMatrix:
     distinct texts, the strip's rows go through one text -> float table, so
     each distinct text is converted once per strip; otherwise, and after a
     row of more than that share of new texts, each row's cells are parsed
-    in one numpy conversion.
+    in one numpy conversion. The sidecar is a JSON object whose
+    ``kernel_spec``, when present, is an object and whose ``normalized`` is
+    a boolean. An error names the file it is in, the CSV or the sidecar.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as src:
+    with errors_from(path), path.open(encoding="utf-8") as src:
         header = src.readline().rstrip("\n")
         if not header.startswith("id,"):
-            raise ValueError(f"{path}: not a Gram CSV (missing 'id,' header)")
+            raise ValueError("not a Gram CSV (missing 'id,' header)")
         ids = header.split(",")[1:]
-        check_distinct_ids(ids, path)
+        check_distinct_ids(ids)
         values = np.empty((len(ids), len(ids)))
         strip_starts = {rows.start for rows in _row_strips(len(ids))}
         table = None
@@ -335,9 +355,9 @@ def load_gram(path: str | Path) -> GramMatrix:
                 continue
             cells = line.split(",")
             if len(cells) != len(ids) + 1:
-                raise ValueError(f"{path}: row '{cells[0]}' has {len(cells) - 1} values, expected {len(ids)}")
+                raise ValueError(f"row '{cells[0]}' has {len(cells) - 1} values, expected {len(ids)}")
             if row == len(ids) or cells[0] != ids[row]:
-                raise ValueError(f"{path}: row ids do not match column ids")
+                raise ValueError("row ids do not match column ids")
             texts = cells[1:]
             if row in strip_starts:
                 table = _Parsed() if len(set(texts)) <= _DISTINCT_SHARE * len(texts) else None
@@ -350,23 +370,22 @@ def load_gram(path: str | Path) -> GramMatrix:
                     if len(table) - known > _DISTINCT_SHARE * len(texts):  # mostly new texts: stop the table
                         table = None
             except ValueError as err:
-                raise ValueError(f"{path}: row '{cells[0]}': {err}") from err
+                raise ValueError(f"row '{cells[0]}': {err}") from err
             row += 1
-    if row != len(ids):
-        raise ValueError(f"{path}: row ids do not match column ids")
-    kernel_spec: dict = {}
-    normalized = False
+        if row != len(ids):
+            raise ValueError("row ids do not match column ids")
+    meta: dict = {}
     meta_file = sidecar_path(path)
     if meta_file.exists():
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-        kernel_spec = meta.get("kernel_spec", {})
-        normalized = bool(meta.get("normalized", False))
-    return GramMatrix(
-        ids=ids,
-        values=values,
-        kernel_spec=kernel_spec,
-        normalized=normalized,
-    )
+        with errors_from(meta_file):
+            meta = json.loads(meta_file.read_text(encoding="utf-8"))
+            if not isinstance(meta, dict):
+                raise ValueError("expected a JSON object")
+            if not isinstance(meta.get("kernel_spec", {}), dict):
+                raise ValueError(f"'kernel_spec' must be a JSON object, got {meta['kernel_spec']!r}")
+            if type(meta.get("normalized", False)) is not bool:
+                raise ValueError(f"'normalized' must be a boolean, got {meta['normalized']!r}")
+    return GramMatrix(ids, values, meta.get("kernel_spec", {}), meta.get("normalized", False))
 
 
 def save_labels(ids: list[str], labels, path: str | Path) -> None:
@@ -389,14 +408,15 @@ def save_labels(ids: list[str], labels, path: str | Path) -> None:
 
 
 def load_labels(path: str | Path) -> dict[str, int]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "tree_id,label":
-        raise ValueError(f"{path}: expected header 'tree_id,label'")
-    rows = [line.partition(",") for line in lines[1:] if line]
-    for tree_id, _, label in rows:
-        if label not in ("0", "1"):
-            raise ValueError(f"{path}: label for '{tree_id}' must be 0 or 1, got {label!r}")
-    check_distinct_ids([tree_id for tree_id, _, _ in rows], path)
-    if not rows:
-        raise ValueError(f"{path}: no labels")
+    with errors_from(path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        if not lines or lines[0] != "tree_id,label":
+            raise ValueError("expected header 'tree_id,label'")
+        rows = [line.partition(",") for line in lines[1:] if line]
+        for tree_id, _, label in rows:
+            if label not in ("0", "1"):
+                raise ValueError(f"label for '{tree_id}' must be 0 or 1, got {label!r}")
+        check_distinct_ids([tree_id for tree_id, _, _ in rows])
+        if not rows:
+            raise ValueError("no labels")
     return {tree_id: int(label) for tree_id, _, label in rows}

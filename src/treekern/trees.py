@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,16 +60,6 @@ class NodePath:
         return self.tree.attribute_rows("reading a node path's attributes")[list(self.nodes)]
 
 
-class _NodeError(ValueError):
-    """A construction error about the node at input position ``pos``, told
-    by ``say(name)`` with the node's name; the constructor names it by
-    ``pos``, the JSON reader by its JSON id."""
-
-    def __init__(self, tree_id: str, pos: int, say: Callable[[object], str]):
-        super().__init__(f"tree '{tree_id}': {say(pos)}")
-        self.pos, self.say = pos, say
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -89,12 +79,14 @@ class GeometricTree:
     degrees, levels, descendant and sphere tables) is computed when read, as
     a fresh read-only array, and only the fingerprint is kept, so read a
     table once and pass it; paths and kernel inputs are not kept either.
-    Positions and attributes must be finite.
+    Positions and attributes must be finite. Errors name the tree, and a
+    node by its input position or, given ``node_names``, by its name there.
 
     Levels are 1-based: the root is the only node at level 1.
     """
 
-    def __init__(self, tree_id: str, parents, positions, attributes=None, n: int | None = None, d: int | None = None):
+    def __init__(self, tree_id: str, parents, positions, attributes=None, n: int | None = None, d: int | None = None,
+                 node_names: Sequence | None = None):
         """Validate input-order arrays and store them in canonical order.
 
         A breadth-first pass from the root over children listed in input
@@ -107,14 +99,15 @@ class GeometricTree:
         size = len(raw_list)
         if not size:
             raise ValueError(f"tree '{self.id}': has no nodes")
+        names = range(size) if node_names is None else node_names
         if raw_list.count(-1) != 1:
-            roots = [i for i, p in enumerate(raw_list) if p == -1]
+            roots = [names[i] for i, p in enumerate(raw_list) if p == -1]
             if not roots:
                 raise ValueError(f"tree '{self.id}': no root node (every node has a parent)")
-            raise ValueError(f"tree '{self.id}': multiple roots at positions {roots}")
+            raise ValueError(f"tree '{self.id}': multiple roots: nodes {roots}")
         if min(raw_list) < -1 or max(raw_list) >= size:
             i = next(i for i, p in enumerate(raw_list) if not -1 <= p < size)
-            raise _NodeError(self.id, i, lambda node: f"node {node} has invalid parent index {raw_list[i]}")
+            raise ValueError(f"tree '{self.id}': node {names[i]} has invalid parent index {raw_list[i]}")
 
         kids: list[list[int]] = [[] for _ in range(size + 1)]
         for i, p in enumerate(raw_list):
@@ -129,7 +122,7 @@ class GeometricTree:
             v = min(set(range(size)).difference(order))
             for _ in range(size):  # |V| steps up from any node end on its cycle
                 v = raw_list[v]
-            raise _NodeError(self.id, v, lambda node: f"cycle detected involving node {node}")
+            raise ValueError(f"tree '{self.id}': cycle detected involving node {names[v]}")
 
         for what, rows in (("position", positions), ("attribute", attributes)):
             if rows is not None and len(rows) != size:
@@ -144,12 +137,12 @@ class GeometricTree:
             raise ValueError(f"tree '{self.id}': attribute dimension must be >= 0")
         if (attributes is not None) != (self.d > 0):
             raise ValueError(f"tree '{self.id}': attributes must be given exactly when d > 0 (d = {self.d})")
-        xs = self._stack_rows(positions, self.n, "position has")
-        attrs = self._stack_rows(attributes, self.d, "attributes have") if self.d > 0 else None
-        for name, values in (("position", xs), ("attribute vector", attrs)):
+        xs = self._stack_rows(positions, self.n, names, "position has")
+        attrs = self._stack_rows(attributes, self.d, names, "attributes have") if self.d > 0 else None
+        for what, values in (("position", xs), ("attribute vector", attrs)):
             if values is not None and not np.isfinite(values).all():
-                raw_node = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
-                raise _NodeError(self.id, raw_node, lambda node: f"node {node} has a non-finite {name}")
+                node = names[int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])]
+                raise ValueError(f"tree '{self.id}': node {node} has a non-finite {what}")
 
         order_arr = np.array(order, dtype=np.intp)
         canon_of_raw = np.empty(size, dtype=np.intp)
@@ -157,28 +150,30 @@ class GeometricTree:
         self.parents = _read_only(np.concatenate(([-1], canon_of_raw[raw[order_arr[1:]]])))
         self.positions = _read_only(xs[order_arr])
         self.attributes = None if attrs is None else _read_only(attrs[order_arr])
-        self.node_levels = _read_only(np.searchsorted(bounds[1:-1], np.arange(size), side="right") + 1)
+        self.node_levels = _read_only(np.array(bounds[1:-1]).searchsorted(np.arange(size), side="right") + 1)
 
-    def _stack_rows(self, rows, width: int, what: str) -> np.ndarray:
-        """Rows of numbers as one (|V|, width) float array; the first row of
-        another size, or holding anything but numbers, raises, naming its
-        input position."""
+    def _stack_rows(self, rows, width: int, names: Sequence, what: str) -> np.ndarray:
+        """Rows of numbers as one (|V|, width) float array. The first row of
+        another shape, or holding anything but numbers (a boolean too), raises,
+        naming its node by ``names``."""
         with contextlib.suppress(ValueError):  # ragged rows
-            stacked = np.array(rows)
-            if stacked.shape == (len(rows), width) and stacked.dtype.kind in "iuf":
-                return stacked.astype(float, copy=False)
-        flat = []
+            block = np.array(rows)
+            if block.shape == (len(rows), width) and block.dtype.kind in "iuf":
+                # a boolean among numbers reads 0.0 or 1.0, so only cells where x * x == x can hide one
+                cells = [] if isinstance(rows, np.ndarray) else (block * block == block).ravel().nonzero()[0].tolist()
+                if not any(type(rows[k // width][k % width]) is bool for k in cells):
+                    return block.astype(float, copy=False)
         for i, row in enumerate(rows):
             try:
-                flat.append(np.array(row).ravel())
+                values = np.array(row)
             except ValueError:  # a ragged row
-                flat.append(np.array([row], dtype=object))
-            if flat[-1].dtype.kind not in "iuf":
-                raise _NodeError(self.id, i, lambda node: f"node {node} {what} an entry that is not a number: {row!r}")
-            got = flat[-1].size
-            if got != width:
-                raise _NodeError(self.id, i, lambda node: f"node {node} {what} dimension {got}, expected {width}")
-        return np.array(flat, dtype=float)
+                values = np.array([row], dtype=object)
+            if values.dtype.kind not in "iuf" or values.ndim == 1 and bool in map(type, row):
+                raise ValueError(f"tree '{self.id}': node {names[i]} {what} an entry that is not a number: {row!r}")
+            if values.shape != (width,):  # a flat row of another length, or a nested or scalar one
+                got = f"dimension {values.size}" if values.ndim == 1 else f"shape {values.shape}"
+                raise ValueError(f"tree '{self.id}': node {names[i]} {what} {got}, expected {width}")
+        return np.array(rows, dtype=float)
 
     # -- basic structure -------------------------------------------------------
 
@@ -337,16 +332,18 @@ def serialize_tree(tree: GeometricTree) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _tree_from_obj(obj: dict, source: str | None = None) -> GeometricTree:
-    """Build a tree from a decoded JSON object; every error names ``source``
-    (or "tree" until the id is known), then the tree id and the node, by its
-    JSON id, once they are known."""
+def _tree_from_obj(obj: dict) -> GeometricTree:
+    """Build a tree from a decoded JSON object, casting nothing. Errors name
+    the tree id and the node, by its JSON id, once they are known; a file's
+    reader adds the file (:class:`treekern.gram.errors_from`)."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{source or 'tree'}: expected a JSON object")
+        raise ValueError("expected a JSON object")
     for key in ("id", "n", "d", "nodes"):
         if key not in obj:
-            raise ValueError(f"{source or 'tree'}: missing field '{key}'")
-    where = f"tree '{obj['id']}'" if source is None else f"{source}: tree '{obj['id']}'"
+            raise ValueError(f"missing field '{key}'")
+    if type(obj["id"]) is not str:
+        raise ValueError(f"tree id must be a JSON string, got {obj['id']!r}")
+    where = f"tree '{obj['id']}'"
     for key in ("n", "d"):
         if type(obj[key]) is not int:  # exact type: a JSON boolean is no integer
             raise ValueError(f"{where}: '{key}' must be an integer, got {obj[key]!r}")
@@ -365,17 +362,14 @@ def _tree_from_obj(obj: dict, source: str | None = None) -> GeometricTree:
                 if key not in entry:
                     raise ValueError(f"{where}: node at position {pos} missing field '{key}'") from None
         raise
-    for key, values, kinds in (("id", ids, (int,)), ("parent", parent_ids, (int, type(None)))):
-        bad = next((pos for pos, value in enumerate(values) if type(value) not in kinds), None)
-        if bad is not None:
+    for key, values, kinds in (("id", ids, {int}), ("parent", parent_ids, {int, type(None)})):
+        if not kinds.issuperset(map(type, values)):
+            bad = next(pos for pos, value in enumerate(values) if type(value) not in kinds)
             raise ValueError(f"{where}: node at position {bad} has '{key}' {values[bad]!r}, not an integer")
     pos_of_id = {node_id: pos for pos, node_id in enumerate(ids)}
     if len(pos_of_id) < len(ids):
         duplicate = next(node_id for node_id, count in Counter(ids).items() if count > 1)
         raise ValueError(f"{where}: duplicate node id {duplicate}")
-    roots = [node_id for node_id, p in zip(ids, parent_ids) if p is None]
-    if len(roots) > 1:
-        raise ValueError(f"{where}: multiple roots: nodes {roots}")
     parents = [-1 if p is None else pos_of_id.get(p, -2) for p in parent_ids]  # -2: no such node
     if -2 in parents:
         pos = parents.index(-2)
@@ -386,14 +380,7 @@ def _tree_from_obj(obj: dict, source: str | None = None) -> GeometricTree:
     if d == 0 and any(has_a):
         raise ValueError(f"{where}: node {ids[has_a.index(True)]} carries 'a' but d = 0")
     attrs = [entry["a"] for entry in raw_nodes] if d > 0 else None
-    try:
-        return GeometricTree(str(obj["id"]), parents, xs, attrs, n=obj["n"], d=d)
-    except _NodeError as exc:
-        raise ValueError(f"{where}: {exc.say(ids[exc.pos])}") from None
-    except ValueError as exc:  # already names the tree
-        if source is None:
-            raise
-        raise ValueError(f"{source}: {exc}") from None
+    return GeometricTree(obj["id"], parents, xs, attrs, n=obj["n"], d=d, node_names=ids)
 
 
 def parse_tree(data: bytes | str | dict) -> GeometricTree:
@@ -412,14 +399,17 @@ def dataset_files(path: str | Path) -> list[Path]:
     """The files :func:`load_dataset` reads for ``path``: the path itself,
     or for a directory its ``trees.json`` when present (the layout
     ``treekern gen`` writes), else every ``.json`` file in it."""
+    from .gram import errors_from
+
     path = Path(path)
     if not path.is_dir():
         return [path]
     if (path / "trees.json").is_file():
         return [path / "trees.json"]
-    files = sorted(p for p in path.iterdir() if p.suffix == ".json")
-    if not files:
-        raise ValueError(f"{path}: directory contains no .json files")
+    with errors_from(path):
+        files = sorted(p for p in path.iterdir() if p.suffix == ".json")
+        if not files:
+            raise ValueError("directory contains no .json files")
     return files
 
 
@@ -432,22 +422,25 @@ def _load_file(p: Path) -> list[GeometricTree]:
     # element at a time: each dict becomes a tree as soon as it is decoded,
     # so besides the text only the newest element's objects are live.
     # Every syntax error is json.loads's, at its position in the whole file.
-    raw = p.read_bytes()
-    text = raw.decode(json.detect_encoding(raw), "surrogatepass")
-    del raw
+    from .gram import errors_from
+
     trees: list[GeometricTree] = []
-    try:
+    with errors_from(p):
+        raw = p.read_bytes()
+        text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+        del raw
         idx = _SKIP(text).end()
         if not text.startswith("[", idx):
             obj = _DECODER.decode(text)
             if isinstance(obj, dict):
-                return [_tree_from_obj(obj, source=str(p))]
+                return [_tree_from_obj(obj)]
         else:
             idx = _SKIP(text, idx + 1).end()
             if not text.startswith("]", idx):
                 while True:  # a trailing comma ends in raw_decode's "Expecting value" at the "]"
                     obj, idx = _DECODER.raw_decode(text, idx)
-                    trees.append(_tree_from_obj(obj, source=f"{p}[{len(trees)}]"))
+                    with errors_from(f"{p}[{len(trees)}]"):
+                        trees.append(_tree_from_obj(obj))
                     idx = _SKIP(text, idx).end()
                     if text.startswith("]", idx):
                         break
@@ -457,10 +450,8 @@ def _load_file(p: Path) -> list[GeometricTree]:
             end = _SKIP(text, idx + 1).end()
             if end != len(text):
                 raise json.JSONDecodeError("Extra data", text, end)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{p}: invalid JSON: {exc}") from exc
-    if not trees:
-        raise ValueError(f"{p}: expected a non-empty JSON array of trees")
+        if not trees:
+            raise ValueError("expected a non-empty JSON array of trees")
     return trees
 
 
@@ -472,12 +463,14 @@ def load_dataset(path: str | Path) -> list[GeometricTree]:
     with or without a BOM, UTF-16 and UTF-32) and an array is decoded one
     tree at a time, so the peak is about twice the file plus one tree's
     objects. Errors are those of ``json.loads``, but a tree error early in a
-    file is reported before a syntax error later in it.
+    file is reported before a syntax error later in it. An error names its
+    file, and the index of the array element it is about.
     """
-    from .gram import check_distinct_ids  # here: the tree model alone loads no Gram code
+    from .gram import check_distinct_ids, errors_from  # here: the tree model alone loads no Gram code
 
     trees = [tree for p in dataset_files(path) for tree in _load_file(p)]
-    check_distinct_ids([tree.id for tree in trees], Path(path))
+    with errors_from(Path(path)):
+        check_distinct_ids([tree.id for tree in trees])
     return trees
 
 

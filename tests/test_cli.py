@@ -213,6 +213,16 @@ def test_commands_import_only_what_they_run(tmp_path):
         loaded = set(json.loads(done.stdout.splitlines()[-1]))
         assert loaded & unused == set(), name
         assert ("treekern.trees" in loaded) == (name in ("gen", "kernel")), name
+    # the tree model names no file, so building and parsing trees, refusals too, loads no Gram code
+    code = ("import json, sys, treekern.trees as trees\n"
+            "trees.GeometricTree('g', [-1, 0], [[0.0], [1.0]])\n"
+            "trees.parse_tree(trees.serialize_tree(trees.GeometricTree('p', [-1], [[0.0]])))\n"
+            "for bad in ('{\"id\": 1}', '[]', '{nope'):\n"
+            "    try:\n        trees.parse_tree(bad)\n    except ValueError:\n        pass\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    done = run_python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert "treekern.gram" not in json.loads(done.stdout.splitlines()[-1])
 
 
 def test_help_quotes_the_kernel_catalog_and_the_presets(monkeypatch, capsys):
@@ -445,6 +455,49 @@ def test_a_failure_manifest_that_cannot_be_written_leaves_the_error_as_it_is(tmp
     (tmp_path / "g.csv.manifest.json").mkdir()  # the manifest cannot be written there
     assert run(["kernel", data, "--kernel", "gbc", "--out", tmp_path / "g.csv"]) == 1
     assert capsys.readouterr().err.startswith(f"error: load: {data}")
+
+
+@pytest.fixture(scope="module")
+def small_cohort(tmp_path_factory):
+    """A gen directory of 6 trees and its gbc Gram CSV with sidecar."""
+    tmp = tmp_path_factory.mktemp("cohort")
+    data = gen_dataset(tmp, size=6, seed=1)
+    assert run(["kernel", data, "--kernel", "gbc", "--out", tmp / "g.csv"]) == 0
+    return data, tmp / "g.csv"
+
+
+_BAD_SIDECARS = {"not-json": '{"kernel_spec": {}', "array": "[1, 2]", "string": '"str"',
+                 "spec-not-object": '{"kernel_spec": 5}', "normalized-not-boolean": '{"normalized": "yes"}'}
+
+
+@pytest.mark.parametrize(
+    "command,broken,content",
+    [
+        pytest.param("kernel", "trees.json", b"[\xff]", id="kernel-trees-undecodable"),
+        *(pytest.param(command, name, b"\xff\n", id=f"{command}-{name}-undecodable")
+          for command in ("test", "classify") for name in ("g.csv", "labels.csv")),
+        *(pytest.param(command, "g.csv.meta.json", text.encode(), id=f"{command}-sidecar-{case}")
+          for command in ("test", "classify") for case, text in _BAD_SIDECARS.items()),
+    ],
+)
+def test_an_input_that_cannot_be_read_is_named_in_the_load_stage(tmp_path, capsys, small_cohort, command, broken,
+                                                                 content):
+    # undecodable bytes, a sidecar that is not JSON, and sidecars that are JSON of the wrong shape
+    data, gram = small_cohort
+    inputs = {"trees.json": data / "trees.json", "labels.csv": data / "labels.csv", "g.csv": gram,
+              "g.csv.meta.json": gram.with_name("g.csv.meta.json")}
+    for name, source in inputs.items():
+        (tmp_path / name).write_bytes(content if name == broken else source.read_bytes())
+    out = tmp_path / "out"
+    argv = (["kernel", tmp_path / "trees.json", "--kernel", "gbc"] if command == "kernel"
+            else [command, tmp_path / "g.csv", tmp_path / "labels.csv"])
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: load: {tmp_path / broken}: ")
+    manifest = read_failure_manifest(f"{out}.manifest.json", err)
+    assert manifest["stage"] == "load"
+    assert not out.exists()
 
 
 def test_kernel_normalize_flag(tmp_path):

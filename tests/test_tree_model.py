@@ -134,6 +134,8 @@ def test_json_errors_name_nodes_by_their_json_ids():
     # the constructor itself names nodes by input position
     with pytest.raises(ValueError, match=r"^tree 't': cycle detected involving node [12]$"):
         GeometricTree("t", [-1, 2, 1], [[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match=r"^tree 't': multiple roots: nodes \[0, 2\]$"):
+        GeometricTree("t", [-1, 0, -1], [[0.0], [1.0], [2.0]])
 
 
 def test_levels_of_long_reversed_chain():
@@ -406,6 +408,19 @@ def test_parse_errors():
         ({"nodes": [{"id": 0, "parent": None}]}, r"tree 't': node at position 0 missing field 'x'"),
         ({"nodes": [{**root, "a": [1.0]}]}, r"tree 't': node 0 carries 'a' but d = 0"),
         ({"nodes": []}, r"tree 't': 'nodes' must be a non-empty array"),
+        # a tree id is a JSON string, and a row a flat array of JSON numbers, booleans excluded
+        ({"id": None}, r"^tree id must be a JSON string, got None$"),
+        ({"id": True}, r"^tree id must be a JSON string, got True$"),
+        ({"id": [1, 2]}, r"^tree id must be a JSON string, got \[1, 2\]$"),
+        ({"n": 2, "nodes": [{**root, "x": [True, 0.0]}]},
+         r"^tree 't': node 0 position has an entry that is not a number: \[True, 0.0\]$"),
+        ({"n": 2, "nodes": [{**root, "x": [0, 0]}, {"id": 7, "parent": 0, "x": [1, True]}]},
+         r"^tree 't': node 7 position has an entry that is not a number: \[1, True\]$"),
+        ({"d": 2, "nodes": [{**root, "a": [0.5, False]}]},
+         r"^tree 't': node 0 attributes have an entry that is not a number: \[0.5, False\]$"),
+        ({"nodes": [{**root, "x": 5}]}, r"^tree 't': node 0 position has shape \(\), expected 1$"),
+        ({"n": 2, "nodes": [{**root, "x": [[1, 2]]}]}, r"^tree 't': node 0 position has shape \(1, 2\), expected 2$"),
+        ({"d": 1, "nodes": [{**root, "a": [[0.5]]}]}, r"^tree 't': node 0 attributes have shape \(1, 1\), expected 1$"),
     ]:
         with pytest.raises(ValueError, match=match):
             parse_tree({**good, **changes})
@@ -470,12 +485,20 @@ def reference_load(path):
         except json.JSONDecodeError as exc:
             raise ValueError(f"{p}: invalid JSON: {exc}") from exc
         if isinstance(data, dict):
-            trees.append(_tree_from_obj(data, source=str(p)))
+            trees.append(tree_named(data, p))
             continue
         if not isinstance(data, list) or not data:
             raise ValueError(f"{p}: expected a non-empty JSON array of trees")
-        trees.extend(_tree_from_obj(obj, source=f"{p}[{k}]") for k, obj in enumerate(data))
+        trees.extend(tree_named(obj, f"{p}[{k}]") for k, obj in enumerate(data))
     return trees
+
+
+def tree_named(obj, source):
+    """The tree of a decoded object, its errors prefixed with ``source``."""
+    try:
+        return _tree_from_obj(obj)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def test_streamed_reader_accepts_what_json_loads_accepts(tmp_path, rng):
