@@ -55,10 +55,15 @@ def _row_route(row, form: str, width: int) -> FeatureMap | NodeSet:
     return NodeSet(lambda tree: (row(tree)[None, :], *one))
 
 
+def check_component(component: int, d: int) -> None:
+    """An attribute-average kernel's ``component`` must index one of the ``d`` attribute components."""
+    if not 0 <= component < d:
+        raise ValueError(f"attribute component {component} out of range for d = {d}")
+
+
 def _attribute_column(tree: GeometricTree, component: int) -> np.ndarray:
     attributes = tree.attribute_rows("an attribute-average kernel")
-    if not (0 <= component < tree.d):
-        raise ValueError(f"attribute component {component} out of range for d = {tree.d}")
+    check_component(component, tree.d)
     return attributes[:, component]
 
 

@@ -256,6 +256,7 @@ def _check_min(flag: str, value: int | None, low: int) -> None:
 
 
 def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
+    from .baselines import check_component
     from .gram import assemble, blas_threads, check_normalizable, check_writable_ids, normalize, save_gram
     from .path_kernels import check_landmark_fit
     from .registry import build_kernel
@@ -273,6 +274,8 @@ def cmd_kernel(args: argparse.Namespace, run: Run) -> None:
         check_writable_ids([tree.id for tree in trees])  # save_gram's rule, before any assembly time is spent
     if "landmarks" in kernel.params:  # the spec allows counts too large for the cohort's n
         _or_usage(check_landmark_fit, kernel.params["landmarks"], trees[0].n)
+    if "component" in kernel.params and trees[0].d > 0:  # d = 0 is a data error, which names the tree
+        _or_usage(check_component, kernel.params["component"], trees[0].d)
     run.fields["blas_threads"] = blas_threads()
     with run.stage("assemble"):
         matrix = assemble(trees, kernel)

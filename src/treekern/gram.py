@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import json
 import os
 import threading
@@ -36,8 +37,8 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
-# Past this share of distinct values in a strip of Gram cells, formatting or
-# parsing every cell costs less than a table of the distinct ones.
+# Past this share of distinct values in a strip of Gram cells, the writer
+# formats every cell instead of each distinct value once.
 _DISTINCT_SHARE = 0.75
 
 
@@ -315,26 +316,15 @@ def save_gram(gram: GramMatrix, path: str | Path) -> None:
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-class _Parsed(dict):
-    """Cell text -> ``float(text)``, converting each text once, on its first lookup."""
-
-    def __missing__(self, text: str) -> float:
-        value = self[text] = float(text)
-        return value
-
-
 def load_gram(path: str | Path) -> GramMatrix:
     """Read a Gram CSV (and its sidecar, when present) back exactly.
 
-    The file is read one line at a time into a preallocated (n, n) array,
-    in the strips of :func:`_row_strips` that :func:`save_gram` writes. A
-    cell is whatever Python's ``float()`` accepts; non-finite values are
-    then rejected with the rest of the :class:`GramMatrix` checks. When at
-    most ``_DISTINCT_SHARE`` of the cells of a strip's first row are
-    distinct texts, the strip's rows go through one text -> float table, so
-    each distinct text is converted once per strip; otherwise, and after a
-    row of more than that share of new texts, each row's cells are parsed
-    in one numpy conversion. The sidecar is a JSON object whose
+    The file is read one line at a time into a preallocated (n, n) array.
+    A row's text, the cells after its id, is known by its SHA-256 digest:
+    the first row with a given text is parsed in one numpy conversion, and
+    a later row with the same text copies that row's values. A cell is
+    whatever Python's ``float()`` accepts; the matrix is then held to the
+    :class:`GramMatrix` checks. The sidecar is a JSON object whose
     ``kernel_spec``, when present, is an object and whose ``normalized`` is
     a boolean. An error names the file it is in, the CSV or the sidecar.
     """
@@ -346,31 +336,25 @@ def load_gram(path: str | Path) -> GramMatrix:
         ids = header.split(",")[1:]
         check_distinct_ids(ids)
         values = np.empty((len(ids), len(ids)))
-        strip_starts = {rows.start for rows in _row_strips(len(ids))}
-        table = None
+        # digest of a row text -> the first row with it: 32 bytes kept per distinct row, not its text
+        first_with: dict[bytes, int] = {}
         row = 0
         for line in src:
             line = line.rstrip("\n")
             if not line:
                 continue
-            cells = line.split(",")
-            if len(cells) != len(ids) + 1:
-                raise ValueError(f"row '{cells[0]}' has {len(cells) - 1} values, expected {len(ids)}")
-            if row == len(ids) or cells[0] != ids[row]:
+            tree_id, _, text = line.partition(",")
+            first = first_with.setdefault(hashlib.sha256(text.encode()).digest(), row)
+            if first == row:  # a new text: its cells are counted and parsed
+                cells = line.split(",")
+                if len(cells) != len(ids) + 1:
+                    raise ValueError(f"row '{tree_id}' has {len(cells) - 1} values, expected {len(ids)}")
+            if row == len(ids) or tree_id != ids[row]:
                 raise ValueError("row ids do not match column ids")
-            texts = cells[1:]
-            if row in strip_starts:
-                table = _Parsed() if len(set(texts)) <= _DISTINCT_SHARE * len(texts) else None
             try:
-                if table is None:
-                    values[row] = texts
-                else:
-                    known = len(table)
-                    values[row] = np.fromiter(map(table.__getitem__, texts), float, len(texts))
-                    if len(table) - known > _DISTINCT_SHARE * len(texts):  # mostly new texts: stop the table
-                        table = None
+                values[row] = cells[1:] if first == row else values[first]
             except ValueError as err:
-                raise ValueError(f"row '{cells[0]}': {err}") from err
+                raise ValueError(f"row '{tree_id}': {err}") from err
             row += 1
         if row != len(ids):
             raise ValueError("row ids do not match column ids")
@@ -385,7 +369,8 @@ def load_gram(path: str | Path) -> GramMatrix:
                 raise ValueError(f"'kernel_spec' must be a JSON object, got {meta['kernel_spec']!r}")
             if type(meta.get("normalized", False)) is not bool:
                 raise ValueError(f"'normalized' must be a boolean, got {meta['normalized']!r}")
-    return GramMatrix(ids, values, meta.get("kernel_spec", {}), meta.get("normalized", False))
+    with errors_from(path):
+        return GramMatrix(ids, values, meta.get("kernel_spec", {}), meta.get("normalized", False))
 
 
 def save_labels(ids: list[str], labels, path: str | Path) -> None:

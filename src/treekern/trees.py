@@ -153,9 +153,10 @@ class GeometricTree:
         self.node_levels = _read_only(np.array(bounds[1:-1]).searchsorted(np.arange(size), side="right") + 1)
 
     def _stack_rows(self, rows, width: int, names: Sequence, what: str) -> np.ndarray:
-        """Rows of numbers as one (|V|, width) float array. The first row of
-        another shape, or holding anything but numbers (a boolean too), raises,
-        naming its node by ``names``."""
+        """Rows of numbers as one (|V|, width) float array; an integer of any
+        size reads as the float it denotes, or an infinity past the float
+        range. The first row of another shape, or holding anything but
+        numbers (a boolean too), raises, naming its node by ``names``."""
         with contextlib.suppress(ValueError):  # ragged rows
             block = np.array(rows)
             if block.shape == (len(rows), width) and block.dtype.kind in "iuf":
@@ -163,9 +164,13 @@ class GeometricTree:
                 cells = [] if isinstance(rows, np.ndarray) else (block * block == block).ravel().nonzero()[0].tolist()
                 if not any(type(rows[k // width][k % width]) is bool for k in cells):
                     return block.astype(float, copy=False)
+        stacked = []
         for i, row in enumerate(rows):
             try:
                 values = np.array(row)
+                if values.dtype == object and values.ndim == 1:  # an integer past 64 bits, which numpy keeps:
+                    # its digits read as the float they denote, an infinity past the float range
+                    values = np.array([float(str(v)) if type(v) is int else v for v in row])
             except ValueError:  # a ragged row
                 values = np.array([row], dtype=object)
             if values.dtype.kind not in "iuf" or values.ndim == 1 and bool in map(type, row):
@@ -173,7 +178,8 @@ class GeometricTree:
             if values.shape != (width,):  # a flat row of another length, or a nested or scalar one
                 got = f"dimension {values.size}" if values.ndim == 1 else f"shape {values.shape}"
                 raise ValueError(f"tree '{self.id}': node {names[i]} {what} {got}, expected {width}")
-        return np.array(rows, dtype=float)
+            stacked.append(values)
+        return np.array(stacked, dtype=float)
 
     # -- basic structure -------------------------------------------------------
 

@@ -717,6 +717,21 @@ def test_a_landmark_count_too_large_for_the_cohort_names_landmarks_and_n(tmp_pat
     assert not (tmp_path / "g.csv.manifest.json").exists()
 
 
+@pytest.mark.parametrize("kernel", ["aaw", "agaw"])
+def test_an_attribute_component_out_of_range_for_the_cohort_is_a_usage_error(tmp_path, capsys, kernel):
+    # the spec accepts any component, but the cohort's trees have d = 1: a
+    # usage error before assembly, with no manifest, as for landmarks
+    data = gen_dataset(tmp_path, size=4, seed=2)
+    out = tmp_path / "g.csv"
+    for component in (1, -1):
+        assert run(["kernel", data / "trees.json", "--kernel", kernel, "--component", component, "--out", out]) == 2
+        assert capsys.readouterr().err == f"usage error: attribute component {component} out of range for d = 1\n"
+    assert not out.exists()
+    assert not (tmp_path / "g.csv.manifest.json").exists()
+    window = ["--gen-lo", 0, "--gen-hi", 0] if kernel == "agaw" else []  # the root's generation: no warning
+    assert run(["kernel", data / "trees.json", "--kernel", kernel, "--component", 0, *window, "--out", out]) == 0
+
+
 def test_kernel_warnings_are_one_line_each(tmp_path):
     # a single-node tree has no edges, so pointcloud warns once about it
     single = GeometricTree("s", [-1], np.zeros((1, 3)), np.zeros((1, 1)))
@@ -807,6 +822,25 @@ def test_two_sample_label_errors(tmp_path, capsys):
     onesided = tmp_path / "onesided.csv"
     onesided.write_text("\n".join([lines[0]] + [f"t{k:05d},0" for k in range(8)]) + "\n")
     assert run(["test", gram, onesided, "--out", tmp_path / "r.json"]) == 1
+
+
+@pytest.mark.parametrize("command", ["test", "classify"])
+def test_a_read_gram_that_fails_its_checks_is_named_in_the_load_stage(tmp_path, capsys, small_cohort, command):
+    data, _ = small_cohort
+    ids = [f"t{k:05d}" for k in range(6)]
+    gram = tmp_path / "g.csv"
+    for upper, lower, refusal in [
+        ("nan", "nan", "Gram matrix has a non-finite entry nan at (t00000, t00001)"),
+        ("0.5", "0.25", "Gram matrix is not symmetric"),
+    ]:
+        rows = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
+        rows[0][1], rows[1][0] = upper, lower
+        gram.write_text("id," + ",".join(ids) + "\n" + "".join(f"{i},{','.join(r)}\n" for i, r in zip(ids, rows)))
+        out = tmp_path / "out.json"
+        assert run([command, gram, data / "labels.csv", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: load: {gram}: {refusal}\n"
+        assert read_failure_manifest(f"{out}.manifest.json", err)["stage"] == "load"
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -31,7 +31,7 @@ from treekern import (
     save_gram,
     sidecar_path,
 )
-from treekern import gram as gram_module, twosample
+from treekern import twosample
 from treekern.baselines import _Refinement
 from treekern.features import FeatureMap, NodeSet, PairLoop, nodeset_gram
 
@@ -320,8 +320,7 @@ def test_load_gram_reads_back_the_bits_save_gram_wrote(tmp_path_factory, size, p
 
 
 def test_load_gram_reads_distinct_rows_after_a_repetitive_strip_start(tmp_path):
-    # row a has 3 distinct texts among 4 cells, so the strip goes through the text table;
-    # the rows after it share almost no text, and 1, 1.0 and 1e0 are one value;
+    # the rows share cell texts but no row text, and 1, 1.0 and 1e0 are one value;
     # the blank lines between the rows are skipped
     rows = {
         "a": ["1", "1.0", "1e0", "1"],
@@ -337,42 +336,34 @@ def test_load_gram_reads_distinct_rows_after_a_repetitive_strip_start(tmp_path):
     assert back[0].tolist() == [1.0] * 4 and np.signbit(back[1, 2]) and back[2, 3] == 10.0
 
 
-def read_counting_table_conversions(path, monkeypatch) -> tuple[np.ndarray, list[str]]:
-    """The values ``load_gram`` reads from ``path``, and each text it converted through a strip's table."""
-    texts = []
-    missing = gram_module._Parsed.__missing__
-
-    def counted(table, text):
-        texts.append(text)
-        return missing(table, text)
-
-    monkeypatch.setattr(gram_module._Parsed, "__missing__", counted)
-    return load_gram(path).values, texts
-
-
-def test_load_gram_converts_each_distinct_text_once_per_strip(tmp_path, monkeypatch):
-    size, palette = 700, np.arange(19) / 7.0
-    values = symmetric(palette[np.random.default_rng(3).integers(0, len(palette), (size, size))])
+def test_load_gram_reads_repeated_row_texts_back_bit_for_bit(tmp_path):
+    # 700 rows drawn from six row texts over two value classes: texts 0 to 3
+    # hold the values of class 0 and differ only in 0 against -0, or in 1,
+    # 1.0 and 1e0; texts 4 and 5 hold class 1 and differ only in 0 against -0
+    texts = [("1", "0"), ("1", "-0"), ("1.0", "0"), ("1e0", "-0"), ("0", "2.5"), ("-0", "2.5")]
+    value_class = [0, 0, 0, 0, 1, 1]
+    kinds = np.random.default_rng(5).integers(0, len(texts), 700)
+    cells = [[texts[kind][value_class[other]] for other in kinds] for kind in kinds]
+    ids = [f"t{k:03d}" for k in range(len(kinds))]
     path = tmp_path / "g.csv"
-    save_gram(plain_gram(values), path)
-    back, texts = read_counting_table_conversions(path, monkeypatch)
-    assert np.array_equal(back, values)
-    assert 0 < len(texts) <= len(gram_module._row_strips(size)) * len(palette), len(texts)
+    path.write_text("id," + ",".join(ids) + "\n" + "".join(f"{i},{','.join(row)}\n" for i, row in zip(ids, cells)))
+    back = load_gram(path).values
+    expected = np.array([[float(text) for text in row] for row in cells])
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+    assert np.signbit(back).any() and not np.signbit(back).all()
 
 
-def test_load_gram_drops_a_strip_table_after_a_row_of_new_texts(tmp_path, monkeypatch):
-    # each strip opens with a row of ones and goes on with distinct values
-    size = 700
-    values = symmetric(np.random.default_rng(4).standard_normal((size, size)))
-    strips = gram_module._row_strips(size)
-    for rows in strips:
-        values[rows.start, :] = values[:, rows.start] = 1.0
-    path = tmp_path / "g.csv"
-    save_gram(plain_gram(values), path)
-    back, texts = read_counting_table_conversions(path, monkeypatch)
-    assert np.array_equal(back, values)
-    # the opening row and the next one go through the table; the rest of the strip is parsed by row
-    assert 0 < len(texts) <= len(strips) * (1 + size), len(texts)
+def test_load_gram_checks_a_repeated_row_text_like_a_new_one(tmp_path):
+    bad = tmp_path / "bad.csv"
+    # a row repeats an earlier row's text under the wrong id (x for c), or past the last id
+    for text in ("id,a,b,c\na,1,0,0\nb,0,1,0\nx,1,0,0\n", "id,a,b\na,1,1\nb,1,1\na,1,1\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: row ids do not match column ids$"):
+            load_gram(bad)
+    # a bad cell fails on the first row with its text, whichever rows repeat it
+    bad.write_text("id,a,b,c\na,1,1,1\nb,1,abc,1\nc,1,abc,1\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: row 'b': could not convert string to float: 'abc'$"):
+        load_gram(bad)
 
 
 def test_load_gram_errors(tmp_path):

@@ -116,6 +116,23 @@ def test_construction_rejects_non_finite_values():
         parse_tree(text)
 
 
+def test_json_integers_of_any_size_read_as_the_floats_they_denote():
+    # 2**64 - 1 fits numpy's unsigned integers and 10**20 does not; both read as floats
+    for big in (2**64 - 1, 10**20, -(10**20)):
+        text = json.dumps({"id": "t", "n": 2, "d": 1, "nodes": [
+            {"id": 0, "parent": None, "x": [big, 1], "a": [0.5]},
+            {"id": 5, "parent": 0, "x": [0.0, 2.0], "a": [big]},
+        ]})
+        tree = parse_tree(text)
+        assert tree.positions[0].tolist() == [float(big), 1.0]
+        assert tree.attributes[1].tolist() == [float(big)]
+    # past the float range, an integer is refused as non-finite, naming the tree and the node
+    for key, refusal in (("x", "position"), ("a", "attribute vector")):
+        node = {"id": 5, "parent": None, "x": [0.0], "a": [0.5], key: [10**400]}
+        with pytest.raises(ValueError, match=rf"^tree 't': node 5 has a non-finite {refusal}$"):
+            parse_tree(json.dumps({"id": "t", "n": 1, "d": 1, "nodes": [node]}))
+
+
 def test_json_errors_name_nodes_by_their_json_ids():
     def parse(nodes, d=0):
         return parse_tree({"id": "t", "n": 1, "d": d, "nodes": nodes})
